@@ -46,10 +46,8 @@ class SchubertFraction:
         if p == 0 and q == 0:
             raise ValueError("0/0 is not a fraction")
         neg = (p < 0) != (q < 0)
-        p, q = abs(p), q if p >= 0 else -q
         # carry the sign on q so that alpha stays nonnegative
-        if p < 0:
-            p, q = -p, -q
+        p, q = abs(p), q if p >= 0 else -q
         g = gcd(p, abs(q)) or 1
         p //= g
         q //= g
@@ -80,8 +78,8 @@ def parse_fraction(text: str) -> SchubertFraction:
     return SchubertFraction.make(int(text), 1)
 
 
-def cf_eval(seq: Sequence[int]) -> SchubertFraction:
-    """Evaluate the continued fraction [m_1, ..., m_k].
+def cf_eval_pair(seq: Sequence[int]) -> tuple[int, int]:
+    """Raw convergent (p_k, q_k) of [m_1, ..., m_k], unnormalized.
 
     Uses p_i = m_i p_{i-1} + p_{i-2}, q_i = m_i q_{i-1} + q_{i-2} with
     (p_0, q_0) = (1, 0) and (p_{-1}, q_{-1}) = (0, 1).  Total on any
@@ -94,19 +92,12 @@ def cf_eval(seq: Sequence[int]) -> SchubertFraction:
     for m in seq:
         p, p_prev = m * p + p_prev, p
         q, q_prev = m * q + q_prev, q
-    return SchubertFraction.make(p, q)
-
-
-def cf_eval_pair(seq: Sequence[int]) -> tuple[int, int]:
-    """Raw convergent (p_k, q_k) of [m_1, ..., m_k], unnormalized."""
-    if not seq:
-        raise ValueError("empty continued fraction")
-    p_prev, q_prev = 0, 1
-    p, q = 1, 0
-    for m in seq:
-        p, p_prev = m * p + p_prev, p
-        q, q_prev = m * q + q_prev, q
     return p, q
+
+
+def cf_eval(seq: Sequence[int]) -> SchubertFraction:
+    """Evaluate the continued fraction [m_1, ..., m_k] to its Schubert fraction."""
+    return SchubertFraction.make(*cf_eval_pair(seq))
 
 
 def cf_expand_positive(f: SchubertFraction) -> tuple[int, ...]:

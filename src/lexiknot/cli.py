@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arith import DegenerateFractionError, parse_fraction, record_for_fraction
 from .curvelab import (
@@ -19,6 +18,7 @@ from .curvelab import (
     verify_embedding,
     word_from_curve,
 )
+from .curvelab.svg import render_svg
 from .enumeration import diagram_summary, enumerate_simple_diagrams, m_C
 from .planereduce import PlaneWord, b_lower_bound, reduction_search
 from .report import build_table, diff_expected, emit
@@ -34,9 +34,7 @@ def _record_for(text: str):
 def _parse_poly(text: str) -> Polynomial:
     if text.startswith("cheb:"):
         return chebyshev(int(text[5:]))
-    if text.startswith("coeffs:"):
-        text = text[7:]
-    return Polynomial([Fraction(tok) for tok in text.split(",") if tok])
+    return Polynomial.parse(text.removeprefix("coeffs:"))
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -103,8 +101,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
         out["diagram"] = d.text()
         out["knot"] = rec.name if rec else None
     if args.svg:
-        from .curvelab.svg import render_svg
-
         with open(args.svg, "w") as fh:
             fh.write(render_svg(curve, cs))
         out["svg"] = args.svg

@@ -166,13 +166,6 @@ class _Eliminator:
                     out = out + (vpow[j] * h[i - j - 1]).scale(c)
         return out
 
-    def pair_symmetric_value(self, f: Polynomial) -> Polynomial:
-        """f(t) f(s) as a polynomial in u (via the reduction)."""
-        A, B = _pair_reduction(f, self.v_over, self.lead)
-        # f(t) f(s) = (A t + B)(A s + B) = A^2 v + A B u + B^2
-        v = self.v_over.scale(Fraction(1, 1) / self.lead)
-        return A * A * v + A * B * Polynomial([0, 1]) + B * B
-
 
 def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Crude interval extension of p over [lo, hi] by Horner with interval ops."""

@@ -11,13 +11,13 @@ rational endpoint decides each sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..arith import KnotRecord, default_catalog
 from ..diagram import TrigonalDiagram
-from .curves import TOP, CrossingSet, PlaneCurve, _Eliminator, _fold_sides, curve_crossings
+from .curves import TOP, CrossingSet, PlaneCurve, _Eliminator, _fold_sides, _pair_reduction, curve_crossings
 from .poly import Polynomial, sign_at_root
 
 
@@ -89,17 +89,6 @@ def _sign_on_interval(p: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
     return s_lo
 
 
-@dataclass(frozen=True)
-class Embedding:
-    x: Polynomial
-    y: Polynomial
-    z: Polynomial
-
-    @property
-    def degrees(self) -> tuple[int, int, int]:
-        return (self.x.degree, self.y.degree, self.z.degree)
-
-
 def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] = None) -> list[int]:
     """+1 where the earlier-parameter strand passes over, else -1, exactly.
 
@@ -109,8 +98,6 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
     if cs is None:
         cs = curve_crossings(curve)
     el = _Eliminator(curve)
-    from .curves import _pair_reduction
-
     Zh, _ = _pair_reduction(z, el.v_over, el.lead)
     out = []
     for c in cs.crossings:
@@ -129,26 +116,26 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
 
     The handedness is the sign of det(T_over, T_under) of the plane
     tangents, i.e. over/under combined with which branch is steeper:
-    sign(z(t)-z(s)) * sign(slope(t)-slope(s)).
+    sign(z(t)-z(s)) * sign(slope(t)-slope(s)).  It reduces to
+    -sign(Zh) * sign(slope_num) at each crossing, with Zh the pair
+    reduction of z that crossing_signs reads (the x'(t)x'(s) factor
+    cancels), so hands[i] = overs[i] * sign(slope_num) where overs is
+    crossing_signs(curve, z, cs).
     """
     if cs is None:
         cs = curve_crossings(curve)
-    el = _Eliminator(curve)
-    from .curves import _pair_reduction
+    return _hands(curve, cs, crossing_signs(curve, z, cs))
 
-    A_z, _ = _pair_reduction(z, el.v_over, el.lead)
-    slope_num = el.antisymmetric_part(curve.y.derivative(), curve.x.derivative())
+
+def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int]:
+    """Handedness from the crossing signs and one slope-sign pass."""
+    slope_num = _Eliminator(curve).antisymmetric_part(curve.y.derivative(), curve.x.derivative())
     out = []
-    for c in cs.crossings:
-        s_az = sign_at_root(A_z, c.u)
+    for c, over in zip(cs.crossings, overs):
         s_num = sign_at_root(slope_num, c.u)
-        if s_az == 0:
-            raise EmbeddingError("z does not separate a crossing")
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
-        # det(T_over, T_under) reduces to -sign(A_z) * sign of the
-        # antisymmetric slope part; the x'(t)x'(s) factor cancels
-        out.append(-s_az * s_num)
+        out.append(over * s_num)
     return out
 
 
@@ -212,8 +199,6 @@ def _determinant(cs: CrossingSet, overs: Sequence[int], hands: Sequence[int]) ->
             )
         )
 
-    import cmath
-
     A0 = cmath.exp(-1j * cmath.pi / 4)
     total = 0j
     arcs = 2 * n
@@ -266,7 +251,7 @@ def verify_embedding(
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
     overs = crossing_signs(curve, z, cs)
-    hands = crossing_handedness(curve, z, cs)
+    hands = _hands(curve, cs, overs)
     d = TrigonalDiagram(_signed_entries(cs, curve, hands))
     det = _determinant(cs, overs, hands)
     matches = [

@@ -268,9 +268,6 @@ class RootInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __float__(self) -> float:
-        return float(self.mid)
-
 
 def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     """Disjoint isolating intervals for all distinct real roots,

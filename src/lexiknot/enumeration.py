@@ -26,11 +26,11 @@ from math import ceil, gcd
 from typing import Iterator, Optional
 
 from .arith import KnotRecord, cf_eval, fraction_equivalent
-from .diagram import TrigonalDiagram, crossing_number, islets
+from .diagram import TrigonalDiagram, crossing_number, is_simple_candidate
 
 
 class SearchExhausted(RuntimeError):
-    """No +-1 representation found within the cap."""
+    """A bounded search found nothing within its cap."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,10 @@ def default_cap(n: int) -> int:
 
 def chebyshev_degree(k: KnotRecord, cap: Optional[int] = None) -> DegreeTriple:
     """Upper bound (3, b, 3N - b) from the Chebyshev diagram C(3, b)."""
-    m = m_C(k, cap)
+    return _chebyshev_triple(k, m_C(k, cap))
+
+
+def _chebyshev_triple(k: KnotRecord, m: int) -> DegreeTriple:
     b = m + 1
     while gcd(3, b) != 1:
         b += 1
@@ -147,14 +150,11 @@ def enumerate_simple_diagrams(
     seen: set[tuple[int, ...]] = set()
     out: list[TrigonalDiagram] = []
     for entries in _signed_sequences(budget):
+        # both filters reject islets
         if strict:
-            from .diagram import is_simple_candidate
-
             if not is_simple_candidate(TrigonalDiagram(entries), strict=True):
                 continue
         elif not _passes_simple_filter(entries):
-            continue
-        if islets(TrigonalDiagram(entries)):
             continue
         if not fraction_equivalent(cf_eval(entries), target, include_mirror=True):
             continue
@@ -173,8 +173,12 @@ _BUDGET_FLOOR = {(29, 8): 10}
 
 def table_budget(k: KnotRecord) -> int:
     """Crossing budget that reproduces the published simple-diagram sets."""
+    return _table_budget(k, m_C(k))
+
+
+def _table_budget(k: KnotRecord, m: int) -> int:
     key = (k.fraction.alpha, k.fraction.beta)
-    return max(m_C(k), _BUDGET_FLOOR.get(key, 0))
+    return max(m, _BUDGET_FLOOR.get(key, 0))
 
 
 def diagram_summary(d: TrigonalDiagram) -> dict:

@@ -43,9 +43,11 @@ from .arith import KnotRecord
 from .diagram import TrigonalDiagram
 from .enumeration import (
     DegreeTriple,
-    chebyshev_degree,
+    SearchExhausted,
+    _chebyshev_triple,
+    _table_budget,
     enumerate_simple_diagrams,
-    table_budget,
+    m_C,
 )
 
 Runs = tuple[int, ...]
@@ -495,8 +497,16 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     """
     start = canonical_runs(w.runs)
     if _base_kind(start) <= 1:
-        return _trace_to(w, {start: _SearchState(0, None, None)}, start)
-    states = _explore(w, depth)
+        return _best_trace(w, {start: _SearchState(0, None, None)})
+    return _best_trace(w, _explore(w, depth))
+
+
+def _best_trace(w: PlaneWord, states: dict[Runs, _SearchState]) -> ReductionTrace:
+    """The reduction_search trace of w, read off its explored states."""
+    start = canonical_runs(w.runs)
+    if _base_kind(start) <= 1:
+        # the start state always keeps cost 0 and no parent
+        return _trace_to(w, states, start)
 
     def rank(item: tuple[Runs, _SearchState]):
         runs, st = item
@@ -510,7 +520,10 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
 def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[int]:
     """Least degree of an explicit curve for w via reductions to
     realizable bases (each undone R step costs exactly 3)."""
-    states = _explore(w, depth)
+    return _least_upper(_explore(w, depth))
+
+
+def _least_upper(states: dict[Runs, _SearchState]) -> Optional[int]:
     best: Optional[int] = None
     for runs, st in states.items():
         exact = _base_exact(runs)
@@ -597,27 +610,36 @@ class DegreeReport:
 
 
 def degree_verdict(k: KnotRecord) -> DegreeReport:
-    """Assemble lower and upper degree bounds for one catalog knot."""
-    n = k.crossing_number
-    cheb = chebyshev_degree(k)
-    diagrams = enumerate_simple_diagrams(k, budget=table_budget(k))
+    """Assemble lower and upper degree bounds for one catalog knot.
 
-    b_lower = None
+    One m_C search feeds both the Chebyshev triple and the enumeration
+    budget, and one exploration per simple diagram feeds both its
+    reduction trace and its constructive upper bound.  The diagram's
+    lower bound is trace.bound, which equals b_lower_bound(w)[0]: the
+    start word is among the explored states at cost 0 and _base_lower
+    is invariant under reversal, so trace.bound >= _base_lower(w).
+    """
+    n = k.crossing_number
+    m = m_C(k)
+    cheb = _chebyshev_triple(k, m)
+    budget = _table_budget(k, m)
+    diagrams = enumerate_simple_diagrams(k, budget=budget)
+    if not diagrams:
+        raise SearchExhausted(f"no simple diagram of {k.name} within {budget} crossings")
+
     b_upper = cheb.b
     witnesses = [f"Chebyshev C(3,{cheb.b})"]
     traces = []
     for d in diagrams:
         w = project(d)
-        lo, prov = b_lower_bound(w)
-        trace = reduction_search(w)
+        states = _explore(w)
+        trace = _best_trace(w, states)
         traces.append(trace)
-        if b_lower is None or lo < b_lower:
-            b_lower = lo
-        up = constructive_upper(w)
+        up = _least_upper(states)
         if up is not None and up < b_upper:
             b_upper = up
             witnesses = [f"{d} reduced to {trace.base} + {trace.cost}"]
-    assert b_lower is not None
+    b_lower = min(t.bound for t in traces)
 
     b = b_upper
     c_hi = 3 * n - b

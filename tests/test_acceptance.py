@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ from lexiknot.planereduce import (
     reduction_search,
     same_word_class,
 )
-from lexiknot.report import build_table, diff_expected
+from lexiknot.report import build_table, diff_expected, emit
 
 CAT = default_catalog()
 
@@ -103,6 +104,9 @@ TABLE_REDUCTIONS = [
 
 STARRED = {"6_2", "7_4", "7_6", "8_2", "8_4", "8_9", "8_11", "8_14"}
 
+# stdout of `lexiknot table --format json`, the behaviour contract
+REFERENCE_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "table.json"
+
 
 def _report(criterion: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {criterion}")
@@ -159,7 +163,8 @@ def test_criterion_4_final_verdicts():
     shipped = resources.files("lexiknot.data").joinpath("knots.csv")
     with resources.as_file(shipped) as path:
         ok = ok and diff_expected(rows, str(path)).ok
-    _report("criterion 4: verdicts match the lexicographic-degree column, zero diffs", ok)
+    ok = ok and emit(rows, "json") == REFERENCE_JSON.read_text()
+    _report("criterion 4: verdicts match the lexicographic-degree column, zero diffs, reference JSON", ok)
 
 
 def test_criterion_5_curve_oracles():

@@ -10,13 +10,17 @@ from lexiknot.curvelab import (
     add_triple_point,
     alternating_overpasses,
     chebyshev,
+    crossing_handedness,
     curve_crossings,
     height_polynomial,
     perturb,
     perturb_auto,
+    sign_at_root,
     verify_embedding,
     word_from_curve,
 )
+from lexiknot.curvelab import height as height_module
+from lexiknot.curvelab.curves import _Eliminator, _pair_reduction
 from lexiknot.planereduce import PlaneWord, same_word_class
 
 T3 = chebyshev(3)
@@ -176,6 +180,34 @@ class TestEmbedding:
         d, rec = verify_embedding(curve.x, curve.y, height)
         assert rec is not None and rec.name == "6_2"
         assert (curve.x.degree, curve.y.degree, height.degree) == (3, 7, 11)
+
+    def test_6_2_witness_signs_each_crossing_twice(self, monkeypatch):
+        # one z sign and one slope sign per crossing, nothing recomputed
+        curve = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
+        cs = curve_crossings(curve)
+        height, _ = height_polynomial(cs, alternating_overpasses(cs))
+        calls = []
+
+        def counted(h, root, *args):
+            calls.append(h)
+            return sign_at_root(h, root, *args)
+
+        monkeypatch.setattr(height_module, "sign_at_root", counted)
+        _, rec = verify_embedding(curve.x, curve.y, height)
+        assert rec.name == "6_2"
+        assert len(calls) == 2 * len(cs)
+
+    def test_handedness_is_the_tangent_determinant_sign(self):
+        # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num)
+        for b in (4, 5):
+            c = PlaneCurve(T3, chebyshev(b))
+            cs = curve_crossings(c)
+            z, _ = height_polynomial(cs, alternating_overpasses(cs))
+            el = _Eliminator(c)
+            A_z, _ = _pair_reduction(z, el.v_over, el.lead)
+            slope_num = el.antisymmetric_part(c.y.derivative(), c.x.derivative())
+            expected = [-sign_at_root(A_z, x.u) * sign_at_root(slope_num, x.u) for x in cs.crossings]
+            assert crossing_handedness(c, z, cs) == expected
 
 
 class TestSymmetries:

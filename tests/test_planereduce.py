@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from lexiknot import enumeration, planereduce
 from lexiknot.arith import default_catalog
 from lexiknot.diagram import TrigonalDiagram
+from lexiknot.enumeration import SearchExhausted
 from lexiknot.planereduce import (
     MoveError,
     PlaneWord,
@@ -24,6 +27,33 @@ from lexiknot.planereduce import (
 
 W = PlaneWord
 CAT = default_catalog()
+
+
+def all_words(max_crossings):
+    """Every word with at most max_crossings crossings: positive runs,
+    with or without a leading zero, and the empty word."""
+    out = [()]
+    for n in range(1, max_crossings + 1):
+        for k in range(n):
+            for cuts in combinations(range(1, n), k):
+                ends = (0,) + cuts + (n,)
+                runs = tuple(ends[i + 1] - ends[i] for i in range(k + 1))
+                out += [runs, (0,) + runs]
+    return out
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replace ``name`` in every given module by one counting wrapper."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestWords:
@@ -194,6 +224,12 @@ class TestReductionSearch:
         trace = reduction_search(W((2, 1, 2, 2)), depth=1)
         assert trace.cost <= 3
 
+    def test_trace_bound_is_the_lower_bound(self):
+        words = all_words(9)
+        assert len(words) == 1023
+        for runs in words:
+            assert reduction_search(W(runs)).bound == b_lower_bound(W(runs))[0], runs
+
 
 class TestLowerBounds:
     def test_examples(self):
@@ -254,3 +290,21 @@ class TestVerdicts:
         for name in ("3_1", "5_2", "7_6", "8_12"):
             rep = degree_verdict(CAT.get(name))
             assert rep.b_lower <= rep.b_upper
+
+    def test_one_m_C_search_per_verdict(self, monkeypatch):
+        calls = count_calls(monkeypatch, "m_C", enumeration, planereduce)
+        for name in ("6_2", "8_13"):
+            degree_verdict(CAT.get(name))
+        assert len(calls) == 2
+
+    def test_one_exploration_per_diagram(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_explore", planereduce)
+        for name in ("6_2", "8_13"):
+            calls.clear()
+            rep = degree_verdict(CAT.get(name))
+            assert len(calls) == len(rep.diagrams) == len(rep.traces)
+
+    def test_no_simple_diagram_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(planereduce, "enumerate_simple_diagrams", lambda k, budget=None, strict=False: [])
+        with pytest.raises(SearchExhausted, match="6_2"):
+            degree_verdict(CAT.get("6_2"))
