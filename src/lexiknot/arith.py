@@ -185,13 +185,9 @@ class Catalog:
         self._by_name = {r.name: r for r in self.records}
 
     @classmethod
-    def load(cls, path: Optional[str] = None) -> "Catalog":
-        if path is None:
-            text = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
-            rows = list(csv.DictReader(text.splitlines()))
-        else:
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
+    def load(cls) -> "Catalog":
+        text = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
         records = [
             KnotRecord(
                 name=row["name"],

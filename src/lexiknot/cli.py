@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .arith import DegenerateFractionError, parse_fraction, record_for_fraction
+from .arith import DegenerateFractionError, default_catalog, parse_fraction, record_for_fraction
 from .curvelab import (
     EmbeddingError,
     NonNodalError,
@@ -20,13 +20,13 @@ from .curvelab import (
 )
 from .curvelab.svg import render_svg
 from .enumeration import diagram_summary, enumerate_simple_diagrams, m_C
-from .planereduce import PlaneWord, b_lower_bound, reduction_search
+from .planereduce import PlaneWord, _lower_from_trace, reduction_search
 from .report import build_table, diff_expected, emit
 
 
-def _record_for(text: str):
+def _record_for(fraction):
     try:
-        return record_for_fraction(parse_fraction(text))
+        return record_for_fraction(fraction)
     except DegenerateFractionError as exc:
         raise SystemExit(str(exc))
 
@@ -35,6 +35,14 @@ def _parse_poly(text: str) -> Polynomial:
     if text.startswith("cheb:"):
         return chebyshev(int(text[5:]))
     return Polynomial.parse(text.removeprefix("coeffs:"))
+
+
+def _knot_names(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [n for n in names if n not in default_catalog().names()]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown knot(s): {', '.join(unknown)}")
+    return names
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -56,14 +64,13 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    word = PlaneWord.parse(args.word)
-    trace = reduction_search(word, depth=args.depth)
-    lower, prov = b_lower_bound(word, depth=args.depth)
+    trace = reduction_search(args.word, depth=args.depth)
+    lower, prov = _lower_from_trace(args.word, trace)
     if args.json:
         print(
             json.dumps(
                 {
-                    "word": list(word.runs),
+                    "word": list(args.word.runs),
                     "base": list(trace.base.runs),
                     "cost": trace.cost,
                     "steps": [list(s) for s in trace.steps],
@@ -81,7 +88,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     try:
-        curve = PlaneCurve(_parse_poly(args.x), _parse_poly(args.y))
+        curve = PlaneCurve(args.x, args.y)
         cs = curve_crossings(curve)
     except (NotTrigonalError, NonNodalError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -94,7 +101,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     }
     if args.z:
         try:
-            d, rec = verify_embedding(curve.x, curve.y, _parse_poly(args.z))
+            d, rec = verify_embedding(curve.x, curve.y, args.z)
         except EmbeddingError as exc:
             print(f"EmbeddingError: {exc}", file=sys.stderr)
             return 2
@@ -114,8 +121,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    names = args.knots.split(",") if args.knots else None
-    rows = build_table(names)
+    rows = build_table(args.knots)
     print(emit(rows, args.format), end="")
     if any(r.error for r in rows):
         for r in rows:
@@ -139,33 +145,33 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="simple diagrams of a knot within a crossing budget")
-    p.add_argument("--fraction", required=True, help="Schubert fraction A/B")
+    p.add_argument("--fraction", required=True, type=parse_fraction, help="Schubert fraction A/B")
     p.add_argument("--budget", type=int, default=None, help="crossing budget (default: m_C)")
     p.add_argument("--strict", action="store_true", help="use the bare slide-normal filter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("mc", help="minimal length of a +-1 diagram")
-    p.add_argument("--fraction", required=True)
+    p.add_argument("--fraction", required=True, type=parse_fraction)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("reduce", help="reduce a plane word and bound its degree")
-    p.add_argument("--word", required=True, help="comma-separated run lengths, e.g. 2,1,3")
+    p.add_argument("--word", required=True, type=PlaneWord.parse, help="comma-separated run lengths, e.g. 2,1,3")
     p.add_argument("--depth", type=int, default=None, help="cap on reduction steps")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("curve", help="crossings and word of a plane curve")
-    p.add_argument("--x", required=True, help="cheb:N or coeffs:c0,c1,... (rationals)")
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", default=None, help="height polynomial; identifies the knot")
+    p.add_argument("--x", required=True, type=_parse_poly, help="cheb:N or coeffs:c0,c1,... (rationals)")
+    p.add_argument("--y", required=True, type=_parse_poly)
+    p.add_argument("--z", default=None, type=_parse_poly, help="height polynomial; identifies the knot")
     p.add_argument("--svg", default=None, help="write an SVG rendering here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("table", help="reproduce the full results table")
-    p.add_argument("--knots", default=None, help="comma-separated names, e.g. 3_1,6_2")
+    p.add_argument("--knots", default=None, type=_knot_names, help="comma-separated names, e.g. 3_1,6_2")
     p.add_argument("--format", choices=["csv", "json", "md"], default="md")
     p.add_argument("--diff", default=None, help="compare against a knots.csv file")
     p.set_defaults(func=cmd_table)

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ..planereduce import PlaneWord, letters_to_runs
 from .poly import (
     Polynomial,
     RootInterval,
+    _interval_eval,
     isolate_real_roots,
     sign_at_root,
     sqrt_bounds,
@@ -60,6 +62,11 @@ class PlaneCurve:
     def bidegree(self) -> tuple[int, int]:
         return (3, self.y.degree)
 
+    @cached_property
+    def _eliminator(self) -> "_Eliminator":
+        """The curve's symmetric-coordinate data, built once."""
+        return _Eliminator(self)
+
 
 @dataclass(frozen=True)
 class Crossing:
@@ -68,10 +75,6 @@ class Crossing:
     s: tuple[Fraction, Fraction]
     x: tuple[Fraction, Fraction]
     letter: int                # BOTTOM or TOP
-
-    @property
-    def x_mid(self) -> Fraction:
-        return (self.x[0] + self.x[1]) / 2
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,6 @@ class _Eliminator:
     """Shared symmetric-coordinate data for one curve."""
 
     def __init__(self, curve: PlaneCurve):
-        self.curve = curve
         p = curve.x.coeffs
         self.lead = p[3]
         # v(u) = (p3 u^2 + p2 u + p1)/p3
@@ -138,9 +140,6 @@ class _Eliminator:
         # discriminant of the pair: u^2 - 4 v(u)
         self.disc = Polynomial([0, 0, 1]) - self.v_over.scale(Fraction(4, 1) / self.lead)
 
-    def v_at(self, u: Fraction) -> Fraction:
-        return self.v_over(u) / self.lead
-
     def antisymmetric_part(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """(f(t) g(s) - f(s) g(t)) / (s - t) as a polynomial in u."""
         v = self.v_over.scale(Fraction(1, 1) / self.lead)
@@ -153,30 +152,20 @@ class _Eliminator:
             h.append(u * h[-1] - v * h[-2] if m >= 2 else u)
         for _ in range(deg):
             vpow.append(vpow[-1] * v)
+        fc = f.coeffs + (0,) * (deg - f.degree)
+        gc = g.coeffs + (0,) * (deg - g.degree)
         for i in range(deg + 1):
-            fi = f.coeffs[i] if i <= f.degree else 0
             for j in range(i):
-                gj = g.coeffs[j] if j <= g.degree else 0
-                coef = Fraction(gj) * Fraction(fi)
-                coef2 = (Fraction(f.coeffs[j]) if j <= f.degree else Fraction(0)) * (
-                    Fraction(g.coeffs[i]) if i <= g.degree else Fraction(0)
-                )
-                c = coef - coef2
+                c = gc[j] * fc[i] - fc[j] * gc[i]
                 if c:
                     out = out + (vpow[j] * h[i - j - 1]).scale(c)
         return out
 
 
-def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Crude interval extension of p over [lo, hi] by Horner with interval ops."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p.coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+_MAX_REFINE = 64  # rounds of interval halving to separate crossings
 
 
-def curve_crossings(curve: PlaneCurve, max_refine: int = 64) -> CrossingSet:
+def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     """All double points, certified simple and sorted by x.
 
     Raises NonNodalError for tangencies (multiple roots of the
@@ -184,7 +173,7 @@ def curve_crossings(curve: PlaneCurve, max_refine: int = 64) -> CrossingSet:
     meeting a crossing, or crossings whose x could not be separated
     (a triple point stalls exactly there).
     """
-    el = _Eliminator(curve)
+    el = curve._eliminator
     W = el.W
     if W.is_zero():
         raise NonNodalError("symmetric system degenerates; y is a function of x")
@@ -215,7 +204,7 @@ def curve_crossings(curve: PlaneCurve, max_refine: int = 64) -> CrossingSet:
     def x_ivs(rs: Sequence[RootInterval]) -> list[tuple[Fraction, Fraction]]:
         return [_interval_eval(el.x_of_u, r.lo, r.hi) for r in rs]
 
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         ivs = x_ivs(kept)
         clash = _first_overlap(ivs)
         if clash is None:
@@ -247,7 +236,7 @@ def curve_crossings(curve: PlaneCurve, max_refine: int = 64) -> CrossingSet:
         s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
         return t_iv, s_iv
 
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         bounds: list[tuple[Fraction, Fraction]] = []
         for r in kept:
             t_iv, s_iv = param_bounds(r)
@@ -339,7 +328,7 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
     shifted = curve.y + Polynomial.const(yshift)
     if line.gcd(shifted).degree >= 1:
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
-    el = _Eliminator(curve)
+    el = curve._eliminator
     cs = curve_crossings(curve)
     for c in cs.crossings:
         if sign_at_root(el.x_of_u - Polynomial.const(x0), c.u) == 0:

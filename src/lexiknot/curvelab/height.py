@@ -7,17 +7,22 @@ parameter intervals; its degree is the number of sign changes in the
 Gauss sequence.  All sign checks are exact: by construction the roots
 lie strictly between the parameter intervals, so evaluating at a
 rational endpoint decides each sign.
+
+Verification reads the over/under sign and the twist sense of every
+crossing with `sign_at_root` (a gcd test for exact vanishing, then an
+interval enclosure on a bisected isolating interval), and names the knot
+by its determinant, the integer |det| of a Fox coloring minor computed
+by fraction-free elimination.  No floating point decides anything.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..arith import KnotRecord, default_catalog
 from ..diagram import TrigonalDiagram
-from .curves import TOP, CrossingSet, PlaneCurve, _Eliminator, _fold_sides, _pair_reduction, curve_crossings
+from .curves import TOP, CrossingSet, PlaneCurve, _fold_sides, _pair_reduction, curve_crossings
 from .poly import Polynomial, sign_at_root
 
 
@@ -97,7 +102,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
     """
     if cs is None:
         cs = curve_crossings(curve)
-    el = _Eliminator(curve)
+    el = curve._eliminator
     Zh, _ = _pair_reduction(z, el.v_over, el.lead)
     out = []
     for c in cs.crossings:
@@ -129,7 +134,7 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
 
 def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int]:
     """Handedness from the crossing signs and one slope-sign pass."""
-    slope_num = _Eliminator(curve).antisymmetric_part(curve.y.derivative(), curve.x.derivative())
+    slope_num = curve._eliminator.antisymmetric_part(curve.y.derivative(), curve.x.derivative())
     out = []
     for c, over in zip(cs.crossings, overs):
         s_num = sign_at_root(slope_num, c.u)
@@ -171,69 +176,56 @@ def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) ->
     return entries
 
 
-def _determinant(cs: CrossingSet, overs: Sequence[int], hands: Sequence[int]) -> int:
-    """Knot determinant from the Kauffman bracket at the determinant point.
+def _determinant(cs: CrossingSet, overs: Sequence[int]) -> int:
+    """Knot determinant: |det| of a minor of the Fox coloring matrix.
 
-    The state sum runs over the parameter-ordered Gauss structure of
-    the curve itself (closure through infinity adds no crossing on the
-    sphere), so no normal-position assumption enters.  At the
-    determinant point a loop counts zero, so only one-loop states
-    contribute and |bracket| is the determinant, an integer.
+    The diagram is the curve's own Gauss structure, closed through
+    infinity (which adds no crossing on the sphere), so no
+    normal-position assumption enters.  An arc runs from one underpass
+    to the next in parameter order; crossing i contributes the row
+    2 over_arc - under_in - under_out.  Any (n-1)-minor of this n x n
+    integer matrix has the determinant as its absolute value.
     """
     n = len(cs.crossings)
     if n == 0:
         return 1
-    # visits: parameter positions of each crossing; earlier visit is the
-    # overpass iff overs[i] > 0
-    incidences = []  # per crossing: (over_in, over_out, under_in, under_out) arc ids
-    for i, (a, b) in enumerate(cs.param_order):
-        first, second = (a, b) if a < b else (b, a)
-        over_visit, under_visit = (first, second) if overs[i] > 0 else (second, first)
-        arcs = 2 * n
-        incidences.append(
-            (
-                (over_visit - 1) % arcs,
-                over_visit,
-                (under_visit - 1) % arcs,
-                under_visit,
-            )
-        )
+    # parameter positions of each crossing's overpass and underpass
+    visits = [(min(p), max(p)) if o > 0 else (max(p), min(p)) for p, o in zip(cs.param_order, overs)]
+    unders = {u for _, u in visits}
+    # arc of the segment leaving each parameter position; the last
+    # segment runs through infinity back into arc 0
+    arc_after, arc = [], 0
+    for k in range(2 * n):
+        arc += k in unders
+        arc_after.append(arc % n)
+    rows = []
+    for o, u in visits:
+        row = [0] * n
+        row[arc_after[o]] += 2
+        row[arc_after[u - 1]] -= 1  # index -1 is the segment through infinity
+        row[arc_after[u]] -= 1
+        rows.append(row[1:])
+    return abs(_bareiss_det(rows[1:]))
 
-    A0 = cmath.exp(-1j * cmath.pi / 4)
-    total = 0j
-    arcs = 2 * n
-    for state in range(1 << n):
-        parent = list(range(arcs))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
-
-        exp = 0
-        for i in range(n):
-            o_in, o_out, u_in, u_out = incidences[i]
-            pick_a = (state >> i) & 1 == 0
-            exp += 1 if pick_a else -1
-            same_side = (hands[i] > 0) == pick_a
-            if same_side:
-                union(o_out, u_out)
-                union(o_in, u_in)
-            else:
-                union(o_out, u_in)
-                union(o_in, u_out)
-        loops = len({find(a) for a in range(arcs)})
-        if loops == 1:
-            total += A0 ** exp
-    det = abs(total)
-    rounded = round(det)
-    if abs(det - rounded) > 1e-6:
-        raise EmbeddingError(f"determinant did not converge to an integer: {det}")
-    return rounded
+def _bareiss_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, entries stay minors."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def verify_embedding(
@@ -243,17 +235,18 @@ def verify_embedding(
 
     The xy-projection must be nodal and z must separate every crossing,
     which is checked exactly.  Identification goes through the knot
-    determinant (the two-bridge fraction numerator) computed from the
-    Gauss structure of the curve, with the crossing count bounding the
-    crossing number; this avoids any assumption about how the closure
-    arc through infinity sits relative to the folds.
+    determinant (the two-bridge fraction numerator), an integer Fox
+    coloring minor of the Gauss structure of the curve, with the
+    crossing count bounding the crossing number; this avoids any
+    assumption about how the closure arc through infinity sits relative
+    to the folds.
     """
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
     overs = crossing_signs(curve, z, cs)
     hands = _hands(curve, cs, overs)
     d = TrigonalDiagram(_signed_entries(cs, curve, hands))
-    det = _determinant(cs, overs, hands)
+    det = _determinant(cs, overs)
     matches = [
         rec
         for rec in default_catalog()

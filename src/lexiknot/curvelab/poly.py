@@ -1,8 +1,8 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
-Coefficients are `fractions.Fraction`; every sign decision goes through
-Sturm sequences or interval bisection with rational endpoints, never
-through floating point.
+Coefficients are `fractions.Fraction`; roots are isolated with Sturm
+sequences, and a sign at an isolated root is certified by an interval
+enclosure with rational endpoints, never through floating point.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class Polynomial:
         return cls([c])
 
     @classmethod
-    def monomial(cls, degree: int, c: Rat = 1) -> "Polynomial":
-        return cls([0] * degree + [c])
-
-    @classmethod
     def from_roots(cls, roots: Sequence[Rat], lead: Rat = 1) -> "Polynomial":
         p = cls.const(lead)
         for r in roots:
@@ -55,7 +51,10 @@ class Polynomial:
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
         """Comma-separated rationals, ascending: '0,-3,0,1' is t^3 - 3t."""
-        return cls([Fraction(tok) for tok in text.replace(" ", "").split(",") if tok])
+        try:
+            return cls([Fraction(tok) for tok in text.replace(" ", "").split(",") if tok])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
 
     # -- basics --------------------------------------------------------
 
@@ -239,24 +238,18 @@ class RootInterval:
     lo: Fraction
     hi: Fraction
 
-    def refine(self, times: int = 1) -> "RootInterval":
+    def refine(self) -> "RootInterval":
+        """Halve the interval, keeping the root strictly inside."""
         lo, hi = self.lo, self.hi
-        s_lo = _sign(self.poly(lo))
-        for _ in range(times):
-            mid = (lo + hi) / 2
-            s_mid = _sign(self.poly(mid))
-            if s_mid == 0:
-                # land exactly on the root: shrink symmetrically around it
-                w = (hi - lo) / 8
-                lo, hi = mid - w, mid + w
-                s_lo = _sign(self.poly(lo))
-                continue
-            if s_lo * s_mid < 0:
-                hi = mid
-            else:
-                lo, hi = mid, hi
-                s_lo = s_mid
-        return RootInterval(self.poly, lo, hi)
+        mid = (lo + hi) / 2
+        s_mid = _sign(self.poly(mid))
+        if s_mid == 0:
+            # land exactly on the root: shrink symmetrically around it
+            w = (hi - lo) / 8
+            return RootInterval(self.poly, mid - w, mid + w)
+        if _sign(self.poly(lo)) * s_mid < 0:
+            return RootInterval(self.poly, lo, mid)
+        return RootInterval(self.poly, mid, hi)
 
     def refine_below(self, width: Fraction) -> "RootInterval":
         r = self
@@ -301,26 +294,42 @@ def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     return [RootInterval(p, a, b) for a, b in out]
 
 
-def sign_at_root(h: Polynomial, root: RootInterval, max_refine: int = 256) -> int:
-    """Exact sign of h at the root isolated by ``root`` (0 if h vanishes there)."""
+def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Crude interval extension of p over [lo, hi] by Horner with interval ops."""
+    alo = ahi = Fraction(0)
+    for c in reversed(p.coeffs):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+_MAX_REFINE = 256  # bisections of an isolating interval before a sign gives up
+
+
+def sign_at_root(h: Polynomial, root: RootInterval) -> int:
+    """Exact sign of h at the root isolated by ``root`` (0 if h vanishes there).
+
+    g = gcd(h, W), W = root.poly, divides the squarefree W, so it vanishes at
+    the root iff it changes sign across the isolating interval.  Otherwise
+    the interval is halved until the enclosure of h excludes 0.
+    """
     if h.is_zero():
         return 0
     g = h.gcd(root.poly)
-    if g.degree >= 1 and count_roots(g, root.lo, root.hi) > 0:
+    if g.degree >= 1 and _sign(g(root.lo)) != _sign(g(root.hi)):
         return 0
-    seq = sturm_sequence(h)
-    r = root
-    for _ in range(max_refine):
-        if h(r.lo) != 0 and h(r.hi) != 0 and count_roots(h, r.lo, r.hi, seq) == 0:
-            return _sign(h(r.lo))
-        r = r.refine()
+    for _ in range(_MAX_REFINE):
+        lo, hi = _interval_eval(h, root.lo, root.hi)
+        if lo > 0 or hi < 0:
+            return _sign(lo)
+        root = root.refine()
     raise RuntimeError("sign refinement did not converge")
 
 
-def sqrt_bounds(x: Fraction, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(x) <= hi with hi - lo about 1/scale."""
+def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(x) <= hi with hi - lo about 2^-32."""
     if x < 0:
         raise ValueError("negative radicand")
     n, d = x.numerator, x.denominator
-    r = isqrt(n * d * scale * scale)
-    return Fraction(r, d * scale), Fraction(r + 1, d * scale)
+    r = isqrt(n * d << 64)
+    return Fraction(r, d << 32), Fraction(r + 1, d << 32)

@@ -581,8 +581,12 @@ def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
 def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
     """Max of the crossing rule, the one/two-run exact value, reduction
     bounds, and table overrides, with the rule that fired."""
+    return _lower_from_trace(w, reduction_search(w, depth))
+
+
+def _lower_from_trace(w: PlaneWord, trace: ReductionTrace) -> tuple[int, str]:
+    """b_lower_bound of w given its reduction_search trace."""
     best, prov = _base_lower(normalize_runs(w.runs))
-    trace = reduction_search(w, depth)
     if trace.bound > best:
         best = trace.bound
         prov = f"reduction to {trace.base} ({trace.provenance}) + {trace.cost}"

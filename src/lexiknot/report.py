@@ -73,7 +73,7 @@ def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog
                     c_hi=0,
                     status="failed",
                     starred=False,
-                    error=str(exc),
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             )
     return rows

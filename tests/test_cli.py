@@ -85,3 +85,41 @@ def test_table_diff_mismatch_exit(capsys, tmp_path):
 def test_unknown_fraction_errors():
     with pytest.raises(SystemExit):
         main(["mc", "--fraction", "4/1"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--x", "coeffs:0,-3,x", "--y", "cheb:4"],
+        ["reduce", "--word", "2,a"],
+        ["mc", "--fraction", "9/x"],
+        ["enumerate", "--fraction", "4/x"],
+        ["table", "--knots", "9_9"],
+    ],
+)
+def test_malformed_argument_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"lexiknot {argv[0]}: error: argument {argv[1]}")
+
+
+def test_reduce_explores_once(monkeypatch, capsys):
+    import lexiknot.cli
+    import lexiknot.planereduce
+
+    calls = []
+    search = lexiknot.planereduce.reduction_search
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lexiknot.cli, "reduction_search", counted)
+    monkeypatch.setattr(lexiknot.planereduce, "reduction_search", counted)
+    assert main(["reduce", "--word", "2,2,3"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "base (0,1,3) cost 3\nb >= 10  (reduction to (0,1,3) (base table degree at least (3,7)) + 3)\n"
+    )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from lexiknot.curvelab import (
     alternating_overpasses,
     chebyshev,
     crossing_handedness,
+    crossing_signs,
     curve_crossings,
     height_polynomial,
     perturb,
@@ -208,6 +210,49 @@ class TestEmbedding:
             slope_num = el.antisymmetric_part(c.y.derivative(), c.x.derivative())
             expected = [-sign_at_root(A_z, x.u) * sign_at_root(slope_num, x.u) for x in cs.crossings]
             assert crossing_handedness(c, z, cs) == expected
+
+
+    def test_one_eliminator_per_embedding(self, monkeypatch):
+        import lexiknot.curvelab.curves as curves_module
+
+        built = []
+
+        class Counted(_Eliminator):
+            def __init__(self, curve):
+                built.append(curve)
+                super().__init__(curve)
+
+        monkeypatch.setattr(curves_module, "_Eliminator", Counted)
+        c = PlaneCurve(T3, chebyshev(5))
+        cs = curve_crossings(c)
+        z, _ = height_polynomial(cs, alternating_overpasses(cs))
+        built.clear()
+        _, rec = verify_embedding(c.x, c.y, z)
+        assert rec.name == "4_1" and len(built) == 1
+        built.clear()
+        add_triple_point(PlaneCurve(T3, chebyshev(4)), Fraction(-1, 2), Fraction(1))
+        assert len(built) == 1
+
+
+class TestDeterminant:
+    def test_chebyshev_alternating_is_fibonacci(self):
+        # (T3, Tb) with alternating heights is the two-bridge knot F_b / F_{b-1}
+        for b, fib in ((2, 1), (4, 3), (5, 5), (7, 13), (8, 21)):
+            c = PlaneCurve(T3, chebyshev(b))
+            cs = curve_crossings(c)
+            z, _ = height_polynomial(cs, alternating_overpasses(cs))
+            assert height_module._determinant(cs, crossing_signs(c, z, cs)) == fib
+
+    def test_flipping_every_overpass_keeps_the_determinant(self):
+        # the mirror image has the same determinant
+        rng = random.Random(1)
+        witness = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
+        for c in (PlaneCurve(T3, chebyshev(7)), witness):
+            cs = curve_crossings(c)
+            for _ in range(20):
+                overs = [rng.choice((1, -1)) for _ in cs.crossings]
+                flipped = [-o for o in overs]
+                assert height_module._determinant(cs, flipped) == height_module._determinant(cs, overs)
 
 
 class TestSymmetries:

@@ -81,6 +81,20 @@ class TestRoots:
         assert sign_at_root(P([-4, 0, 1]), root) == 0
         assert p(2) == 0
 
+    def test_sign_at_root_builds_no_sturm_chain(self, monkeypatch):
+        import lexiknot.curvelab.poly as poly
+
+        roots = isolate_real_roots(chebyshev(7))
+
+        def forbidden(p):
+            raise AssertionError("sign_at_root built a Sturm chain")
+
+        monkeypatch.setattr(poly, "sturm_sequence", forbidden)
+        h = chebyshev(5) - P([Fraction(1, 3)])  # T_5 = 1/3 at no root of T_7
+        tight = [r.refine_below(Fraction(1, 10**12)) for r in roots]
+        assert [sign_at_root(h, r) for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
+        assert [sign_at_root(chebyshev(21), r) for r in roots] == [0] * 7  # T_7 divides T_21
+
     def test_refinement(self):
         root = isolate_real_roots(P([-2, 0, 1]))[1]  # sqrt(2)
         tight = root.refine_below(Fraction(1, 10**6))

@@ -28,6 +28,18 @@ class TestBuildTable:
     def test_empty(self):
         assert build_table([]) == []
 
+    def test_failed_row_keeps_the_error_type(self, monkeypatch):
+        import lexiknot.report
+        from lexiknot.enumeration import SearchExhausted
+
+        def exhausted(rec):
+            raise SearchExhausted(f"nothing for {rec.name}")
+
+        monkeypatch.setattr(lexiknot.report, "degree_verdict", exhausted)
+        (row,) = build_table(["3_1"])
+        assert row.status == "failed"
+        assert row.error == "SearchExhausted: nothing for 3_1"
+
 
 class TestEmit:
     def test_csv_header(self, small_rows):
