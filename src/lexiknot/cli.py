@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DegenerateFractionError, default_catalog, parse_fraction, record_for_fraction
@@ -19,7 +20,7 @@ from .curvelab import (
     word_from_curve,
 )
 from .curvelab.svg import render_svg
-from .enumeration import diagram_summary, enumerate_simple_diagrams, m_C
+from .enumeration import SearchExhausted, diagram_summary, enumerate_simple_diagrams, m_C
 from .planereduce import PlaneWord, _lower_from_trace, reduction_search
 from .report import build_table, diff_expected, emit
 
@@ -29,6 +30,13 @@ def _record_for(fraction):
         return record_for_fraction(fraction)
     except DegenerateFractionError as exc:
         raise SystemExit(str(exc))
+
+
+def _usage_error(command: str, message: str) -> int:
+    """One line in argparse's error format, exit 2, for an argument that
+    only fails once it meets the knot or the file system."""
+    print(f"lexiknot {command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _parse_poly(text: str) -> Polynomial:
@@ -47,7 +55,12 @@ def _knot_names(text: str) -> list[str]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rec = _record_for(args.fraction)
-    diagrams = enumerate_simple_diagrams(rec, budget=args.budget, strict=args.strict)
+    try:
+        diagrams = enumerate_simple_diagrams(rec, budget=args.budget, strict=args.strict)
+    except ValueError as exc:  # the budget is out of range for this knot
+        return _usage_error("enumerate", str(exc))
+    except SearchExhausted as exc:
+        raise SystemExit(str(exc))
     payload = [diagram_summary(d) for d in diagrams]
     for d in diagrams:
         print(d.text())
@@ -58,7 +71,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_mc(args: argparse.Namespace) -> int:
     rec = _record_for(args.fraction)
-    m = m_C(rec, cap=args.cap)
+    try:
+        m = m_C(rec, cap=args.cap)
+    except SearchExhausted as exc:
+        raise SystemExit(str(exc))
     print(m)
     return 0
 
@@ -121,6 +137,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.diff and not os.path.isfile(args.diff):
+        return _usage_error("table", f"argument --diff: no such file: {args.diff}")
     rows = build_table(args.knots)
     print(emit(rows, args.format), end="")
     if any(r.error for r in rows):

@@ -4,9 +4,10 @@ m_C(K) is the minimal length of a diagram D(e_1, ..., e_m) of K with all
 e_i = +-1; the knot then has a Chebyshev diagram C(3, b) with b = m_C + 1
 and a parametrization (T_3, T_b, C) with deg C + b = 3N.
 
-Simple diagrams are enumerated as islet-free integer sequences whose
-fraction matches the knot (mirror images included), pruned by boundary
-conditions that slide isotopies always remove:
+m_C and the simple diagrams come from one search that expands the knot's
+fraction into the integer sequences of its class (mirror images included)
+instead of testing candidates.  The simple diagrams are the islet-free
+sequences that survive boundary conditions that slide isotopies remove:
 
 * a boundary region of a single twist can be untwisted through the plat
   closure, so |m_1|, |m_k| >= 2;
@@ -21,11 +22,10 @@ conditions that slide isotopies always remove:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import ceil, gcd
 from typing import Iterator, Optional
 
-from .arith import KnotRecord, cf_eval, fraction_equivalent
+from .arith import KnotRecord, SchubertFraction, fraction_equivalent
 from .diagram import TrigonalDiagram, crossing_number, is_simple_candidate
 
 
@@ -53,18 +53,13 @@ class DegreeTriple:
 
 
 def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
-    """Minimal length of a +-1 continued fraction hitting k's class.
-
-    Exhaustive over the 2^m sign sequences per length; mirror images
-    accepted since the lexicographic degree is mirror invariant.
-    """
+    """Minimal length of a +-1 continued fraction hitting k's class (mirror
+    included): the first budget m with a class sequence of m entries, all +-1."""
     if cap is None:
         cap = default_cap(k.crossing_number)
-    target = k.fraction
     for m in range(1, cap + 1):
-        for signs in product((1, -1), repeat=m):
-            if fraction_equivalent(cf_eval(signs), target, include_mirror=True):
-                return m
+        if any(len(s) == m for s in _class_sequences(k.fraction, m)):
+            return m
     raise SearchExhausted(f"no +-1 representation of {k.name} with length <= {cap}")
 
 
@@ -88,8 +83,6 @@ def _chebyshev_triple(k: KnotRecord, m: int) -> DegreeTriple:
 
 def _passes_simple_filter(entries: tuple[int, ...]) -> bool:
     k = len(entries)
-    if any(m == 0 for m in entries):
-        return False
     if k == 1:
         return True
     if abs(entries[0]) == 1 or abs(entries[-1]) == 1:
@@ -106,17 +99,35 @@ def _passes_simple_filter(entries: tuple[int, ...]) -> bool:
     return True
 
 
-def _signed_sequences(budget: int) -> Iterator[tuple[int, ...]]:
-    """All sequences of nonzero integers with sum |m_i| <= budget."""
+def _class_sequences(f: SchubertFraction, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every nonzero sequence with sum |m_i| <= budget whose continued
+    fraction lies in f's class (mirror included), each exactly once.
 
-    def rec(prefix: tuple[int, ...], left: int) -> Iterator[tuple[int, ...]]:
-        if prefix:
-            yield prefix
-        for a in range(1, left + 1):
+    If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
+    the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
+    Sum |m_i| = s bounds |continuant| by Fibonacci F_{s+1}, reached by all ones.
+    """
+    if budget <= 0:
+        return
+    fib = [0, 1]
+    while len(fib) <= budget + 1:
+        fib.append(fib[-1] + fib[-2])
+
+    def expand(p: int, q: int, left: int) -> Iterator[tuple[int, ...]]:
+        """The sequences with pair +-(p, q) and sum |m_i| <= left."""
+        if abs(q) == 1 and 0 < abs(p) <= left:
+            yield (p * q,)
+        for a in range(1, left):
+            if abs(q) > fib[left - a + 1]:
+                break
             for m in (a, -a):
-                yield from rec(prefix + (m,), left - a)
+                yield from ((m,) + tail for tail in expand(q, p - m * q, left - a))
 
-    yield from rec((), budget)
+    # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and
+    # p = alpha > 0 fixes the sign, so each sequence has exactly one q
+    for q in range(-fib[budget], fib[budget] + 1):
+        if fraction_equivalent(SchubertFraction.make(f.alpha, q), f, include_mirror=True):
+            yield from expand(f.alpha, q, budget)
 
 
 def canonical_diagram(d: TrigonalDiagram) -> TrigonalDiagram:
@@ -146,24 +157,16 @@ def enumerate_simple_diagrams(
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
     if budget > 16:
         raise ValueError("budgets beyond 16 crossings are out of range")
-    target = k.fraction
-    seen: set[tuple[int, ...]] = set()
-    out: list[TrigonalDiagram] = []
-    for entries in _signed_sequences(budget):
+    found: set[tuple[int, ...]] = set()
+    for entries in _class_sequences(k.fraction, budget):
         # both filters reject islets
         if strict:
             if not is_simple_candidate(TrigonalDiagram(entries), strict=True):
                 continue
         elif not _passes_simple_filter(entries):
             continue
-        if not fraction_equivalent(cf_eval(entries), target, include_mirror=True):
-            continue
-        canon = canonical_diagram(TrigonalDiagram(entries))
-        if canon.entries not in seen:
-            seen.add(canon.entries)
-            out.append(canon)
-    out.sort(key=lambda d: (len(d.entries), d.entries))
-    return out
+        found.add(canonical_diagram(TrigonalDiagram(entries)).entries)
+    return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
 # The published results list one simple diagram of 8_13 (29/8) with ten

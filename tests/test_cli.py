@@ -105,6 +105,32 @@ def test_malformed_argument_is_a_usage_error(argv, capsys):
     assert err[-1].startswith(f"lexiknot {argv[0]}: error: argument {argv[1]}")
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [("30", "budgets beyond 16 crossings are out of range"), ("3", "budget 3 below crossing number 6")],
+)
+def test_enumerate_budget_out_of_range_is_a_usage_error(budget, message, capsys):
+    assert main(["enumerate", "--fraction", "11/3", "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot enumerate: error: {message}\n"
+
+
+def test_table_missing_diff_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["table", "--knots", "3_1", "--diff", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot table: error: argument --diff: no such file: {missing}\n"
+
+
+def test_mc_exhausted_cap_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--fraction", "29/8", "--cap", "6"])
+    assert exc.value.code == "no +-1 representation of 8_13 with length <= 6"
+    assert capsys.readouterr().out == ""
+
+
 def test_reduce_explores_once(monkeypatch, capsys):
     import lexiknot.cli
     import lexiknot.planereduce

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from lexiknot.arith import cf_eval, default_catalog, fraction_equivalent
+from lexiknot.arith import cf_eval, cf_eval_pair, default_catalog, fraction_equivalent
 from lexiknot.diagram import TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import (
     DegreeTriple,
     SearchExhausted,
+    _class_sequences,
     canonical_diagram,
     chebyshev_degree,
     enumerate_simple_diagrams,
@@ -15,6 +16,21 @@ from lexiknot.enumeration import (
 )
 
 CAT = default_catalog()
+
+
+def signed_sequences(budget):
+    """Every nonzero integer sequence with sum |m_i| <= budget: each
+    composition of each total, under each choice of signs."""
+    for total in range(1, budget + 1):
+        for k in range(1, total + 1):
+            for cuts in itertools.combinations(range(1, total), k - 1):
+                parts = [b - a for a, b in zip((0,) + cuts, cuts + (total,))]
+                for signs in itertools.product((1, -1), repeat=k):
+                    yield tuple(p * s for p, s in zip(parts, signs))
+
+
+def in_class(seq, rec):
+    return fraction_equivalent(cf_eval(seq), rec.fraction, include_mirror=True)
 
 
 class TestMC:
@@ -38,14 +54,41 @@ class TestMC:
             assert m >= lower
 
     def test_witness_exists_at_m(self):
-        for name in ("5_2", "6_3", "7_7"):
-            rec = CAT.get(name)
+        # and m is minimal: no +-1 sequence one shorter lies in the class
+        for rec in CAT:
             m = m_C(rec)
-            found = any(
-                fraction_equivalent(cf_eval(s), rec.fraction, include_mirror=True)
-                for s in itertools.product((1, -1), repeat=m)
-            )
-            assert found
+            assert any(in_class(s, rec) for s in itertools.product((1, -1), repeat=m))
+            assert not any(in_class(s, rec) for s in itertools.product((1, -1), repeat=m - 1))
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_empty_cap_exhausts(self, cap):
+        with pytest.raises(SearchExhausted):
+            m_C(CAT.get("3_1"), cap=cap)
+
+
+class TestClassSequences:
+    def test_matches_brute_force(self):
+        # each catalog class, each budget: the brute-force class members,
+        # every one exactly once
+        candidates = list(signed_sequences(8))
+        for rec in CAT:
+            members = [s for s in candidates if in_class(s, rec)]
+            for budget in range(1, 9):
+                got = list(_class_sequences(rec.fraction, budget))
+                assert len(got) == len(set(got)), (rec.name, budget)
+                assert set(got) == {s for s in members if sum(map(abs, s)) <= budget}, (rec.name, budget)
+
+    def test_continuant_is_at_most_fibonacci(self):
+        # the pruning rests on |p| <= F_{s+1} for sum |m_i| = s
+        fib = [0, 1]
+        while len(fib) < 12:
+            fib.append(fib[-1] + fib[-2])
+        for s in signed_sequences(10):
+            assert abs(cf_eval_pair(s)[0]) <= fib[sum(map(abs, s)) + 1], s
+
+    @pytest.mark.parametrize("budget", [0, -1, -3])
+    def test_empty_budget_yields_nothing(self, budget):
+        assert list(_class_sequences(CAT.get("3_1").fraction, budget)) == []
 
 
 class TestChebyshevDegree:

@@ -1,10 +1,12 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from lexiknot import enumeration, planereduce
-from lexiknot.arith import default_catalog
+from lexiknot.arith import default_catalog, parse_fraction, record_for_fraction
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.enumeration import SearchExhausted
 from lexiknot.planereduce import (
@@ -27,6 +29,8 @@ from lexiknot.planereduce import (
 
 W = PlaneWord
 CAT = default_catalog()
+# verdicts of the 69 nine- and ten-crossing classes, recorded by the benchmark
+QUERIES = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "queries.json"
 
 
 def all_words(max_crossings):
@@ -308,3 +312,20 @@ class TestVerdicts:
         monkeypatch.setattr(planereduce, "enumerate_simple_diagrams", lambda k, budget=None, strict=False: [])
         with pytest.raises(SearchExhausted, match="6_2"):
             degree_verdict(CAT.get("6_2"))
+
+    def test_off_catalog_classes_match_the_reference(self):
+        reference = json.loads(QUERIES.read_text())
+        assert len(reference) == 69
+        for fraction, want in reference.items():
+            rep = degree_verdict(record_for_fraction(parse_fraction(fraction)))
+            got = {
+                "diagrams": [list(d.entries) for d in rep.diagrams],
+                "b_lower": rep.b_lower,
+                "b_upper": rep.b_upper,
+                "c_lower": rep.c_lower,
+                "c_upper": rep.c_upper,
+                "deg_C": list(rep.deg_C),
+                "status": rep.status,
+            }
+            assert got == want, fraction
+            assert all(t.replay().runs == t.base.runs for t in rep.traces), fraction
