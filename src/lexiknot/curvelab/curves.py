@@ -54,13 +54,17 @@ class PlaneCurve:
             raise NotTrigonalError(f"x-degree {self.x.degree}, need a cubic")
         if self.y.degree < 2:
             raise NotTrigonalError(f"y-degree {self.y.degree}, need at least 2")
-        crit = self.x.derivative()
-        if len(isolate_real_roots(crit)) != 2:
+        if len(self._critical_points) != 2:
             raise NotTrigonalError("the cubic needs two distinct real critical points")
 
     @property
     def bidegree(self) -> tuple[int, int]:
         return (3, self.y.degree)
+
+    @cached_property
+    def _critical_points(self) -> list[RootInterval]:
+        """Isolated roots of x', the parameters of the folds, found once."""
+        return isolate_real_roots(self.x.derivative())
 
     @cached_property
     def _eliminator(self) -> "_Eliminator":
@@ -89,16 +93,17 @@ class CrossingSet:
         return len(self.crossings)
 
 
-def _pair_reduction(q: Polynomial, v_over: Polynomial, lead: Fraction):
+def _pair_reduction(q: Polynomial, v: Polynomial):
     """a_k, b_k with z^k = a_k z + b_k modulo z^2 - u z + v(u).
 
-    v(u) is handed in as v_over / lead.  Returns (A, B) for q itself:
-    q(z) = A(u) z + B(u), coefficients exact rationals.
+    Returns (A, B) for q itself: q(z) = A(u) z + B(u), coefficients
+    exact rationals.  On a crossing pair t, s this reads
+    q(t) - q(s) = (t - s) A(u), and for two polynomials f, g
+    f(t) g(s) - f(s) g(t) = (t - s) (A_f B_g - B_f A_g).
     """
     u = Polynomial([0, 1])
     a_prev, b_prev = Polynomial.zero(), Polynomial.const(1)   # z^0
     a_cur, b_cur = Polynomial.const(1), Polynomial.zero()     # z^1
-    v = v_over.scale(Fraction(1, 1) / lead)
     A, B = Polynomial.zero(), Polynomial.zero()
     for k, c in enumerate(q.coeffs):
         if k == 0:
@@ -124,12 +129,11 @@ class _Eliminator:
 
     def __init__(self, curve: PlaneCurve):
         p = curve.x.coeffs
-        self.lead = p[3]
         # v(u) = (p3 u^2 + p2 u + p1)/p3
-        self.v_over = Polynomial([p[1], p[2], p[3]])
+        self.v = Polynomial([p[1], p[2], p[3]]).scale(1 / p[3])
         self.sum_roots = -p[2] / p[3]
-        A_q, B_q = _pair_reduction(curve.y, self.v_over, self.lead)
-        A_x, B_x = _pair_reduction(curve.x, self.v_over, self.lead)
+        A_q, B_q = _pair_reduction(curve.y, self.v)
+        A_x, B_x = _pair_reduction(curve.x, self.v)
         assert A_x.is_zero()
         self.W = A_q                    # vanishes exactly at crossings
         self.x_of_u = B_x               # crossing x
@@ -138,28 +142,7 @@ class _Eliminator:
         self.r_of_u = Polynomial([self.sum_roots, -1])
         self.y_third = curve.y.compose(self.r_of_u)
         # discriminant of the pair: u^2 - 4 v(u)
-        self.disc = Polynomial([0, 0, 1]) - self.v_over.scale(Fraction(4, 1) / self.lead)
-
-    def antisymmetric_part(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """(f(t) g(s) - f(s) g(t)) / (s - t) as a polynomial in u."""
-        v = self.v_over.scale(Fraction(1, 1) / self.lead)
-        h = [Polynomial.const(1)]  # complete homogeneous h_m(u, v)
-        u = Polynomial([0, 1])
-        out = Polynomial.zero()
-        vpow = [Polynomial.const(1)]
-        deg = max(f.degree, g.degree)
-        for m in range(1, deg + 1):
-            h.append(u * h[-1] - v * h[-2] if m >= 2 else u)
-        for _ in range(deg):
-            vpow.append(vpow[-1] * v)
-        fc = f.coeffs + (0,) * (deg - f.degree)
-        gc = g.coeffs + (0,) * (deg - g.degree)
-        for i in range(deg + 1):
-            for j in range(i):
-                c = gc[j] * fc[i] - fc[j] * gc[i]
-                if c:
-                    out = out + (vpow[j] * h[i - j - 1]).scale(c)
-        return out
+        self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
 
 
 _MAX_REFINE = 64  # rounds of interval halving to separate crossings
@@ -278,20 +261,19 @@ def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
     At each critical value of the cubic two strands merge; the side is
     decided by comparing their height with the third strand's, exactly.
     """
-    crit = isolate_real_roots(curve.x.derivative())
     sum_roots = -curve.x.coeffs[2] / curve.x.coeffs[3]
+    # fold height minus third-strand height, as a polynomial in the
+    # critical parameter (the third root of x(z) = x(c) is s - 2c)
+    h = curve.y - curve.y.compose(Polynomial([sum_roots, -2]))
+    x2 = curve.x.derivative().derivative()
     vals = []
-    for c in crit:
-        # fold height minus third-strand height, as a polynomial in the
-        # critical parameter (the third root of x(z) = x(c) is s - 2c)
-        passer = curve.y.compose(Polynomial([sum_roots, -2]))
-        h = curve.y - passer
+    for c in curve._critical_points:
         sg = sign_at_root(h, c)
         if sg == 0:
             raise NonNodalError("fold pair meets the third strand")
         # the local minimum of x (positive second derivative) bounds the
         # band on the left
-        concavity = sign_at_root(curve.x.derivative().derivative(), c)
+        concavity = sign_at_root(x2, c)
         vals.append((concavity, BOTTOM if sg < 0 else TOP))
     left = next(s for k, s in vals if k > 0)
     right = next(s for k, s in vals if k < 0)
@@ -307,15 +289,23 @@ def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> Plan
     """
     if cs is None:
         cs = curve_crossings(curve)
-    letters = [c.letter for c in cs.crossings]
-    left, right = _fold_sides(curve)
-    if not letters:
-        return PlaneWord(())
-    lead_marker = left == letters[0]
-    trail_marker = right == letters[-1]
-    if (letters[0] == TOP) != lead_marker:
-        letters = [1 - p for p in letters]
+    letters, trail_marker = _oriented_letters(curve, cs)
     return PlaneWord(letters_to_runs(letters, trail_marker))
+
+
+def _oriented_letters(curve: PlaneCurve, cs: CrossingSet) -> tuple[list[int], bool]:
+    """Crossing letters in x-order, flipped so that the first is TOP
+    exactly when the left fold pair sits on its side, and the trailing
+    marker: whether the right fold pair sits on the last crossing's side.
+    """
+    left, right = _fold_sides(curve)
+    letters = [c.letter for c in cs.crossings]
+    if not letters:
+        return letters, False
+    trail_marker = right == letters[-1]
+    if (letters[0] == TOP) != (left == letters[0]):
+        letters = [1 - p for p in letters]
+    return letters, trail_marker
 
 
 def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> PlaneCurve:

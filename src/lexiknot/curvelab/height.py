@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from ..arith import KnotRecord, default_catalog
 from ..diagram import TrigonalDiagram
-from .curves import TOP, CrossingSet, PlaneCurve, _fold_sides, _pair_reduction, curve_crossings
+from .curves import CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
 from .poly import Polynomial, sign_at_root
 
 
@@ -102,8 +102,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
     """
     if cs is None:
         cs = curve_crossings(curve)
-    el = curve._eliminator
-    Zh, _ = _pair_reduction(z, el.v_over, el.lead)
+    Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
     for c in cs.crossings:
         s = sign_at_root(Zh, c.u)
@@ -119,13 +118,12 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
 def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] = None) -> list[int]:
     """Geometric twist sense of each crossing, in x-order, exactly.
 
-    The handedness is the sign of det(T_over, T_under) of the plane
-    tangents, i.e. over/under combined with which branch is steeper:
-    sign(z(t)-z(s)) * sign(slope(t)-slope(s)).  It reduces to
-    -sign(Zh) * sign(slope_num) at each crossing, with Zh the pair
-    reduction of z that crossing_signs reads (the x'(t)x'(s) factor
-    cancels), so hands[i] = overs[i] * sign(slope_num) where overs is
-    crossing_signs(curve, z, cs).
+    With t < s the parameters of the crossing and T = (x', y') the plane
+    tangent, the handedness is sign(z(t) - z(s)) * sign(det(T_t, T_s)).
+    The first factor is crossing_signs(curve, z, cs).  The second is
+    sign(N(u)), since det(T_t, T_s) = x'(t) y'(s) - y'(t) x'(s)
+    = (s - t) N(u) with N = A_y' B_x' - B_y' A_x' built from the pair
+    reductions of y' and x'.
     """
     if cs is None:
         cs = curve_crossings(curve)
@@ -133,11 +131,14 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
 
 
 def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int]:
-    """Handedness from the crossing signs and one slope-sign pass."""
-    slope_num = curve._eliminator.antisymmetric_part(curve.y.derivative(), curve.x.derivative())
+    """Handedness from the crossing signs and one tangent-determinant sign pass."""
+    v = curve._eliminator.v
+    A_y, B_y = _pair_reduction(curve.y.derivative(), v)
+    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
+    N = A_y * B_x - B_y * A_x
     out = []
     for c, over in zip(cs.crossings, overs):
-        s_num = sign_at_root(slope_num, c.u)
+        s_num = sign_at_root(N, c.u)
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
         out.append(over * s_num)
@@ -151,12 +152,7 @@ def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) ->
     must be uniform inside a region.  Odd regions count right twists
     positively, even regions negatively.
     """
-    letters = [c.letter for c in cs.crossings]
-    left, _right = _fold_sides(curve)
-    lead_marker = bool(letters) and left == letters[0]
-    if letters and (letters[0] == TOP) != lead_marker:
-        letters = [1 - p for p in letters]
-
+    letters, _ = _oriented_letters(curve, cs)
     entries: list[int] = []
     hsigns: list[int] = []
     if letters and letters[0] == 1:

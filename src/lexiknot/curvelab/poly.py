@@ -128,10 +128,7 @@ class Polynomial:
 
     def shift(self, eps: Rat) -> "Polynomial":
         """p(t + eps), exactly."""
-        out = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            out = out * Polynomial([_frac(eps), 1]) + Polynomial.const(c)
-        return out
+        return self.compose(Polynomial([eps, 1]))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         out = Polynomial.zero()
@@ -169,14 +166,6 @@ class Polynomial:
             return a
         return a.scale(1 / a.lead)
 
-    def squarefree_part(self) -> "Polynomial":
-        if self.degree <= 1:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divmod(g)[0]
-
 
 def chebyshev(n: int) -> Polynomial:
     """T_n with integer coefficients via T_{n+1} = 2 t T_n - T_{n-1}."""
@@ -195,7 +184,14 @@ def chebyshev(n: int) -> Polynomial:
 
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    p = p.squarefree_part()
+    """Negated remainder chain of (p, p'); its last element is gcd(p, p')
+    up to a constant.
+
+    Every element is a multiple of that last one, and dividing it out
+    leaves a Sturm chain of the squarefree part, so away from the roots
+    of p the sign variations count distinct roots even when p has
+    repeated ones.
+    """
     seq = [p, p.derivative()]
     while not seq[-1].is_zero() and seq[-1].degree > 0:
         seq.append(-(seq[-2] % seq[-1]))
@@ -214,7 +210,7 @@ def _sign(x: Fraction) -> int:
 
 
 def count_roots(p: Polynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
-    """Distinct real roots in (lo, hi]."""
+    """Distinct real roots in (lo, hi]; neither end may be a multiple root of p."""
     if seq is None:
         seq = sturm_sequence(p)
     v_lo = _variations([_sign(q(lo)) for q in seq])
@@ -265,16 +261,12 @@ class RootInterval:
 def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     """Disjoint isolating intervals for all distinct real roots,
     endpoints rational non-roots, sorted increasingly."""
-    p = p.squarefree_part()
     if p.degree < 1:
         return []
     seq = sturm_sequence(p)
-    bound = root_bound(p)
-    lo, hi = -bound, bound
-    while p(lo) == 0:
-        lo -= 1
-    while p(hi) == 0:
-        hi += 1
+    g = seq[-1]
+    sf = p.divmod(g.scale(1 / g.lead))[0]  # squarefree part, lead of p
+    bound = root_bound(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(a: Fraction, b: Fraction, n: int) -> None:
@@ -284,14 +276,15 @@ def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
             out.append((a, b))
             return
         mid = (a + b) / 2
-        while p(mid) == 0:
+        while sf(mid) == 0:
             mid = (a + mid) / 2
         rec(a, mid, count_roots(p, a, mid, seq))
         rec(mid, b, count_roots(p, mid, b, seq))
 
-    rec(lo, hi, count_roots(p, lo, hi, seq))
+    # Cauchy's bound is strict, so neither end is a root
+    rec(-bound, bound, count_roots(p, -bound, bound, seq))
     out.sort()
-    return [RootInterval(p, a, b) for a, b in out]
+    return [RootInterval(sf, a, b) for a, b in out]
 
 
 def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

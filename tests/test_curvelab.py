@@ -15,6 +15,7 @@ from lexiknot.curvelab import (
     crossing_signs,
     curve_crossings,
     height_polynomial,
+    isolate_real_roots,
     perturb,
     perturb_auto,
     sign_at_root,
@@ -35,6 +36,20 @@ def q7(x0=Fraction(-3, 4)):
 
 
 class TestCrossings:
+    def test_critical_points_isolated_once(self, monkeypatch):
+        import lexiknot.curvelab.curves as curves_module
+
+        isolated = []
+
+        def counted(p):
+            isolated.append(p)
+            return isolate_real_roots(p)
+
+        monkeypatch.setattr(curves_module, "isolate_real_roots", counted)
+        c = PlaneCurve(T3, chebyshev(5))
+        word_from_curve(c, curve_crossings(c))
+        assert isolated.count(T3.derivative()) == 1
+
     def test_chebyshev_counts(self):
         for b in (4, 5, 7, 8, 10, 11):
             cs = curve_crossings(PlaneCurve(T3, chebyshev(b)))
@@ -205,12 +220,13 @@ class TestEmbedding:
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             z, _ = height_polynomial(cs, alternating_overpasses(cs))
-            el = _Eliminator(c)
-            A_z, _ = _pair_reduction(z, el.v_over, el.lead)
-            slope_num = el.antisymmetric_part(c.y.derivative(), c.x.derivative())
-            expected = [-sign_at_root(A_z, x.u) * sign_at_root(slope_num, x.u) for x in cs.crossings]
+            v = _Eliminator(c).v
+            A_z, _ = _pair_reduction(z, v)
+            A_y, B_y = _pair_reduction(c.y.derivative(), v)
+            A_x, B_x = _pair_reduction(c.x.derivative(), v)
+            N = A_y * B_x - B_y * A_x
+            expected = [-sign_at_root(A_z, x.u) * sign_at_root(N, x.u) for x in cs.crossings]
             assert crossing_handedness(c, z, cs) == expected
-
 
     def test_one_eliminator_per_embedding(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module

@@ -42,12 +42,6 @@ class TestArithmetic:
         p = P([0, 0, 1])  # t^2
         assert p.shift(3).coeffs == (9, 6, 1)
 
-    def test_squarefree_part(self):
-        p = P([-1, 1]) * P([-1, 1]) * P([1, 1])
-        sf = p.squarefree_part()
-        assert sf.degree == 2
-        assert sf(1) == 0 and sf(-1) == 0
-
     def test_parse(self):
         assert P.parse("0,-3,0,1").coeffs == (0, -3, 0, 1)
 
@@ -66,6 +60,23 @@ class TestRoots:
     def test_multiple_roots_isolated_once(self):
         p = P.from_roots([1, 1, 2])
         assert len(isolate_real_roots(p)) == 2
+
+    def test_isolating_polynomial_is_squarefree(self):
+        roots = isolate_real_roots(P([-1, 1]) * P([-1, 1]) * P([1, 1]))  # (t - 1)^2 (t + 1)
+        assert len(roots) == 2
+        for r in roots:
+            assert r.poly.degree == 2
+            assert r.poly(1) == 0 and r.poly(-1) == 0
+
+    def test_isolation_computes_no_gcd(self, monkeypatch):
+        # one remainder chain of (p, p') per isolation; its last element
+        # gives the squarefree part
+        def forbidden(self, other):
+            raise AssertionError("isolate_real_roots computed a gcd")
+
+        monkeypatch.setattr(P, "gcd", forbidden)
+        assert len(isolate_real_roots(chebyshev(7))) == 7
+        assert len(isolate_real_roots(P.from_roots([1, 1, 2, 2, 2, -3]))) == 3
 
     def test_count_roots(self):
         p = P.from_roots([-1, 0, 1])
