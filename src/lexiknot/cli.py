@@ -21,7 +21,7 @@ from .curvelab import (
 )
 from .curvelab.svg import render_svg
 from .enumeration import SearchExhausted, diagram_summary, enumerate_simple_diagrams, m_C
-from .planereduce import PlaneWord, _lower_from_trace, reduction_search
+from .planereduce import PlaneWord, reduction_search
 from .report import build_table, diff_expected, emit
 
 
@@ -81,7 +81,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     trace = reduction_search(args.word, depth=args.depth)
-    lower, prov = _lower_from_trace(args.word, trace)
+    lower, prov = trace.lower_bound()
     if args.json:
         print(
             json.dumps(

@@ -134,7 +134,8 @@ class _Eliminator:
         self.sum_roots = -p[2] / p[3]
         A_q, B_q = _pair_reduction(curve.y, self.v)
         A_x, B_x = _pair_reduction(curve.x, self.v)
-        assert A_x.is_zero()
+        if not A_x.is_zero():
+            raise NotTrigonalError("x leaves a remainder modulo its own pair relation; it is not a cubic")
         self.W = A_q                    # vanishes exactly at crossings
         self.x_of_u = B_x               # crossing x
         self.y_of_u = B_q               # crossing height

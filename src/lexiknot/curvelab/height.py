@@ -66,10 +66,13 @@ def height_polynomial(cs: CrossingSet, over_at: Sequence[bool]) -> tuple[Polynom
 
     Built as +-prod(t - r_j) with one root at the midpoint of each
     consecutive parameter pair where the sign changes; the degree equals
-    the sign-change count.  Verified a posteriori, exactly.
+    the sign-change count.  Verified a posteriori, exactly.  Without
+    crossings any height will do: the constant 1, with no sign change.
     """
     if len(over_at) != len(cs.crossings):
         raise HeightError("one overpass choice per crossing required")
+    if not cs.crossings:
+        return Polynomial.const(1), 0
     signs = gauss_sequence(cs, over_at)
     bounds = cs.param_bounds
     roots: list[Fraction] = []
@@ -235,10 +238,13 @@ def verify_embedding(
     coloring minor of the Gauss structure of the curve, with the
     crossing count bounding the crossing number; this avoids any
     assumption about how the closure arc through infinity sits relative
-    to the folds.
+    to the folds.  A curve without crossings is the unknot, which has no
+    trigonal diagram: that raises EmbeddingError.
     """
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
+    if not cs.crossings:
+        raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z, cs)
     hands = _hands(curve, cs, overs)
     d = TrigonalDiagram(_signed_entries(cs, curve, hands))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .curves import BOTTOM, CrossingSet, PlaneCurve, curve_crossings
-from .poly import isolate_real_roots
 
 
 def render_svg(
@@ -20,8 +19,7 @@ def render_svg(
     """
     if cs is None:
         cs = curve_crossings(curve)
-    crit = isolate_real_roots(curve.x.derivative())
-    t_marks = [float(r.mid) for r in crit]
+    t_marks = [float(r.mid) for r in curve._critical_points]
     spread = max(abs(m) for m in t_marks) if t_marks else 1.0
     t_lo, t_hi = -2.2 * spread, 2.2 * spread
 

@@ -37,7 +37,7 @@ import csv
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import KnotRecord
 from .diagram import TrigonalDiagram
@@ -51,6 +51,7 @@ from .enumeration import (
 )
 
 Runs = tuple[int, ...]
+Move = tuple[str, int, int]  # (kind, image index, position)
 
 
 class MoveError(ValueError):
@@ -87,9 +88,6 @@ class PlaneWord:
 
     def normalized(self) -> "PlaneWord":
         return PlaneWord(normalize_runs(self.runs))
-
-    def canonical(self) -> "PlaneWord":
-        return PlaneWord(canonical_runs(self.runs))
 
 
 def normalize_runs(runs: Runs) -> Runs:
@@ -221,11 +219,9 @@ _IDENTITIES: list[set[Runs]] = [
 def _identity_partners(runs: Runs) -> set[Runs]:
     out: set[Runs] = set()
     for group in _IDENTITIES:
-        group_all: set[Runs] = set()
-        for g in group:
-            group_all.update(word_images(g))
-        if runs in group_all:
-            out |= group_all - {runs}
+        images = {img for g in group for img in word_images(g)}
+        if runs in images:
+            out |= images - {runs}
     return out
 
 
@@ -247,15 +243,39 @@ def _braid_rewrites(runs: Runs) -> set[Runs]:
     return out
 
 
+def _boundary_slides(runs: Runs) -> set[Runs]:
+    """Slide the outermost crossing around its adjacent turning point.
+
+    Word-normalization move only (it feeds the class matcher, never the
+    degree arithmetic): the boundary crossing changes position while the
+    turning point moves with it, keeping the boundary marker."""
+    letters = runs_to_letters(runs)
+    if not letters:
+        return set()
+    trail0 = bool(runs) and runs[-1] == 0
+    out = {
+        letters_to_runs((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
+        letters_to_runs(letters[:-1] + (1 - letters[-1],), trail0),
+    }
+    out.discard(normalize_runs(runs))
+    return out
+
+
+def _class_moves(img_idx: int, img: Runs) -> Iterator[tuple[None, Runs, int]]:
+    """The word-class moves of one image, all cost-free and unrecorded."""
+    for tgt in _identity_partners(img) | _braid_rewrites(img) | _boundary_slides(img):
+        yield None, tgt, 0
+
+
 def neighbors(w: PlaneWord) -> set[PlaneWord]:
-    """Cost-free moves: normalization, reversal, braid exchanges, and
-    the curated whole-word identities."""
-    base = normalize_runs(w.runs)
+    """Words one crossing-preserving move away from w: normalization,
+    reversal, and the word-class moves (curated whole-word identities,
+    braid exchanges, boundary slides).  Only the identities feed the
+    degree arithmetic; same_word_class walks all of them."""
     out: set[Runs] = set()
-    for img in word_images(base):
+    for img_idx, img in enumerate(word_images(w.runs)):
         out.add(img)
-        out |= _identity_partners(img)
-        out |= _braid_rewrites(img)
+        out.update(tgt for _, tgt, _ in _class_moves(img_idx, img))
     out.discard(w.runs)
     return {PlaneWord(r) for r in out}
 
@@ -276,49 +296,35 @@ class BaseTable:
     """Known lexicographic data of fully reduced words, keyed by canonical class."""
 
     def __init__(self, entries: Iterable[BaseEntry], overrides: Iterable[BaseEntry]):
-        self.entries: dict[Runs, BaseEntry] = {}
-        for e in entries:
-            self.entries[canonical_runs(e.runs)] = e
-        self.overrides: dict[Runs, BaseEntry] = {}
+        self.entries: dict[Runs, BaseEntry] = {canonical_runs(e.runs): e for e in entries}
+        # an override replaces a named entry unless the entry's bound is stronger
         for e in overrides:
-            self.overrides[canonical_runs(e.runs)] = e
+            key = canonical_runs(e.runs)
+            named = self.entries.get(key)
+            if named is None or named.b_lower <= e.b_lower:
+                self.entries[key] = e
 
     @classmethod
     def load(cls) -> "BaseTable":
-        def parse_runs(text: str) -> Runs:
-            return tuple(int(t) for t in text.split("|") if t != "")
+        def rows(name: str) -> Iterator[tuple[Runs, dict[str, str]]]:
+            text = resources.files("lexiknot.data").joinpath(name).read_text()
+            for row in csv.DictReader(text.splitlines()):
+                yield tuple(int(t) for t in row["runs"].split("|") if t != ""), row
 
-        base_text = resources.files("lexiknot.data").joinpath("bases.csv").read_text()
         entries = [
             BaseEntry(
-                runs=parse_runs(row["runs"]),
-                b_exact=int(row["b_exact"]) if row["b_exact"] else None,
-                b_lower=int(row["b_lower"]),
-                source=row["source"],
+                runs, int(row["b_exact"]) if row["b_exact"] else None, int(row["b_lower"]), row["source"]
             )
-            for row in csv.DictReader(base_text.splitlines())
+            for runs, row in rows("bases.csv")
         ]
-        ov_text = resources.files("lexiknot.data").joinpath("bounds_overrides.csv").read_text()
         overrides = [
-            BaseEntry(
-                runs=parse_runs(row["runs"]),
-                b_exact=None,
-                b_lower=int(row["b_lower"]),
-                source=f"table row {row['table_row']}",
-            )
-            for row in csv.DictReader(ov_text.splitlines())
+            BaseEntry(runs, None, int(row["b_lower"]), f"table row {row['table_row']}")
+            for runs, row in rows("bounds_overrides.csv")
         ]
         return cls(entries, overrides)
 
     def lookup(self, runs: Runs) -> Optional[BaseEntry]:
-        key = canonical_runs(runs)
-        if key in self.overrides:
-            named = self.entries.get(key)
-            ov = self.overrides[key]
-            if named is not None and named.b_lower > ov.b_lower:
-                return named
-            return ov
-        return self.entries.get(key)
+        return self.entries.get(canonical_runs(runs))
 
 
 _BASE_TABLE: Optional[BaseTable] = None
@@ -399,7 +405,7 @@ class ReductionTrace:
     """A replayable chain of moves from a word down to its base."""
 
     source: PlaneWord
-    steps: tuple[tuple[str, int, int], ...]  # (kind, image index, position)
+    steps: tuple[Move, ...]
     base: PlaneWord
     cost: int
     bound: int
@@ -418,20 +424,33 @@ class ReductionTrace:
                 w = canonical_runs(targets[pos])
         return PlaneWord(w)
 
+    def lower_bound(self) -> tuple[int, str]:
+        """b_lower_bound of the source word: its own base bound, or this
+        trace's bound where that is stronger, with the rule that fired."""
+        best, prov = _base_lower(self.source.runs)
+        if self.bound > best:
+            return self.bound, f"reduction to {self.base} ({self.provenance}) + {self.cost}"
+        return best, prov
+
 
 @dataclass
 class _SearchState:
     cost: int
     parent: Optional[Runs]
-    move: Optional[tuple[str, int, int]]
+    move: Optional[Move]
 
 
-def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchState]:
-    """0/3-cost BFS over canonical word classes reachable from w.
+def _walk(
+    w: PlaneWord,
+    moves: Callable[[int, Runs], Iterable[tuple[Optional[Move], Runs, int]]],
+    depth: Optional[int] = None,
+) -> dict[Runs, _SearchState]:
+    """0/3-cost BFS over the canonical word classes reachable from w.
 
-    The cost-free layer uses only the curated whole-word identities (the
-    ones with explicit curves behind them), keeping every degree claim
-    anchored; braid exchanges stay out of the bound arithmetic.
+    ``moves(img_idx, img)`` yields ``(move, target_runs, cost)`` for one
+    image of the current word.  Cost-free moves go to the front of the
+    queue, so every state keeps its least cost; once ``depth`` costly
+    steps are spent, costly moves are skipped.
     """
     start = canonical_runs(w.runs)
     states: dict[Runs, _SearchState] = {start: _SearchState(0, None, None)}
@@ -439,50 +458,40 @@ def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchSta
     while queue:
         cur = queue.popleft()
         cur_cost = states[cur].cost
+        capped = depth is not None and cur_cost // 3 >= depth
         for img_idx, img in enumerate(word_images(cur)):
-            word = PlaneWord(img)
-            # cost-free rewrites; index into the sorted target list for replay
-            targets = sorted(_identity_partners(img))
-            for pos, tgt in enumerate(targets):
+            for move, tgt, cost in moves(img_idx, img):
+                if cost and capped:
+                    continue
                 key = canonical_runs(tgt)
-                if key not in states or states[key].cost > cur_cost:
-                    states[key] = _SearchState(cur_cost, cur, ("ident", img_idx, pos))
-                    queue.appendleft(key)
-            if depth is not None and cur_cost // 3 >= depth:
-                continue
-            moves: list[tuple[tuple[str, int, int], PlaneWord]] = []
-            for i in range(len(img) - 2):
-                if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
-                    moves.append((("R", img_idx, i), apply_R(word, i)))
-            if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
-                moves.append((("Rb", img_idx, 0), apply_boundary_R(word)))
-            for move, nxt in moves:
-                key = canonical_runs(nxt.runs)
-                ncost = cur_cost + 3
+                ncost = cur_cost + cost
                 if key not in states or states[key].cost > ncost:
                     states[key] = _SearchState(ncost, cur, move)
-                    queue.append(key)
+                    if cost:
+                        queue.append(key)
+                    else:
+                        queue.appendleft(key)
     return states
 
 
-def _trace_to(w: PlaneWord, states: dict[Runs, _SearchState], target: Runs) -> ReductionTrace:
-    steps: list[tuple[str, int, int]] = []
-    cur: Optional[Runs] = target
-    while cur is not None:
-        st = states[cur]
-        if st.move is not None:
-            steps.append(st.move)
-        cur = st.parent
-    steps.reverse()
-    bound, prov = _base_lower(target)
-    return ReductionTrace(
-        source=w.normalized(),
-        steps=tuple(steps),
-        base=PlaneWord(target),
-        cost=states[target].cost,
-        bound=bound + states[target].cost,
-        provenance=prov,
-    )
+def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs, int]]:
+    """The moves of the degree arithmetic on one image: the curated
+    identities (cost 0, indexed into the sorted partner list as replay
+    reads them), then R and the boundary R (cost 3 each)."""
+    for pos, tgt in enumerate(sorted(_identity_partners(img))):
+        yield ("ident", img_idx, pos), tgt, 0
+    word = PlaneWord(img)
+    for i in range(len(img) - 2):
+        if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
+            yield ("R", img_idx, i), apply_R(word, i).runs, 3
+    if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
+        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs, 3
+
+
+def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchState]:
+    """The reduction walk from w.  Braid exchanges and boundary slides
+    stay out of it, keeping every degree claim anchored to explicit curves."""
+    return _walk(w, _reduction_moves, depth)
 
 
 def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrace:
@@ -495,26 +504,35 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     strongest consistent bound.  Ties prefer bases with named table
     entries, then fewer crossings, then shorter words, then fewer steps.
     """
-    start = canonical_runs(w.runs)
-    if _base_kind(start) <= 1:
-        return _best_trace(w, {start: _SearchState(0, None, None)})
     return _best_trace(w, _explore(w, depth))
 
 
 def _best_trace(w: PlaneWord, states: dict[Runs, _SearchState]) -> ReductionTrace:
     """The reduction_search trace of w, read off its explored states."""
-    start = canonical_runs(w.runs)
-    if _base_kind(start) <= 1:
-        # the start state always keeps cost 0 and no parent
-        return _trace_to(w, states, start)
+    target = canonical_runs(w.runs)  # the start state: cost 0, no parent
+    if _base_kind(target) > 1:
 
-    def rank(item: tuple[Runs, _SearchState]):
-        runs, st = item
-        score = _base_lower(runs)[0] + st.cost
-        return (-score, _base_kind(runs), sum(runs), len(runs), st.cost, runs)
+        def rank(item: tuple[Runs, _SearchState]):
+            runs, st = item
+            score = _base_lower(runs)[0] + st.cost
+            return (-score, _base_kind(runs), sum(runs), len(runs), st.cost, runs)
 
-    best_runs, _ = min(states.items(), key=rank)
-    return _trace_to(w, states, best_runs)
+        target = min(states.items(), key=rank)[0]
+    steps: list[Move] = []
+    cur = target
+    while states[cur].parent is not None:
+        steps.append(states[cur].move)
+        cur = states[cur].parent
+    bound, prov = _base_lower(target)
+    cost = states[target].cost
+    return ReductionTrace(
+        source=w.normalized(),
+        steps=tuple(reversed(steps)),
+        base=PlaneWord(target),
+        cost=cost,
+        bound=bound + cost,
+        provenance=prov,
+    )
 
 
 def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[int]:
@@ -524,54 +542,14 @@ def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[in
 
 
 def _least_upper(states: dict[Runs, _SearchState]) -> Optional[int]:
-    best: Optional[int] = None
-    for runs, st in states.items():
-        exact = _base_exact(runs)
-        if exact is not None:
-            cand = exact + st.cost
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-def _boundary_slides(runs: Runs) -> set[Runs]:
-    """Slide the outermost crossing around its adjacent turning point.
-
-    Word-normalization move only (it feeds the class matcher, never the
-    degree arithmetic): the boundary crossing changes position while the
-    turning point moves with it, keeping the boundary marker."""
-    letters = runs_to_letters(runs)
-    if not letters:
-        return set()
-    trail0 = bool(runs) and runs[-1] == 0
-    out = {
-        letters_to_runs((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
-        letters_to_runs(letters[:-1] + (1 - letters[-1],), trail0),
-    }
-    out.discard(normalize_runs(runs))
-    return out
+    exact = ((_base_exact(runs), st.cost) for runs, st in states.items())
+    return min((b + cost for b, cost in exact if b is not None), default=None)
 
 
 def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
     """Whether two words are linked by crossing-preserving normalization
     moves (curated identities, braid exchanges, boundary slides)."""
-    start = canonical_runs(w1.runs)
-    target = canonical_runs(w2.runs)
-    if start == target:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for img in word_images(cur):
-            for tgt in _identity_partners(img) | _braid_rewrites(img) | _boundary_slides(img):
-                key = canonical_runs(tgt)
-                if key == target:
-                    return True
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-    return False
+    return canonical_runs(w2.runs) in _walk(w1, _class_moves)
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +559,7 @@ def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
 def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
     """Max of the crossing rule, the one/two-run exact value, reduction
     bounds, and table overrides, with the rule that fired."""
-    return _lower_from_trace(w, reduction_search(w, depth))
-
-
-def _lower_from_trace(w: PlaneWord, trace: ReductionTrace) -> tuple[int, str]:
-    """b_lower_bound of w given its reduction_search trace."""
-    best, prov = _base_lower(normalize_runs(w.runs))
-    if trace.bound > best:
-        best = trace.bound
-        prov = f"reduction to {trace.base} ({trace.provenance}) + {trace.cost}"
-    return best, prov
+    return reduction_search(w, depth).lower_bound()
 
 
 @dataclass

@@ -56,6 +56,13 @@ def test_curve_non_nodal_exit(capsys):
     assert main(["curve", "--x", "cheb:3", "--y", "cheb:3"]) == 2
 
 
+def test_curve_without_crossings_exit(capsys):
+    assert main(["curve", "--x", "cheb:3", "--y", "coeffs:2,2,2,0,-1", "--z", "cheb:5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("EmbeddingError: ") and "unknot" in captured.err
+
+
 def test_curve_svg(tmp_path, capsys):
     out = tmp_path / "trefoil.svg"
     assert main(["curve", "--x", "cheb:3", "--y", "cheb:4", "--svg", str(out)]) == 0

@@ -29,6 +29,7 @@ from lexiknot.planereduce import PlaneWord, same_word_class
 T3 = chebyshev(3)
 QUINTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 4, 0, -4, 0, 1]))
 QUARTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([-2, -2, -2, 0, 1]))
+NO_CROSSINGS = PlaneCurve(T3, Polynomial([2, 2, 2, 0, -1]))
 
 
 def q7(x0=Fraction(-3, 4)):
@@ -48,6 +49,22 @@ class TestCrossings:
         monkeypatch.setattr(curves_module, "isolate_real_roots", counted)
         c = PlaneCurve(T3, chebyshev(5))
         word_from_curve(c, curve_crossings(c))
+        assert isolated.count(T3.derivative()) == 1
+
+    def test_svg_reads_the_critical_points(self, monkeypatch):
+        import lexiknot.curvelab.curves as curves_module
+        import lexiknot.curvelab.svg as svg_module
+
+        isolated = []
+
+        def counted(p):
+            isolated.append(p)
+            return isolate_real_roots(p)
+
+        for module in (curves_module, svg_module):
+            monkeypatch.setattr(module, "isolate_real_roots", counted, raising=False)
+        c = PlaneCurve(T3, chebyshev(4))
+        svg_module.render_svg(c, curve_crossings(c))
         assert isolated.count(T3.derivative()) == 1
 
     def test_chebyshev_counts(self):
@@ -155,6 +172,9 @@ class TestHeights:
         cs = curve_crossings(c)
         height, changes = height_polynomial(cs, alternating_overpasses(cs))
         assert height.degree == 7
+
+    def test_no_crossings_height_is_constant(self):
+        assert height_polynomial(curve_crossings(NO_CROSSINGS), []) == (Polynomial.const(1), 0)
 
     def test_single_sign_change_when_overs_lead(self):
         # on (T3,T4) the earlier parameters fill the first half of the
@@ -301,6 +321,20 @@ class TestEmbeddingErrors:
         c = PlaneCurve(T3, chebyshev(4))
         with pytest.raises(EmbeddingError):
             verify_embedding(c.x, c.y, chebyshev(4))  # z = y never separates
+
+    def test_no_crossings_is_the_unknot(self):
+        from lexiknot.curvelab import EmbeddingError
+
+        assert len(curve_crossings(NO_CROSSINGS)) == 0
+        with pytest.raises(EmbeddingError, match="unknot"):
+            verify_embedding(NO_CROSSINGS.x, NO_CROSSINGS.y, chebyshev(5))
+
+    def test_non_cubic_eliminator_is_not_trigonal(self):
+        from types import SimpleNamespace
+
+        quartic_x = SimpleNamespace(x=Polynomial([0, -3, 0, 1, 1]), y=chebyshev(4))
+        with pytest.raises(NotTrigonalError):
+            _Eliminator(quartic_x)
 
     def test_wrong_overpass_count_rejected(self):
         from lexiknot.curvelab import HeightError

@@ -155,6 +155,17 @@ class TestNeighbors:
                 assert sum(normalize_runs(nb.runs)) == total
                 done += 1
 
+    def test_boundary_slide(self):
+        # (2,2) has no braid exchange and no curated partner besides
+        # (1,1,1,1); sliding either outermost crossing gives the others
+        assert {w.runs for w in neighbors(W((2, 2)))} == {(1, 1, 1, 1), (1, 1, 2), (2, 1, 1)}
+
+    def test_neighbors_stay_in_the_word_class(self):
+        for runs in all_words(6):
+            w = W(runs)
+            for nb in neighbors(w):
+                assert same_word_class(w, nb), (runs, nb.runs)
+
 
 # every Degree-column cell of the published table whose accounting the
 # engine reproduces; (base runs, cost, bound) per source word
@@ -211,10 +222,11 @@ class TestReductionSearch:
         assert lo == bound
 
     def test_trace_replays(self):
-        for src in ((2, 1, 3), (3, 1, 3), (2, 2, 2, 2), (2, 1, 2, 2, 3)):
-            trace = reduction_search(W(src))
-            assert trace.replay().runs == canonical_runs(trace.base.runs)
-            assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb"))
+        for depth in (None, 1):
+            for src in all_words(9):
+                trace = reduction_search(W(src), depth)
+                assert trace.replay().runs == canonical_runs(trace.base.runs), (src, depth)
+                assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), (src, depth)
 
     def test_sharper_route_on_8_13_fourth_row(self):
         # the published cell stops at deg D(0,3)+6 (b >= 10); the boundary
