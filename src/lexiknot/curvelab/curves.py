@@ -26,6 +26,7 @@ from .poly import (
     Polynomial,
     RootInterval,
     _interval_eval,
+    _squarefree_isolation,
     isolate_real_roots,
     sign_at_root,
     sqrt_bounds,
@@ -152,19 +153,24 @@ _MAX_REFINE = 64  # rounds of interval halving to separate crossings
 def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     """All double points, certified simple and sorted by x.
 
+    W is isolated once; its remainder chain also gives the tangency
+    test.  Each refinement round then halves the u-interval of every
+    crossing whose x-interval or parameter interval meets another
+    crossing's, and encloses only those again.
+
     Raises NonNodalError for tangencies (multiple roots of the
-    symmetric polynomial), vanishing pair separation, a third branch
-    meeting a crossing, or crossings whose x could not be separated
-    (a triple point stalls exactly there).
+    symmetric polynomial, real or not), vanishing pair separation, a
+    third branch meeting a crossing, or crossings whose x or parameters
+    could not be separated (a triple point stalls exactly at x).
     """
     el = curve._eliminator
     W = el.W
     if W.is_zero():
         raise NonNodalError("symmetric system degenerates; y is a function of x")
-    if W.gcd(W.derivative()).degree >= 1:
+    squarefree, roots = _squarefree_isolation(W)
+    if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
-    roots = isolate_real_roots(W)
     kept: list[RootInterval] = []
     for r in roots:
         ds = sign_at_root(el.disc, r)
@@ -174,9 +180,10 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
             kept.append(r)
 
     # letters: exact sign of third-branch height minus crossing height
+    h_third = el.y_third - el.y_of_u
     letters: list[int] = []
     for r in kept:
-        sg = sign_at_root(el.y_third - el.y_of_u, r)
+        sg = sign_at_root(h_third, r)
         if sg == 0:
             raise NonNodalError(
                 f"non-nodal configuration: third branch passes through the "
@@ -184,76 +191,61 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
             )
         letters.append(BOTTOM if sg > 0 else TOP)
 
-    # refine u-intervals until the crossing x-intervals are pairwise disjoint
-    def x_ivs(rs: Sequence[RootInterval]) -> list[tuple[Fraction, Fraction]]:
-        return [_interval_eval(el.x_of_u, r.lo, r.hi) for r in rs]
-
+    # refine until x-intervals and parameter intervals are pairwise disjoint
+    enc = [_enclosures(el, r) for r in kept]
     for _ in range(_MAX_REFINE):
-        ivs = x_ivs(kept)
-        clash = _first_overlap(ivs)
-        if clash is None:
+        clash = _overlapping([x for x, _, _ in enc])
+        clash |= {k // 2 for k in _overlapping([iv for e in enc for iv in e[1:]])}
+        if not clash:
             break
-        i, j = clash
-        kept[i] = kept[i].refine()
-        kept[j] = kept[j].refine()
+        for i in clash:
+            kept[i] = kept[i].refine()
+            enc[i] = _enclosures(el, kept[i])
     else:
-        ivs = x_ivs(kept)
-        i, j = _first_overlap(ivs)  # type: ignore[misc]
-        raise NonNodalError(
-            "non-nodal configuration: crossings share x near "
-            f"({float(ivs[i][0]):.4f}, {float(ivs[i][1]):.4f}) — a triple point?"
-        )
-
-    order = sorted(range(len(kept)), key=lambda i: ivs[i][0])
-    kept = [kept[i] for i in order]
-    letters = [letters[i] for i in order]
-    ivs = [ivs[i] for i in order]
-
-    # per-crossing parameter bounds t < s from u and the pair discriminant
-    def param_bounds(r: RootInterval) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        dlo, dhi = _interval_eval(el.disc, r.lo, r.hi)
-        if dlo < 0:
-            dlo = Fraction(0)
-        slo = sqrt_bounds(dlo)[0]
-        shi = sqrt_bounds(dhi)[1]
-        t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
-        s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
-        return t_iv, s_iv
-
-    for _ in range(_MAX_REFINE):
-        bounds: list[tuple[Fraction, Fraction]] = []
-        for r in kept:
-            t_iv, s_iv = param_bounds(r)
-            bounds.extend((t_iv, s_iv))
-        if _first_overlap(bounds) is None:
-            break
-        kept = [r.refine() for r in kept]
-    else:
+        shared = _overlapping([x for x, _, _ in enc])
+        if shared:
+            lo, hi = min(enc[i][0] for i in shared)
+            raise NonNodalError(
+                f"non-nodal configuration: crossings share x near ({float(lo):.4f}, {float(hi):.4f}) — a triple point?"
+            )
         raise NonNodalError("crossing parameters could not be separated")
 
-    crossings = []
-    pairs = []
-    flat = sorted(range(len(bounds)), key=lambda i: bounds[i][0])
-    pos = {idx: rank for rank, idx in enumerate(flat)}
-    for i, r in enumerate(kept):
-        t_iv, s_iv = bounds[2 * i], bounds[2 * i + 1]
-        crossings.append(Crossing(u=r, t=t_iv, s=s_iv, x=ivs[i], letter=letters[i]))
-        pairs.append((pos[2 * i], pos[2 * i + 1]))
-    ordered_bounds = tuple(bounds[i] for i in flat)
+    order = sorted(range(len(kept)), key=lambda i: enc[i][0][0])
+    bounds = [iv for i in order for iv in enc[i][1:]]
+    flat = sorted(range(len(bounds)), key=lambda k: bounds[k][0])
+    pos = {k: rank for rank, k in enumerate(flat)}
+    crossings = tuple(
+        Crossing(u=kept[i], t=enc[i][1], s=enc[i][2], x=enc[i][0], letter=letters[i]) for i in order
+    )
     return CrossingSet(
         curve=curve,
-        crossings=tuple(crossings),
-        param_order=tuple(pairs),
-        param_bounds=ordered_bounds,
+        crossings=crossings,
+        param_order=tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
+        param_bounds=tuple(bounds[k] for k in flat),
     )
 
 
-def _first_overlap(ivs: Sequence[tuple[Fraction, Fraction]]) -> Optional[tuple[int, int]]:
-    order = sorted(range(len(ivs)), key=lambda i: ivs[i][0])
-    for a, b in zip(order, order[1:]):
-        if ivs[b][0] <= ivs[a][1]:
-            return a, b
-    return None
+def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The x-interval of the crossing isolated by r and the intervals
+    of its parameters t < s, from u and the pair discriminant."""
+    dlo, dhi = _interval_eval(el.disc, r.lo, r.hi)
+    slo = sqrt_bounds(max(dlo, Fraction(0)))[0]
+    shi = sqrt_bounds(dhi)[1]
+    t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
+    s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
+    return _interval_eval(el.x_of_u, r.lo, r.hi), t_iv, s_iv
+
+
+def _overlapping(ivs: Sequence[tuple[Fraction, Fraction]]) -> set[int]:
+    """Indices of the closed intervals that meet another one."""
+    hit: set[int] = set()
+    reach = -1  # the interval with the largest upper end so far
+    for b in sorted(range(len(ivs)), key=lambda i: ivs[i][0]):
+        if reach >= 0 and ivs[b][0] <= ivs[reach][1]:
+            hit.update((reach, b))
+        if reach < 0 or ivs[b][1] > ivs[reach][1]:
+            reach = b
+    return hit
 
 
 def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
@@ -266,19 +258,18 @@ def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
     # fold height minus third-strand height, as a polynomial in the
     # critical parameter (the third root of x(z) = x(c) is s - 2c)
     h = curve.y - curve.y.compose(Polynomial([sum_roots, -2]))
-    x2 = curve.x.derivative().derivative()
-    vals = []
+    sides = []
     for c in curve._critical_points:
         sg = sign_at_root(h, c)
         if sg == 0:
             raise NonNodalError("fold pair meets the third strand")
-        # the local minimum of x (positive second derivative) bounds the
-        # band on the left
-        concavity = sign_at_root(x2, c)
-        vals.append((concavity, BOTTOM if sg < 0 else TOP))
-    left = next(s for k, s in vals if k > 0)
-    right = next(s for k, s in vals if k < 0)
-    return left, right
+        sides.append(BOTTOM if sg < 0 else TOP)
+    # the local minimum of x bounds the band on the left; of the two
+    # sorted critical points it is the larger exactly when the lead is
+    # positive
+    if curve.x.lead > 0:
+        return sides[1], sides[0]
+    return sides[0], sides[1]
 
 
 def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> PlaneWord:

@@ -261,8 +261,13 @@ class RootInterval:
 def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     """Disjoint isolating intervals for all distinct real roots,
     endpoints rational non-roots, sorted increasingly."""
+    return _squarefree_isolation(p)[1]
+
+
+def _squarefree_isolation(p: Polynomial) -> tuple[Polynomial, list[RootInterval]]:
+    """p's squarefree part, of p's degree iff p has no multiple root, and its real roots."""
     if p.degree < 1:
-        return []
+        return p, []
     seq = sturm_sequence(p)
     g = seq[-1]
     sf = p.divmod(g.scale(1 / g.lead))[0]  # squarefree part, lead of p
@@ -284,7 +289,7 @@ def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     # Cauchy's bound is strict, so neither end is a root
     rec(-bound, bound, count_roots(p, -bound, bound, seq))
     out.sort()
-    return [RootInterval(sf, a, b) for a, b in out]
+    return sf, [RootInterval(sf, a, b) for a, b in out]
 
 
 def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -30,7 +30,7 @@ class TrigonalDiagram:
     entries: tuple[int, ...]
 
     def __init__(self, entries: Sequence[int]):
-        entries = tuple(int(m) for m in entries)
+        entries = tuple([int(m) for m in entries])
         if not entries:
             raise ValueError("a trigonal diagram needs at least one region")
         object.__setattr__(self, "entries", entries)

@@ -90,6 +90,44 @@ class TestCrossings:
         for c in cs.crossings:
             assert c.t[1] < c.s[0]
 
+    def test_multiple_root_of_w_is_a_tangency(self):
+        x = Polynomial([0, -3, 0, 1])
+        # W = -u^3: the strands at t = -sqrt(3), sqrt(3) touch at (0, -9)
+        real = PlaneCurve(x, Polynomial([0, 0, -6, 0, 1]))
+        # W = (u^2 + 1)^2 (5u^2 - 16): a non-real double pair beside two nodes
+        non_real = PlaneCurve(x, Polynomial([0, 335, 0, 0, 0, -54, 0, 5]))
+        for c in (real, non_real):
+            with pytest.raises(NonNodalError, match="tangency"):
+                curve_crossings(c)
+
+    def test_tangency_read_from_the_isolation_chain(self, monkeypatch):
+        import lexiknot.curvelab.curves as curves_module
+        import lexiknot.curvelab.poly as poly_module
+
+        gcd, sturm = Polynomial.gcd, poly_module.sturm_sequence
+        chains, stray_gcds, in_sign = [], [], []
+
+        def counted_gcd(a, b):
+            if not in_sign:
+                stray_gcds.append((a, b))
+            return gcd(a, b)
+
+        def counted_sign(h, root):
+            in_sign.append(h)
+            try:
+                return sign_at_root(h, root)
+            finally:
+                in_sign.pop()
+
+        monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+        monkeypatch.setattr(poly_module, "sturm_sequence", lambda p: chains.append(p) or sturm(p))
+        monkeypatch.setattr(curves_module, "sign_at_root", counted_sign)
+        c = PlaneCurve(T3, chebyshev(7))
+        assert len(curve_crossings(c)) == 6
+        # the only gcds left are sign_at_root's own coprimality tests
+        assert stray_gcds == []
+        assert chains.count(c._eliminator.W) == 1
+
     def test_non_trigonal_rejected(self):
         with pytest.raises(NotTrigonalError):
             PlaneCurve(Polynomial([0, 1]), chebyshev(4))
@@ -301,11 +339,12 @@ class TestSymmetries:
             assert word_from_curve(c).runs == word_from_curve(flipped).runs
 
     def test_x_mirror_reverses_the_word(self):
-        # (x, y) -> (-x, y), realized polynomially as (-x(-t), y(-t))
-        c = PlaneCurve(T3, QUARTIC.y)
+        # (x, y) -> (-x, y), realized polynomially as (-x(-t), y(-t)) and
+        # as (-x(t), y(t)), a cubic with a negative leading coefficient
         neg_t = Polynomial([0, -1])
-        rev = PlaneCurve(T3.compose(neg_t).scale(-1), QUARTIC.y.compose(neg_t))
-        assert word_from_curve(rev).runs == word_from_curve(c).runs[::-1]
+        for c in (PlaneCurve(T3, QUARTIC.y), QUARTIC):
+            for rev in (PlaneCurve(-c.x.compose(neg_t), c.y.compose(neg_t)), PlaneCurve(-c.x, c.y)):
+                assert word_from_curve(rev).runs == word_from_curve(c).runs[::-1]
 
     def test_perturb_adds_exactly_three_nodes(self):
         base_nodes = len(curve_crossings(PlaneCurve(T3, chebyshev(4))))
