@@ -9,10 +9,12 @@ lie strictly between the parameter intervals, so evaluating at a
 rational endpoint decides each sign.
 
 Verification reads the over/under sign and the twist sense of every
-crossing with `sign_at_root` (a gcd test for exact vanishing, then an
-interval enclosure on a bisected isolating interval), and names the knot
-by its determinant, the integer |det| of a Fox coloring minor computed
-by fraction-free elimination.  No floating point decides anything.
+crossing with `sign_at_root`: a coprimality certificate modulo a prime
+rules out exact vanishing, with a rational gcd only where it fails, and
+an integer interval enclosure on a bisected dyadic isolating interval
+gives the sign.  The knot is named by its determinant, the integer |det|
+of a Fox coloring minor computed by fraction-free elimination.  No
+floating point decides anything.
 """
 
 from __future__ import annotations

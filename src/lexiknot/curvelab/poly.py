@@ -1,15 +1,23 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
-Coefficients are `fractions.Fraction`; roots are isolated with Sturm
-sequences, and a sign at an isolated root is certified by an interval
-enclosure with rational endpoints, never through floating point.
+A `Polynomial` holds `fractions.Fraction` coefficients for construction
+and algebra.  Values, root isolation and signs run on integers: a
+polynomial is carried there as its primitive integer coefficients
+(denominators cleared, content removed, the multiplier positive, so
+every sign is kept), and its value at a/d, d > 0, is read by homogeneous
+Horner as sum c_i a^i d^(n-i), which has the sign of p(a/d).  Roots are
+isolated by bisection below a Cauchy bound rounded up to a power of two,
+so every isolating endpoint is dyadic, against a primitive
+pseudo-remainder Sturm chain.  A sign at an isolated root is certified
+by a coprimality test modulo a prime, then an integer interval
+enclosure; floating point decides nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -72,25 +80,12 @@ class Polynomial:
         return not self.coeffs
 
     def __call__(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
         if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+            return Fraction(0)
+        x = _frac(x)
+        cs, den = _cleared(self.coeffs)
+        d = x.denominator
+        return Fraction(_value(cs, x.numerator, d), den * d**self.degree)
 
     # -- algebra -------------------------------------------------------
 
@@ -112,13 +107,13 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (a, da), (b, db) = _cleared(self.coeffs), _cleared(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial([Fraction(c, da * db) for c in out])
 
     def scale(self, c: Rat) -> "Polynomial":
         return Polynomial([_frac(c) * a for a in self.coeffs])
@@ -139,32 +134,17 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d, lc = other.degree, other.lead
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= f * c
-            r.pop()
-        return Polynomial(q), Polynomial(r)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
+        (a, da), (b, db) = _cleared(self.coeffs), _cleared(other.coeffs)
+        m, q, r = _pseudo_divide(a, b)
+        # m a = q b + r with self = a / da and other = b / db
+        return Polynomial([Fraction(c * db, m * da) for c in q]), Polynomial([Fraction(c, m * da) for c in r])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.lead)
+        """Monic gcd, the last element of the primitive remainder sequence."""
+        a, b = _primitive(_cleared(self.coeffs)[0]), _primitive(_cleared(other.coeffs)[0])
+        while b:
+            a, b = b, _primitive(_pseudo_divide(a, b)[2])
+        return Polynomial([Fraction(c, a[-1]) for c in a])
 
 
 def chebyshev(n: int) -> Polynomial:
@@ -180,72 +160,161 @@ def chebyshev(n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# Integer coefficients and homogeneous Horner
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers cs and a denominator den > 0 with coeffs = cs / den."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """cs over its positive content, so every sign is kept; () for zero."""
+    g = gcd(*cs)
+    # from a list, not a generator: tuple() resizes a generator's result,
+    # and resized tuples pile up on the tuple free lists when freed
+    return tuple([c // g for c in cs]) if g else ()
+
+
+def _value(cs: Sequence[int], a: int, d: int) -> int:
+    """d^n cs(a/d) = sum c_i a^i d^(n-i) by homogeneous Horner; d > 0."""
+    n = len(cs) - 1
+    acc, dp = cs[n], 1
+    for i in range(n - 1, -1, -1):
+        dp *= d
+        acc = acc * a + cs[i] * dp
+    return acc
+
+
+def _enclose(cs: Sequence[int], a: int, b: int, d: int) -> tuple[int, int]:
+    """Enclosure of d^n cs over [a/d, b/d], a <= b, by Horner with interval products."""
+    n = len(cs) - 1
+    lo = hi = cs[n]
+    dp = 1
+    for i in range(n - 1, -1, -1):
+        dp *= d
+        if a >= 0:
+            lo, hi = lo * (a if lo >= 0 else b), hi * (b if hi >= 0 else a)
+        elif b <= 0:
+            lo, hi = hi * (a if hi >= 0 else b), lo * (a if lo <= 0 else b)
+        else:
+            lo, hi = min(lo * b, hi * a), max(lo * a, hi * b)
+        c = cs[i] * dp
+        lo, hi = lo + c, hi + c
+    return lo, hi
+
+
+def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, d) with lo = a/d and hi = b/d."""
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Crude interval extension of p over [lo, hi], lo <= hi, by integer
+    Horner with interval products."""
+    if p.is_zero():
+        return Fraction(0), Fraction(0)
+    cs, den = _cleared(p.coeffs)
+    a, b, d = _common(_frac(lo), _frac(hi))
+    den *= d**p.degree
+    elo, ehi = _enclose(cs, a, b, d)
+    return Fraction(elo, den), Fraction(ehi, den)
+
+
+def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(m, q, r) with m a = q b + r, deg r < deg b and an integer m > 0."""
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    m, n, lb = 1, len(b) - 1, b[-1]
+    for s in range(len(q) - 1, -1, -1):
+        if r[s + n]:
+            # scale by k = |lb| / g > 0, then cancel the lead with f t^s b
+            g = gcd(lb, r[s + n])
+            k, f = abs(lb) // g, (r[s + n] if lb > 0 else -r[s + n]) // g
+            if k != 1:
+                m, q, r = m * k, [k * c for c in q], [k * c for c in r]
+            q[s] = f
+            for i, c in enumerate(b):
+                r[s + i] -= f * c
+    del r[n:]
+    while r and r[-1] == 0:
+        r.pop()
+    return m, q, r
+
+
+# ---------------------------------------------------------------------------
 # Sturm machinery
 
 
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Negated remainder chain of (p, p'); its last element is gcd(p, p')
-    up to a constant.
+def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
+    """Negated remainder chain of (p, p') as a primitive pseudo-remainder
+    sequence (Collins 1967): primitive integer coefficients, each element
+    a positive multiple of the rational chain's, so every sign is the
+    same.  Its last element is gcd(p, p') up to a constant.
 
     Every element is a multiple of that last one, and dividing it out
     leaves a Sturm chain of the squarefree part, so away from the roots
     of p the sign variations count distinct roots even when p has
     repeated ones.
     """
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero() and seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
-    if seq[-1].is_zero():
-        seq.pop()
+    seq = [_primitive(_cleared(p.coeffs)[0])]
+    if p.degree >= 1:
+        seq.append(_primitive([k * seq[0][k] for k in range(1, len(seq[0]))]))
+    while len(seq[-1]) > 1:
+        r = _primitive([-c for c in _pseudo_divide(seq[-2], seq[-1])[2]])
+        if not r:
+            break
+        seq.append(r)
     return seq
 
 
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _variations(seq: Sequence[Sequence[int]], a: int, d: int) -> int:
+    """Sign variations of the chain at a/d, d > 0."""
+    v = last = 0
+    for cs in seq:
+        s = _sign(_value(cs, a, d))
+        if s:
+            v += last == -s
+            last = s
+    return v
 
 
 def count_roots(p: Polynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
     """Distinct real roots in (lo, hi]; neither end may be a multiple root of p."""
     if seq is None:
         seq = sturm_sequence(p)
-    v_lo = _variations([_sign(q(lo)) for q in seq])
-    v_hi = _variations([_sign(q(hi)) for q in seq])
-    return v_lo - v_hi
-
-
-def root_bound(p: Polynomial) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    if p.degree < 1:
-        return Fraction(1)
-    lc = abs(p.lead)
-    return Fraction(1) + max(abs(c) / lc for c in p.coeffs[:-1])
+    lo, hi = _frac(lo), _frac(hi)
+    return _variations(seq, lo.numerator, lo.denominator) - _variations(seq, hi.numerator, hi.denominator)
 
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Open isolating interval (lo, hi) of a simple real root of poly."""
+    """Open isolating interval (lo, hi) of a simple real root of poly;
+    ``ints`` are poly's primitive integer coefficients."""
 
     poly: Polynomial
     lo: Fraction
     hi: Fraction
+    ints: tuple[int, ...] = field(compare=False, repr=False)
 
     def refine(self) -> "RootInterval":
         """Halve the interval, keeping the root strictly inside."""
-        lo, hi = self.lo, self.hi
-        mid = (lo + hi) / 2
-        s_mid = _sign(self.poly(mid))
+        cs = self.ints
+        a, b, d = _common(self.lo, self.hi)
+        mid = Fraction(a + b, 2 * d)
+        s_mid = _sign(_value(cs, a + b, 2 * d))
         if s_mid == 0:
             # land exactly on the root: shrink symmetrically around it
-            w = (hi - lo) / 8
-            return RootInterval(self.poly, mid - w, mid + w)
-        if _sign(self.poly(lo)) * s_mid < 0:
-            return RootInterval(self.poly, lo, mid)
-        return RootInterval(self.poly, mid, hi)
+            w = (self.hi - self.lo) / 8
+            return RootInterval(self.poly, mid - w, mid + w, cs)
+        if _sign(_value(cs, a, d)) * s_mid < 0:
+            return RootInterval(self.poly, self.lo, mid, cs)
+        return RootInterval(self.poly, mid, self.hi, cs)
 
     def refine_below(self, width: Fraction) -> "RootInterval":
         r = self
@@ -260,64 +329,92 @@ class RootInterval:
 
 def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     """Disjoint isolating intervals for all distinct real roots,
-    endpoints rational non-roots, sorted increasingly."""
+    endpoints dyadic non-roots, sorted increasingly."""
     return _squarefree_isolation(p)[1]
 
 
 def _squarefree_isolation(p: Polynomial) -> tuple[Polynomial, list[RootInterval]]:
-    """p's squarefree part, of p's degree iff p has no multiple root, and its real roots."""
+    """p's squarefree part, of p's degree iff p has no multiple root, and its real roots.
+
+    Bisection starts from Cauchy's bound 1 + max |c_i / c_n| rounded up
+    to a power of two 2^e, and runs on a work list of intervals
+    (a/d, b/d), d a power of two, each with the chain's sign variations
+    at both ends, so a split evaluates the chain at its midpoint only.
+    """
     if p.degree < 1:
         return p, []
     seq = sturm_sequence(p)
-    g = seq[-1]
-    sf = p.divmod(g.scale(1 / g.lead))[0]  # squarefree part, lead of p
-    bound = root_bound(sf)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def rec(a: Fraction, b: Fraction, n: int) -> None:
-        if n == 0:
-            return
-        if n == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while sf(mid) == 0:
-            mid = (a + mid) / 2
-        rec(a, mid, count_roots(p, a, mid, seq))
-        rec(mid, b, count_roots(p, mid, b, seq))
-
+    sf = seq[0] if len(seq[-1]) == 1 else _primitive(_pseudo_divide(seq[0], seq[-1])[1])
+    lc = abs(sf[-1])
+    bound = -(-(lc + max(abs(sf[i]) for i in range(len(sf) - 1))) // lc)  # Cauchy's, rounded up
+    top = 1 << (bound - 1).bit_length()  # the least power of two >= bound
     # Cauchy's bound is strict, so neither end is a root
-    rec(-bound, bound, count_roots(p, -bound, bound, seq))
-    out.sort()
-    return sf, [RootInterval(sf, a, b) for a, b in out]
-
-
-def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Crude interval extension of p over [lo, hi] by Horner with interval ops."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p.coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+    work = [(-top, _variations(seq, -top, 1), top, _variations(seq, top, 1), 1)]
+    poly, out = Polynomial(sf), []
+    while work:
+        a, va, b, vb, d = work.pop()
+        if va - vb == 1:
+            out.append(RootInterval(poly, Fraction(a, d), Fraction(b, d), sf))
+        elif va - vb > 1:
+            a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
+            while _value(sf, m, d) == 0:
+                a, b, m, d = 2 * a, 2 * b, a + m, 2 * d
+            vm = _variations(seq, m, d)
+            work.append((m, vm, b, vb, d))
+            work.append((a, va, m, vm, d))  # the left half is popped first
+    return poly, out
 
 
 _MAX_REFINE = 256  # bisections of an isolating interval before a sign gives up
+_PRIME = (1 << 61) - 1  # the Mersenne prime of the coprimality certificate
+
+
+def _coprime_mod_prime(f: Sequence[int], g: Sequence[int]) -> bool:
+    """True certifies gcd(f, g) = 1 over Q; False decides nothing.
+
+    If the prime divides neither leading coefficient, both degrees
+    survive reduction, and the image of the primitive rational gcd
+    divides both images: the gcd's degree can only rise modulo the
+    prime.  A constant Euclidean gcd there is a constant gcd over Q.
+    """
+    if f[-1] % _PRIME == 0 or g[-1] % _PRIME == 0:
+        return False
+    a, b = [c % _PRIME for c in f], [c % _PRIME for c in g]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            q = a.pop() * inv % _PRIME
+            s = len(a) + 1 - len(b)
+            for i in range(len(b) - 1):
+                a[s + i] = (a[s + i] - q * b[i]) % _PRIME
+        while a and a[-1] == 0:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
 
 
 def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     """Exact sign of h at the root isolated by ``root`` (0 if h vanishes there).
 
-    g = gcd(h, W), W = root.poly, divides the squarefree W, so it vanishes at
-    the root iff it changes sign across the isolating interval.  Otherwise
-    the interval is halved until the enclosure of h excludes 0.
+    h is read as its primitive integer coefficients.  If h and
+    W = root.poly stay coprime modulo the prime 2^61 - 1, h cannot vanish
+    at a root of W.  Only when that certificate fails is g = gcd(h, W)
+    computed over Q: g divides the squarefree W, so it vanishes at the
+    root iff it changes sign across the isolating interval.  Otherwise
+    the interval is halved until the integer interval enclosure of h
+    over it excludes 0.
     """
     if h.is_zero():
         return 0
-    g = h.gcd(root.poly)
-    if g.degree >= 1 and _sign(g(root.lo)) != _sign(g(root.hi)):
-        return 0
+    cs = _primitive(_cleared(h.coeffs)[0])
+    if not _coprime_mod_prime(cs, root.ints):
+        g = h.gcd(root.poly)
+        if g.degree >= 1 and _sign(g(root.lo)) != _sign(g(root.hi)):
+            return 0
     for _ in range(_MAX_REFINE):
-        lo, hi = _interval_eval(h, root.lo, root.hi)
+        lo, hi = _enclose(cs, *_common(root.lo, root.hi))
         if lo > 0 or hi < 0:
             return _sign(lo)
         root = root.refine()

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -127,6 +128,22 @@ class TestCrossings:
         # the only gcds left are sign_at_root's own coprimality tests
         assert stray_gcds == []
         assert chains.count(c._eliminator.W) == 1
+
+    def test_crossings_leave_no_reference_cycle(self):
+        # the isolation bisects from a work list, not a self-recursive
+        # closure, so no Sturm chain waits for the cyclic collector
+        c = PlaneCurve(T3, chebyshev(20))
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert len(curve_crossings(c)) == 19
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert garbage == 0, f"{garbage} objects in reference cycles"
 
     def test_non_trigonal_rejected(self):
         with pytest.raises(NotTrigonalError):
@@ -285,6 +302,18 @@ class TestEmbedding:
             N = A_y * B_x - B_y * A_x
             expected = [-sign_at_root(A_z, x.u) * sign_at_root(N, x.u) for x in cs.crossings]
             assert crossing_handedness(c, z, cs) == expected
+
+    def test_alternating_signs_on_t3_t14_need_no_rational_gcd(self, monkeypatch):
+        # Zh has about 3,000-bit coefficients here; the modular certificate
+        # settles every crossing, so no rational gcd of Zh and W is taken
+        c = PlaneCurve(T3, chebyshev(14))
+        cs = curve_crossings(c)
+        z, _ = height_polynomial(cs, alternating_overpasses(cs))
+        gcd, calls = Polynomial.gcd, []
+        monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        signs = crossing_signs(c, z, cs)
+        assert calls == []
+        assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
     def test_one_eliminator_per_embedding(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module

@@ -1,16 +1,19 @@
 """The exact primitives of the curve lab against sympy as an independent oracle."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lexiknot.curvelab.curves import PlaneCurve, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
-from lexiknot.curvelab.poly import Polynomial, isolate_real_roots, sign_at_root
+from lexiknot.curvelab.poly import Polynomial, _interval_eval, isolate_real_roots, sign_at_root
 
 sympy = pytest.importorskip("sympy")
 t, s = sympy.symbols("t s")
 small = st.integers(-6, 6)
+PRIME = (1 << 61) - 1  # the modulus of sign_at_root's coprimality certificate
 
 
 def _sympy_poly(p: Polynomial):
@@ -19,6 +22,10 @@ def _sympy_poly(p: Polynomial):
 
 def _at(p: Polynomial, point):
     return _sympy_poly(p).as_expr().subs(t, point)
+
+
+def _real_roots(p: Polynomial) -> list:
+    return sorted(set(sympy.real_roots(_sympy_poly(p))), key=lambda r: sympy.N(r, 30))
 
 
 def _sympy_sign(h: Polynomial, root) -> int:
@@ -48,11 +55,124 @@ def test_roots_and_signs_agree_with_sympy(f_coeffs, g_coeffs, h_coeffs, share):
     if share:
         h = h * f
     roots = isolate_real_roots(W)
-    expected = sorted(set(sympy.real_roots(_sympy_poly(W))), key=lambda r: sympy.N(r, 30))
+    expected = _real_roots(W)
     assert len(roots) == len(expected)
     for r, rho in zip(roots, expected):
         assert r.lo < rho < r.hi
         assert sign_at_root(h, r) == _sympy_sign(h, rho)
+
+
+def _same(p: Polynomial, expected) -> bool:
+    return sympy.expand(_sympy_poly(p).as_expr() - expected.as_expr()) == 0
+
+
+def _dyadic(x) -> bool:
+    return x.denominator & (x.denominator - 1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small, min_size=2, max_size=8), st.integers(0, 5))
+def test_isolating_endpoints_are_dyadic_and_enclose_the_roots(coeffs, halvings):
+    W = Polynomial(coeffs)
+    assume(W.degree >= 1)
+    roots, expected = isolate_real_roots(W), _real_roots(W)
+    assert len(roots) == len(expected)
+    for r, rho in zip(roots, expected):
+        for _ in range(halvings + 1):
+            assert _dyadic(r.lo) and _dyadic(r.hi)
+            assert r.lo < rho < r.hi
+            r = r.refine()
+
+
+def _forbidden_gcd(a, b):
+    raise AssertionError("the coprimality certificate fell back to a rational gcd")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small, min_size=2, max_size=5), st.lists(small, min_size=1, max_size=5))
+def test_certificate_decides_coprime_pairs_without_a_rational_gcd(w_coeffs, h_coeffs):
+    # the resultant of two such small polynomials is below 2^61 - 1 in
+    # absolute value (Hadamard), so a nonzero one is a unit modulo the
+    # prime and the certificate cannot fail on a coprime pair
+    W, h = Polynomial(w_coeffs), Polynomial(h_coeffs)
+    assume(W.degree >= 1 and not h.is_zero())
+    assume(sympy.gcd(_sympy_poly(W), _sympy_poly(h)).degree() == 0)
+    roots, expected = isolate_real_roots(W), _real_roots(W)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "gcd", _forbidden_gcd)
+        assert [sign_at_root(h, r) for r in roots] == [_sympy_sign(h, rho) for rho in expected]
+
+
+def _signs_and_gcds(h: Polynomial, W: Polynomial) -> tuple[list[int], list[int], int]:
+    calls = []
+    gcd = Polynomial.gcd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
+        signs = [sign_at_root(h, r) for r in isolate_real_roots(W)]
+    return signs, [_sympy_sign(h, rho) for rho in _real_roots(W)], len(calls)
+
+
+def test_certificate_falls_back_when_the_prime_divides_a_lead():
+    # h = (2^61 - 1) t + 1 loses its degree modulo the prime
+    W = Polynomial([-2, 0, 1])
+    signs, expected, gcds = _signs_and_gcds(Polynomial([1, PRIME]), W)
+    assert signs == expected == [-1, 1]
+    assert gcds == 2
+    signs, expected, gcds = _signs_and_gcds(W, Polynomial([1, PRIME]))  # W at -1/p
+    assert signs == expected == [-1]
+    assert gcds == 1
+    # here the images modulo p are coprime although h and W share p t + 1:
+    # only the fallback sees the zero at -1/p
+    shared = Polynomial([1, PRIME])
+    signs, expected, gcds = _signs_and_gcds(shared * Polynomial([2, 1]), shared * Polynomial([-1, 1]))
+    assert signs == expected == [0, 1]
+    assert gcds == 2
+
+
+def test_certificate_falls_back_on_a_factor_shared_only_modulo_the_prime():
+    # h = W + p t equals W modulo p, yet gcd(h, W) = gcd(p t, W) = 1 over Q
+    W = Polynomial([-2, 0, 1])
+    signs, expected, gcds = _signs_and_gcds(W + Polynomial([0, PRIME]), W)
+    assert signs == expected == [-1, 1]
+    assert gcds == 2
+
+
+def test_a_shared_factor_gives_zero():
+    W = Polynomial.from_roots([5]) * Polynomial([-2, 0, 1])
+    h = Polynomial.from_roots([-3]) * Polynomial([-2, 0, 1])
+    signs, expected, gcds = _signs_and_gcds(h, W)
+    assert signs == expected == [0, 0, 1]
+    assert gcds == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small, min_size=1, max_size=6), st.lists(small, min_size=1, max_size=5))
+def test_division_gcd_and_values_agree_with_sympy(a_coeffs, b_coeffs):
+    a = Polynomial(a_coeffs).scale(Fraction(1, 3))
+    b = Polynomial(b_coeffs)
+    assume(not b.is_zero())
+    q, r = a.divmod(b)
+    sq, sr = sympy.div(_sympy_poly(a), _sympy_poly(b))
+    assert _same(q, sq) and _same(r, sr)
+    assert _same(a * b, _sympy_poly(a) * _sympy_poly(b))
+    expected = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+    assert _same(a.gcd(b), expected.monic() if not expected.is_zero else expected)
+    for x in (Fraction(-7, 4), Fraction(0), Fraction(5, 3)):
+        assert a(x) == _at(a, sympy.Rational(x.numerator, x.denominator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small, min_size=1, max_size=6), st.integers(-40, 40), st.integers(0, 40), st.integers(0, 4))
+def test_interval_enclosure_is_interval_horner(coeffs, lo_num, width, k):
+    # the integer enclosure is the Fraction interval Horner scaled by a
+    # positive power of the common denominator: equal, not just containing
+    p = Polynomial(coeffs).scale(Fraction(1, 5))
+    lo, hi = Fraction(lo_num, 1 << k), Fraction(lo_num + width, 1 << k)
+    elo = ehi = Fraction(0)
+    for c in reversed(p.coeffs):
+        cands = (elo * lo, elo * hi, ehi * lo, ehi * hi)
+        elo, ehi = min(cands) + c, max(cands) + c
+    assert _interval_eval(p, lo, hi) == (elo, ehi)
 
 
 @settings(max_examples=80, deadline=None)
