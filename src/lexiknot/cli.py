@@ -145,6 +145,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for r in rows:
             if r.error:
                 print(f"{r.name}: FAILED: {r.error}", file=sys.stderr)
+                print(r.traceback, end="", file=sys.stderr)
         return 2
     if args.diff:
         diff = diff_expected(rows, args.diff)

@@ -12,6 +12,15 @@ pair reduce modulo z^2 - u z + v(u):  z^k = a_k(u) z + b_k(u), so the
 crossing height, the crossing x, and the third-strand height are all
 polynomials in u, and every discrete decision is a certified sign of a
 polynomial at an isolated algebraic number.
+
+This layer runs on integers.  The pair reduction is Horner on cleared
+integer coefficients.  Crossings are separated by one refinement loop
+over integer enclosures: for an isolating interval (a/d, b/d) of u, the
+crossing's x is enclosed over den_x d^3 and its parameters t < s over
+den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
+reduced radicand.  Enclosures of different crossings are compared after
+rescaling to the lcm of their d, so every comparison is exact, and the
+rational intervals a `Crossing` reports are built once, after the loop.
 """
 
 from __future__ import annotations
@@ -19,17 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from ..planereduce import PlaneWord, letters_to_runs
 from .poly import (
     Polynomial,
     RootInterval,
-    _interval_eval,
+    _cleared,
+    _common,
+    _enclose,
+    _product,
+    _SQRT_BITS,
+    _sqrt_bounds,
     _squarefree_isolation,
     isolate_real_roots,
     sign_at_root,
-    sqrt_bounds,
 )
 
 
@@ -101,28 +115,23 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
     exact rationals.  On a crossing pair t, s this reads
     q(t) - q(s) = (t - s) A(u), and for two polynomials f, g
     f(t) g(s) - f(s) g(t) = (t - s) (A_f B_g - B_f A_g).
+
+    Horner on integers: with q = cs / den of degree n and v = V / delta,
+    (A z + B) z + c reduces to (u A + B) z + (c - v A), and after j
+    steps delta^j (A, B) are integer lists.
     """
-    u = Polynomial([0, 1])
-    a_prev, b_prev = Polynomial.zero(), Polynomial.const(1)   # z^0
-    a_cur, b_cur = Polynomial.const(1), Polynomial.zero()     # z^1
-    A, B = Polynomial.zero(), Polynomial.zero()
-    for k, c in enumerate(q.coeffs):
-        if k == 0:
-            ak, bk = a_prev, b_prev
-        elif k == 1:
-            ak, bk = a_cur, b_cur
-        else:
-            a_cur, b_cur, a_prev, b_prev = (
-                u * a_cur + b_cur,
-                (-v) * a_cur,
-                a_cur,
-                b_cur,
-            )
-            ak, bk = a_cur, b_cur
-        if c:
-            A = A + ak.scale(c)
-            B = B + bk.scale(c)
-    return A, B
+    V, delta = _cleared(v.coeffs)
+    cs, den = _cleared(q.coeffs)
+    A, B, dp = [], cs[-1:], 1
+    for c in reversed(cs[:-1]):
+        dp *= delta
+        uab = [0] + A + [0] * (len(B) - len(A) - 1)
+        for i, x in enumerate(B):
+            uab[i] += x
+        A, B = [delta * x for x in uab], [-x for x in _product(V, A)] or [0]
+        B[0] += c * dp
+    scale = den * dp
+    return Polynomial([Fraction(c, scale) for c in A]), Polynomial([Fraction(c, scale) for c in B])
 
 
 class _Eliminator:
@@ -143,8 +152,11 @@ class _Eliminator:
         # third branch: r = sum_roots - u, heights via composition
         self.r_of_u = Polynomial([self.sum_roots, -1])
         self.y_third = curve.y.compose(self.r_of_u)
-        # discriminant of the pair: u^2 - 4 v(u)
+        # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
         self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
+        # both cleared once, for the integer enclosures of the clash loop
+        self.x_ints = _cleared(self.x_of_u.coeffs)
+        self.disc_ints = _cleared(self.disc.coeffs)
 
 
 _MAX_REFINE = 64  # rounds of interval halving to separate crossings
@@ -194,28 +206,32 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     # refine until x-intervals and parameter intervals are pairwise disjoint
     enc = [_enclosures(el, r) for r in kept]
     for _ in range(_MAX_REFINE):
-        clash = _overlapping([x for x, _, _ in enc])
-        clash |= {k // 2 for k in _overlapping([iv for e in enc for iv in e[1:]])}
+        xs, params = _rescaled(el, enc)
+        clash = _overlapping(xs) | {k // 2 for k in _overlapping(params)}
         if not clash:
             break
         for i in clash:
             kept[i] = kept[i].refine()
             enc[i] = _enclosures(el, kept[i])
     else:
-        shared = _overlapping([x for x, _, _ in enc])
+        xs, _ = _rescaled(el, enc)
+        shared = _overlapping(xs)
         if shared:
-            lo, hi = min(enc[i][0] for i in shared)
+            i = min(shared, key=xs.__getitem__)
+            lo, hi = _intervals(el, enc[i])[0]
             raise NonNodalError(
                 f"non-nodal configuration: crossings share x near ({float(lo):.4f}, {float(hi):.4f}) — a triple point?"
             )
         raise NonNodalError("crossing parameters could not be separated")
 
-    order = sorted(range(len(kept)), key=lambda i: enc[i][0][0])
-    bounds = [iv for i in order for iv in enc[i][1:]]
-    flat = sorted(range(len(bounds)), key=lambda k: bounds[k][0])
+    order = sorted(range(len(kept)), key=lambda i: xs[i][0])
+    ivs = [_intervals(el, e) for e in enc]
+    bounds = [iv for i in order for iv in ivs[i][1:]]
+    keys = [params[k][0] for i in order for k in (2 * i, 2 * i + 1)]
+    flat = sorted(range(len(bounds)), key=keys.__getitem__)
     pos = {k: rank for rank, k in enumerate(flat)}
     crossings = tuple(
-        Crossing(u=kept[i], t=enc[i][1], s=enc[i][2], x=enc[i][0], letter=letters[i]) for i in order
+        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letters[i]) for i in order
     )
     return CrossingSet(
         curve=curve,
@@ -225,18 +241,54 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     )
 
 
-def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The x-interval of the crossing isolated by r and the intervals
-    of its parameters t < s, from u and the pair discriminant."""
-    dlo, dhi = _interval_eval(el.disc, r.lo, r.hi)
-    slo = sqrt_bounds(max(dlo, Fraction(0)))[0]
-    shi = sqrt_bounds(dhi)[1]
-    t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
-    s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
-    return _interval_eval(el.x_of_u, r.lo, r.hi), t_iv, s_iv
+def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """(d, x, t, s): the crossing isolated by r = (a/d, b/d), with the
+    integer enclosure of its x over den_x d^deg(x) and those of its
+    parameters t < s over den_D d^2 2^33, from u and the pair
+    discriminant, a quadratic cleared as disc = D / den_D."""
+    a, b, d = _common(r.lo, r.hi)
+    cx, _ = el.x_ints
+    ds, den = el.disc_ints
+    scale = den * d * d
+    dlo, dhi = _enclose(ds, a, b, d)
+    slo = _sqrt_bounds(max(dlo, 0), scale)[0]
+    shi = _sqrt_bounds(dhi, scale)[1]
+    # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
+    ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
+    return d, _enclose(cx, a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
 
 
-def _overlapping(ivs: Sequence[tuple[Fraction, Fraction]]) -> set[int]:
+def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The x-intervals and the flat t, s intervals of all crossings as
+    integers over one denominator: each crossing's are rescaled from
+    its d to the lcm of all the d, so comparing them compares the
+    rationals exactly."""
+    common = lcm(*[e[0] for e in enc])
+    nx = len(el.x_ints[0]) - 1
+    xs, params = [], []
+    for d, x, t, s in enc:
+        f = common // d
+        fx, fp = f**nx, f * f
+        xs.append((x[0] * fx, x[1] * fx))
+        params.append((t[0] * fp, t[1] * fp))
+        params.append((s[0] * fp, s[1] * fp))
+    return xs, params
+
+
+def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The rational x-, t- and s-intervals of one crossing's enclosures."""
+    d, x, t, s = e
+    cx, den_x = el.x_ints
+    den_x *= d ** (len(cx) - 1)
+    den_p = (el.disc_ints[1] * d * d) << (_SQRT_BITS + 1)
+    return (
+        (Fraction(x[0], den_x), Fraction(x[1], den_x)),
+        (Fraction(t[0], den_p), Fraction(t[1], den_p)),
+        (Fraction(s[0], den_p), Fraction(s[1], den_p)),
+    )
+
+
+def _overlapping(ivs: Sequence[tuple[int, int]]) -> set[int]:
     """Indices of the closed intervals that meet another one."""
     hit: set[int] = set()
     reach = -1  # the interval with the largest upper end so far

@@ -1,16 +1,19 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
 A `Polynomial` holds `fractions.Fraction` coefficients for construction
-and algebra.  Values, root isolation and signs run on integers: a
-polynomial is carried there as its primitive integer coefficients
-(denominators cleared, content removed, the multiplier positive, so
-every sign is kept), and its value at a/d, d > 0, is read by homogeneous
-Horner as sum c_i a^i d^(n-i), which has the sign of p(a/d).  Roots are
+and algebra.  Values, products, composition, root isolation and signs
+run on integers: a polynomial is carried there as its cleared integer
+coefficients (for isolation and signs primitive: denominators cleared,
+content removed, the multiplier positive, so every sign is kept), and
+its value at a/d, d > 0, is read by homogeneous Horner as
+sum c_i a^i d^(n-i), which has the sign of p(a/d); `compose` runs the
+same Horner with the inner polynomial's cleared form.  Roots are
 isolated by bisection below a Cauchy bound rounded up to a power of two,
 so every isolating endpoint is dyadic, against a primitive
 pseudo-remainder Sturm chain.  A sign at an isolated root is certified
-by a coprimality test modulo a prime, then an integer interval
-enclosure; floating point decides nothing.
+by a coprimality test modulo a prime, then by halving the integer
+interval (a, b, d) until an integer interval enclosure excludes 0;
+floating point decides nothing.
 """
 
 from __future__ import annotations
@@ -105,15 +108,8 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
         (a, da), (b, db) = _cleared(self.coeffs), _cleared(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Polynomial([Fraction(c, da * db) for c in out])
+        return Polynomial([Fraction(c, da * db) for c in _product(a, b)])
 
     def scale(self, c: Rat) -> "Polynomial":
         return Polynomial([_frac(c) * a for a in self.coeffs])
@@ -126,10 +122,18 @@ class Polynomial:
         return self.compose(Polynomial([eps, 1]))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        out = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            out = out * inner + Polynomial.const(c)
-        return out
+        """p(inner), by homogeneous Horner on integers: with p = cs/den of
+        degree n and inner = g/e, den e^n p(inner) = sum c_i g^i e^(n-i)."""
+        if self.is_zero():
+            return Polynomial.zero()
+        cs, den = _cleared(self.coeffs)
+        g, e = _cleared(inner.coeffs)
+        acc, ep = [cs[-1]], 1
+        for c in reversed(cs[:-1]):
+            ep *= e
+            acc = _product(acc, g) or [0]
+            acc[0] += c * ep
+        return Polynomial([Fraction(c, den * ep) for c in acc])
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
@@ -177,6 +181,18 @@ def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
     return tuple([c // g for c in cs]) if g else ()
 
 
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials; [] for zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _value(cs: Sequence[int], a: int, d: int) -> int:
     """d^n cs(a/d) = sum c_i a^i d^(n-i) by homogeneous Horner; d > 0."""
     n = len(cs) - 1
@@ -215,16 +231,19 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Crude interval extension of p over [lo, hi], lo <= hi, by integer
-    Horner with interval products."""
-    if p.is_zero():
-        return Fraction(0), Fraction(0)
-    cs, den = _cleared(p.coeffs)
-    a, b, d = _common(_frac(lo), _frac(hi))
-    den *= d**p.degree
-    elo, ehi = _enclose(cs, a, b, d)
-    return Fraction(elo, den), Fraction(ehi, den)
+_SQRT_BITS = 32  # square roots are bounded to 2^-32 of the radicand's reduced denominator
+
+
+def _sqrt_bounds(n: int, den: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^32 den sqrt(n / den) <= hi, for n >= 0, den > 0.
+
+    The floor of the square root is taken on the reduced radicand
+    n' / den', as isqrt(n' den' 2^64) over den' 2^32, and then written
+    over den 2^32; hi - lo is den / den'.
+    """
+    g = gcd(n, den)
+    r = isqrt((n // g) * (den // g) << 2 * _SQRT_BITS)
+    return r * g, (r + 1) * g
 
 
 def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -316,12 +335,6 @@ class RootInterval:
             return RootInterval(self.poly, self.lo, mid, cs)
         return RootInterval(self.poly, mid, self.hi, cs)
 
-    def refine_below(self, width: Fraction) -> "RootInterval":
-        r = self
-        while r.hi - r.lo >= width:
-            r = r.refine()
-        return r
-
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
@@ -403,28 +416,30 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     at a root of W.  Only when that certificate fails is g = gcd(h, W)
     computed over Q: g divides the squarefree W, so it vanishes at the
     root iff it changes sign across the isolating interval.  Otherwise
-    the interval is halved until the integer interval enclosure of h
-    over it excludes 0.
+    the interval (a/d, b/d) is halved on integers, carrying W's sign at
+    a, until the integer interval enclosure of h over it excludes 0; a
+    midpoint where W vanishes is the root itself, and h's value there
+    is its sign.
     """
     if h.is_zero():
         return 0
-    cs = _primitive(_cleared(h.coeffs)[0])
-    if not _coprime_mod_prime(cs, root.ints):
+    cs, w = _primitive(_cleared(h.coeffs)[0]), root.ints
+    if not _coprime_mod_prime(cs, w):
         g = h.gcd(root.poly)
         if g.degree >= 1 and _sign(g(root.lo)) != _sign(g(root.hi)):
             return 0
+    a, b, d = _common(root.lo, root.hi)
+    sa = _sign(_value(w, a, d))
     for _ in range(_MAX_REFINE):
-        lo, hi = _enclose(cs, *_common(root.lo, root.hi))
+        lo, hi = _enclose(cs, a, b, d)
         if lo > 0 or hi < 0:
             return _sign(lo)
-        root = root.refine()
+        m, d = a + b, 2 * d
+        sm = _sign(_value(w, m, d))
+        if sm == 0:
+            return _sign(_value(cs, m, d))
+        if sa * sm < 0:
+            a, b = 2 * a, m
+        else:
+            a, b, sa = m, 2 * b, sm
     raise RuntimeError("sign refinement did not converge")
-
-
-def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(x) <= hi with hi - lo about 2^-32."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    n, d = x.numerator, x.denominator
-    r = isqrt(n * d << 64)
-    return Fraction(r, d << 32), Fraction(r + 1, d << 32)

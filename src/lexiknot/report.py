@@ -27,6 +27,7 @@ class TableRow:
     status: str
     starred: bool
     error: Optional[str] = None
+    traceback: Optional[str] = None  # the formatted traceback of a failed row
 
     @classmethod
     def from_report(cls, rep: DegreeReport) -> "TableRow":
@@ -61,6 +62,8 @@ def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog
         try:
             rows.append(TableRow.from_report(degree_verdict(rec)))
         except Exception as exc:  # row marked failed, others continue
+            import traceback  # only on failure: at start-up it and linecache add to every run's peak memory
+
             rows.append(
                 TableRow(
                     name=name,
@@ -74,6 +77,7 @@ def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog
                     status="failed",
                     starred=False,
                     error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
                 )
             )
     return rows

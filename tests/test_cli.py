@@ -156,3 +156,23 @@ def test_reduce_explores_once(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "base (0,1,3) cost 3\nb >= 10  (reduction to (0,1,3) (base table degree at least (3,7)) + 3)\n"
     )
+
+
+def test_table_failed_row_prints_its_traceback_on_stderr(monkeypatch, capsys):
+    import lexiknot.report
+    from lexiknot.enumeration import SearchExhausted
+
+    def exhausted(rec):
+        raise SearchExhausted(f"nothing for {rec.name}")
+
+    monkeypatch.setattr(lexiknot.report, "degree_verdict", exhausted)
+    assert main(["table", "--knots", "3_1", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    (row,) = json.loads(captured.out)
+    assert row["status"] == "failed" and row["error"] == "SearchExhausted: nothing for 3_1"
+    assert "traceback" not in row and "Traceback" not in captured.out
+    lines = captured.err.splitlines()
+    assert lines[0] == "3_1: FAILED: SearchExhausted: nothing for 3_1"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert any("in exhausted" in line for line in lines)
+    assert lines[-1] == "lexiknot.enumeration.SearchExhausted: nothing for 3_1"

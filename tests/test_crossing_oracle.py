@@ -1,0 +1,93 @@
+"""Crossing sets from the integer enclosure loop against a Fraction oracle.
+
+The oracle is the Fraction form of `curve_crossings`' refinement loop:
+interval Horner on rational coefficients, square-root bounds on the
+reduced radicand, and a pairwise overlap test.  Both must return the
+same rationals, not merely containing ones.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
+from lexiknot.curvelab.poly import isolate_real_roots, sign_at_root
+
+T3 = chebyshev(3)
+
+
+def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(x) <= hi with hi - lo about 2^-32."""
+    n, d = x.numerator, x.denominator
+    r = isqrt(n * d << 64)
+    return Fraction(r, d << 32), Fraction(r + 1, d << 32)
+
+
+def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    elo = ehi = Fraction(0)
+    for c in reversed(p.coeffs):
+        cands = (elo * lo, elo * hi, ehi * lo, ehi * hi)
+        elo, ehi = min(cands) + c, max(cands) + c
+    return elo, ehi
+
+
+def enclosures(el, r):
+    dlo, dhi = interval_horner(el.disc, r.lo, r.hi)
+    slo = sqrt_bounds(max(dlo, Fraction(0)))[0]
+    shi = sqrt_bounds(dhi)[1]
+    t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
+    s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
+    return interval_horner(el.x_of_u, r.lo, r.hi), t_iv, s_iv
+
+
+def overlapping(ivs) -> set[int]:
+    return {i for i, a in enumerate(ivs) for j, b in enumerate(ivs) if i != j and a[0] <= b[1] and b[0] <= a[1]}
+
+
+def oracle_crossings(curve: PlaneCurve):
+    el = curve._eliminator
+    kept = [r for r in isolate_real_roots(el.W) if sign_at_root(el.disc, r) > 0]
+    enc = [enclosures(el, r) for r in kept]
+    for _ in range(64):
+        clash = overlapping([x for x, _, _ in enc])
+        clash |= {k // 2 for k in overlapping([iv for e in enc for iv in e[1:]])}
+        if not clash:
+            break
+        for i in clash:
+            kept[i] = kept[i].refine()
+            enc[i] = enclosures(el, kept[i])
+    else:
+        raise AssertionError("the oracle could not separate the crossings")
+    order = sorted(range(len(kept)), key=lambda i: enc[i][0][0])
+    bounds = [iv for i in order for iv in enc[i][1:]]
+    flat = sorted(range(len(bounds)), key=lambda k: bounds[k][0])
+    pos = {k: rank for rank, k in enumerate(flat)}
+    return (
+        [((kept[i].lo, kept[i].hi), enc[i][1], enc[i][2], enc[i][0]) for i in order],
+        tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
+        tuple(bounds[k] for k in flat),
+    )
+
+
+def q7(x0: Fraction) -> PlaneCurve:
+    return add_triple_point(PlaneCurve(T3, chebyshev(4)), x0, Fraction(1))
+
+
+CURVES = {
+    **{f"(T3,T{b})": PlaneCurve(T3, chebyshev(b)) for b in (4, 7, 10, 13)},
+    "6_2 witness": perturb(q7(Fraction(-1, 2)), Fraction(1, 1024)),
+    # a rational, non-unit lead: v(u) and the discriminant carry denominators
+    "x = 2/3 t^3 - t": PlaneCurve(Polynomial([0, -1, 0, Fraction(2, 3)]), chebyshev(7).compose(Polynomial([0, Fraction(2, 3)]))),
+}
+
+
+@pytest.mark.parametrize("name", CURVES)
+def test_crossing_sets_equal_the_fraction_oracle(name):
+    curve = CURVES[name]
+    cs = curve_crossings(curve)
+    crossings, param_order, param_bounds = oracle_crossings(curve)
+    assert len(cs) >= 3
+    assert [((c.u.lo, c.u.hi), c.t, c.s, c.x) for c in cs.crossings] == crossings
+    assert cs.param_order == param_order
+    assert cs.param_bounds == param_bounds

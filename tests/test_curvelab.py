@@ -315,6 +315,20 @@ class TestEmbedding:
         assert calls == []
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
+    def test_alternating_signs_on_t3_t14_bisect_without_root_intervals(self, monkeypatch):
+        # sign_at_root halves (a, b, d) on integers, carrying W's sign at a,
+        # and builds no RootInterval per halving
+        from lexiknot.curvelab.poly import RootInterval
+
+        c = PlaneCurve(T3, chebyshev(14))
+        cs = curve_crossings(c)
+        z, _ = height_polynomial(cs, alternating_overpasses(cs))
+        refine, calls = RootInterval.refine, []
+        monkeypatch.setattr(RootInterval, "refine", lambda r: calls.append(r) or refine(r))
+        signs = crossing_signs(c, z, cs)
+        assert calls == []
+        assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
+
     def test_one_eliminator_per_embedding(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module
 

@@ -3,16 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexiknot.curvelab.curves import PlaneCurve, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
-from lexiknot.curvelab.poly import Polynomial, _interval_eval, isolate_real_roots, sign_at_root
+from lexiknot.curvelab.poly import Polynomial, RootInterval, _cleared, _enclose, isolate_real_roots, sign_at_root
 
 sympy = pytest.importorskip("sympy")
 t, s = sympy.symbols("t s")
 small = st.integers(-6, 6)
+rational = st.one_of(small, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
 PRIME = (1 << 61) - 1  # the modulus of sign_at_root's coprimality certificate
 
 
@@ -164,15 +165,20 @@ def test_division_gcd_and_values_agree_with_sympy(a_coeffs, b_coeffs):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small, min_size=1, max_size=6), st.integers(-40, 40), st.integers(0, 40), st.integers(0, 4))
 def test_interval_enclosure_is_interval_horner(coeffs, lo_num, width, k):
-    # the integer enclosure is the Fraction interval Horner scaled by a
-    # positive power of the common denominator: equal, not just containing
+    # the integer enclosure over [a/d, b/d] is the Fraction interval
+    # Horner scaled by den d^n: equal, not just containing
     p = Polynomial(coeffs).scale(Fraction(1, 5))
-    lo, hi = Fraction(lo_num, 1 << k), Fraction(lo_num + width, 1 << k)
+    assume(not p.is_zero())
+    d = 1 << k
+    lo, hi = Fraction(lo_num, d), Fraction(lo_num + width, d)
     elo = ehi = Fraction(0)
     for c in reversed(p.coeffs):
         cands = (elo * lo, elo * hi, ehi * lo, ehi * hi)
         elo, ehi = min(cands) + c, max(cands) + c
-    assert _interval_eval(p, lo, hi) == (elo, ehi)
+    cs, den = _cleared(p.coeffs)
+    ilo, ihi = _enclose(cs, lo_num, lo_num + width, d)
+    scale = den * d**p.degree
+    assert (Fraction(ilo, scale), Fraction(ihi, scale)) == (elo, ehi)
 
 
 @settings(max_examples=80, deadline=None)
@@ -183,7 +189,9 @@ def test_bareiss_matches_sympy(rows):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(small, min_size=4, max_size=4), st.lists(small, min_size=3, max_size=6))
+@given(st.lists(rational, min_size=4, max_size=4), st.lists(rational, min_size=3, max_size=6))
+@example([0, 0, 1, 2], [0, 1, -2, 1])  # x = 2t^3 + t^2: v has denominator 2
+@example([0, -1, 0, Fraction(2, 3)], [Fraction(1, 2), 0, 3, 0, Fraction(-5, 7)])
 def test_pair_reductions_hold_modulo_the_crossing_condition(x_coeffs, q_coeffs):
     # a crossing pair t != s solves C = (x(t) - x(s))/(t - s) = 0, and in
     # Q[t, s] modulo C: q(t) - q(s) = (t - s) A_q(t + s), and the tangent
@@ -204,3 +212,24 @@ def test_pair_reductions_hold_modulo_the_crossing_condition(x_coeffs, q_coeffs):
     ):
         _, remainder = sympy.reduced(sympy.expand(expr), [C], t, s)
         assert remainder == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(rational, min_size=0, max_size=6), st.lists(rational, min_size=0, max_size=4))
+@example([1, 2, 3], [Fraction(1, 3), Fraction(-2, 5)])
+@example([Fraction(1, 2), 0, 0, 4], [])  # a zero inner polynomial: p(0)
+def test_compose_agrees_with_sympy(p_coeffs, inner_coeffs):
+    p, inner = Polynomial(p_coeffs), Polynomial(inner_coeffs)
+    expected = _sympy_poly(p).as_expr().subs(t, _sympy_poly(inner).as_expr())
+    assert sympy.expand(_sympy_poly(p.compose(inner)).as_expr() - expected) == 0
+
+
+@pytest.mark.parametrize("h, sign", [(Polynomial([-1, 8]), 1), (Polynomial([1, -8]), -1)])
+def test_sign_at_a_root_hit_exactly_by_a_midpoint(h, sign):
+    # W = 4u - 1 on (0, 1/2): the first midpoint 1/4 is the root itself,
+    # and h = +-(8u - 1) has an enclosure over (0, 1/2) that meets 0
+    W = Polynomial([-1, 4])
+    root = RootInterval(W, Fraction(0), Fraction(1, 2), (-1, 4))
+    lo, hi = _enclose(_cleared(h.coeffs)[0], 0, 1, 2)
+    assert lo < 0 < hi
+    assert sign_at_root(h, root) == _sympy_sign(h, sympy.Rational(1, 4)) == sign

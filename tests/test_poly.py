@@ -4,14 +4,21 @@ import pytest
 
 from lexiknot.curvelab.poly import (
     Polynomial,
+    _sqrt_bounds,
     chebyshev,
     count_roots,
     isolate_real_roots,
     sign_at_root,
-    sqrt_bounds,
 )
 
 P = Polynomial
+
+
+def refined_below(r, width):
+    """Halve an isolating interval until it is narrower than width."""
+    while r.hi - r.lo >= width:
+        r = r.refine()
+    return r
 
 
 class TestChebyshev:
@@ -102,19 +109,27 @@ class TestRoots:
 
         monkeypatch.setattr(poly, "sturm_sequence", forbidden)
         h = chebyshev(5) - P([Fraction(1, 3)])  # T_5 = 1/3 at no root of T_7
-        tight = [r.refine_below(Fraction(1, 10**12)) for r in roots]
+        tight = [refined_below(r, Fraction(1, 10**12)) for r in roots]
         assert [sign_at_root(h, r) for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
         assert [sign_at_root(chebyshev(21), r) for r in roots] == [0] * 7  # T_7 divides T_21
 
     def test_refinement(self):
         root = isolate_real_roots(P([-2, 0, 1]))[1]  # sqrt(2)
-        tight = root.refine_below(Fraction(1, 10**6))
+        tight = refined_below(root, Fraction(1, 10**6))
         assert tight.hi - tight.lo < Fraction(1, 10**6)
         assert tight.lo < Fraction(141421356, 10**8) < tight.hi
 
 
 def test_sqrt_bounds():
-    for x in (Fraction(2), Fraction(9), Fraction(1, 4), Fraction(0)):
-        lo, hi = sqrt_bounds(x)
-        assert lo * lo <= x <= hi * hi
-        assert hi - lo <= Fraction(1, 1 << 30)
+    # integer bounds over den 2^32, the isqrt taken on the reduced radicand
+    # whatever common factor n and den carry
+    for x in (Fraction(2), Fraction(9), Fraction(1, 4), Fraction(0), Fraction(7, 12)):
+        for k in (1, 3, 1 << 20):
+            n, den = x.numerator * k, x.denominator * k
+            ilo, ihi = _sqrt_bounds(n, den)
+            lo, hi = Fraction(ilo, den << 32), Fraction(ihi, den << 32)
+            assert lo * lo <= x <= hi * hi
+            assert hi - lo == Fraction(1, x.denominator << 32) <= Fraction(1, 1 << 30)
+            assert (lo, hi) == (Fraction(ilo // k, x.denominator << 32), Fraction(ihi // k, x.denominator << 32))
+    with pytest.raises(ValueError):
+        _sqrt_bounds(-1, 1)

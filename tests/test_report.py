@@ -39,6 +39,9 @@ class TestBuildTable:
         (row,) = build_table(["3_1"])
         assert row.status == "failed"
         assert row.error == "SearchExhausted: nothing for 3_1"
+        assert row.traceback.startswith("Traceback (most recent call last):")
+        assert "in exhausted" in row.traceback
+        assert row.traceback.rstrip().endswith("SearchExhausted: nothing for 3_1")
 
 
 class TestEmit:
