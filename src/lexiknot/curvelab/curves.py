@@ -18,9 +18,10 @@ integer coefficients.  Crossings are separated by one refinement loop
 over integer enclosures: for an isolating interval (a/d, b/d) of u, the
 crossing's x is enclosed over den_x d^3 and its parameters t < s over
 den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
-reduced radicand.  Enclosures of different crossings are compared after
-rescaling to the lcm of their d, so every comparison is exact, and the
-rational intervals a `Crossing` reports are built once, after the loop.
+reduced radicand at this module's scale 2^32.  Enclosures of different
+crossings are compared after rescaling to the lcm of their d, so every
+comparison is exact, and the rational intervals a `Crossing` reports are
+built once, after the loop.
 """
 
 from __future__ import annotations
@@ -28,19 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from ..planereduce import PlaneWord, letters_to_runs
 from .poly import (
     Polynomial,
     RootInterval,
-    _cleared,
-    _common,
     _enclose,
     _product,
-    _SQRT_BITS,
-    _sqrt_bounds,
     _squarefree_isolation,
     isolate_real_roots,
     sign_at_root,
@@ -120,8 +117,8 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
     (A z + B) z + c reduces to (u A + B) z + (c - v A), and after j
     steps delta^j (A, B) are integer lists.
     """
-    V, delta = _cleared(v.coeffs)
-    cs, den = _cleared(q.coeffs)
+    V, delta = v.cleared
+    cs, den = q.cleared
     A, B, dp = [], cs[-1:], 1
     for c in reversed(cs[:-1]):
         dp *= delta
@@ -150,16 +147,25 @@ class _Eliminator:
         self.x_of_u = B_x               # crossing x
         self.y_of_u = B_q               # crossing height
         # third branch: r = sum_roots - u, heights via composition
-        self.r_of_u = Polynomial([self.sum_roots, -1])
-        self.y_third = curve.y.compose(self.r_of_u)
+        self.y_third = curve.y.compose(Polynomial([self.sum_roots, -1]))
         # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
         self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
-        # both cleared once, for the integer enclosures of the clash loop
-        self.x_ints = _cleared(self.x_of_u.coeffs)
-        self.disc_ints = _cleared(self.disc.coeffs)
 
 
-_MAX_REFINE = 64  # rounds of interval halving to separate crossings
+_MAX_CLASH_ROUNDS = 64  # rounds of interval halving to separate crossings
+_SQRT_BITS = 32  # square roots are bounded to 2^-32 of the radicand's reduced denominator
+
+
+def _sqrt_bounds(n: int, den: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^32 den sqrt(n / den) <= hi, for n >= 0, den > 0.
+
+    The floor of the square root is taken on the reduced radicand
+    n' / den', as isqrt(n' den' 2^64) over den' 2^32, and then written
+    over den 2^32; hi - lo is den / den'.
+    """
+    g = gcd(n, den)
+    r = isqrt((n // g) * (den // g) << 2 * _SQRT_BITS)
+    return r * g, (r + 1) * g
 
 
 def curve_crossings(curve: PlaneCurve) -> CrossingSet:
@@ -205,7 +211,7 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
 
     # refine until x-intervals and parameter intervals are pairwise disjoint
     enc = [_enclosures(el, r) for r in kept]
-    for _ in range(_MAX_REFINE):
+    for _ in range(_MAX_CLASH_ROUNDS):
         xs, params = _rescaled(el, enc)
         clash = _overlapping(xs) | {k // 2 for k in _overlapping(params)}
         if not clash:
@@ -246,16 +252,15 @@ def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int],
     integer enclosure of its x over den_x d^deg(x) and those of its
     parameters t < s over den_D d^2 2^33, from u and the pair
     discriminant, a quadratic cleared as disc = D / den_D."""
-    a, b, d = _common(r.lo, r.hi)
-    cx, _ = el.x_ints
-    ds, den = el.disc_ints
+    a, b, d = r.a, r.b, r.d
+    ds, den = el.disc.cleared
     scale = den * d * d
     dlo, dhi = _enclose(ds, a, b, d)
     slo = _sqrt_bounds(max(dlo, 0), scale)[0]
     shi = _sqrt_bounds(dhi, scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
-    return d, _enclose(cx, a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
+    return d, _enclose(el.x_of_u.cleared[0], a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
 
 
 def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -264,7 +269,7 @@ def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[i
     its d to the lcm of all the d, so comparing them compares the
     rationals exactly."""
     common = lcm(*[e[0] for e in enc])
-    nx = len(el.x_ints[0]) - 1
+    nx = el.x_of_u.degree
     xs, params = [], []
     for d, x, t, s in enc:
         f = common // d
@@ -278,9 +283,8 @@ def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[i
 def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], ...]:
     """The rational x-, t- and s-intervals of one crossing's enclosures."""
     d, x, t, s = e
-    cx, den_x = el.x_ints
-    den_x *= d ** (len(cx) - 1)
-    den_p = (el.disc_ints[1] * d * d) << (_SQRT_BITS + 1)
+    den_x = el.x_of_u.cleared[1] * d**el.x_of_u.degree
+    den_p = (el.disc.cleared[1] * d * d) << (_SQRT_BITS + 1)
     return (
         (Fraction(x[0], den_x), Fraction(x[1], den_x)),
         (Fraction(t[0], den_p), Fraction(t[1], den_p)),
@@ -306,10 +310,9 @@ def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
     At each critical value of the cubic two strands merge; the side is
     decided by comparing their height with the third strand's, exactly.
     """
-    sum_roots = -curve.x.coeffs[2] / curve.x.coeffs[3]
     # fold height minus third-strand height, as a polynomial in the
     # critical parameter (the third root of x(z) = x(c) is s - 2c)
-    h = curve.y - curve.y.compose(Polynomial([sum_roots, -2]))
+    h = curve.y - curve.y.compose(Polynomial([curve._eliminator.sum_roots, -2]))
     sides = []
     for c in curve._critical_points:
         sg = sign_at_root(h, c)

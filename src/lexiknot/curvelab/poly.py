@@ -1,26 +1,26 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
 A `Polynomial` holds `fractions.Fraction` coefficients for construction
-and algebra.  Values, products, composition, root isolation and signs
-run on integers: a polynomial is carried there as its cleared integer
-coefficients (for isolation and signs primitive: denominators cleared,
-content removed, the multiplier positive, so every sign is kept), and
-its value at a/d, d > 0, is read by homogeneous Horner as
-sum c_i a^i d^(n-i), which has the sign of p(a/d); `compose` runs the
-same Horner with the inner polynomial's cleared form.  Roots are
-isolated by bisection below a Cauchy bound rounded up to a power of two,
-so every isolating endpoint is dyadic, against a primitive
-pseudo-remainder Sturm chain.  A sign at an isolated root is certified
-by a coprimality test modulo a prime, then by halving the integer
-interval (a, b, d) until an integer interval enclosure excludes 0;
-floating point decides nothing.
+and algebra, and computes two integer forms once: `cleared`, integers cs
+and den with coeffs = cs/den, and `primitive`, cs over its positive
+content, so every sign is kept.  Values, products, composition, root
+isolation and signs run on those: the value at a/d, d > 0, is read by
+homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of p(a/d).
+Roots are isolated by bisection below a Cauchy bound rounded up to a
+power of two, against a primitive pseudo-remainder Sturm chain, into
+`RootInterval`s: integers (a, b, d), d a power of two, and the sign at
+a/d, so a halving takes one integer evaluation.  A sign at an isolated
+root is certified by a coprimality test modulo the prime 2^61 - 1, with
+a rational gcd only when it fails, and then by halving (a, b, d) until
+an integer interval enclosure excludes 0; floating point decides nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -82,11 +82,24 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    # -- integer forms, computed once per polynomial -------------------
+
+    @cached_property
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """Integers cs and a denominator den > 0 with coeffs = cs / den."""
+        den = lcm(*[c.denominator for c in self.coeffs])
+        return tuple([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+
+    @cached_property
+    def primitive(self) -> tuple[int, ...]:
+        """The cleared integers over their positive content; () for zero."""
+        return _primitive(self.cleared[0])
+
     def __call__(self, x: Rat) -> Fraction:
         if not self.coeffs:
             return Fraction(0)
         x = _frac(x)
-        cs, den = _cleared(self.coeffs)
+        cs, den = self.cleared
         d = x.denominator
         return Fraction(_value(cs, x.numerator, d), den * d**self.degree)
 
@@ -108,7 +121,7 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        (a, da), (b, db) = _cleared(self.coeffs), _cleared(other.coeffs)
+        (a, da), (b, db) = self.cleared, other.cleared
         return Polynomial([Fraction(c, da * db) for c in _product(a, b)])
 
     def scale(self, c: Rat) -> "Polynomial":
@@ -126,8 +139,8 @@ class Polynomial:
         degree n and inner = g/e, den e^n p(inner) = sum c_i g^i e^(n-i)."""
         if self.is_zero():
             return Polynomial.zero()
-        cs, den = _cleared(self.coeffs)
-        g, e = _cleared(inner.coeffs)
+        cs, den = self.cleared
+        g, e = inner.cleared
         acc, ep = [cs[-1]], 1
         for c in reversed(cs[:-1]):
             ep *= e
@@ -138,14 +151,14 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (a, da), (b, db) = _cleared(self.coeffs), _cleared(other.coeffs)
+        (a, da), (b, db) = self.cleared, other.cleared
         m, q, r = _pseudo_divide(a, b)
         # m a = q b + r with self = a / da and other = b / db
         return Polynomial([Fraction(c * db, m * da) for c in q]), Polynomial([Fraction(c, m * da) for c in r])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, the last element of the primitive remainder sequence."""
-        a, b = _primitive(_cleared(self.coeffs)[0]), _primitive(_cleared(other.coeffs)[0])
+        a, b = self.primitive, other.primitive
         while b:
             a, b = b, _primitive(_pseudo_divide(a, b)[2])
         return Polynomial([Fraction(c, a[-1]) for c in a])
@@ -165,12 +178,6 @@ def chebyshev(n: int) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # Integer coefficients and homogeneous Horner
-
-
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers cs and a denominator den > 0 with coeffs = cs / den."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
@@ -221,29 +228,8 @@ def _enclose(cs: Sequence[int], a: int, b: int, d: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(a, b, d) with lo = a/d and hi = b/d."""
-    d = lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-_SQRT_BITS = 32  # square roots are bounded to 2^-32 of the radicand's reduced denominator
-
-
-def _sqrt_bounds(n: int, den: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2^32 den sqrt(n / den) <= hi, for n >= 0, den > 0.
-
-    The floor of the square root is taken on the reduced radicand
-    n' / den', as isqrt(n' den' 2^64) over den' 2^32, and then written
-    over den 2^32; hi - lo is den / den'.
-    """
-    g = gcd(n, den)
-    r = isqrt((n // g) * (den // g) << 2 * _SQRT_BITS)
-    return r * g, (r + 1) * g
 
 
 def _pseudo_divide(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
@@ -281,7 +267,7 @@ def sturm_sequence(p: Polynomial) -> list[tuple[int, ...]]:
     of p the sign variations count distinct roots even when p has
     repeated ones.
     """
-    seq = [_primitive(_cleared(p.coeffs)[0])]
+    seq = [p.primitive]
     if p.degree >= 1:
         seq.append(_primitive([k * seq[0][k] for k in range(1, len(seq[0]))]))
     while len(seq[-1]) > 1:
@@ -313,31 +299,42 @@ def count_roots(p: Polynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Open isolating interval (lo, hi) of a simple real root of poly;
-    ``ints`` are poly's primitive integer coefficients."""
+    """Open isolating interval (a/d, b/d) of a simple real root of the
+    squarefree poly: a < b, d a power of two, and sa the sign of poly at
+    a/d, which is no root of it."""
 
     poly: Polynomial
-    lo: Fraction
-    hi: Fraction
-    ints: tuple[int, ...] = field(compare=False, repr=False)
+    a: int
+    b: int
+    d: int
+    sa: int
 
-    def refine(self) -> "RootInterval":
-        """Halve the interval, keeping the root strictly inside."""
-        cs = self.ints
-        a, b, d = _common(self.lo, self.hi)
-        mid = Fraction(a + b, 2 * d)
-        s_mid = _sign(_value(cs, a + b, 2 * d))
-        if s_mid == 0:
-            # land exactly on the root: shrink symmetrically around it
-            w = (self.hi - self.lo) / 8
-            return RootInterval(self.poly, mid - w, mid + w, cs)
-        if _sign(_value(cs, a, d)) * s_mid < 0:
-            return RootInterval(self.poly, self.lo, mid, cs)
-        return RootInterval(self.poly, mid, self.hi, cs)
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.a + self.b, 2 * self.d)
+
+    def refine(self) -> "RootInterval":
+        """Halve the interval, keeping the root strictly inside; poly keeps
+        the sign sa left of its only root, so sa stays."""
+        a, b, m, d = 2 * self.a, 2 * self.b, self.a + self.b, 2 * self.d
+        sm = _sign(_value(self.poly.primitive, m, d))
+        if sm == 0:
+            # land exactly on the root: shrink symmetrically around it to a
+            # quarter of the width
+            a, b, d = 4 * m - (b - a) // 2, 4 * m + (b - a) // 2, 4 * d
+        elif self.sa * sm < 0:
+            b = m
+        else:
+            a = m
+        return RootInterval(self.poly, a, b, d, self.sa)
 
 
 def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
@@ -367,7 +364,7 @@ def _squarefree_isolation(p: Polynomial) -> tuple[Polynomial, list[RootInterval]
     while work:
         a, va, b, vb, d = work.pop()
         if va - vb == 1:
-            out.append(RootInterval(poly, Fraction(a, d), Fraction(b, d), sf))
+            out.append(RootInterval(poly, a, b, d, _sign(_value(sf, a, d))))
         elif va - vb > 1:
             a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
             while _value(sf, m, d) == 0:
@@ -416,20 +413,19 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     at a root of W.  Only when that certificate fails is g = gcd(h, W)
     computed over Q: g divides the squarefree W, so it vanishes at the
     root iff it changes sign across the isolating interval.  Otherwise
-    the interval (a/d, b/d) is halved on integers, carrying W's sign at
-    a, until the integer interval enclosure of h over it excludes 0; a
-    midpoint where W vanishes is the root itself, and h's value there
-    is its sign.
+    root's (a/d, b/d) is halved on integers, W keeping the sign sa left
+    of the root, until the integer interval enclosure of h over it
+    excludes 0; a midpoint where W vanishes is the root itself, and h's
+    value there is its sign.
     """
     if h.is_zero():
         return 0
-    cs, w = _primitive(_cleared(h.coeffs)[0]), root.ints
+    cs, w = h.primitive, root.poly.primitive
+    a, b, d, sa = root.a, root.b, root.d, root.sa
     if not _coprime_mod_prime(cs, w):
-        g = h.gcd(root.poly)
-        if g.degree >= 1 and _sign(g(root.lo)) != _sign(g(root.hi)):
+        g = h.gcd(root.poly).primitive
+        if len(g) > 1 and _sign(_value(g, a, d)) != _sign(_value(g, b, d)):
             return 0
-    a, b, d = _common(root.lo, root.hi)
-    sa = _sign(_value(w, a, d))
     for _ in range(_MAX_REFINE):
         lo, hi = _enclose(cs, a, b, d)
         if lo > 0 or hi < 0:
@@ -441,5 +437,5 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
         if sa * sm < 0:
             a, b = 2 * a, m
         else:
-            a, b, sa = m, 2 * b, sm
+            a, b = m, 2 * b
     raise RuntimeError("sign refinement did not converge")

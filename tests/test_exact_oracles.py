@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lexiknot.curvelab.curves import PlaneCurve, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
-from lexiknot.curvelab.poly import Polynomial, RootInterval, _cleared, _enclose, isolate_real_roots, sign_at_root
+from lexiknot.curvelab.poly import Polynomial, RootInterval, _enclose, _value, isolate_real_roots, sign_at_root
 
 sympy = pytest.importorskip("sympy")
 t, s = sympy.symbols("t s")
@@ -67,22 +67,41 @@ def _same(p: Polynomial, expected) -> bool:
     return sympy.expand(_sympy_poly(p).as_expr() - expected.as_expr()) == 0
 
 
-def _dyadic(x) -> bool:
-    return x.denominator & (x.denominator - 1) == 0
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _assert_isolating(r: RootInterval) -> None:
+    """(a/d, b/d) with a < b, d a power of two, and sa the sign of W at a/d."""
+    assert r.d > 0 and r.d & (r.d - 1) == 0
+    assert r.a < r.b
+    assert r.sa == _sign(_value(r.poly.primitive, r.a, r.d)) != 0
+    assert (r.lo, r.hi, r.mid) == (Fraction(r.a, r.d), Fraction(r.b, r.d), Fraction(r.a + r.b, 2 * r.d))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small, min_size=2, max_size=8), st.integers(0, 5))
+@example([-1, 4], 5)  # W = 4u - 1: the fourth halving lands on the root 1/4
 def test_isolating_endpoints_are_dyadic_and_enclose_the_roots(coeffs, halvings):
+    # every interval keeps its invariants and its root under any number
+    # of halvings
     W = Polynomial(coeffs)
     assume(W.degree >= 1)
     roots, expected = isolate_real_roots(W), _real_roots(W)
     assert len(roots) == len(expected)
     for r, rho in zip(roots, expected):
         for _ in range(halvings + 1):
-            assert _dyadic(r.lo) and _dyadic(r.hi)
+            _assert_isolating(r)
             assert r.lo < rho < r.hi
             r = r.refine()
+
+
+def test_refine_shrinks_around_a_root_hit_exactly_by_the_midpoint():
+    # W = 4u - 1 on (0, 1/2): the midpoint 1/4 is the root, and the
+    # interval shrinks symmetrically around it to (3/16, 5/16)
+    r = RootInterval(Polynomial([-1, 4]), 0, 1, 2, -1).refine()
+    assert (r.a, r.b, r.d, r.sa) == (3, 5, 16, -1)
+    _assert_isolating(r)
 
 
 def _forbidden_gcd(a, b):
@@ -175,7 +194,14 @@ def test_interval_enclosure_is_interval_horner(coeffs, lo_num, width, k):
     for c in reversed(p.coeffs):
         cands = (elo * lo, elo * hi, ehi * lo, ehi * hi)
         elo, ehi = min(cands) + c, max(cands) + c
-    cs, den = _cleared(p.coeffs)
+    # the cached integer forms are p's coefficients and their primitive
+    # part, and reading them changes neither equality nor hash
+    fresh = Polynomial(p.coeffs)
+    cs, den = p.cleared
+    assert tuple(Fraction(c, den) for c in cs) == p.coeffs and den > 0
+    content = abs(sympy.gcd_list(list(cs)))
+    assert p.primitive == tuple(c // content for c in cs) and abs(sympy.gcd_list(list(p.primitive))) == 1
+    assert p == fresh and hash(p) == hash(fresh) and {p: 1}[fresh] == 1
     ilo, ihi = _enclose(cs, lo_num, lo_num + width, d)
     scale = den * d**p.degree
     assert (Fraction(ilo, scale), Fraction(ihi, scale)) == (elo, ehi)
@@ -229,7 +255,7 @@ def test_sign_at_a_root_hit_exactly_by_a_midpoint(h, sign):
     # W = 4u - 1 on (0, 1/2): the first midpoint 1/4 is the root itself,
     # and h = +-(8u - 1) has an enclosure over (0, 1/2) that meets 0
     W = Polynomial([-1, 4])
-    root = RootInterval(W, Fraction(0), Fraction(1, 2), (-1, 4))
-    lo, hi = _enclose(_cleared(h.coeffs)[0], 0, 1, 2)
+    root = RootInterval(W, 0, 1, 2, -1)
+    lo, hi = _enclose(h.cleared[0], 0, 1, 2)
     assert lo < 0 < hi
     assert sign_at_root(h, root) == _sympy_sign(h, sympy.Rational(1, 4)) == sign

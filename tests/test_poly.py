@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from lexiknot.curvelab.curves import _sqrt_bounds
 from lexiknot.curvelab.poly import (
     Polynomial,
-    _sqrt_bounds,
     chebyshev,
     count_roots,
     isolate_real_roots,
