@@ -61,10 +61,6 @@ class SchubertFraction:
         return f"{self.alpha}/{self.beta}"
 
     @property
-    def is_knot(self) -> bool:
-        return self.alpha % 2 == 1
-
-    @property
     def is_link(self) -> bool:
         return self.alpha % 2 == 0
 
@@ -171,10 +167,6 @@ class KnotRecord:
     lex_b: int
     lex_c_lo: int
     lex_c_hi: int
-
-    @property
-    def lex_exact(self) -> bool:
-        return self.lex_c_lo == self.lex_c_hi
 
 
 class Catalog:

@@ -148,7 +148,10 @@ def cmd_table(args: argparse.Namespace) -> int:
                 print(r.traceback, end="", file=sys.stderr)
         return 2
     if args.diff:
-        diff = diff_expected(rows, args.diff)
+        try:
+            diff = diff_expected(rows, args.diff)
+        except ValueError as exc:  # the file is no knots.csv table
+            return _usage_error("table", f"argument --diff: {exc}")
         if not diff.ok:
             for m in diff.mismatches:
                 print(f"mismatch: {m}", file=sys.stderr)

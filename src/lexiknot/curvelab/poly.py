@@ -11,7 +11,8 @@ power of two, against a primitive pseudo-remainder Sturm chain, into
 `RootInterval`s: integers (a, b, d), d a power of two, and the sign at
 a/d, so a halving takes one integer evaluation.  A sign at an isolated
 root is certified by a coprimality test modulo the prime 2^61 - 1, with
-a rational gcd only when it fails, and then by halving (a, b, d) until
+a rational gcd only when it fails, and then by halving the interval
+with `RootInterval.refine`, the one bisection step of the module, until
 an integer interval enclosure excludes 0; floating point decides nothing.
 """
 
@@ -148,14 +149,6 @@ class Polynomial:
             acc[0] += c * ep
         return Polynomial([Fraction(c, den * ep) for c in acc])
 
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        (a, da), (b, db) = self.cleared, other.cleared
-        m, q, r = _pseudo_divide(a, b)
-        # m a = q b + r with self = a / da and other = b / db
-        return Polynomial([Fraction(c * db, m * da) for c in q]), Polynomial([Fraction(c, m * da) for c in r])
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, the last element of the primitive remainder sequence."""
         a, b = self.primitive, other.primitive
@@ -289,14 +282,6 @@ def _variations(seq: Sequence[Sequence[int]], a: int, d: int) -> int:
     return v
 
 
-def count_roots(p: Polynomial, lo: Fraction, hi: Fraction, seq=None) -> int:
-    """Distinct real roots in (lo, hi]; neither end may be a multiple root of p."""
-    if seq is None:
-        seq = sturm_sequence(p)
-    lo, hi = _frac(lo), _frac(hi)
-    return _variations(seq, lo.numerator, lo.denominator) - _variations(seq, hi.numerator, hi.denominator)
-
-
 @dataclass(frozen=True)
 class RootInterval:
     """Open isolating interval (a/d, b/d) of a simple real root of the
@@ -412,30 +397,20 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     W = root.poly stay coprime modulo the prime 2^61 - 1, h cannot vanish
     at a root of W.  Only when that certificate fails is g = gcd(h, W)
     computed over Q: g divides the squarefree W, so it vanishes at the
-    root iff it changes sign across the isolating interval.  Otherwise
-    root's (a/d, b/d) is halved on integers, W keeping the sign sa left
-    of the root, until the integer interval enclosure of h over it
-    excludes 0; a midpoint where W vanishes is the root itself, and h's
-    value there is its sign.
+    root iff it changes sign across the isolating interval.  Otherwise h
+    is nonzero at the root, and ``root.refine`` halves the interval
+    until the integer interval enclosure of h over it excludes 0.
     """
     if h.is_zero():
         return 0
-    cs, w = h.primitive, root.poly.primitive
-    a, b, d, sa = root.a, root.b, root.d, root.sa
-    if not _coprime_mod_prime(cs, w):
+    cs = h.primitive
+    if not _coprime_mod_prime(cs, root.poly.primitive):
         g = h.gcd(root.poly).primitive
-        if len(g) > 1 and _sign(_value(g, a, d)) != _sign(_value(g, b, d)):
+        if len(g) > 1 and _sign(_value(g, root.a, root.d)) != _sign(_value(g, root.b, root.d)):
             return 0
     for _ in range(_MAX_REFINE):
-        lo, hi = _enclose(cs, a, b, d)
+        lo, hi = _enclose(cs, root.a, root.b, root.d)
         if lo > 0 or hi < 0:
             return _sign(lo)
-        m, d = a + b, 2 * d
-        sm = _sign(_value(w, m, d))
-        if sm == 0:
-            return _sign(_value(cs, m, d))
-        if sa * sm < 0:
-            a, b = 2 * a, m
-        else:
-            a, b = m, 2 * b
+        root = root.refine()
     raise RuntimeError("sign refinement did not converge")

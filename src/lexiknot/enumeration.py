@@ -26,7 +26,7 @@ from math import ceil, gcd
 from typing import Iterator, Optional
 
 from .arith import KnotRecord, SchubertFraction, fraction_equivalent
-from .diagram import TrigonalDiagram, crossing_number, is_simple_candidate
+from .diagram import TrigonalDiagram, crossing_number
 
 
 class SearchExhausted(RuntimeError):
@@ -69,12 +69,8 @@ def default_cap(n: int) -> int:
     return max(n, ceil(3 * n / 2) - 2)
 
 
-def chebyshev_degree(k: KnotRecord, cap: Optional[int] = None) -> DegreeTriple:
-    """Upper bound (3, b, 3N - b) from the Chebyshev diagram C(3, b)."""
-    return _chebyshev_triple(k, m_C(k, cap))
-
-
-def _chebyshev_triple(k: KnotRecord, m: int) -> DegreeTriple:
+def chebyshev_degree(k: KnotRecord, m: int) -> DegreeTriple:
+    """Upper bound (3, b, 3N - b) from the Chebyshev diagram C(3, b), given m = m_C(k)."""
     b = m + 1
     while gcd(3, b) != 1:
         b += 1
@@ -97,6 +93,15 @@ def _passes_simple_filter(entries: tuple[int, ...]) -> bool:
         ):
             return False
     return True
+
+
+def _slide_normal(entries: tuple[int, ...]) -> bool:
+    """The bare slide-normal shape: every |m_i| = 1 with i >= 2 has m_{i-1} m_i > 0.
+
+    An islet's |m_i| = 1 has an opposite-signed left neighbor, so no
+    islet passes, and class sequences have no zero entries to reject.
+    """
+    return all(abs(m) != 1 or prev * m > 0 for prev, m in zip(entries, entries[1:]))
 
 
 def _class_sequences(f: SchubertFraction, budget: int) -> Iterator[tuple[int, ...]]:
@@ -157,15 +162,12 @@ def enumerate_simple_diagrams(
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
     if budget > 16:
         raise ValueError("budgets beyond 16 crossings are out of range")
-    found: set[tuple[int, ...]] = set()
-    for entries in _class_sequences(k.fraction, budget):
-        # both filters reject islets
-        if strict:
-            if not is_simple_candidate(TrigonalDiagram(entries), strict=True):
-                continue
-        elif not _passes_simple_filter(entries):
-            continue
-        found.add(canonical_diagram(TrigonalDiagram(entries)).entries)
+    keep = _slide_normal if strict else _passes_simple_filter
+    found = {
+        canonical_diagram(TrigonalDiagram(e)).entries
+        for e in _class_sequences(k.fraction, budget)
+        if keep(e)
+    }
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
@@ -174,12 +176,8 @@ def enumerate_simple_diagrams(
 _BUDGET_FLOOR = {(29, 8): 10}
 
 
-def table_budget(k: KnotRecord) -> int:
-    """Crossing budget that reproduces the published simple-diagram sets."""
-    return _table_budget(k, m_C(k))
-
-
-def _table_budget(k: KnotRecord, m: int) -> int:
+def table_budget(k: KnotRecord, m: int) -> int:
+    """Crossing budget that reproduces the published simple-diagram sets, given m = m_C(k)."""
     key = (k.fraction.alpha, k.fraction.beta)
     return max(m, _BUDGET_FLOOR.get(key, 0))
 

@@ -44,10 +44,10 @@ from .diagram import TrigonalDiagram
 from .enumeration import (
     DegreeTriple,
     SearchExhausted,
-    _chebyshev_triple,
-    _table_budget,
+    chebyshev_degree,
     enumerate_simple_diagrams,
     m_C,
+    table_budget,
 )
 
 Runs = tuple[int, ...]
@@ -594,8 +594,8 @@ def degree_verdict(k: KnotRecord) -> DegreeReport:
     """
     n = k.crossing_number
     m = m_C(k)
-    cheb = _chebyshev_triple(k, m)
-    budget = _table_budget(k, m)
+    cheb = chebyshev_degree(k, m)
+    budget = table_budget(k, m)
     diagrams = enumerate_simple_diagrams(k, budget=budget)
     if not diagrams:
         raise SearchExhausted(f"no simple diagram of {k.name} within {budget} crossings")

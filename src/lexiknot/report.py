@@ -162,10 +162,15 @@ class Diff:
 
 
 def diff_expected(rows: Sequence[TableRow], expected_path: str) -> Diff:
-    """Per-row, per-column comparison against a knots.csv-format file."""
+    """Per-row, per-column comparison against a knots.csv-format file.
+
+    A file that cannot be read as CSV raises ValueError naming it; so
+    does a compared row that lacks a column or holds a non-integer cell
+    there, naming the file, the row and the column.
+    """
     with open(expected_path, newline="") as fh:
         try:
-            expected = {row["name"]: row for row in csv.DictReader(fh)}
+            expected = {row.get("name"): row for row in csv.DictReader(fh)}
         except csv.Error as exc:
             raise ValueError(f"cannot parse {expected_path}: {exc}") from exc
     diff = Diff()
@@ -188,6 +193,12 @@ def diff_expected(rows: Sequence[TableRow], expected_path: str) -> Diff:
             "lex_c_hi": r.c_hi,
         }
         for col, val in got.items():
-            if int(exp[col]) != val:
-                diff.mismatches.append(f"{r.name}.{col}: computed {val}, expected {exp[col]}")
+            cell = exp.get(col)
+            try:
+                want = int(cell)
+            except (TypeError, ValueError):
+                problem = "missing" if cell is None else f"not an integer: {cell!r}"
+                raise ValueError(f"{expected_path}: row {r.name}, column {col}: {problem}") from None
+            if want != val:
+                diff.mismatches.append(f"{r.name}.{col}: computed {val}, expected {cell}")
     return diff

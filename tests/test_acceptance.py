@@ -26,7 +26,7 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.diagram import TrigonalDiagram, gauss_sign_changes
-from lexiknot.enumeration import canonical_diagram, chebyshev_degree, enumerate_simple_diagrams, table_budget
+from lexiknot.enumeration import canonical_diagram, chebyshev_degree, enumerate_simple_diagrams, m_C, table_budget
 from lexiknot.planereduce import (
     PlaneWord,
     b_lower_bound,
@@ -117,7 +117,7 @@ def test_criterion_1_chebyshev_degrees():
     t0 = time.monotonic()
     ok = True
     for rec in CAT:
-        t = chebyshev_degree(rec)
+        t = chebyshev_degree(rec, m_C(rec))
         ok = ok and (t.a, t.b, t.c) == (3, rec.degC_b, rec.degC_c)
     elapsed = time.monotonic() - t0
     _report(f"criterion 1: deg_C column for all 26 knots in {elapsed:.1f}s (< 10s)", ok and elapsed < 10)
@@ -127,7 +127,7 @@ def test_criterion_2_simple_diagram_enumeration():
     t0 = time.monotonic()
     ok = True
     for rec in CAT:
-        got = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec))}
+        got = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec, m_C(rec)))}
         expected = {
             canonical_diagram(TrigonalDiagram.parse(t)).entries for t in TABLE_DIAGRAMS[rec.name]
         }

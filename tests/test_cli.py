@@ -89,6 +89,24 @@ def test_table_diff_mismatch_exit(capsys, tmp_path):
     assert main(["table", "--knots", "3_1", "--format", "csv", "--diff", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("name,alpha,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3_1,3,3,4,5,4,5,5\n", "column beta: missing"),
+        (
+            "name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3_1,3,1,3,4,5,four,5,5\n",
+            "column lex_b: not an integer: 'four'",
+        ),
+    ],
+)
+def test_table_malformed_diff_file_is_a_usage_error(text, problem, tmp_path, capsys):
+    path = tmp_path / "knots.csv"
+    path.write_text(text)
+    assert main(["table", "--knots", "3_1", "--format", "csv", "--diff", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"lexiknot table: error: argument --diff: {path}: row 3_1, {problem}\n"
+
+
 def test_unknown_fraction_errors():
     with pytest.raises(SystemExit):
         main(["mc", "--fraction", "4/1"])

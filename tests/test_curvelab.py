@@ -315,9 +315,9 @@ class TestEmbedding:
         assert calls == []
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
-    def test_alternating_signs_on_t3_t14_bisect_without_root_intervals(self, monkeypatch):
-        # sign_at_root halves (a, b, d) on integers, carrying W's sign at a,
-        # and builds no RootInterval per halving
+    def test_alternating_signs_on_t3_t14_bisect_through_refine(self, monkeypatch):
+        # sign_at_root has no halving of its own: every bisection of a
+        # crossing's isolating interval is a RootInterval.refine
         from lexiknot.curvelab.poly import RootInterval
 
         c = PlaneCurve(T3, chebyshev(14))
@@ -326,7 +326,7 @@ class TestEmbedding:
         refine, calls = RootInterval.refine, []
         monkeypatch.setattr(RootInterval, "refine", lambda r: calls.append(r) or refine(r))
         signs = crossing_signs(c, z, cs)
-        assert calls == []
+        assert calls and {r.poly for r in calls} == {cs.crossings[0].u.poly}
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
     def test_one_eliminator_per_embedding(self, monkeypatch):

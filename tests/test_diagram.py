@@ -1,32 +1,25 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiknot.arith import SchubertFraction, cf_eval, fraction_equivalent
+from lexiknot.arith import cf_eval, cf_expand_positive, fraction_equivalent
 from lexiknot.diagram import (
     IsletError,
     TrigonalDiagram,
-    complexity,
-    conway_normal_form,
     crossing_number,
     gauss_sign_changes,
     identify_knot,
-    is_simple_candidate,
     islets,
-    lagrange_step,
 )
+from lexiknot.enumeration import _class_sequences, _slide_normal
 
 D = TrigonalDiagram
 
 
 class TestStatistics:
-    def test_complexity(self):
-        assert complexity(D([2, 3])) == 7
-        assert complexity(D([3, 0, -1, -2])) == 10
-        assert complexity(D([0])) == 1
-
     def test_islets(self):
         assert islets(D([2, -1, 3])) == [2]
         assert islets(D([2, 1, 3])) == []
@@ -59,21 +52,23 @@ class TestStatistics:
             assert gauss_sign_changes(d) == 2 * n - 1
 
 
-class TestLagrange:
-    def test_example_merge(self):
-        out = lagrange_step(D([2, -3]), pos=1, eps=1)
-        assert out.entries == (1, 1, 2)
-        assert fraction_equivalent(cf_eval([2, -3]), cf_eval(out.entries))
+def lagrange(entries, pos, eps):
+    """One Lagrange isotopy D(x, m, -n, -y) -> D(x, m-eps, eps, n-eps, y),
+    pos the 1-based index of m: a second way to write a fraction."""
+    m, n, y = entries[pos - 1], -entries[pos], tuple(-v for v in entries[pos + 1 :])
+    return entries[: pos - 1] + (m - eps, eps, n - eps) + y
 
-    def test_formula_shape(self):
-        out = lagrange_step(D([4, 2, -3, -1, -5]), pos=2, eps=1)
-        assert out.entries == (4, 1, 1, 2, 1, 5)
+
+class TestLagrange:
+    # continued fractions related by a Lagrange isotopy have one value:
+    # an identity of cf_eval on signed entries, with the move written above
+    def test_example_merge(self):
+        assert lagrange((2, -3), 1, 1) == (1, 1, 2)
+        assert fraction_equivalent(cf_eval([2, -3]), cf_eval([1, 1, 2]))
 
     def test_fraction_preserved_exactly(self):
         # the move keeps the continued fraction value, not just the class
-        out = lagrange_step(D([1, -1]), pos=1, eps=-1)
-        assert out.entries == (2, -1, 2)
-        assert cf_eval([1, -1]) == cf_eval(out.entries)
+        assert cf_eval([1, -1]) == cf_eval([2, -1, 2])
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -82,32 +77,22 @@ class TestLagrange:
         st.sampled_from([1, -1]),
     )
     def test_preserves_cf_value(self, entries, pos, eps):
-        if pos > len(entries) - 1:
-            pos = len(entries) - 1
-        d = D(entries)
-        out = lagrange_step(d, pos, eps)
-        assert cf_eval(d.entries) == cf_eval(out.entries)
-
-    def test_position_validation(self):
-        with pytest.raises(ValueError):
-            lagrange_step(D([2]), pos=1, eps=1)
+        pos = min(pos, len(entries) - 1)
+        assert cf_eval(entries) == cf_eval(lagrange(tuple(entries), pos, eps))
 
 
 class TestNormalForm:
+    # the all-positive expansion of a diagram's fraction: the normal form
+    # whose entry sum is the crossing number of an off-catalog knot
     def test_6_2(self):
-        nf, mirrored = conway_normal_form(D([3, -4]))
-        assert nf.entries == (2, 1, 3)
-        assert not mirrored
+        assert cf_expand_positive(D([3, -4]).fraction()) == (2, 1, 3)
 
     def test_already_normal(self):
-        nf, mirrored = conway_normal_form(D([2, 2]))
-        assert nf.entries == (2, 2)
-        assert not mirrored
+        assert cf_expand_positive(D([2, 2]).fraction()) == (2, 2)
 
     def test_zero_entries(self):
-        nf, _ = conway_normal_form(D([0, -1, -3]))
-        f = cf_eval([0, -1, -3])
-        assert fraction_equivalent(cf_eval(nf.entries), f)
+        f = D([0, -1, -3]).fraction()
+        assert fraction_equivalent(cf_eval(cf_expand_positive(f)), f)
 
     def test_output_is_positive_and_islet_free(self):
         rng = random.Random(3)
@@ -117,27 +102,42 @@ class TestNormalForm:
             f = cf_eval(entries)
             if f.alpha < 2:
                 continue
-            nf, _ = conway_normal_form(D(entries))
+            nf = D(cf_expand_positive(f))
             assert all(m > 0 for m in nf.entries)
             assert islets(nf) == []
-            assert fraction_equivalent(f, cf_eval(nf.entries), include_mirror=True)
+            assert fraction_equivalent(f, nf.fraction(), include_mirror=True)
             count += 1
 
 
+def slide_normal_by_definition(entries):
+    """No islet, and every |m_i| = 1 with i >= 2 has m_{i-1} m_i > 0."""
+    return not islets(D(entries)) and all(
+        abs(entries[i]) != 1 or entries[i - 1] * entries[i] > 0 for i in range(1, len(entries))
+    )
+
+
 class TestSimpleCandidate:
+    # enumerate --strict keeps the class sequences that are slide-normal
     def test_examples(self):
-        assert is_simple_candidate(D([2, 1, 3]))
-        assert is_simple_candidate(D([2, 1, 3]), strict=True)
-        assert not is_simple_candidate(D([2, -1, 3]))
-        assert is_simple_candidate(D([1, 2]))
-        assert is_simple_candidate(D([1, 2]), strict=True)
+        for entries, expected in (((2, 1, 3), True), ((2, -1, 3), False), ((1, 2), True), ((-1, 2), True)):
+            assert _slide_normal(entries) == slide_normal_by_definition(entries) == expected
 
     def test_strict_rejects_opposite_one(self):
-        assert is_simple_candidate(D([3, 2, -1, -2]))
-        assert not is_simple_candidate(D([3, 2, -1, -2]), strict=True)
+        # no islet, yet the -1 follows a positive entry
+        assert islets(D([3, 2, -1, -2])) == []
+        assert not _slide_normal((3, 2, -1, -2))
+        assert not slide_normal_by_definition((3, 2, -1, -2))
 
     def test_zero_entries_rejected(self):
-        assert not is_simple_candidate(D([2, 0, 3]))
+        # the predicate needs no zero test: no class sequence has a zero entry
+        for f in (cf_eval([2, 1, 3]), cf_eval([2, 2]), cf_eval([3, 1, 2, -3])):
+            assert all(0 not in e for e in _class_sequences(f, 9))
+
+    def test_matches_its_definition(self):
+        values = (1, -1, 2, -2, 3, -3)
+        for k in range(1, 6):
+            for entries in itertools.product(values, repeat=k):
+                assert _slide_normal(entries) == slide_normal_by_definition(entries), entries
 
 
 class TestIdentify:

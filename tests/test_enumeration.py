@@ -93,13 +93,13 @@ class TestClassSequences:
 
 class TestChebyshevDegree:
     def test_examples(self):
-        assert tuple(chebyshev_degree(CAT.get("6_2"))) == (3, 8, 10)
-        assert tuple(chebyshev_degree(CAT.get("8_12"))) == (3, 11, 13)
-        assert tuple(chebyshev_degree(CAT.get("5_1"))) == (3, 7, 8)
+        for name, triple in (("6_2", (3, 8, 10)), ("8_12", (3, 11, 13)), ("5_1", (3, 7, 8))):
+            rec = CAT.get(name)
+            assert tuple(chebyshev_degree(rec, m_C(rec))) == triple
 
     def test_b_coprime_to_three(self):
         for rec in CAT:
-            t = chebyshev_degree(rec)
+            t = chebyshev_degree(rec, m_C(rec))
             assert t.b % 3 != 0
 
     def test_degree_triple_validation(self):
@@ -146,8 +146,8 @@ class TestEnumeration:
         assert len(diags) == 5
 
     def test_table_budget_exception(self):
-        assert table_budget(CAT.get("8_13")) == 10
-        assert table_budget(CAT.get("6_2")) == m_C(CAT.get("6_2"))
+        assert table_budget(CAT.get("8_13"), m_C(CAT.get("8_13"))) == 10
+        assert table_budget(CAT.get("6_2"), m_C(CAT.get("6_2"))) == m_C(CAT.get("6_2"))
 
     def test_crossing_number_invariant(self):
         for name in ("5_2", "6_2", "7_5"):
@@ -160,7 +160,7 @@ class TestEnumeration:
 
         for rec in CAT:
             nf = canonical_diagram(TrigonalDiagram(cf_expand_positive(rec.fraction)))
-            found = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec))}
+            found = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec, m_C(rec)))}
             assert nf.entries in found
 
     def test_exhaustive_against_brute_force(self):

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from lexiknot.curvelab.curves import PlaneCurve, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
-from lexiknot.curvelab.poly import Polynomial, RootInterval, _enclose, _value, isolate_real_roots, sign_at_root
+from lexiknot.curvelab.poly import (
+    Polynomial,
+    RootInterval,
+    _enclose,
+    _pseudo_divide,
+    _value,
+    isolate_real_roots,
+    sign_at_root,
+)
 
 sympy = pytest.importorskip("sympy")
 t, s = sympy.symbols("t s")
@@ -171,9 +179,15 @@ def test_division_gcd_and_values_agree_with_sympy(a_coeffs, b_coeffs):
     a = Polynomial(a_coeffs).scale(Fraction(1, 3))
     b = Polynomial(b_coeffs)
     assume(not b.is_zero())
-    q, r = a.divmod(b)
-    sq, sr = sympy.div(_sympy_poly(a), _sympy_poly(b))
-    assert _same(q, sq) and _same(r, sr)
+    # pseudo-division, which Sturm chains and gcds run on: m a = q b + r
+    # with an integer m > 0 and deg r < deg b, so q/m and r/m are the
+    # rational quotient and remainder
+    m, q, r = _pseudo_divide(a.primitive, b.primitive)
+    assert m > 0 and len(r) < len(b.primitive)
+    ap, bp, qp, rp = (Polynomial(c) for c in (a.primitive, b.primitive, q, r))
+    assert ap.scale(m) == qp * bp + rp
+    sq, sr = sympy.div(_sympy_poly(ap), _sympy_poly(bp))
+    assert _same(qp.scale(Fraction(1, m)), sq) and _same(rp.scale(Fraction(1, m)), sr)
     assert _same(a * b, _sympy_poly(a) * _sympy_poly(b))
     expected = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
     assert _same(a.gcd(b), expected.monic() if not expected.is_zero else expected)

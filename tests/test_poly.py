@@ -5,8 +5,8 @@ import pytest
 from lexiknot.curvelab.curves import _sqrt_bounds
 from lexiknot.curvelab.poly import (
     Polynomial,
+    _pseudo_divide,
     chebyshev,
-    count_roots,
     isolate_real_roots,
     sign_at_root,
 )
@@ -35,10 +35,11 @@ class TestChebyshev:
 
 class TestArithmetic:
     def test_divmod(self):
-        a = P([2, 0, -3, 1])
-        b = P([-1, 1])
-        q, r = a.divmod(b)
-        assert (q * b + r).coeffs == a.coeffs
+        # pseudo-division on integers: m a = q b + r with m > 0, deg r < deg b
+        a, b = (2, 0, -3, 1), (-1, 2)
+        m, q, r = _pseudo_divide(a, b)
+        assert (m, q, r) == (8, [-5, -10, 4], [11])
+        assert P(a).scale(m) == P(q) * P(b) + P(r)
 
     def test_gcd_of_common_factor(self):
         f = P([-1, 1]) * P([2, 1])
@@ -86,9 +87,11 @@ class TestRoots:
         assert len(isolate_real_roots(P.from_roots([1, 1, 2, 2, 2, -3]))) == 3
 
     def test_count_roots(self):
-        p = P.from_roots([-1, 0, 1])
-        assert count_roots(p, Fraction(-2), Fraction(2)) == 3
-        assert count_roots(p, Fraction(1, 2), Fraction(2)) == 1
+        # isolation counts the roots, and signs of t - c at them count
+        # those above c
+        roots = isolate_real_roots(P.from_roots([-1, 0, 1]))
+        assert len(roots) == 3
+        assert [sign_at_root(P([Fraction(-1, 2), 1]), r) for r in roots] == [-1, -1, 1]
 
     def test_sign_at_root(self):
         p = P.from_roots([2])  # root t = 2
