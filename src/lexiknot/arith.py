@@ -130,6 +130,22 @@ def _inverse_mod(b: int, a: int) -> Optional[int]:
     return s0 % a
 
 
+def class_residues(f: SchubertFraction, include_mirror: bool = False) -> set[int]:
+    """The residues beta' mod alpha with alpha/beta' equivalent to f, for alpha >= 1.
+
+    They are beta and beta^-1 (mod alpha); with ``include_mirror`` also
+    -beta and -beta^-1, which name the mirror image.
+    """
+    a = f.alpha
+    out = {f.beta % a}
+    inv = _inverse_mod(f.beta, a)
+    if inv is not None:
+        out.add(inv)
+    if include_mirror:
+        out |= {-r % a for r in out}
+    return out
+
+
 def fraction_equivalent(
     f1: SchubertFraction, f2: SchubertFraction, include_mirror: bool = False
 ) -> bool:
@@ -140,19 +156,7 @@ def fraction_equivalent(
     """
     if f1.alpha != f2.alpha:
         return False
-    a = f1.alpha
-    if a == 0:
-        return True
-    if a == 1:
-        return True
-    b1, b2 = f1.beta, f2.beta
-    accepted = {b1 % a}
-    inv = _inverse_mod(b1, a)
-    if inv is not None:
-        accepted.add(inv)
-    if include_mirror:
-        accepted |= {(-b) % a for b in tuple(accepted)}
-    return b2 % a in accepted
+    return f1.alpha == 0 or f2.beta % f1.alpha in class_residues(f1, include_mirror)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .curvelab import (
 from .curvelab.svg import render_svg
 from .enumeration import SearchExhausted, diagram_summary, enumerate_simple_diagrams, m_C
 from .planereduce import PlaneWord, reduction_search
-from .report import build_table, diff_expected, emit
+from .report import build_table, diff_expected, emit, load_expected
 
 
 def _record_for(fraction):
@@ -61,11 +61,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return _usage_error("enumerate", str(exc))
     except SearchExhausted as exc:
         raise SystemExit(str(exc))
-    payload = [diagram_summary(d) for d in diagrams]
-    for d in diagrams:
-        print(d.text())
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([diagram_summary(d) for d in diagrams], indent=2))
+    else:
+        for d in diagrams:
+            print(d.text())
     return 0
 
 
@@ -137,8 +137,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.diff and not os.path.isfile(args.diff):
-        return _usage_error("table", f"argument --diff: no such file: {args.diff}")
+    if args.diff:
+        if not os.path.isfile(args.diff):
+            return _usage_error("table", f"argument --diff: no such file: {args.diff}")
+        try:
+            expected = load_expected(args.diff)
+        except ValueError as exc:  # the file is no knots.csv table
+            return _usage_error("table", f"argument --diff: {exc}")
     rows = build_table(args.knots)
     print(emit(rows, args.format), end="")
     if any(r.error for r in rows):
@@ -148,10 +153,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 print(r.traceback, end="", file=sys.stderr)
         return 2
     if args.diff:
-        try:
-            diff = diff_expected(rows, args.diff)
-        except ValueError as exc:  # the file is no knots.csv table
-            return _usage_error("table", f"argument --diff: {exc}")
+        diff = diff_expected(rows, expected)
         if not diff.ok:
             for m in diff.mismatches:
                 print(f"mismatch: {m}", file=sys.stderr)

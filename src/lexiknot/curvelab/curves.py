@@ -40,7 +40,7 @@ from .poly import (
     _product,
     _squarefree_isolation,
     isolate_real_roots,
-    sign_at_root,
+    signs_at_roots,
 )
 
 
@@ -190,8 +190,7 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
     kept: list[RootInterval] = []
-    for r in roots:
-        ds = sign_at_root(el.disc, r)
+    for r, ds in zip(roots, signs_at_roots(el.disc, roots)):
         if ds == 0:
             raise NonNodalError(f"pair separation vanishes near u in ({float(r.lo):.4f}, {float(r.hi):.4f})")
         if ds > 0:
@@ -200,8 +199,7 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     # letters: exact sign of third-branch height minus crossing height
     h_third = el.y_third - el.y_of_u
     letters: list[int] = []
-    for r in kept:
-        sg = sign_at_root(h_third, r)
+    for r, sg in zip(kept, signs_at_roots(h_third, kept)):
         if sg == 0:
             raise NonNodalError(
                 f"non-nodal configuration: third branch passes through the "
@@ -314,8 +312,7 @@ def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
     # critical parameter (the third root of x(z) = x(c) is s - 2c)
     h = curve.y - curve.y.compose(Polynomial([curve._eliminator.sum_roots, -2]))
     sides = []
-    for c in curve._critical_points:
-        sg = sign_at_root(h, c)
+    for sg in signs_at_roots(h, curve._critical_points):
         if sg == 0:
             raise NonNodalError("fold pair meets the third strand")
         sides.append(BOTTOM if sg < 0 else TOP)
@@ -367,9 +364,8 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
     el = curve._eliminator
     cs = curve_crossings(curve)
-    for c in cs.crossings:
-        if sign_at_root(el.x_of_u - Polynomial.const(x0), c.u) == 0:
-            raise NonNodalError(f"x = {x0} passes through a crossing")
+    if 0 in signs_at_roots(el.x_of_u - Polynomial.const(x0), [c.u for c in cs.crossings]):
+        raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
 
 

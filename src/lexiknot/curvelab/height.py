@@ -9,7 +9,7 @@ lie strictly between the parameter intervals, so evaluating at a
 rational endpoint decides each sign.
 
 Verification reads the over/under sign and the twist sense of every
-crossing with `sign_at_root`: a coprimality certificate modulo a prime
+crossing with `signs_at_roots`: one coprimality certificate modulo a prime
 rules out exact vanishing, with a rational gcd only where it fails, and
 an integer interval enclosure on a bisected dyadic isolating interval
 gives the sign.  The knot is named by its determinant, the integer |det|
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from ..arith import KnotRecord, default_catalog
 from ..diagram import TrigonalDiagram
 from .curves import CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
-from .poly import Polynomial, sign_at_root
+from .poly import Polynomial, signs_at_roots
 
 
 class HeightError(ValueError):
@@ -109,8 +109,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
         cs = curve_crossings(curve)
     Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
-    for c in cs.crossings:
-        s = sign_at_root(Zh, c.u)
+    for c, s in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
         if s == 0:
             raise EmbeddingError(
                 f"z does not separate the crossing near u in "
@@ -142,8 +141,7 @@ def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int
     A_x, B_x = _pair_reduction(curve.x.derivative(), v)
     N = A_y * B_x - B_y * A_x
     out = []
-    for c, over in zip(cs.crossings, overs):
-        s_num = sign_at_root(N, c.u)
+    for over, s_num in zip(overs, signs_at_roots(N, [c.u for c in cs.crossings])):
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
         out.append(over * s_num)

@@ -10,8 +10,9 @@ Roots are isolated by bisection below a Cauchy bound rounded up to a
 power of two, against a primitive pseudo-remainder Sturm chain, into
 `RootInterval`s: integers (a, b, d), d a power of two, and the sign at
 a/d, so a halving takes one integer evaluation.  A sign at an isolated
-root is certified by a coprimality test modulo the prime 2^61 - 1, with
-a rational gcd only when it fails, and then by halving the interval
+root is certified by a coprimality test modulo the prime 2^61 - 1, run
+once per pair of h and the roots' polynomial, with a rational gcd only
+when it fails, and then by halving the interval
 with `RootInterval.refine`, the one bisection step of the module, until
 an integer interval enclosure excludes 0; floating point decides nothing.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -390,27 +391,48 @@ def _coprime_mod_prime(f: Sequence[int], g: Sequence[int]) -> bool:
     return True
 
 
-def sign_at_root(h: Polynomial, root: RootInterval) -> int:
+def common_factor(h: Polynomial, W: Polynomial) -> tuple[int, ...]:
+    """The primitive gcd(h, W), or () when a certificate proves it constant.
+
+    If h and W stay coprime modulo the prime 2^61 - 1, h vanishes at no
+    root of W, and () says so.  Only when that certificate fails is the
+    gcd computed over Q.
+    """
+    if _coprime_mod_prime(h.primitive, W.primitive):
+        return ()
+    return h.gcd(W).primitive
+
+
+def sign_at_root(h: Polynomial, root: RootInterval, common: Optional[tuple[int, ...]] = None) -> int:
     """Exact sign of h at the root isolated by ``root`` (0 if h vanishes there).
 
-    h is read as its primitive integer coefficients.  If h and
-    W = root.poly stay coprime modulo the prime 2^61 - 1, h cannot vanish
-    at a root of W.  Only when that certificate fails is g = gcd(h, W)
-    computed over Q: g divides the squarefree W, so it vanishes at the
-    root iff it changes sign across the isolating interval.  Otherwise h
-    is nonzero at the root, and ``root.refine`` halves the interval
-    until the integer interval enclosure of h over it excludes 0.
+    h is read as its primitive integer coefficients.  ``common`` is
+    common_factor(h, root.poly), computed here unless given.  It divides
+    the squarefree W = root.poly, so it vanishes at the root iff it
+    changes sign across the isolating interval.  Otherwise h is nonzero
+    at the root, and ``root.refine`` halves the interval until the
+    integer interval enclosure of h over it excludes 0.
     """
     if h.is_zero():
         return 0
+    g = common_factor(h, root.poly) if common is None else common
+    if len(g) > 1 and _sign(_value(g, root.a, root.d)) != _sign(_value(g, root.b, root.d)):
+        return 0
     cs = h.primitive
-    if not _coprime_mod_prime(cs, root.poly.primitive):
-        g = h.gcd(root.poly).primitive
-        if len(g) > 1 and _sign(_value(g, root.a, root.d)) != _sign(_value(g, root.b, root.d)):
-            return 0
     for _ in range(_MAX_REFINE):
         lo, hi = _enclose(cs, root.a, root.b, root.d)
         if lo > 0 or hi < 0:
             return _sign(lo)
         root = root.refine()
     raise RuntimeError("sign refinement did not converge")
+
+
+def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[int]:
+    """sign_at_root(h, r) for each r, with one common_factor per distinct W = r.poly."""
+    if h.is_zero():
+        return [0] * len(roots)
+    common: dict[int, tuple[int, ...]] = {}  # id(W) -> common_factor(h, W)
+    for r in roots:
+        if id(r.poly) not in common:
+            common[id(r.poly)] = common_factor(h, r.poly)
+    return [sign_at_root(h, r, common[id(r.poly)]) for r in roots]

@@ -4,10 +4,13 @@ m_C(K) is the minimal length of a diagram D(e_1, ..., e_m) of K with all
 e_i = +-1; the knot then has a Chebyshev diagram C(3, b) with b = m_C + 1
 and a parametrization (T_3, T_b, C) with deg C + b = 3N.
 
-m_C and the simple diagrams come from one search that expands the knot's
-fraction into the integer sequences of its class (mirror images included)
-instead of testing candidates.  The simple diagrams are the islet-free
-sequences that survive boundary conditions that slide isotopies remove:
+Both come from the knot's fraction, not from testing candidates.  m_C is
+a shortest path over continuant pairs, found by one breadth-first pass.
+The simple diagrams come from one generator that expands the fraction into
+the integer sequences of its class (mirror images included), starting
+from the integers q = +-beta^(+-1) (mod alpha) within the Fibonacci bound.
+It keeps only islet-free sequences that survive boundary conditions that
+slide isotopies remove:
 
 * a boundary region of a single twist can be untwisted through the plat
   closure, so |m_1|, |m_k| >= 2;
@@ -17,6 +20,9 @@ sequences that survive boundary conditions that slide isotopies remove:
 * an interior single twist flanked by an opposite sign on either side
   unwinds (one-sided cousins of islets), so |m_i| = 1 needs both
   m_{i-1} m_i > 0 and m_i m_{i+1} > 0.
+
+Each condition reads two adjacent entries, so the generator cuts a prefix
+as soon as it breaks one and never builds a sequence it would drop.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from math import ceil, gcd
 from typing import Iterator, Optional
 
-from .arith import KnotRecord, SchubertFraction, fraction_equivalent
+from .arith import KnotRecord, SchubertFraction, class_residues
 from .diagram import TrigonalDiagram, crossing_number
 
 
@@ -53,13 +59,30 @@ class DegreeTriple:
 
 
 def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
-    """Minimal length of a +-1 continued fraction hitting k's class (mirror
-    included): the first budget m with a class sequence of m entries, all +-1."""
+    """Minimal length of a +-1 continued fraction hitting k's class (mirror included).
+
+    A shortest path over continuant pairs: a sequence starts at a pair
+    (alpha, q) of the class, each entry m = +-1 steps +-(p, q) to
+    +-(q, p - m q), and the last entry is one pair +-(1, +-1).  One
+    breadth-first pass runs it from that end, so no start pair needs
+    listing: the pairs at distance L are the continuant pairs of the +-1
+    sequences of length L, and m_C is the first L at which one of them
+    lies in the class.
+    """
     if cap is None:
         cap = default_cap(k.crossing_number)
-    for m in range(1, cap + 1):
-        if any(len(s) == m for s in _class_sequences(k.fraction, m)):
-            return m
+    alpha = k.fraction.alpha
+    residues = class_residues(k.fraction, include_mirror=True)
+    level = {(1, 1), (1, -1)}  # +-(m, 1) for the one-entry sequences (m)
+    seen = set(level)
+    for length in range(1, cap + 1):
+        if any(p == alpha and q % alpha in residues for p, q in level):
+            return length
+        # prepending m to a tail with pair (p, q) gives (m p + q, p); each
+        # pair is kept up to sign, as the one that is > (0, 0)
+        longer = ((m * p + q, p) for p, q in level for m in (1, -1))
+        level = {pq if pq > (0, 0) else (-pq[0], -pq[1]) for pq in longer} - seen
+        seen |= level
     raise SearchExhausted(f"no +-1 representation of {k.name} with length <= {cap}")
 
 
@@ -77,62 +100,63 @@ def chebyshev_degree(k: KnotRecord, m: int) -> DegreeTriple:
     return DegreeTriple(3, b, 3 * k.crossing_number - b)
 
 
-def _passes_simple_filter(entries: tuple[int, ...]) -> bool:
-    k = len(entries)
-    if k == 1:
-        return True
-    if abs(entries[0]) == 1 or abs(entries[-1]) == 1:
-        return False
-    if abs(entries[0]) == 2 and entries[0] * entries[1] < 0:
-        return False
-    if abs(entries[-1]) == 2 and entries[-2] * entries[-1] < 0:
-        return False
-    for i in range(1, k - 1):
-        if abs(entries[i]) == 1 and (
-            entries[i - 1] * entries[i] < 0 or entries[i] * entries[i + 1] < 0
-        ):
-            return False
-    return True
+def _simple_step(prev: int, m: int, first: bool, last: bool) -> bool:
+    """The boundary-aware rule on the adjacent entries prev, m: prev = 0
+    when m is the first entry, first when prev is, last when m is.
 
-
-def _slide_normal(entries: tuple[int, ...]) -> bool:
-    """The bare slide-normal shape: every |m_i| = 1 with i >= 2 has m_{i-1} m_i > 0.
-
-    An islet's |m_i| = 1 has an opposite-signed left neighbor, so no
-    islet passes, and class sequences have no zero entries to reject.
+    A first or last entry has |m| >= 2 unless it is the only one; the
+    two neighbours of a +-1 share its sign, and so does the inner
+    neighbour of a +-2 at either end.
     """
-    return all(abs(m) != 1 or prev * m > 0 for prev, m in zip(entries, entries[1:]))
+    if prev == 0:
+        return last or abs(m) >= 2
+    if last and abs(m) == 1:
+        return False
+    tied = abs(m) == 1 or abs(prev) == 1 or (first and abs(prev) == 2) or (last and abs(m) == 2)
+    return m * prev > 0 or not tied
 
 
-def _class_sequences(f: SchubertFraction, budget: int) -> Iterator[tuple[int, ...]]:
+def _slide_step(prev: int, m: int, first: bool, last: bool) -> bool:
+    """The bare slide-normal rule: an entry +-1 after the first has its
+    left neighbour's sign."""
+    return prev == 0 or abs(m) != 1 or m * prev > 0
+
+
+def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> Iterator[tuple[int, ...]]:
     """Every nonzero sequence with sum |m_i| <= budget whose continued
-    fraction lies in f's class (mirror included), each exactly once.
+    fraction lies in f's class (mirror included) and that passes the
+    simple-diagram rule (``strict``: the slide-normal rule), each once.
 
     If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
     the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
-    Sum |m_i| = s bounds |continuant| by Fibonacci F_{s+1}, reached by all ones.
+    Sum |m_i| = s bounds |continuant| by Fibonacci F_{s+1}, reached by all
+    ones.  The rules are local, so a prefix is cut as soon as an entry
+    breaks one.
     """
     if budget <= 0:
         return
     fib = [0, 1]
     while len(fib) <= budget + 1:
         fib.append(fib[-1] + fib[-2])
+    rule = _slide_step if strict else _simple_step
 
-    def expand(p: int, q: int, left: int) -> Iterator[tuple[int, ...]]:
-        """The sequences with pair +-(p, q) and sum |m_i| <= left."""
-        if abs(q) == 1 and 0 < abs(p) <= left:
+    def expand(p: int, q: int, left: int, prev: int, first: bool) -> Iterator[tuple[int, ...]]:
+        """The allowed tails after the entry prev with pair +-(p, q) and sum |m_i| <= left."""
+        if abs(q) == 1 and 0 < abs(p) <= left and rule(prev, p * q, first, True):
             yield (p * q,)
         for a in range(1, left):
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
-                yield from ((m,) + tail for tail in expand(q, p - m * q, left - a))
+                if rule(prev, m, first, False):
+                    yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
 
     # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and
     # p = alpha > 0 fixes the sign, so each sequence has exactly one q
-    for q in range(-fib[budget], fib[budget] + 1):
-        if fraction_equivalent(SchubertFraction.make(f.alpha, q), f, include_mirror=True):
-            yield from expand(f.alpha, q, budget)
+    alpha, bound = f.alpha, fib[budget]
+    for r in sorted(class_residues(f, include_mirror=True)):
+        for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
+            yield from expand(alpha, q, budget, 0, False)
 
 
 def canonical_diagram(d: TrigonalDiagram) -> TrigonalDiagram:
@@ -162,12 +186,7 @@ def enumerate_simple_diagrams(
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
     if budget > 16:
         raise ValueError("budgets beyond 16 crossings are out of range")
-    keep = _slide_normal if strict else _passes_simple_filter
-    found = {
-        canonical_diagram(TrigonalDiagram(e)).entries
-        for e in _class_sequences(k.fraction, budget)
-        if keep(e)
-    }
+    found = {canonical_diagram(TrigonalDiagram(e)).entries for e in _class_sequences(k.fraction, budget, strict)}
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 

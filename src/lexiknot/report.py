@@ -161,18 +161,40 @@ class Diff:
         return not self.mismatches
 
 
-def diff_expected(rows: Sequence[TableRow], expected_path: str) -> Diff:
-    """Per-row, per-column comparison against a knots.csv-format file.
+COLUMNS = CSV_HEADER[1:]  # the integer columns
 
-    A file that cannot be read as CSV raises ValueError naming it; so
-    does a compared row that lacks a column or holds a non-integer cell
-    there, naming the file, the row and the column.
+
+def load_expected(path: str) -> dict[str, dict[str, int]]:
+    """The integer columns of a knots.csv-format file, by knot name.
+
+    A file that cannot be read as CSV or has no name column raises
+    ValueError naming it; so does a row that lacks a column or holds a
+    non-integer cell there, naming the file, the row and the column.
     """
-    with open(expected_path, newline="") as fh:
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
         try:
-            expected = {row.get("name"): row for row in csv.DictReader(fh)}
+            rows = list(reader)
         except csv.Error as exc:
-            raise ValueError(f"cannot parse {expected_path}: {exc}") from exc
+            raise ValueError(f"cannot parse {path}: {exc}") from exc
+    if "name" not in (reader.fieldnames or ()):
+        raise ValueError(f"{path}: no name column")
+    expected = {}
+    for row in rows:
+        values = {}
+        for col in COLUMNS:
+            cell = row.get(col)
+            try:
+                values[col] = int(cell)
+            except (TypeError, ValueError):
+                problem = "missing" if cell is None else f"not an integer: {cell!r}"
+                raise ValueError(f"{path}: row {row['name']}, column {col}: {problem}") from None
+        expected[row["name"]] = values
+    return expected
+
+
+def diff_expected(rows: Sequence[TableRow], expected: dict[str, dict[str, int]]) -> Diff:
+    """Per-row, per-column comparison against the values `load_expected` read."""
     diff = Diff()
     for r in rows:
         exp = expected.get(r.name)
@@ -193,12 +215,6 @@ def diff_expected(rows: Sequence[TableRow], expected_path: str) -> Diff:
             "lex_c_hi": r.c_hi,
         }
         for col, val in got.items():
-            cell = exp.get(col)
-            try:
-                want = int(cell)
-            except (TypeError, ValueError):
-                problem = "missing" if cell is None else f"not an integer: {cell!r}"
-                raise ValueError(f"{expected_path}: row {r.name}, column {col}: {problem}") from None
-            if want != val:
-                diff.mismatches.append(f"{r.name}.{col}: computed {val}, expected {cell}")
+            if exp[col] != val:
+                diff.mismatches.append(f"{r.name}.{col}: computed {val}, expected {exp[col]}")
     return diff

@@ -34,7 +34,7 @@ from lexiknot.planereduce import (
     reduction_search,
     same_word_class,
 )
-from lexiknot.report import build_table, diff_expected, emit
+from lexiknot.report import build_table, diff_expected, emit, load_expected
 
 CAT = default_catalog()
 
@@ -162,7 +162,7 @@ def test_criterion_4_final_verdicts():
         ok = ok and (r.status == "exact") == (rec.lex_c_lo == rec.lex_c_hi)
     shipped = resources.files("lexiknot.data").joinpath("knots.csv")
     with resources.as_file(shipped) as path:
-        ok = ok and diff_expected(rows, str(path)).ok
+        ok = ok and diff_expected(rows, load_expected(str(path))).ok
     ok = ok and emit(rows, "json") == REFERENCE_JSON.read_text()
     _report("criterion 4: verdicts match the lexicographic-degree column, zero diffs, reference JSON", ok)
 

@@ -18,8 +18,7 @@ def test_enumerate(capsys):
 
 def test_enumerate_json(capsys):
     assert main(["enumerate", "--fraction", "21/8", "--json"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("[") :])
+    payload = json.loads(capsys.readouterr().out)
     assert payload[0]["N"] == 7
     assert payload[0]["sum_abs"] == 7
     assert payload[0]["sigma"] == 0
@@ -105,6 +104,21 @@ def test_table_malformed_diff_file_is_a_usage_error(text, problem, tmp_path, cap
     assert main(["table", "--knots", "3_1", "--format", "csv", "--diff", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"lexiknot table: error: argument --diff: {path}: row 3_1, {problem}\n"
+
+
+def test_table_malformed_diff_file_is_read_before_the_table(monkeypatch, tmp_path, capsys):
+    import lexiknot.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_table ran before --diff was validated")
+
+    monkeypatch.setattr(lexiknot.cli, "build_table", unreachable)
+    path = tmp_path / "knots.csv"
+    path.write_text("name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3_1,3,1,3,4,5,four,5,5\n")
+    assert main(["table", "--diff", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot table: error: argument --diff: {path}: row 3_1, column lex_b: not an integer: 'four'\n"
 
 
 def test_unknown_fraction_errors():

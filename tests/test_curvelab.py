@@ -25,6 +25,7 @@ from lexiknot.curvelab import (
 )
 from lexiknot.curvelab import height as height_module
 from lexiknot.curvelab.curves import _Eliminator, _pair_reduction
+from lexiknot.curvelab.poly import signs_at_roots
 from lexiknot.planereduce import PlaneWord, same_word_class
 
 T3 = chebyshev(3)
@@ -113,19 +114,21 @@ class TestCrossings:
                 stray_gcds.append((a, b))
             return gcd(a, b)
 
-        def counted_sign(h, root):
+        signs = poly_module.signs_at_roots
+
+        def counted_signs(h, roots):
             in_sign.append(h)
             try:
-                return sign_at_root(h, root)
+                return signs(h, roots)
             finally:
                 in_sign.pop()
 
         monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
         monkeypatch.setattr(poly_module, "sturm_sequence", lambda p: chains.append(p) or sturm(p))
-        monkeypatch.setattr(curves_module, "sign_at_root", counted_sign)
+        monkeypatch.setattr(curves_module, "signs_at_roots", counted_signs)
         c = PlaneCurve(T3, chebyshev(7))
         assert len(curve_crossings(c)) == 6
-        # the only gcds left are sign_at_root's own coprimality tests
+        # the only gcds left are the signs' own coprimality tests
         assert stray_gcds == []
         assert chains.count(c._eliminator.W) == 1
 
@@ -280,14 +283,14 @@ class TestEmbedding:
         height, _ = height_polynomial(cs, alternating_overpasses(cs))
         calls = []
 
-        def counted(h, root, *args):
-            calls.append(h)
-            return sign_at_root(h, root, *args)
+        def counted(h, roots):
+            calls.append(len(roots))
+            return signs_at_roots(h, roots)
 
-        monkeypatch.setattr(height_module, "sign_at_root", counted)
+        monkeypatch.setattr(height_module, "signs_at_roots", counted)
         _, rec = verify_embedding(curve.x, curve.y, height)
         assert rec.name == "6_2"
-        assert len(calls) == 2 * len(cs)
+        assert calls == [len(cs), len(cs)]
 
     def test_handedness_is_the_tangent_determinant_sign(self):
         # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num)

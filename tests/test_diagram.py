@@ -14,7 +14,7 @@ from lexiknot.diagram import (
     identify_knot,
     islets,
 )
-from lexiknot.enumeration import _class_sequences, _slide_normal
+from lexiknot.enumeration import _class_sequences
 
 D = TrigonalDiagram
 
@@ -116,28 +116,44 @@ def slide_normal_by_definition(entries):
     )
 
 
+def strict_keeps(entries):
+    """Whether enumerate --strict keeps the sequence: every sequence lies
+    in its own class, within its own crossing budget."""
+    return entries in set(_class_sequences(cf_eval(entries), sum(map(abs, entries)), strict=True))
+
+
 class TestSimpleCandidate:
     # enumerate --strict keeps the class sequences that are slide-normal
     def test_examples(self):
         for entries, expected in (((2, 1, 3), True), ((2, -1, 3), False), ((1, 2), True), ((-1, 2), True)):
-            assert _slide_normal(entries) == slide_normal_by_definition(entries) == expected
+            assert strict_keeps(entries) == slide_normal_by_definition(entries) == expected
 
     def test_strict_rejects_opposite_one(self):
         # no islet, yet the -1 follows a positive entry
         assert islets(D([3, 2, -1, -2])) == []
-        assert not _slide_normal((3, 2, -1, -2))
+        assert not strict_keeps((3, 2, -1, -2))
         assert not slide_normal_by_definition((3, 2, -1, -2))
 
     def test_zero_entries_rejected(self):
-        # the predicate needs no zero test: no class sequence has a zero entry
+        # the rules need no zero test: no class sequence has a zero entry
         for f in (cf_eval([2, 1, 3]), cf_eval([2, 2]), cf_eval([3, 1, 2, -3])):
-            assert all(0 not in e for e in _class_sequences(f, 9))
+            for strict in (False, True):
+                assert all(0 not in e for e in _class_sequences(f, 9, strict))
 
     def test_matches_its_definition(self):
-        values = (1, -1, 2, -2, 3, -3)
-        for k in range(1, 6):
-            for entries in itertools.product(values, repeat=k):
-                assert _slide_normal(entries) == slide_normal_by_definition(entries), entries
+        # every sequence over +-{1, 2, 3} of length <= 4 and over +-{1, 2}
+        # of length 5 and 6, against the strict generator of its class
+        seqs = [e for k in range(1, 5) for e in itertools.product((1, -1, 2, -2, 3, -3), repeat=k)]
+        seqs += [e for k in (5, 6) for e in itertools.product((1, -1, 2, -2), repeat=k)]
+        by_class = {}
+        for entries in seqs:
+            f = cf_eval(entries)
+            if f.alpha >= 2:  # the unknot and 0/1 have no class to generate
+                by_class.setdefault(f, []).append(entries)
+        for f, members in by_class.items():
+            kept = set(_class_sequences(f, max(sum(map(abs, e)) for e in members), strict=True))
+            for entries in members:
+                assert (entries in kept) == slide_normal_by_definition(entries), entries
 
 
 class TestIdentify:

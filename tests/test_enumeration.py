@@ -33,6 +33,28 @@ def in_class(seq, rec):
     return fraction_equivalent(cf_eval(seq), rec.fraction, include_mirror=True)
 
 
+def simple_by_definition(entries):
+    """The boundary-aware simplicity filter on a whole sequence."""
+    k = len(entries)
+    if k == 1:
+        return True
+    if abs(entries[0]) == 1 or abs(entries[-1]) == 1:
+        return False
+    if abs(entries[0]) == 2 and entries[0] * entries[1] < 0:
+        return False
+    if abs(entries[-1]) == 2 and entries[-2] * entries[-1] < 0:
+        return False
+    for i in range(1, k - 1):
+        if abs(entries[i]) == 1 and (entries[i - 1] * entries[i] < 0 or entries[i] * entries[i + 1] < 0):
+            return False
+    return True
+
+
+def slide_normal_by_definition(entries):
+    """The bare slide-normal shape: every |m_i| = 1 with i >= 2 has m_{i-1} m_i > 0."""
+    return all(abs(m) != 1 or prev * m > 0 for prev, m in zip(entries, entries[1:]))
+
+
 class TestMC:
     def test_examples(self):
         assert m_C(CAT.get("3_1")) == 3
@@ -65,18 +87,27 @@ class TestMC:
         with pytest.raises(SearchExhausted):
             m_C(CAT.get("3_1"), cap=cap)
 
+    def test_large_cap_stops_at_m(self):
+        # the search runs from the +-(1, +-1) end and stops at the first
+        # length that reaches the class, however far the cap lies
+        for name in ("3_1", "8_12"):
+            rec = CAT.get(name)
+            assert m_C(rec, cap=500) == m_C(rec)
+
 
 class TestClassSequences:
     def test_matches_brute_force(self):
-        # each catalog class, each budget: the brute-force class members,
-        # every one exactly once
+        # each catalog class, each budget, each filter: the brute-force
+        # class members that pass the filter, every one exactly once
         candidates = list(signed_sequences(8))
         for rec in CAT:
             members = [s for s in candidates if in_class(s, rec)]
-            for budget in range(1, 9):
-                got = list(_class_sequences(rec.fraction, budget))
-                assert len(got) == len(set(got)), (rec.name, budget)
-                assert set(got) == {s for s in members if sum(map(abs, s)) <= budget}, (rec.name, budget)
+            for strict, keep in ((False, simple_by_definition), (True, slide_normal_by_definition)):
+                kept = [s for s in members if keep(s)]
+                for budget in range(1, 9):
+                    got = list(_class_sequences(rec.fraction, budget, strict))
+                    assert len(got) == len(set(got)), (rec.name, budget, strict)
+                    assert set(got) == {s for s in kept if sum(map(abs, s)) <= budget}, (rec.name, budget, strict)
 
     def test_continuant_is_at_most_fibonacci(self):
         # the pruning rests on |p| <= F_{s+1} for sum |m_i| = s
@@ -88,7 +119,8 @@ class TestClassSequences:
 
     @pytest.mark.parametrize("budget", [0, -1, -3])
     def test_empty_budget_yields_nothing(self, budget):
-        assert list(_class_sequences(CAT.get("3_1").fraction, budget)) == []
+        for strict in (False, True):
+            assert list(_class_sequences(CAT.get("3_1").fraction, budget, strict)) == []
 
 
 class TestChebyshevDegree:
@@ -167,8 +199,6 @@ class TestEnumeration:
         # soundness: everything returned appears in the unpruned islet-free
         # generator; completeness: every generated word that passes the
         # simplicity filter is returned
-        from lexiknot.enumeration import _passes_simple_filter
-
         for name, budget in (("4_1", 4), ("5_2", 6), ("6_2", 7)):
             rec = CAT.get(name)
             ours = {d.entries for d in enumerate_simple_diagrams(rec, budget=budget)}
@@ -178,7 +208,7 @@ class TestEnumeration:
                 e
                 for e in brute
                 if any(
-                    _passes_simple_filter(img)
+                    simple_by_definition(img)
                     for img in (e, e[::-1], tuple(-m for m in e), tuple(-m for m in e[::-1]))
                 )
             }

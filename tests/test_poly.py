@@ -9,6 +9,7 @@ from lexiknot.curvelab.poly import (
     chebyshev,
     isolate_real_roots,
     sign_at_root,
+    signs_at_roots,
 )
 
 P = Polynomial
@@ -115,6 +116,26 @@ class TestRoots:
         tight = [refined_below(r, Fraction(1, 10**12)) for r in roots]
         assert [sign_at_root(h, r) for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
         assert [sign_at_root(chebyshev(21), r) for r in roots] == [0] * 7  # T_7 divides T_21
+
+    def test_signs_at_roots_certify_each_pair_once(self, monkeypatch):
+        import lexiknot.curvelab.poly as poly
+
+        W = P.from_roots([-3, 1, 2]) * P([-2, 0, 1])  # roots -3, -sqrt 2, 1, sqrt 2, 2
+        roots = isolate_real_roots(W)
+        other = isolate_real_roots(P([-5, 0, 1]))  # +-sqrt 5, a second W
+        certified, gcds = [], []
+        coprime, gcd = poly._coprime_mod_prime, P.gcd
+        monkeypatch.setattr(poly, "_coprime_mod_prime", lambda f, g: certified.append(g) or coprime(f, g))
+        monkeypatch.setattr(P, "gcd", lambda a, b: gcds.append(b) or gcd(a, b))
+        for h in (P.from_roots([2, 5]) * P([-2, 0, 1]), P([Fraction(1, 2), 1]), P([0])):
+            certified.clear()
+            gcds.clear()
+            many = signs_at_roots(h, roots + other)
+            assert len(certified) == (0 if h.is_zero() else 2)  # one per W, whatever the root count
+            assert len(gcds) <= len(certified)
+            assert many == [sign_at_root(h, r) for r in roots + other]
+        # (t - 2)(t - 5)(t^2 - 2): zero at +-sqrt 2 and 2, exact signs elsewhere
+        assert signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots) == [1, 0, -1, 0, 0]
 
     def test_refinement(self):
         root = isolate_real_roots(P([-2, 0, 1]))[1]  # sqrt(2)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lexiknot.report import build_table, diff_expected, emit
+from lexiknot.report import build_table, diff_expected, emit, load_expected
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ class TestDiff:
         shipped = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
         path = tmp_path / "knots.csv"
         path.write_text(shipped)
-        diff = diff_expected(small_rows, str(path))
+        diff = diff_expected(small_rows, load_expected(str(path)))
         assert diff.ok
 
     def test_tampered_value_flagged(self, small_rows, tmp_path):
@@ -87,12 +87,25 @@ class TestDiff:
             w = csv.DictWriter(fh, fieldnames=rows[0].keys())
             w.writeheader()
             w.writerows(rows)
-        diff = diff_expected(small_rows, str(path))
+        diff = diff_expected(small_rows, load_expected(str(path)))
         assert not diff.ok
         assert any("6_2.lex_b" in m for m in diff.mismatches)
 
     def test_missing_row_flagged(self, small_rows, tmp_path):
         path = tmp_path / "knots.csv"
         path.write_text("name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n")
-        diff = diff_expected(small_rows, str(path))
+        diff = diff_expected(small_rows, load_expected(str(path)))
         assert len(diff.mismatches) == 3
+
+    def test_file_without_name_column_rejected(self, tmp_path):
+        path = tmp_path / "knots.csv"
+        path.write_text("alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3,1,3,4,5,4,5,5\n")
+        with pytest.raises(ValueError, match="no name column"):
+            load_expected(str(path))
+
+    def test_every_row_is_validated(self, tmp_path):
+        # a malformed row is found whichever knots the table will hold
+        path = tmp_path / "knots.csv"
+        path.write_text("name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3_1,3,1,3,4,5,4,5,5\n4_1,5,2,4,5,7,x,7,7\n")
+        with pytest.raises(ValueError, match="row 4_1, column lex_b: not an integer: 'x'"):
+            load_expected(str(path))
