@@ -216,13 +216,13 @@ _IDENTITIES: list[set[Runs]] = [
 ]
 
 
-def _identity_partners(runs: Runs) -> set[Runs]:
-    out: set[Runs] = set()
-    for group in _IDENTITIES:
-        images = {img for g in group for img in word_images(g)}
-        if runs in images:
-            out |= images - {runs}
-    return out
+# each image of a curated word -> its partners, sorted as replay indexes them
+# (the groups share no image)
+_PARTNERS: dict[Runs, tuple[Runs, ...]] = {
+    runs: tuple(sorted(images - {runs}))
+    for images in ({img for g in group for img in word_images(g)} for group in _IDENTITIES)
+    for runs in images
+}
 
 
 def _braid_rewrites(runs: Runs) -> set[Runs]:
@@ -263,7 +263,7 @@ def _boundary_slides(runs: Runs) -> set[Runs]:
 
 def _class_moves(img_idx: int, img: Runs) -> Iterator[tuple[None, Runs, int]]:
     """The word-class moves of one image, all cost-free and unrecorded."""
-    for tgt in _identity_partners(img) | _braid_rewrites(img) | _boundary_slides(img):
+    for tgt in _braid_rewrites(img).union(_PARTNERS.get(img, ()), _boundary_slides(img)):
         yield None, tgt, 0
 
 
@@ -366,34 +366,22 @@ def _two_run_exact(runs: Runs) -> Optional[int]:
     return (3 * n - 1) // 2
 
 
-def _base_lower(runs: Runs) -> tuple[int, str]:
-    """Best known lower bound for a single word, without searching."""
-    best = _crossing_rule(sum(runs))
-    prov = f"crossings+1 past multiples of 3 ({best})"
+def _base(runs: Runs) -> tuple[int, str, Optional[int], int]:
+    """What is known of a word without searching, from one table lookup:
+    its best lower bound with the rule that fired, its exact degree if a
+    realization is known, and its kind, the preference order when traces
+    tie (0 for named entries, 1 for the one/two-run family, 2 otherwise)."""
     entry = base_table().lookup(runs)
-    if entry is not None and entry.b_lower >= best:
-        best, prov = entry.b_lower, f"base table {entry.source}"
     two = _two_run_exact(runs)
-    if two is not None and two >= best:
-        best, prov = two, "one/two-run exact degree"
-    return best, prov
-
-
-def _base_exact(runs: Runs) -> Optional[int]:
-    entry = base_table().lookup(runs)
-    if entry is not None and entry.b_exact is not None:
-        return entry.b_exact
-    return _two_run_exact(runs)
-
-
-def _base_kind(runs: Runs) -> int:
-    # preference order when traces tie: named entries, then the
-    # one/two-run family, then anything else
-    if base_table().lookup(runs) is not None:
-        return 0
-    if _two_run_exact(runs) is not None:
-        return 1
-    return 2
+    lower = _crossing_rule(sum(runs))
+    prov = f"crossings+1 past multiples of 3 ({lower})"
+    if entry is not None and entry.b_lower >= lower:
+        lower, prov = entry.b_lower, f"base table {entry.source}"
+    if two is not None and two >= lower:
+        lower, prov = two, "one/two-run exact degree"
+    if entry is not None:
+        return lower, prov, two if entry.b_exact is None else entry.b_exact, 0
+    return lower, prov, two, 1 if two is not None else 2
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +390,8 @@ def _base_kind(runs: Runs) -> int:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """A replayable chain of moves from a word down to its base."""
+    """A replayable chain of moves from a word down to its base, and the
+    constructive upper bound read off the same search."""
 
     source: PlaneWord
     steps: tuple[Move, ...]
@@ -410,6 +399,7 @@ class ReductionTrace:
     cost: int
     bound: int
     provenance: str
+    upper: Optional[int]  # least b_exact + cost over the explored words
 
     def replay(self) -> PlaneWord:
         w = canonical_runs(self.source.runs)
@@ -420,14 +410,13 @@ class ReductionTrace:
             elif kind == "Rb":
                 w = canonical_runs(apply_boundary_R(word).runs)
             else:
-                targets = sorted(_identity_partners(word.runs))
-                w = canonical_runs(targets[pos])
+                w = canonical_runs(_PARTNERS[word.runs][pos])
         return PlaneWord(w)
 
     def lower_bound(self) -> tuple[int, str]:
         """b_lower_bound of the source word: its own base bound, or this
         trace's bound where that is stronger, with the rule that fired."""
-        best, prov = _base_lower(self.source.runs)
+        best, prov = _base(self.source.runs)[:2]
         if self.bound > best:
             return self.bound, f"reduction to {self.base} ({self.provenance}) + {self.cost}"
         return best, prov
@@ -478,7 +467,7 @@ def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs, int]
     """The moves of the degree arithmetic on one image: the curated
     identities (cost 0, indexed into the sorted partner list as replay
     reads them), then R and the boundary R (cost 3 each)."""
-    for pos, tgt in enumerate(sorted(_identity_partners(img))):
+    for pos, tgt in enumerate(_PARTNERS.get(img, ())):
         yield ("ident", img_idx, pos), tgt, 0
     word = PlaneWord(img)
     for i in range(len(img) - 2):
@@ -495,7 +484,7 @@ def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchSta
 
 
 def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrace:
-    """Best provable reduction of w.
+    """Best provable reduction of w, and its constructive upper bound.
 
     Every R step is worth exactly 3 in degree in both directions, so any
     reachable word gives the valid bound (its own lower bound) + cost;
@@ -503,28 +492,29 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     entry or a one/two-run word) stays put: its own value is already the
     strongest consistent bound.  Ties prefer bases with named table
     entries, then fewer crossings, then shorter words, then fewer steps.
+    The same explored words give the upper bound: the least degree of an
+    explicit curve for w, a realizable base's b_exact plus the cost of
+    undoing the R steps that reach it.
     """
-    return _best_trace(w, _explore(w, depth))
-
-
-def _best_trace(w: PlaneWord, states: dict[Runs, _SearchState]) -> ReductionTrace:
-    """The reduction_search trace of w, read off its explored states."""
+    states = _explore(w, depth)
+    known = {runs: _base(runs) for runs in states}
     target = canonical_runs(w.runs)  # the start state: cost 0, no parent
-    if _base_kind(target) > 1:
+    if known[target][3] > 1:
 
-        def rank(item: tuple[Runs, _SearchState]):
-            runs, st = item
-            score = _base_lower(runs)[0] + st.cost
-            return (-score, _base_kind(runs), sum(runs), len(runs), st.cost, runs)
+        def rank(runs: Runs):
+            lower, _, _, kind = known[runs]
+            cost = states[runs].cost
+            return (-(lower + cost), kind, sum(runs), len(runs), cost, runs)
 
-        target = min(states.items(), key=rank)[0]
+        target = min(states, key=rank)
     steps: list[Move] = []
     cur = target
     while states[cur].parent is not None:
         steps.append(states[cur].move)
         cur = states[cur].parent
-    bound, prov = _base_lower(target)
+    bound, prov = known[target][:2]
     cost = states[target].cost
+    upper = min((b + states[r].cost for r, (_, _, b, _) in known.items() if b is not None), default=None)
     return ReductionTrace(
         source=w.normalized(),
         steps=tuple(reversed(steps)),
@@ -532,18 +522,14 @@ def _best_trace(w: PlaneWord, states: dict[Runs, _SearchState]) -> ReductionTrac
         cost=cost,
         bound=bound + cost,
         provenance=prov,
+        upper=upper,
     )
 
 
 def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[int]:
     """Least degree of an explicit curve for w via reductions to
     realizable bases (each undone R step costs exactly 3)."""
-    return _least_upper(_explore(w, depth))
-
-
-def _least_upper(states: dict[Runs, _SearchState]) -> Optional[int]:
-    exact = ((_base_exact(runs), st.cost) for runs, st in states.items())
-    return min((b + cost for b, cost in exact if b is not None), default=None)
+    return reduction_search(w, depth).upper
 
 
 def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
@@ -586,11 +572,11 @@ def degree_verdict(k: KnotRecord) -> DegreeReport:
     """Assemble lower and upper degree bounds for one catalog knot.
 
     One m_C search feeds both the Chebyshev triple and the enumeration
-    budget, and one exploration per simple diagram feeds both its
-    reduction trace and its constructive upper bound.  The diagram's
-    lower bound is trace.bound, which equals b_lower_bound(w)[0]: the
-    start word is among the explored states at cost 0 and _base_lower
-    is invariant under reversal, so trace.bound >= _base_lower(w).
+    budget, and one reduction search per simple diagram gives both its
+    trace and its constructive upper bound.  The diagram's lower bound
+    is trace.bound, which equals b_lower_bound(w)[0]: the start word is
+    among the explored states at cost 0 and _base is invariant under
+    reversal, so trace.bound >= _base(w)[0].
     """
     n = k.crossing_number
     m = m_C(k)
@@ -604,13 +590,10 @@ def degree_verdict(k: KnotRecord) -> DegreeReport:
     witnesses = [f"Chebyshev C(3,{cheb.b})"]
     traces = []
     for d in diagrams:
-        w = project(d)
-        states = _explore(w)
-        trace = _best_trace(w, states)
+        trace = reduction_search(project(d))
         traces.append(trace)
-        up = _least_upper(states)
-        if up is not None and up < b_upper:
-            b_upper = up
+        if trace.upper is not None and trace.upper < b_upper:
+            b_upper = trace.upper
             witnesses = [f"{d} reduced to {trace.base} + {trace.cost}"]
     b_lower = min(t.bound for t in traces)
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .arith import Catalog, KnotRecord, default_catalog
@@ -83,7 +84,24 @@ def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog
     return rows
 
 
-CSV_HEADER = ["name", "alpha", "beta", "N", "degC_b", "degC_c", "lex_b", "lex_c_lo", "lex_c_hi"]
+# the integer knots.csv columns, in file order, and how a row computes each
+_COLUMN_VALUES = {
+    "alpha": attrgetter("record.fraction.alpha"),
+    "beta": attrgetter("record.fraction.beta"),
+    "N": attrgetter("record.crossing_number"),
+    "degC_b": attrgetter("deg_C.b"),
+    "degC_c": attrgetter("deg_C.c"),
+    "lex_b": attrgetter("b"),
+    "lex_c_lo": attrgetter("c_lo"),
+    "lex_c_hi": attrgetter("c_hi"),
+}
+COLUMNS = list(_COLUMN_VALUES)
+CSV_HEADER = ["name", *COLUMNS]
+
+
+def _columns(r: TableRow) -> dict[str, int]:
+    """The integer knots.csv columns of a computed row, by name."""
+    return {col: value(r) for col, value in _COLUMN_VALUES.items()}
 
 
 def emit(rows: Sequence[TableRow], fmt: str = "md") -> str:
@@ -92,19 +110,7 @@ def emit(rows: Sequence[TableRow], fmt: str = "md") -> str:
         w = csv.writer(buf)
         w.writerow(CSV_HEADER)
         for r in rows:
-            w.writerow(
-                [
-                    r.name,
-                    r.record.fraction.alpha,
-                    r.record.fraction.beta,
-                    r.record.crossing_number,
-                    r.deg_C.b,
-                    r.deg_C.c,
-                    r.b,
-                    r.c_lo,
-                    r.c_hi,
-                ]
-            )
+            w.writerow([r.name, *_columns(r).values()])
         return buf.getvalue()
     if fmt == "json":
         out = []
@@ -161,9 +167,6 @@ class Diff:
         return not self.mismatches
 
 
-COLUMNS = CSV_HEADER[1:]  # the integer columns
-
-
 def load_expected(path: str) -> dict[str, dict[str, int]]:
     """The integer columns of a knots.csv-format file, by knot name.
 
@@ -204,17 +207,7 @@ def diff_expected(rows: Sequence[TableRow], expected: dict[str, dict[str, int]])
         if r.error:
             diff.mismatches.append(f"{r.name}: computation failed: {r.error}")
             continue
-        got = {
-            "alpha": r.record.fraction.alpha,
-            "beta": r.record.fraction.beta,
-            "N": r.record.crossing_number,
-            "degC_b": r.deg_C.b,
-            "degC_c": r.deg_C.c,
-            "lex_b": r.b,
-            "lex_c_lo": r.c_lo,
-            "lex_c_hi": r.c_hi,
-        }
-        for col, val in got.items():
+        for col, val in _columns(r).items():
             if exp[col] != val:
                 diff.mismatches.append(f"{r.name}.{col}: computed {val}, expected {exp[col]}")
     return diff

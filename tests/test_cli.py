@@ -190,6 +190,11 @@ def test_reduce_explores_once(monkeypatch, capsys):
     )
 
 
+def test_reduce_reads_the_crossing_rule(capsys):
+    assert main(["reduce", "--word", "0,3"]) == 0
+    assert capsys.readouterr().out == "base (0,3) cost 0\nb >= 4  (crossings+1 past multiples of 3 (4))\n"
+
+
 def test_table_failed_row_prints_its_traceback_on_stderr(monkeypatch, capsys):
     import lexiknot.report
     from lexiknot.enumeration import SearchExhausted

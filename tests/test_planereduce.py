@@ -261,6 +261,14 @@ class TestLowerBounds:
             if entry.b_exact is not None:
                 assert sum(entry.runs) <= entry.b_exact - 1
 
+    def test_base_rows_hold_only_facts_the_code_cannot_derive(self):
+        # a row is a realization (b_exact) or a cited bound above what the
+        # crossing rule and the one/two-run exact degree give on their own
+        for entry in base_table().entries.values():
+            if entry.b_exact is None:
+                derived = (planereduce._crossing_rule(sum(entry.runs)), planereduce._two_run_exact(entry.runs))
+                assert all(d is None or entry.b_lower > d for d in derived), entry
+
     def test_override_provenance(self):
         lo, prov = b_lower_bound(W((2, 3, 3)))
         assert lo == 11
