@@ -13,15 +13,19 @@ crossing height, the crossing x, and the third-strand height are all
 polynomials in u, and every discrete decision is a certified sign of a
 polynomial at an isolated algebraic number.
 
-This layer runs on integers.  The pair reduction is Horner on cleared
-integer coefficients.  Crossings are separated by one refinement loop
-over integer enclosures: for an isolating interval (a/d, b/d) of u, the
-crossing's x is enclosed over den_x d^3 and its parameters t < s over
-den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
-reduced radicand at this module's scale 2^32.  Enclosures of different
-crossings are compared after rescaling to the lcm of their d, so every
-comparison is exact, and the rational intervals a `Crossing` reports are
-built once, after the loop.
+This layer runs on integers.  The pair reduction is Horner on the
+polynomials' integer coefficients.  Each root of W carries one isolating
+interval through the curve's questions: the sign of the pair
+discriminant refines it as far as that sign needs, the letter sign
+refines it further from there, and the clash loop starts from the
+result.  That loop separates crossings over integer enclosures: for an
+isolating interval (a/d, b/d) of u, the crossing's x is enclosed over
+den_x d^3 and its parameters t < s over den_D d^2 2^33, with sqrt of
+the discriminant bounded by isqrt on the reduced radicand at this
+module's scale 2^32.  Enclosures of different crossings are compared
+after rescaling to the lcm of their d, so every comparison is exact,
+and the rational intervals a `Crossing` reports are built once, after
+the loop.
 """
 
 from __future__ import annotations
@@ -115,10 +119,11 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
 
     Horner on integers: with q = cs / den of degree n and v = V / delta,
     (A z + B) z + c reduces to (u A + B) z + (c - v A), and after j
-    steps delta^j (A, B) are integer lists.
+    steps delta^j (A, B) are integer lists: after n steps, A and B over
+    den delta^n.
     """
-    V, delta = v.cleared
-    cs, den = q.cleared
+    V, delta = v.cs, v.den
+    cs, den = q.cs, q.den
     A, B, dp = [], cs[-1:], 1
     for c in reversed(cs[:-1]):
         dp *= delta
@@ -127,18 +132,17 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
             uab[i] += x
         A, B = [delta * x for x in uab], [-x for x in _product(V, A)] or [0]
         B[0] += c * dp
-    scale = den * dp
-    return Polynomial([Fraction(c, scale) for c in A]), Polynomial([Fraction(c, scale) for c in B])
+    return Polynomial.from_integers(A, den * dp), Polynomial.from_integers(B, den * dp)
 
 
 class _Eliminator:
     """Shared symmetric-coordinate data for one curve."""
 
     def __init__(self, curve: PlaneCurve):
-        p = curve.x.coeffs
-        # v(u) = (p3 u^2 + p2 u + p1)/p3
-        self.v = Polynomial([p[1], p[2], p[3]]).scale(1 / p[3])
-        self.sum_roots = -p[2] / p[3]
+        p = curve.x.cs
+        # v(u) = (p3 u^2 + p2 u + p1)/p3, where x's denominator cancels
+        self.v = Polynomial.from_integers(p[1:], p[3])
+        self.sum_roots = Fraction(-p[2], p[3])
         A_q, B_q = _pair_reduction(curve.y, self.v)
         A_x, B_x = _pair_reduction(curve.x, self.v)
         if not A_x.is_zero():
@@ -172,9 +176,11 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     """All double points, certified simple and sorted by x.
 
     W is isolated once; its remainder chain also gives the tangency
-    test.  Each refinement round then halves the u-interval of every
-    crossing whose x-interval or parameter interval meets another
-    crossing's, and encloses only those again.
+    test.  Each root's interval is carried from its discriminant sign
+    to its letter sign to the clash loop, so no halving is repeated.
+    Each round of that loop halves the u-interval of every crossing
+    whose x-interval or parameter interval meets another crossing's,
+    and encloses only those again.
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), vanishing pair separation, a
@@ -190,7 +196,7 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
     kept: list[RootInterval] = []
-    for r, ds in zip(roots, signs_at_roots(el.disc, roots)):
+    for ds, r in signs_at_roots(el.disc, roots):
         if ds == 0:
             raise NonNodalError(f"pair separation vanishes near u in ({float(r.lo):.4f}, {float(r.hi):.4f})")
         if ds > 0:
@@ -199,7 +205,8 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     # letters: exact sign of third-branch height minus crossing height
     h_third = el.y_third - el.y_of_u
     letters: list[int] = []
-    for r, sg in zip(kept, signs_at_roots(h_third, kept)):
+    for i, (sg, r) in enumerate(signs_at_roots(h_third, kept)):
+        kept[i] = r
         if sg == 0:
             raise NonNodalError(
                 f"non-nodal configuration: third branch passes through the "
@@ -251,14 +258,14 @@ def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int],
     parameters t < s over den_D d^2 2^33, from u and the pair
     discriminant, a quadratic cleared as disc = D / den_D."""
     a, b, d = r.a, r.b, r.d
-    ds, den = el.disc.cleared
+    ds, den = el.disc.cs, el.disc.den
     scale = den * d * d
     dlo, dhi = _enclose(ds, a, b, d)
     slo = _sqrt_bounds(max(dlo, 0), scale)[0]
     shi = _sqrt_bounds(dhi, scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
-    return d, _enclose(el.x_of_u.cleared[0], a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
+    return d, _enclose(el.x_of_u.cs, a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
 
 
 def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -281,8 +288,8 @@ def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[i
 def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], ...]:
     """The rational x-, t- and s-intervals of one crossing's enclosures."""
     d, x, t, s = e
-    den_x = el.x_of_u.cleared[1] * d**el.x_of_u.degree
-    den_p = (el.disc.cleared[1] * d * d) << (_SQRT_BITS + 1)
+    den_x = el.x_of_u.den * d**el.x_of_u.degree
+    den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
     return (
         (Fraction(x[0], den_x), Fraction(x[1], den_x)),
         (Fraction(t[0], den_p), Fraction(t[1], den_p)),
@@ -312,7 +319,7 @@ def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
     # critical parameter (the third root of x(z) = x(c) is s - 2c)
     h = curve.y - curve.y.compose(Polynomial([curve._eliminator.sum_roots, -2]))
     sides = []
-    for sg in signs_at_roots(h, curve._critical_points):
+    for sg, _ in signs_at_roots(h, curve._critical_points):
         if sg == 0:
             raise NonNodalError("fold pair meets the third strand")
         sides.append(BOTTOM if sg < 0 else TOP)
@@ -364,7 +371,7 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
     el = curve._eliminator
     cs = curve_crossings(curve)
-    if 0 in signs_at_roots(el.x_of_u - Polynomial.const(x0), [c.u for c in cs.crossings]):
+    if any(sg == 0 for sg, _ in signs_at_roots(el.x_of_u - Polynomial.const(x0), [c.u for c in cs.crossings])):
         raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
 

@@ -2,8 +2,9 @@
 
 Given the plane curve and a choice of overpass at every crossing, a
 height polynomial with one prescribed sign per crossing parameter is
-built from linear factors at rational midpoints between consecutive
-parameter intervals; its degree is the number of sign changes in the
+built from linear factors between consecutive parameter intervals, each
+at the dyadic rational of least denominator in the gap, which keeps the
+coefficients small; its degree is the number of sign changes in the
 Gauss sequence.  All sign checks are exact: by construction the roots
 lie strictly between the parameter intervals, so evaluating at a
 rational endpoint decides each sign.
@@ -11,7 +12,7 @@ rational endpoint decides each sign.
 Verification reads the over/under sign and the twist sense of every
 crossing with `signs_at_roots`: one coprimality certificate modulo a prime
 rules out exact vanishing, with a rational gcd only where it fails, and
-an integer interval enclosure on a bisected dyadic isolating interval
+a mean value test on integers over a bisected dyadic isolating interval
 gives the sign.  The knot is named by its determinant, the integer |det|
 of a Fox coloring minor computed by fraction-free elimination.  No
 floating point decides anything.
@@ -66,8 +67,9 @@ def gauss_sequence(cs: CrossingSet, over_at: Sequence[bool]) -> list[int]:
 def height_polynomial(cs: CrossingSet, over_at: Sequence[bool]) -> tuple[Polynomial, int]:
     """Polynomial with the prescribed sign at every crossing parameter.
 
-    Built as +-prod(t - r_j) with one root at the midpoint of each
-    consecutive parameter pair where the sign changes; the degree equals
+    Built as +-prod(t - r_j) with one root in the gap of each consecutive
+    parameter pair where the sign changes, at the dyadic rational of
+    least denominator there (`_simplest_dyadic`); the degree equals
     the sign-change count.  Verified a posteriori, exactly.  Without
     crossings any height will do: the constant 1, with no sign change.
     """
@@ -80,7 +82,7 @@ def height_polynomial(cs: CrossingSet, over_at: Sequence[bool]) -> tuple[Polynom
     roots: list[Fraction] = []
     for k in range(len(signs) - 1):
         if signs[k] != signs[k + 1]:
-            roots.append((bounds[k][1] + bounds[k + 1][0]) / 2)
+            roots.append(_simplest_dyadic(bounds[k][1], bounds[k + 1][0]))
     c = Polynomial.from_roots(roots)
     if _sign_on_interval(c, bounds[0]) != signs[0]:
         c = -c
@@ -88,6 +90,21 @@ def height_polynomial(cs: CrossingSet, over_at: Sequence[bool]) -> tuple[Polynom
         if _sign_on_interval(c, bounds[k]) != g:
             raise HeightError(f"sign verification failed at parameter {k}")
     return c, len(roots)
+
+
+def _simplest_dyadic(lo: Fraction, hi: Fraction) -> Fraction:
+    """The dyadic rational strictly between lo < hi with the least
+    denominator; of several integers, the one nearest 0."""
+    if lo < 0 < hi:
+        return Fraction(0)
+    if hi <= 0:
+        return -_simplest_dyadic(-hi, -lo)
+    d = 1
+    while True:
+        n = lo.numerator * d // lo.denominator + 1  # the least n with n / d > lo
+        if n * hi.denominator < hi.numerator * d:
+            return Fraction(n, d)
+        d *= 2
 
 
 def _sign_on_interval(p: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
@@ -109,7 +126,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
         cs = curve_crossings(curve)
     Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
-    for c, s in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
+    for c, (s, _) in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
         if s == 0:
             raise EmbeddingError(
                 f"z does not separate the crossing near u in "
@@ -141,7 +158,7 @@ def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int
     A_x, B_x = _pair_reduction(curve.x.derivative(), v)
     N = A_y * B_x - B_y * A_x
     out = []
-    for over, s_num in zip(overs, signs_at_roots(N, [c.u for c in cs.crossings])):
+    for over, (s_num, _) in zip(overs, signs_at_roots(N, [c.u for c in cs.crossings])):
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
         out.append(over * s_num)

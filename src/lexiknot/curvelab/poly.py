@@ -1,10 +1,11 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
-A `Polynomial` holds `fractions.Fraction` coefficients for construction
-and algebra, and computes two integer forms once: `cleared`, integers cs
-and den with coeffs = cs/den, and `primitive`, cs over its positive
-content, so every sign is kept.  Values, products, composition, root
-isolation and signs run on those: the value at a/d, d > 0, is read by
+A `Polynomial` is held as integers: cs and den with coeffs = cs/den, in
+a normal form (den > 0, gcd(den, *cs) = 1, no trailing zero), so equal
+polynomials have equal fields.  Arithmetic, composition and the gcd
+build their results from integers; `coeffs`, the rational view, and
+`primitive`, cs over its positive content so every sign is kept, are
+computed once on demand.  The value at a/d, d > 0, is read by
 homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of p(a/d).
 Roots are isolated by bisection below a Cauchy bound rounded up to a
 power of two, against a primitive pseudo-remainder Sturm chain, into
@@ -12,9 +13,12 @@ power of two, against a primitive pseudo-remainder Sturm chain, into
 a/d, so a halving takes one integer evaluation.  A sign at an isolated
 root is certified by a coprimality test modulo the prime 2^61 - 1, run
 once per pair of h and the roots' polynomial, with a rational gcd only
-when it fails, and then by halving the interval
-with `RootInterval.refine`, the one bisection step of the module, until
-an integer interval enclosure excludes 0; floating point decides nothing.
+when it fails, and then by halving the interval with
+`RootInterval.refine`, the one bisection step of the module, until a
+mean value test on integers decides it: h's value at the midpoint
+outweighs an interval enclosure of h' times the half-width.  The sign
+comes back with the interval it was decided on, so the next sign at
+the same root starts there.  Floating point decides nothing.
 """
 
 from __future__ import annotations
@@ -34,17 +38,42 @@ def _frac(x: Rat) -> Fraction:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial with exact rational coefficients, ascending degree."""
+    """Polynomial with exact rational coefficients, ascending degree.
 
-    coeffs: tuple[Fraction, ...]
+    Held as integers: coeffs = cs / den with den > 0, gcd(den, *cs) = 1
+    and no trailing zero, so equal polynomials have equal fields and
+    equal hashes.  All arithmetic builds its result from integers.
+    """
+
+    cs: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rat]):
-        cs = [_frac(c) for c in coeffs]
+        fs = [_frac(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in fs])
+        self._normalize([c.numerator * (den // c.denominator) for c in fs], den)
+
+    def _normalize(self, cs: list[int], den: int) -> None:
+        """Set cs / den in the normal form; den != 0, and cs is consumed."""
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        g = gcd(den, *cs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            cs = [c // g for c in cs]
+            den //= g
+        object.__setattr__(self, "cs", tuple(cs))
+        object.__setattr__(self, "den", den)
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_integers(cls, cs: Sequence[int], den: int = 1) -> "Polynomial":
+        """The polynomial with coefficients cs / den, for integers cs and den != 0."""
+        p = object.__new__(cls)
+        p._normalize(list(cs), den)
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -71,66 +100,64 @@ class Polynomial:
 
     # -- basics --------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    # -- integer forms, computed once per polynomial -------------------
-
     @cached_property
-    def cleared(self) -> tuple[tuple[int, ...], int]:
-        """Integers cs and a denominator den > 0 with coeffs = cs / den."""
-        den = lcm(*[c.denominator for c in self.coeffs])
-        return tuple([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, ascending; a read-only view of cs / den."""
+        return tuple([Fraction(c, self.den) for c in self.cs])
 
     @cached_property
     def primitive(self) -> tuple[int, ...]:
-        """The cleared integers over their positive content; () for zero."""
-        return _primitive(self.cleared[0])
+        """cs over its positive content; () for zero."""
+        return _primitive(self.cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.cs) - 1
+
+    @property
+    def lead(self) -> Fraction:
+        if not self.cs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Fraction(self.cs[-1], self.den)
+
+    def is_zero(self) -> bool:
+        return not self.cs
 
     def __call__(self, x: Rat) -> Fraction:
-        if not self.coeffs:
+        if not self.cs:
             return Fraction(0)
         x = _frac(x)
-        cs, den = self.cleared
         d = x.denominator
-        return Fraction(_value(cs, x.numerator, d), den * d**self.degree)
+        return Fraction(_value(self.cs, x.numerator, d), self.den * d**self.degree)
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        (a, da), (b, db) = (self.cs, self.den), (other.cs, other.den)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g  # a / da = a fa / L and b / db = b fb / L, L = lcm
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, fa, fb = b, a, fb, fa
+        out = [c * fa for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            out[i] += c * fb
+        return Polynomial.from_integers(out, da * (db // g))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial.from_integers([-c for c in self.cs], self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        (a, da), (b, db) = self.cleared, other.cleared
-        return Polynomial([Fraction(c, da * db) for c in _product(a, b)])
+        return Polynomial.from_integers(_product(self.cs, other.cs), self.den * other.den)
 
     def scale(self, c: Rat) -> "Polynomial":
-        return Polynomial([_frac(c) * a for a in self.coeffs])
+        c = _frac(c)
+        return Polynomial.from_integers([c.numerator * a for a in self.cs], self.den * c.denominator)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Polynomial.from_integers([k * c for k, c in enumerate(self.cs)][1:], self.den)
 
     def shift(self, eps: Rat) -> "Polynomial":
         """p(t + eps), exactly."""
@@ -140,22 +167,21 @@ class Polynomial:
         """p(inner), by homogeneous Horner on integers: with p = cs/den of
         degree n and inner = g/e, den e^n p(inner) = sum c_i g^i e^(n-i)."""
         if self.is_zero():
-            return Polynomial.zero()
-        cs, den = self.cleared
-        g, e = inner.cleared
+            return self
+        cs, g, e = self.cs, inner.cs, inner.den
         acc, ep = [cs[-1]], 1
         for c in reversed(cs[:-1]):
             ep *= e
             acc = _product(acc, g) or [0]
             acc[0] += c * ep
-        return Polynomial([Fraction(c, den * ep) for c in acc])
+        return Polynomial.from_integers(acc, self.den * ep)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic gcd, the last element of the primitive remainder sequence."""
         a, b = self.primitive, other.primitive
         while b:
             a, b = b, _primitive(_pseudo_divide(a, b)[2])
-        return Polynomial([Fraction(c, a[-1]) for c in a])
+        return Polynomial.from_integers(a, a[-1])
 
 
 def chebyshev(n: int) -> Polynomial:
@@ -346,7 +372,7 @@ def _squarefree_isolation(p: Polynomial) -> tuple[Polynomial, list[RootInterval]
     top = 1 << (bound - 1).bit_length()  # the least power of two >= bound
     # Cauchy's bound is strict, so neither end is a root
     work = [(-top, _variations(seq, -top, 1), top, _variations(seq, top, 1), 1)]
-    poly, out = Polynomial(sf), []
+    poly, out = Polynomial.from_integers(sf), []
     while work:
         a, va, b, vb, d = work.pop()
         if va - vb == 1:
@@ -403,34 +429,46 @@ def common_factor(h: Polynomial, W: Polynomial) -> tuple[int, ...]:
     return h.gcd(W).primitive
 
 
-def sign_at_root(h: Polynomial, root: RootInterval, common: Optional[tuple[int, ...]] = None) -> int:
-    """Exact sign of h at the root isolated by ``root`` (0 if h vanishes there).
+def sign_at_root(
+    h: Polynomial, root: RootInterval, common: Optional[tuple[int, ...]] = None
+) -> tuple[int, RootInterval]:
+    """Exact sign of h at the root isolated by ``root`` (0 if h vanishes
+    there), and the isolating interval the sign was decided on.
 
     h is read as its primitive integer coefficients.  ``common`` is
     common_factor(h, root.poly), computed here unless given.  It divides
     the squarefree W = root.poly, so it vanishes at the root iff it
     changes sign across the isolating interval.  Otherwise h is nonzero
-    at the root, and ``root.refine`` halves the interval until the
-    integer interval enclosure of h over it excludes 0.
+    at the root, and ``root.refine`` halves the interval until the mean
+    value test decides: over (a/d, b/d) with midpoint m, h keeps the sign
+    of h(m) when |h(m)| > max |h'| (b - a) / 2d, read on integers as
+    |v| > max(-lo, hi) (b - a) with v = (2d)^n h(m) and [lo, hi] the
+    enclosure of (2d)^(n-1) h'.  The returned interval is ``root`` itself
+    or a refinement of it, so a caller can ask its next sign there.
     """
     if h.is_zero():
-        return 0
+        return 0, root
     g = common_factor(h, root.poly) if common is None else common
     if len(g) > 1 and _sign(_value(g, root.a, root.d)) != _sign(_value(g, root.b, root.d)):
-        return 0
+        return 0, root
     cs = h.primitive
+    if len(cs) == 1:
+        return _sign(cs[0]), root
+    slope = [k * cs[k] for k in range(1, len(cs))]
     for _ in range(_MAX_REFINE):
-        lo, hi = _enclose(cs, root.a, root.b, root.d)
-        if lo > 0 or hi < 0:
-            return _sign(lo)
+        a, b, d = 2 * root.a, 2 * root.b, 2 * root.d
+        v = _value(cs, root.a + root.b, d)
+        lo, hi = _enclose(slope, a, b, d)
+        if abs(v) > max(-lo, hi) * (root.b - root.a):
+            return _sign(v), root
         root = root.refine()
     raise RuntimeError("sign refinement did not converge")
 
 
-def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[int]:
+def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[tuple[int, RootInterval]]:
     """sign_at_root(h, r) for each r, with one common_factor per distinct W = r.poly."""
     if h.is_zero():
-        return [0] * len(roots)
+        return [(0, r) for r in roots]
     common: dict[int, tuple[int, ...]] = {}  # id(W) -> common_factor(h, W)
     for r in roots:
         if id(r.poly) not in common:

@@ -7,8 +7,10 @@ and a parametrization (T_3, T_b, C) with deg C + b = 3N.
 Both come from the knot's fraction, not from testing candidates.  m_C is
 a shortest path over continuant pairs, found by one breadth-first pass.
 The simple diagrams come from one generator that expands the fraction into
-the integer sequences of its class (mirror images included), starting
-from the integers q = +-beta^(+-1) (mod alpha) within the Fibonacci bound.
+the integer sequences of its class, starting from the integers
+q = beta^(+-1) (mod alpha) within the Fibonacci bound.  The mirror image
+of a sequence is its negation, which the rules below treat alike, so the
+mirror class is left to `canonical_diagram`.
 It keeps only islet-free sequences that survive boundary conditions that
 slide isotopies remove:
 
@@ -124,8 +126,10 @@ def _slide_step(prev: int, m: int, first: bool, last: bool) -> bool:
 
 def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> Iterator[tuple[int, ...]]:
     """Every nonzero sequence with sum |m_i| <= budget whose continued
-    fraction lies in f's class (mirror included) and that passes the
-    simple-diagram rule (``strict``: the slide-normal rule), each once.
+    fraction lies in f's class and that passes the simple-diagram rule
+    (``strict``: the slide-normal rule), each once.  The mirror class
+    holds exactly the negations of these, and both rules are invariant
+    under negating every entry, so it is not expanded.
 
     If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
     the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
@@ -154,7 +158,7 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
     # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and
     # p = alpha > 0 fixes the sign, so each sequence has exactly one q
     alpha, bound = f.alpha, fib[budget]
-    for r in sorted(class_residues(f, include_mirror=True)):
+    for r in sorted(class_residues(f)):
         for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
             yield from expand(alpha, q, budget, 0, False)
 

@@ -1,9 +1,12 @@
 """Crossing sets from the integer enclosure loop against a Fraction oracle.
 
-The oracle is the Fraction form of `curve_crossings`' refinement loop:
-interval Horner on rational coefficients, square-root bounds on the
-reduced radicand, and a pairwise overlap test.  Both must return the
-same rationals, not merely containing ones.
+The oracle is the Fraction form of `curve_crossings`' schedule: each
+root of W is refined until the mean value test decides the sign of the
+pair discriminant, then from there until it decides the letter sign,
+and the clash loop starts from those intervals.  It uses interval
+Horner on rational coefficients, square-root bounds on the reduced
+radicand, and a pairwise overlap test.  Both must return the same
+rationals, not merely containing ones.
 """
 
 from fractions import Fraction
@@ -12,7 +15,7 @@ from math import isqrt
 import pytest
 
 from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
-from lexiknot.curvelab.poly import isolate_real_roots, sign_at_root
+from lexiknot.curvelab.poly import isolate_real_roots
 
 T3 = chebyshev(3)
 
@@ -32,6 +35,17 @@ def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return elo, ehi
 
 
+def refined_sign(p: Polynomial, r):
+    """The sign of a nonzero p at r's root, by the mean value test on
+    Fraction values, and the interval it was decided on."""
+    while True:
+        v = p(r.mid)
+        lo, hi = interval_horner(p.derivative(), r.lo, r.hi)
+        if abs(v) > max(-lo, hi) * (r.hi - r.lo) / 2:
+            return (v > 0) - (v < 0), r
+        r = r.refine()
+
+
 def enclosures(el, r):
     dlo, dhi = interval_horner(el.disc, r.lo, r.hi)
     slo = sqrt_bounds(max(dlo, Fraction(0)))[0]
@@ -47,7 +61,8 @@ def overlapping(ivs) -> set[int]:
 
 def oracle_crossings(curve: PlaneCurve):
     el = curve._eliminator
-    kept = [r for r in isolate_real_roots(el.W) if sign_at_root(el.disc, r) > 0]
+    kept = [r for sg, r in (refined_sign(el.disc, r) for r in isolate_real_roots(el.W)) if sg > 0]
+    kept = [refined_sign(el.y_third - el.y_of_u, r)[1] for r in kept]
     enc = [enclosures(el, r) for r in kept]
     for _ in range(64):
         clash = overlapping([x for x, _, _ in enc])

@@ -1,8 +1,11 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexiknot.curvelab import (
     NonNodalError,
@@ -25,6 +28,7 @@ from lexiknot.curvelab import (
 )
 from lexiknot.curvelab import height as height_module
 from lexiknot.curvelab.curves import _Eliminator, _pair_reduction
+from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import signs_at_roots
 from lexiknot.planereduce import PlaneWord, same_word_class
 
@@ -148,6 +152,21 @@ class TestCrossings:
             gc.garbage.clear()
         assert garbage == 0, f"{garbage} objects in reference cycles"
 
+    def test_each_root_is_refined_once(self, monkeypatch):
+        # the disc sign, the letter sign and the clash loop carry one
+        # interval per root; restarting each from the isolating interval
+        # took 345 and 564 halvings on (T3,T20) and (T3,T26)
+        from lexiknot.curvelab.poly import RootInterval
+
+        refine, calls = RootInterval.refine, []
+        monkeypatch.setattr(RootInterval, "refine", lambda r: calls.append(r) or refine(r))
+        for b, restarted in ((20, 345), (26, 564)):
+            calls.clear()
+            c = PlaneCurve(T3, chebyshev(b))
+            cs = curve_crossings(c)
+            assert word_from_curve(c, cs).runs == (1,) * (b - 1)
+            assert 2 * len(calls) <= restarted, (b, len(calls))
+
     def test_non_trigonal_rejected(self):
         with pytest.raises(NotTrigonalError):
             PlaneCurve(Polynomial([0, 1]), chebyshev(4))
@@ -234,6 +253,39 @@ class TestHeights:
     def test_no_crossings_height_is_constant(self):
         assert height_polynomial(curve_crossings(NO_CROSSINGS), []) == (Polynomial.const(1), 0)
 
+    def test_roots_are_the_simplest_dyadics_in_the_gaps(self):
+        # an alternating height on (T3,Tb) changes sign in every gap
+        # between consecutive parameter intervals, and vanishes at the
+        # gap's dyadic of least denominator
+        for b in (7, 10, 20):
+            cs = curve_crossings(PlaneCurve(T3, chebyshev(b)))
+            z, changes = height_polynomial(cs, alternating_overpasses(cs))
+            bounds = cs.param_bounds
+            assert changes == z.degree == len(bounds) - 1
+            for k in range(len(bounds) - 1):
+                root = _simplest_dyadic(bounds[k][1], bounds[k + 1][0])
+                assert bounds[k][1] < root < bounds[k + 1][0] and z(root) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**9),
+        st.fractions(min_value=Fraction(1, 10**9), max_value=3, max_denominator=10**9),
+    )
+    @example(Fraction(-1, 2), Fraction(2))  # 0 and 1 inside: the one nearest 0
+    @example(Fraction(1, 2), Fraction(1, 2))  # ends on dyadics, which are excluded
+    @example(Fraction(-3, 2), Fraction(1, 2))  # (-3/2, -1): a negative gap
+    def test_simplest_dyadic(self, lo, width):
+        hi = lo + width
+        r = _simplest_dyadic(lo, hi)
+        d = r.denominator
+        assert lo < r < hi and d & (d - 1) == 0
+        if d > 1:
+            # the least multiple of 2/d above lo is not below hi
+            assert (math.floor(lo * d / 2) + 1) * 2 >= hi * d
+        else:
+            # of several integers inside, the one nearest 0
+            assert r == 0 or (r - 1 <= lo if r > 0 else r + 1 >= hi)
+
     def test_single_sign_change_when_overs_lead(self):
         # on (T3,T4) the earlier parameters fill the first half of the
         # parameter order, so over-at-earlier puts every overpass first:
@@ -303,7 +355,7 @@ class TestEmbedding:
             A_y, B_y = _pair_reduction(c.y.derivative(), v)
             A_x, B_x = _pair_reduction(c.x.derivative(), v)
             N = A_y * B_x - B_y * A_x
-            expected = [-sign_at_root(A_z, x.u) * sign_at_root(N, x.u) for x in cs.crossings]
+            expected = [-sign_at_root(A_z, x.u)[0] * sign_at_root(N, x.u)[0] for x in cs.crossings]
             assert crossing_handedness(c, z, cs) == expected
 
     def test_alternating_signs_on_t3_t14_need_no_rational_gcd(self, monkeypatch):

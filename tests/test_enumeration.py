@@ -97,8 +97,10 @@ class TestMC:
 
 class TestClassSequences:
     def test_matches_brute_force(self):
-        # each catalog class, each budget, each filter: the brute-force
-        # class members that pass the filter, every one exactly once
+        # each catalog class, each budget, each filter: of the brute-force
+        # members of the class or its mirror that pass the filter, those
+        # of the class itself, every one once; negating every entry
+        # mirrors, so they and their negations are all of them
         candidates = list(signed_sequences(8))
         for rec in CAT:
             members = [s for s in candidates if in_class(s, rec)]
@@ -106,8 +108,12 @@ class TestClassSequences:
                 kept = [s for s in members if keep(s)]
                 for budget in range(1, 9):
                     got = list(_class_sequences(rec.fraction, budget, strict))
+                    expected = {s for s in kept if sum(map(abs, s)) <= budget}
+                    mirrors = {tuple(-m for m in s) for s in got}
                     assert len(got) == len(set(got)), (rec.name, budget, strict)
-                    assert set(got) == {s for s in kept if sum(map(abs, s)) <= budget}, (rec.name, budget, strict)
+                    assert set(got) <= expected and set(got) | mirrors == expected, (rec.name, budget, strict)
+                    own = {s for s in expected if fraction_equivalent(cf_eval(s), rec.fraction)}
+                    assert set(got) == own, (rec.name, budget, strict)
 
     def test_continuant_is_at_most_fibonacci(self):
         # the pruning rests on |p| <= F_{s+1} for sum |m_i| = s

@@ -68,7 +68,7 @@ def test_roots_and_signs_agree_with_sympy(f_coeffs, g_coeffs, h_coeffs, share):
     assert len(roots) == len(expected)
     for r, rho in zip(roots, expected):
         assert r.lo < rho < r.hi
-        assert sign_at_root(h, r) == _sympy_sign(h, rho)
+        assert sign_at_root(h, r)[0] == _sympy_sign(h, rho)
 
 
 def _same(p: Polynomial, expected) -> bool:
@@ -128,7 +128,7 @@ def test_certificate_decides_coprime_pairs_without_a_rational_gcd(w_coeffs, h_co
     roots, expected = isolate_real_roots(W), _real_roots(W)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "gcd", _forbidden_gcd)
-        assert [sign_at_root(h, r) for r in roots] == [_sympy_sign(h, rho) for rho in expected]
+        assert [sign_at_root(h, r)[0] for r in roots] == [_sympy_sign(h, rho) for rho in expected]
 
 
 def _signs_and_gcds(h: Polynomial, W: Polynomial) -> tuple[list[int], list[int], int]:
@@ -136,7 +136,7 @@ def _signs_and_gcds(h: Polynomial, W: Polynomial) -> tuple[list[int], list[int],
     gcd = Polynomial.gcd
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
-        signs = [sign_at_root(h, r) for r in isolate_real_roots(W)]
+        signs = [sign_at_root(h, r)[0] for r in isolate_real_roots(W)]
     return signs, [_sympy_sign(h, rho) for rho in _real_roots(W)], len(calls)
 
 
@@ -208,10 +208,11 @@ def test_interval_enclosure_is_interval_horner(coeffs, lo_num, width, k):
     for c in reversed(p.coeffs):
         cands = (elo * lo, elo * hi, ehi * lo, ehi * hi)
         elo, ehi = min(cands) + c, max(cands) + c
-    # the cached integer forms are p's coefficients and their primitive
-    # part, and reading them changes neither equality nor hash
+    # the integer form cs / den is p's coefficients, the primitive part
+    # is cs over its content, and reading the cached views changes
+    # neither equality nor hash
     fresh = Polynomial(p.coeffs)
-    cs, den = p.cleared
+    cs, den = p.cs, p.den
     assert tuple(Fraction(c, den) for c in cs) == p.coeffs and den > 0
     content = abs(sympy.gcd_list(list(cs)))
     assert p.primitive == tuple(c // content for c in cs) and abs(sympy.gcd_list(list(p.primitive))) == 1
@@ -270,6 +271,6 @@ def test_sign_at_a_root_hit_exactly_by_a_midpoint(h, sign):
     # and h = +-(8u - 1) has an enclosure over (0, 1/2) that meets 0
     W = Polynomial([-1, 4])
     root = RootInterval(W, 0, 1, 2, -1)
-    lo, hi = _enclose(h.cleared[0], 0, 1, 2)
+    lo, hi = _enclose(h.cs, 0, 1, 2)
     assert lo < 0 < hi
-    assert sign_at_root(h, root) == _sympy_sign(h, sympy.Rational(1, 4)) == sign
+    assert sign_at_root(h, root)[0] == _sympy_sign(h, sympy.Rational(1, 4)) == sign

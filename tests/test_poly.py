@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lexiknot.curvelab.curves import _sqrt_bounds
 from lexiknot.curvelab.poly import (
@@ -92,15 +95,15 @@ class TestRoots:
         # those above c
         roots = isolate_real_roots(P.from_roots([-1, 0, 1]))
         assert len(roots) == 3
-        assert [sign_at_root(P([Fraction(-1, 2), 1]), r) for r in roots] == [-1, -1, 1]
+        assert [sign_at_root(P([Fraction(-1, 2), 1]), r)[0] for r in roots] == [-1, -1, 1]
 
     def test_sign_at_root(self):
         p = P.from_roots([2])  # root t = 2
         root = isolate_real_roots(P([-4, 0, 1]))[1]  # sqrt(4)... root 2 of t^2-4
         h = P([-1, 1])  # t - 1, positive at 2
-        assert sign_at_root(h, root) == 1
-        assert sign_at_root(P([3, -1]), root) == 1  # 3 - t at 2 -> 1
-        assert sign_at_root(P([-4, 0, 1]), root) == 0
+        assert sign_at_root(h, root)[0] == 1
+        assert sign_at_root(P([3, -1]), root)[0] == 1  # 3 - t at 2 -> 1
+        assert sign_at_root(P([-4, 0, 1]), root)[0] == 0
         assert p(2) == 0
 
     def test_sign_at_root_builds_no_sturm_chain(self, monkeypatch):
@@ -114,8 +117,8 @@ class TestRoots:
         monkeypatch.setattr(poly, "sturm_sequence", forbidden)
         h = chebyshev(5) - P([Fraction(1, 3)])  # T_5 = 1/3 at no root of T_7
         tight = [refined_below(r, Fraction(1, 10**12)) for r in roots]
-        assert [sign_at_root(h, r) for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
-        assert [sign_at_root(chebyshev(21), r) for r in roots] == [0] * 7  # T_7 divides T_21
+        assert [sign_at_root(h, r)[0] for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
+        assert [sign_at_root(chebyshev(21), r)[0] for r in roots] == [0] * 7  # T_7 divides T_21
 
     def test_signs_at_roots_certify_each_pair_once(self, monkeypatch):
         import lexiknot.curvelab.poly as poly
@@ -135,13 +138,102 @@ class TestRoots:
             assert len(gcds) <= len(certified)
             assert many == [sign_at_root(h, r) for r in roots + other]
         # (t - 2)(t - 5)(t^2 - 2): zero at +-sqrt 2 and 2, exact signs elsewhere
-        assert signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots) == [1, 0, -1, 0, 0]
+        assert [sg for sg, _ in signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots)] == [1, 0, -1, 0, 0]
 
     def test_refinement(self):
         root = isolate_real_roots(P([-2, 0, 1]))[1]  # sqrt(2)
         tight = refined_below(root, Fraction(1, 10**6))
         assert tight.hi - tight.lo < Fraction(1, 10**6)
         assert tight.lo < Fraction(141421356, 10**8) < tight.hi
+
+
+# A plain Fraction reference: tuples of Fraction coefficients, ascending,
+# without trailing zeros.
+
+
+def ref(cs) -> tuple[Fraction, ...]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_compose(a, b):
+    out = ()
+    for c in reversed(a):
+        out = ref_add(ref_mul(out, b), (c,))
+    return out
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid's algorithm on Fractions."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            q = r[-1] / b[-1]
+            s = len(r) - len(b)
+            for i, c in enumerate(b):
+                r[s + i] -= q * c
+            r = list(ref(r[:-1]))
+        a, b = b, ref(r)
+    return tuple(c / a[-1] for c in a)
+
+
+def in_normal_form(p: Polynomial) -> bool:
+    return p.den > 0 and gcd(p.den, *p.cs) == 1 and (not p.cs or p.cs[-1] != 0)
+
+
+rationals = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+coefficient_lists = st.lists(rationals, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists, rationals, st.integers(-5, 5).filter(bool))
+@example([Fraction(1, 2), 0, 0], [0, 0], Fraction(0), -1)  # trailing zeros, a zero polynomial
+@example([Fraction(2, 3), Fraction(-4, 3)], [Fraction(1, 6), Fraction(1, 3)], Fraction(-3, 2), 4)
+def test_integer_polynomial_matches_a_fraction_reference(a, b, c, k):
+    p, q = P(a), P(b)
+    ra, rb, c = ref(a), ref(b), Fraction(c)
+    results = [
+        (p, ra),
+        (p + q, ref_add(ra, rb)),
+        (p - q, ref_add(ra, tuple(-x for x in rb))),
+        (-p, tuple(-x for x in ra)),
+        (p * q, ref_mul(ra, rb)),
+        (p.scale(c), ref(x * c for x in ra)),
+        (p.derivative(), ref(i * x for i, x in enumerate(ra))[1:] if ra else ()),
+        (p.compose(q), ref_compose(ra, rb)),
+        (p.shift(c), ref_compose(ra, (c, Fraction(1)))),
+    ]
+    if ra or rb:
+        results.append((p.gcd(q), ref_gcd(ra, rb)))
+    for got, want in results:
+        # the integer pair is the normal form of the rationals, so equal
+        # polynomials compare and hash equal however they were built
+        assert got.coeffs == want and got.degree == len(want) - 1
+        assert in_normal_form(got)
+        assert got.coeffs == tuple(Fraction(x, got.den) for x in got.cs)
+        same = P(list(want) + [0])
+        assert got == same and hash(got) == hash(same)
+        scaled = P.from_integers([k * x for x in got.cs], k * got.den)
+        assert scaled == got and hash(scaled) == hash(got) and in_normal_form(scaled)
+    assert p(c) == sum((x * c**i for i, x in enumerate(ra)), Fraction(0))
+    assert (p == q) == (ra == rb)
+    if ra:
+        assert p.lead == ra[-1]
 
 
 def test_sqrt_bounds():
