@@ -14,17 +14,14 @@ entries need no special casing and no division ever happens.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from importlib import resources
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class DegenerateFractionError(ValueError):
     """Raised when an operation needs alpha >= 2 but got an unknot/empty class."""
 
 
-@dataclass(frozen=True)
 class SchubertFraction:
     """A Schubert fraction alpha/beta in canonical form.
 
@@ -33,12 +30,31 @@ class SchubertFraction:
     before normalization; the canonical residue already determines the
     knot (including chirality), the flag only answers mirror-sensitive
     questions about how the fraction was originally written and stays
-    out of equality.
+    out of equality and hash.  Immutable.
     """
 
-    alpha: int
-    beta: int
-    negative: bool = field(default=False, compare=False)
+    __slots__ = ("alpha", "beta", "negative")
+
+    def __init__(self, alpha: int, beta: int, negative: bool = False):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "negative", negative)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"SchubertFraction is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta))
+
+    def __repr__(self) -> str:
+        return f"SchubertFraction(alpha={self.alpha}, beta={self.beta}, negative={self.negative})"
 
     @classmethod
     def make(cls, p: int, q: int) -> "SchubertFraction":
@@ -159,8 +175,7 @@ def fraction_equivalent(
     return f1.alpha == 0 or f2.beta % f1.alpha in class_residues(f1, include_mirror)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     """One row of the two-bridge catalog."""
 
     name: str
@@ -182,6 +197,8 @@ class Catalog:
 
     @classmethod
     def load(cls) -> "Catalog":
+        from importlib import resources  # only where a table is read: Python 3.12's imports inspect
+
         text = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
         rows = list(csv.DictReader(text.splitlines()))
         records = [

@@ -8,18 +8,6 @@ import os
 import sys
 
 from .arith import DegenerateFractionError, default_catalog, parse_fraction, record_for_fraction
-from .curvelab import (
-    EmbeddingError,
-    NonNodalError,
-    NotTrigonalError,
-    PlaneCurve,
-    Polynomial,
-    chebyshev,
-    curve_crossings,
-    verify_embedding,
-    word_from_curve,
-)
-from .curvelab.svg import render_svg
 from .enumeration import SearchExhausted, diagram_summary, enumerate_simple_diagrams, m_C
 from .planereduce import PlaneWord, reduction_search
 from .report import build_table, diff_expected, emit, load_expected
@@ -39,7 +27,11 @@ def _usage_error(command: str, message: str) -> int:
     return 2
 
 
-def _parse_poly(text: str) -> Polynomial:
+def _parse_poly(text: str):
+    """A curve coordinate; the curve lab is imported here and in `cmd_curve`
+    only, so the other commands start without it."""
+    from .curvelab import Polynomial, chebyshev
+
     if text.startswith("cheb:"):
         return chebyshev(int(text[5:]))
     return Polynomial.parse(text.removeprefix("coeffs:"))
@@ -103,6 +95,17 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from .curvelab import (
+        EmbeddingError,
+        NonNodalError,
+        NotTrigonalError,
+        PlaneCurve,
+        curve_crossings,
+        verify_embedding,
+        word_from_curve,
+    )
+    from .curvelab.svg import render_svg
+
     try:
         curve = PlaneCurve(args.x, args.y)
         cs = curve_crossings(curve)

@@ -30,7 +30,6 @@ the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -60,18 +59,35 @@ class NotTrigonalError(ValueError):
 BOTTOM, TOP = 0, 1  # crossing positions: third strand above vs below
 
 
-@dataclass(frozen=True)
 class PlaneCurve:
-    x: Polynomial
-    y: Polynomial
+    """The plane curve (x, y), x a cubic with two real folds and deg y >= 2.
 
-    def __post_init__(self):
-        if self.x.degree != 3:
-            raise NotTrigonalError(f"x-degree {self.x.degree}, need a cubic")
-        if self.y.degree < 2:
-            raise NotTrigonalError(f"y-degree {self.y.degree}, need at least 2")
+    Immutable and equal when x and y are; the folds and the
+    symmetric-coordinate data are cached in the instance dict.
+    """
+
+    def __init__(self, x: Polynomial, y: Polynomial):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        if x.degree != 3:
+            raise NotTrigonalError(f"x-degree {x.degree}, need a cubic")
+        if y.degree < 2:
+            raise NotTrigonalError(f"y-degree {y.degree}, need at least 2")
         if len(self._critical_points) != 2:
             raise NotTrigonalError("the cubic needs two distinct real critical points")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"PlaneCurve is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -88,22 +104,79 @@ class PlaneCurve:
         return _Eliminator(self)
 
 
-@dataclass(frozen=True)
 class Crossing:
-    u: RootInterval            # isolated root of the symmetric polynomial
-    t: tuple[Fraction, Fraction]  # rational bounds, t < s
-    s: tuple[Fraction, Fraction]
-    x: tuple[Fraction, Fraction]
-    letter: int                # BOTTOM or TOP
+    """One double point: u, an isolated root of the symmetric polynomial;
+    rational bounds on its parameters t < s and on its x; and its letter,
+    BOTTOM or TOP.  Immutable, equal when all five are."""
+
+    __slots__ = ("u", "t", "s", "x", "letter")
+
+    def __init__(
+        self,
+        u: RootInterval,
+        t: tuple[Fraction, Fraction],
+        s: tuple[Fraction, Fraction],
+        x: tuple[Fraction, Fraction],
+        letter: int,
+    ):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "letter", letter)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Crossing is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.u, self.t, self.s, self.x, self.letter
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class CrossingSet:
-    curve: PlaneCurve
-    crossings: tuple[Crossing, ...]   # sorted by x
-    # per crossing, positions of its two parameters in the global t-order
-    param_order: tuple[tuple[int, int], ...]
-    param_bounds: tuple[tuple[Fraction, Fraction], ...]
+    """A curve's crossings sorted by x; per crossing, the positions of its
+    two parameters in the global t-order; and the parameters' rational
+    bounds in that order.  Immutable, equal when all four are; its
+    length is the number of crossings."""
+
+    __slots__ = ("curve", "crossings", "param_order", "param_bounds")
+
+    def __init__(
+        self,
+        curve: PlaneCurve,
+        crossings: tuple[Crossing, ...],
+        param_order: tuple[tuple[int, int], ...],
+        param_bounds: tuple[tuple[Fraction, Fraction], ...],
+    ):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "param_order", param_order)
+        object.__setattr__(self, "param_bounds", param_bounds)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"CrossingSet is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.curve, self.crossings, self.param_order, self.param_bounds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.crossings)

@@ -13,9 +13,11 @@ Verification reads the over/under sign and the twist sense of every
 crossing with `signs_at_roots`: one coprimality certificate modulo a prime
 rules out exact vanishing, with a rational gcd only where it fails, and
 a mean value test on integers over a bisected dyadic isolating interval
-gives the sign.  The knot is named by its determinant, the integer |det|
-of a Fox coloring minor computed by fraction-free elimination.  No
-floating point decides anything.
+gives the sign.  The twist sense is unoriented, so each crossing sign is
+turned by the direction in x of both strands, the sign of x' on their
+parameter enclosures.  The knot is named by its determinant, the
+integer |det| of a Fox coloring minor computed by fraction-free
+elimination.  No floating point decides anything.
 """
 
 from __future__ import annotations
@@ -140,11 +142,13 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
     """Geometric twist sense of each crossing, in x-order, exactly.
 
     With t < s the parameters of the crossing and T = (x', y') the plane
-    tangent, the handedness is sign(z(t) - z(s)) * sign(det(T_t, T_s)).
-    The first factor is crossing_signs(curve, z, cs).  The second is
-    sign(N(u)), since det(T_t, T_s) = x'(t) y'(s) - y'(t) x'(s)
-    = (s - t) N(u) with N = A_y' B_x' - B_y' A_x' built from the pair
-    reductions of y' and x'.
+    tangent, the oriented crossing sign is sign(z(t) - z(s)) *
+    sign(det(T_t, T_s)).  The first factor is crossing_signs(curve, z,
+    cs).  The second is sign(N(u)), since det(T_t, T_s) = x'(t) y'(s) -
+    y'(t) x'(s) = (s - t) N(u) with N = A_y' B_x' - B_y' A_x' built from
+    the pair reductions of y' and x'.  The twist sense of the diagram is
+    unoriented: it is the crossing sign with both strands turned to run
+    towards +x, which multiplies it by sign(x'(t) x'(s)).
     """
     if cs is None:
         cs = curve_crossings(curve)
@@ -152,17 +156,35 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
 
 
 def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int]:
-    """Handedness from the crossing signs and one tangent-determinant sign pass."""
+    """Handedness from the crossing signs, one tangent-determinant sign
+    pass, and the direction in x of both strands."""
     v = curve._eliminator.v
+    dx = curve.x.derivative()
     A_y, B_y = _pair_reduction(curve.y.derivative(), v)
-    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
+    A_x, B_x = _pair_reduction(dx, v)
     N = A_y * B_x - B_y * A_x
     out = []
-    for over, (s_num, _) in zip(overs, signs_at_roots(N, [c.u for c in cs.crossings])):
+    slopes = signs_at_roots(N, [c.u for c in cs.crossings])
+    for c, over, (s_num, _) in zip(cs.crossings, overs, slopes):
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
-        out.append(over * s_num)
+        out.append(over * s_num * _direction(dx, c.t) * _direction(dx, c.s))
     return out
+
+
+def _direction(dx: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
+    """sign(x') on a parameter enclosure, exactly.  x' is a quadratic, so
+    it keeps its sign on the enclosure when it has one sign at both ends
+    and, if the enclosure holds it, at its vertex."""
+    lo, hi = iv
+    points = [lo, hi]
+    vertex = Fraction(-dx.cs[1], 2 * dx.cs[2])
+    if lo < vertex < hi:
+        points.append(vertex)
+    signs = {(v > 0) - (v < 0) for v in map(dx, points)}
+    if len(signs) != 1 or 0 in signs:
+        raise EmbeddingError(f"x' changes sign on the parameter enclosure ({float(lo):.4f}, {float(hi):.4f})")
+    return signs.pop()
 
 
 def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) -> list[int]:

@@ -23,7 +23,6 @@ the same root starts there.  Floating point decides nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -36,17 +35,14 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Polynomial with exact rational coefficients, ascending degree.
 
     Held as integers: coeffs = cs / den with den > 0, gcd(den, *cs) = 1
     and no trailing zero, so equal polynomials have equal fields and
     equal hashes.  All arithmetic builds its result from integers.
+    Immutable; `coeffs` and `primitive` are cached in the instance dict.
     """
-
-    cs: tuple[int, ...]
-    den: int
 
     def __init__(self, coeffs: Iterable[Rat]):
         fs = [_frac(c) for c in coeffs]
@@ -65,6 +61,22 @@ class Polynomial:
             den //= g
         object.__setattr__(self, "cs", tuple(cs))
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Polynomial is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cs == other.cs and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.cs, self.den))
+
+    def __repr__(self) -> str:
+        return f"Polynomial.from_integers({self.cs}, {self.den})"
 
     # -- construction -------------------------------------------------
 
@@ -309,17 +321,35 @@ def _variations(seq: Sequence[Sequence[int]], a: int, d: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class RootInterval:
     """Open isolating interval (a/d, b/d) of a simple real root of the
     squarefree poly: a < b, d a power of two, and sa the sign of poly at
-    a/d, which is no root of it."""
+    a/d, which is no root of it.  Immutable, equal when all five are."""
 
-    poly: Polynomial
-    a: int
-    b: int
-    d: int
-    sa: int
+    __slots__ = ("poly", "a", "b", "d", "sa")
+
+    def __init__(self, poly: Polynomial, a: int, b: int, d: int, sa: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "sa", sa)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"RootInterval is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.poly, self.a, self.b, self.d, self.sa
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def lo(self) -> Fraction:

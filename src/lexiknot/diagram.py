@@ -8,7 +8,6 @@ twist is positive, for even i it is negative).  The continued fraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import KnotRecord, SchubertFraction, catalog_lookup, cf_eval
@@ -18,15 +17,32 @@ class IsletError(ValueError):
     """Raised when a crossing-count formula is applied to a diagram with islets."""
 
 
-@dataclass(frozen=True)
 class TrigonalDiagram:
-    entries: tuple[int, ...]
+    """D(m_1, ..., m_k) for k >= 1, immutable, equal when the entries are."""
+
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[int]):
         entries = tuple([int(m) for m in entries])
         if not entries:
             raise ValueError("a trigonal diagram needs at least one region")
         object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"TrigonalDiagram is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"TrigonalDiagram({self.entries})"
 
     def __str__(self) -> str:
         return "D(" + ",".join(str(m) for m in self.entries) + ")"

@@ -29,9 +29,8 @@ as soon as it breaks one and never builds a sequence it would drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, gcd
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import KnotRecord, SchubertFraction, class_residues
 from .diagram import TrigonalDiagram, crossing_number
@@ -41,20 +40,18 @@ class SearchExhausted(RuntimeError):
     """A bounded search found nothing within its cap."""
 
 
-@dataclass(frozen=True)
-class DegreeTriple:
-    a: int
-    b: int
-    c: int
+class DegreeTriple(NamedTuple("DegreeTriple", [("a", int), ("b", int), ("c", int)])):
+    """Degrees (a, b, c) of a polynomial knot, a < b < c with gcd(a, b) = 1."""
 
-    def __post_init__(self):
-        if not (self.a < self.b < self.c):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        self = super().__new__(cls, a, b, c)
+        if not (a < b < c):
             raise ValueError(f"degrees must increase: {self}")
-        if gcd(self.a, self.b) != 1:
+        if gcd(a, b) != 1:
             raise ValueError(f"x- and y-degrees must be coprime: {self}")
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
+        return self
 
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"

@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import KnotRecord
 from .diagram import TrigonalDiagram
@@ -62,17 +60,33 @@ class MoveError(ValueError):
 # words and normalization
 
 
-@dataclass(frozen=True)
 class PlaneWord:
-    """Run-length word of an unsigned plane trigonal diagram."""
+    """Run-length word of an unsigned plane trigonal diagram; immutable,
+    equal when the runs are."""
 
-    runs: Runs
+    __slots__ = ("runs",)
 
     def __init__(self, runs: Sequence[int]):
         runs = tuple(int(r) for r in runs)
         if any(r < 0 for r in runs):
             raise ValueError("run lengths are nonnegative")
         object.__setattr__(self, "runs", runs)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"PlaneWord is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash(self.runs)
+
+    def __repr__(self) -> str:
+        return f"PlaneWord({self.runs})"
 
     def __str__(self) -> str:
         return "(" + ",".join(str(r) for r in self.runs) + ")" if self.runs else "()"
@@ -284,8 +298,7 @@ def neighbors(w: PlaneWord) -> set[PlaneWord]:
 # base degrees
 
 
-@dataclass(frozen=True)
-class BaseEntry:
+class BaseEntry(NamedTuple):
     runs: Runs
     b_exact: Optional[int]
     b_lower: int
@@ -306,6 +319,8 @@ class BaseTable:
 
     @classmethod
     def load(cls) -> "BaseTable":
+        from importlib import resources  # only where a table is read: Python 3.12's imports inspect
+
         def rows(name: str) -> Iterator[tuple[Runs, dict[str, str]]]:
             text = resources.files("lexiknot.data").joinpath(name).read_text()
             for row in csv.DictReader(text.splitlines()):
@@ -388,8 +403,7 @@ def _base(runs: Runs) -> tuple[int, str, Optional[int], int]:
 # reduction search
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """A replayable chain of moves from a word down to its base, and the
     constructive upper bound read off the same search."""
 
@@ -422,11 +436,13 @@ class ReductionTrace:
         return best, prov
 
 
-@dataclass
 class _SearchState:
-    cost: int
-    parent: Optional[Runs]
-    move: Optional[Move]
+    __slots__ = ("cost", "parent", "move")
+
+    def __init__(self, cost: int, parent: Optional[Runs], move: Optional[Move]):
+        self.cost = cost
+        self.parent = parent
+        self.move = move
 
 
 def _walk(
@@ -548,18 +564,37 @@ def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
     return reduction_search(w, depth).lower_bound()
 
 
-@dataclass
 class DegreeReport:
-    knot: KnotRecord
-    b_lower: int
-    b_upper: int
-    c_lower: int
-    c_upper: int
-    status: str  # "exact" | "range"
-    deg_C: DegreeTriple
-    diagrams: list[TrigonalDiagram] = field(default_factory=list)
-    traces: list[ReductionTrace] = field(default_factory=list)
-    witnesses: list[str] = field(default_factory=list)
+    """Degree bounds of one knot; the lists default to fresh empty ones."""
+
+    def __init__(
+        self,
+        knot: KnotRecord,
+        b_lower: int,
+        b_upper: int,
+        c_lower: int,
+        c_upper: int,
+        status: str,  # "exact" | "range"
+        deg_C: DegreeTriple,
+        diagrams: Optional[list[TrigonalDiagram]] = None,
+        traces: Optional[list[ReductionTrace]] = None,
+        witnesses: Optional[list[str]] = None,
+    ):
+        self.knot = knot
+        self.b_lower = b_lower
+        self.b_upper = b_upper
+        self.c_lower = c_lower
+        self.c_upper = c_upper
+        self.status = status
+        self.deg_C = deg_C
+        self.diagrams = [] if diagrams is None else diagrams
+        self.traces = [] if traces is None else traces
+        self.witnesses = [] if witnesses is None else witnesses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def starred(self) -> bool:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import Catalog, KnotRecord, default_catalog
 from .diagram import TrigonalDiagram
@@ -15,8 +14,7 @@ from .enumeration import DegreeTriple
 from .planereduce import DegreeReport, ReductionTrace, degree_verdict
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     name: str
     record: KnotRecord
     deg_C: DegreeTriple
@@ -158,9 +156,16 @@ def emit(rows: Sequence[TableRow], fmt: str = "md") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-@dataclass
 class Diff:
-    mismatches: list[str] = field(default_factory=list)
+    """The mismatches of a computed table against an expected one."""
+
+    def __init__(self, mismatches: Optional[list[str]] = None):
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mismatches == other.mismatches
 
     @property
     def ok(self) -> bool:

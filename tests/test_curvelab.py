@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexiknot.arith import default_catalog, fraction_equivalent
 from lexiknot.curvelab import (
     NonNodalError,
     NotTrigonalError,
@@ -30,6 +31,7 @@ from lexiknot.curvelab import height as height_module
 from lexiknot.curvelab.curves import _Eliminator, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import signs_at_roots
+from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, same_word_class
 
 T3 = chebyshev(3)
@@ -345,8 +347,13 @@ class TestEmbedding:
         assert calls == [len(cs), len(cs)]
 
     def test_handedness_is_the_tangent_determinant_sign(self):
-        # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num)
-        for b in (4, 5):
+        # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num),
+        # with both tangents turned to run towards +x: x = T3 runs backwards
+        # exactly on the middle branch |t| < 1/2
+        def backwards(iv):
+            return abs(iv[0] + iv[1]) < 1
+
+        for b in (4, 5, 7):
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             z, _ = height_polynomial(cs, alternating_overpasses(cs))
@@ -355,7 +362,10 @@ class TestEmbedding:
             A_y, B_y = _pair_reduction(c.y.derivative(), v)
             A_x, B_x = _pair_reduction(c.x.derivative(), v)
             N = A_y * B_x - B_y * A_x
-            expected = [-sign_at_root(A_z, x.u)[0] * sign_at_root(N, x.u)[0] for x in cs.crossings]
+            expected = [
+                -sign_at_root(A_z, x.u)[0] * sign_at_root(N, x.u)[0] * (-1 if backwards(x.t) != backwards(x.s) else 1)
+                for x in cs.crossings
+            ]
             assert crossing_handedness(c, z, cs) == expected
 
     def test_alternating_signs_on_t3_t14_need_no_rational_gcd(self, monkeypatch):
@@ -425,6 +435,51 @@ class TestDeterminant:
                 overs = [rng.choice((1, -1)) for _ in cs.crossings]
                 flipped = [-o for o in overs]
                 assert height_module._determinant(cs, flipped) == height_module._determinant(cs, overs)
+
+
+class TestDiagramClass:
+    # the extracted diagram names the knot on its own: its fraction lies in
+    # the knot's class (mirror included) and its numerator is the
+    # determinant of the curve's Gauss structure
+    @pytest.mark.parametrize(
+        "curve, name",
+        [
+            (PlaneCurve(T3, chebyshev(4)), "3_1"),
+            (PlaneCurve(T3, chebyshev(5)), "4_1"),
+            (perturb(q7(Fraction(-1, 2)), Fraction(1, 1024)), "6_2"),
+            (PlaneCurve(T3, chebyshev(7)), "6_3"),
+            (PlaneCurve(T3, chebyshev(8)), "7_7"),
+        ],
+        ids=["T3,T4", "T3,T5", "6_2 witness", "T3,T7", "T3,T8"],
+    )
+    def test_witness_diagram_is_in_the_knot_class(self, curve, name):
+        cs = curve_crossings(curve)
+        z, _ = height_polynomial(cs, alternating_overpasses(cs))
+        d, rec = verify_embedding(curve.x, curve.y, z)
+        assert rec.name == name
+        assert fraction_equivalent(d.fraction(), default_catalog().get(name).fraction, include_mirror=True)
+
+    def test_strand_direction_is_exact_or_raises(self):
+        from lexiknot.curvelab import EmbeddingError
+
+        dx = T3.derivative()  # 12 t^2 - 3: negative exactly on |t| < 1/2
+        assert height_module._direction(dx, (Fraction(1), Fraction(2))) == 1
+        assert height_module._direction(dx, (Fraction(-1, 4), Fraction(1, 3))) == -1
+        for iv in ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1)), (Fraction(-1), Fraction(1))):
+            # a fold inside, a fold at an end, both folds inside
+            with pytest.raises(EmbeddingError):
+                height_module._direction(dx, iv)
+
+    def test_fraction_numerator_is_the_determinant(self):
+        rng = random.Random(1)
+        for b in (4, 5, 7, 8):
+            c = PlaneCurve(T3, chebyshev(b))
+            cs = curve_crossings(c)
+            for _ in range(40):
+                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+                overs = crossing_signs(c, z, cs)
+                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(c, cs, overs)))
+                assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
 
 
 class TestSymmetries:

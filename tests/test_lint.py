@@ -1,5 +1,5 @@
-"""Source-tree lints: failures raise typed errors, never bare asserts, and
-no public name goes unused."""
+"""Source-tree lints: failures raise typed errors, never bare asserts, no
+module imports dataclasses, and no public name goes unused."""
 
 import ast
 import re
@@ -15,6 +15,23 @@ def test_no_assert_statements():
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect and writes the code of every record when
+    # its module is imported, which every fresh interpreter pays for
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, found
 

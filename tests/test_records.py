@@ -1,0 +1,138 @@
+"""The package's records: constructors, validation, value equality and hash,
+and immutability, as plain classes without generated code."""
+
+from fractions import Fraction
+
+import pytest
+
+from lexiknot.arith import KnotRecord, SchubertFraction, default_catalog
+from lexiknot.curvelab import NotTrigonalError, PlaneCurve, Polynomial, chebyshev, curve_crossings
+from lexiknot.curvelab.poly import RootInterval
+from lexiknot.diagram import TrigonalDiagram
+from lexiknot.enumeration import DegreeTriple
+from lexiknot.planereduce import BaseEntry, DegreeReport, PlaneWord, base_table, degree_verdict, reduction_search
+from lexiknot.report import Diff, TableRow
+
+T3 = chebyshev(3)
+
+
+def _crossing_set():
+    return curve_crossings(PlaneCurve(T3, chebyshev(4)))
+
+
+# (build, field): build() returns a fresh instance with the same value each call
+FROZEN = {
+    "SchubertFraction": (lambda: SchubertFraction.make(7, 3), "alpha"),
+    "KnotRecord": (lambda: KnotRecord(*default_catalog().get("6_2")), "name"),
+    "TrigonalDiagram": (lambda: TrigonalDiagram([2, 1, 3]), "entries"),
+    "DegreeTriple": (lambda: DegreeTriple(3, 7, 11), "b"),
+    "PlaneWord": (lambda: PlaneWord([2, 1, 3]), "runs"),
+    "BaseEntry": (lambda: BaseEntry((3,), 4, 4, "a source"), "b_lower"),
+    "ReductionTrace": (lambda: reduction_search(PlaneWord([2, 1, 3])), "cost"),
+    "Polynomial": (lambda: Polynomial([Fraction(1, 2), 0, 3]), "cs"),
+    "RootInterval": (lambda: RootInterval(Polynomial([-1, 4]), 0, 1, 2, -1), "a"),
+    "PlaneCurve": (lambda: PlaneCurve(T3, chebyshev(4)), "y"),
+    "Crossing": (lambda: _crossing_set().crossings[0], "letter"),
+    "CrossingSet": (_crossing_set, "crossings"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_assigning_a_field_raises(name):
+    build, field = FROZEN[name]
+    record = build()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_equal_values_are_equal_and_hash_alike(name):
+    build, _ = FROZEN[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (TrigonalDiagram([2, 1, 3]), TrigonalDiagram([3, 1, 2])),
+        (PlaneWord([2, 1, 3]), PlaneWord([2, 1])),
+        (Polynomial([1, 2]), Polynomial([1, 3])),
+        (RootInterval(Polynomial([-1, 4]), 0, 1, 2, -1), RootInterval(Polynomial([-1, 4]), 0, 1, 4, -1)),
+        (PlaneCurve(T3, chebyshev(4)), PlaneCurve(T3, chebyshev(5))),
+        (SchubertFraction.make(7, 3), SchubertFraction.make(7, 2)),
+    ],
+)
+def test_different_values_differ(a, b):
+    assert a != b and not a == b
+
+
+def test_records_of_different_classes_differ():
+    assert PlaneWord([1, 2]) != TrigonalDiagram([1, 2])
+    assert TrigonalDiagram([1, 2]) != (1, 2)
+
+
+def test_fraction_sign_stays_out_of_equality_and_hash():
+    f = SchubertFraction.make(7, -3)
+    g = SchubertFraction.make(7, 4)
+    assert (f.alpha, f.beta) == (g.alpha, g.beta) == (7, 4)
+    assert f.negative and not g.negative
+    assert f == g and not f != g
+    assert hash(f) == hash(g)
+    assert SchubertFraction.make(-7, 3) == SchubertFraction(7, 4, False)
+
+
+def test_constructors_keep_their_signatures():
+    assert SchubertFraction(7, 4).negative is False
+    assert str(SchubertFraction(7, 4)) == "7/4"
+    assert str(DegreeTriple(a=3, b=7, c=11)) == "(3,7,11)"
+    assert tuple(DegreeTriple(3, 7, 11)) == (3, 7, 11)
+    assert str(TrigonalDiagram([2, -1])) == "D(2,-1)" and len(TrigonalDiagram([2, -1])) == 2
+    assert str(PlaneWord([])) == "()" and str(PlaneWord([2, 0, 1])) == "(2,0,1)"
+    row = TableRow("x", default_catalog().get("3_1"), DegreeTriple(3, 4, 5), [], [], 4, 5, 5, "exact", False)
+    assert row.error is None and row.traceback is None
+    assert isinstance(default_catalog().get("3_1"), KnotRecord)
+    assert base_table().lookup((3,)).b_lower == 4
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: DegreeTriple(3, 6, 9), ValueError),  # gcd(3, 6) = 3
+        (lambda: DegreeTriple(3, 11, 7), ValueError),  # not increasing
+        (lambda: TrigonalDiagram([]), ValueError),
+        (lambda: PlaneWord([2, -1, 3]), ValueError),
+        (lambda: PlaneCurve(Polynomial([0, -3, 0, 1, 1]), chebyshev(4)), NotTrigonalError),  # quartic x
+        (lambda: PlaneCurve(Polynomial([0, 3, 0, 1]), chebyshev(4)), NotTrigonalError),  # no real folds
+        (lambda: PlaneCurve(T3, Polynomial([0, 1])), NotTrigonalError),  # linear y
+    ],
+)
+def test_invalid_values_raise_their_error_types(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_reports_and_diffs_get_fresh_lists():
+    k = default_catalog().get("3_1")
+    deg = DegreeTriple(3, 4, 5)
+    r1, r2 = (DegreeReport(k, 4, 4, 5, 5, "exact", deg) for _ in range(2))
+    r1.diagrams.append(TrigonalDiagram([3]))
+    r1.traces.append(None)
+    r1.witnesses.append("w")
+    assert r2.diagrams == [] and r2.traces == [] and r2.witnesses == []
+    d1, d2 = Diff(), Diff()
+    d1.mismatches.append("m")
+    assert d2.mismatches == [] and d2.ok and not d1.ok
+
+
+def test_reports_compare_by_value():
+    k = default_catalog().get("3_1")
+    assert degree_verdict(k) == degree_verdict(k)
+    assert degree_verdict(k) != degree_verdict(default_catalog().get("4_1"))
+    assert Diff(["m"]) == Diff(["m"]) != Diff()
