@@ -26,10 +26,15 @@ module's scale 2^32.  Enclosures of different crossings are compared
 after rescaling to the lcm of their d, so every comparison is exact,
 and the rational intervals a `Crossing` reports are built once, after
 the loop.
+
+A `PlaneCurve` is one object per value, and its crossings are a cached
+property of it: they are computed once, however many callers ask for
+them through `curve_crossings` while the curve is alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -62,19 +67,32 @@ BOTTOM, TOP = 0, 1  # crossing positions: third strand above vs below
 class PlaneCurve:
     """The plane curve (x, y), x a cubic with two real folds and deg y >= 2.
 
-    Immutable and equal when x and y are; the folds and the
-    symmetric-coordinate data are cached in the instance dict.
+    One object per value: while a curve with these coordinates is alive,
+    `PlaneCurve(x, y)` returns it, so what is derived from the curve (its
+    folds, its symmetric-coordinate data, its crossings) is computed once
+    and cached in the instance dict.  Nothing cached refers back to the
+    curve, so reference counting frees it, and its registry entry, as
+    soon as its last holder drops it.  Immutable and equal when x and y
+    are.
     """
 
-    def __init__(self, x: Polynomial, y: Polynomial):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    _live: "weakref.WeakValueDictionary[tuple[Polynomial, Polynomial], PlaneCurve]" = weakref.WeakValueDictionary()
+
+    def __new__(cls, x: Polynomial, y: Polynomial):
+        curve = cls._live.get((x, y))
+        if curve is not None:
+            return curve
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "x", x)
+        object.__setattr__(curve, "y", y)
         if x.degree != 3:
             raise NotTrigonalError(f"x-degree {x.degree}, need a cubic")
         if y.degree < 2:
             raise NotTrigonalError(f"y-degree {y.degree}, need at least 2")
-        if len(self._critical_points) != 2:
+        if len(curve._critical_points) != 2:
             raise NotTrigonalError("the cubic needs two distinct real critical points")
+        cls._live[x, y] = curve
+        return curve
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"PlaneCurve is immutable: cannot set {name!r}")
@@ -94,6 +112,11 @@ class PlaneCurve:
         return (3, self.y.degree)
 
     @cached_property
+    def crossings(self) -> "CrossingSet":
+        """The curve's double points (`curve_crossings`), computed once."""
+        return _crossings(self)
+
+    @cached_property
     def _critical_points(self) -> list[RootInterval]:
         """Isolated roots of x', the parameters of the folds, found once."""
         return isolate_real_roots(self.x.derivative())
@@ -102,6 +125,15 @@ class PlaneCurve:
     def _eliminator(self) -> "_Eliminator":
         """The curve's symmetric-coordinate data, built once."""
         return _Eliminator(self)
+
+    @cached_property
+    def _turns(self) -> tuple[int, ...]:
+        """Per crossing, the factor that turns its over/under sign into
+        its twist sense; it does not depend on the height, so it is
+        found once (`height._turns`)."""
+        from .height import _turns
+
+        return _turns(self)
 
 
 class Crossing:
@@ -145,19 +177,18 @@ class Crossing:
 class CrossingSet:
     """A curve's crossings sorted by x; per crossing, the positions of its
     two parameters in the global t-order; and the parameters' rational
-    bounds in that order.  Immutable, equal when all four are; its
-    length is the number of crossings."""
+    bounds in that order.  Immutable, equal when all three are; its
+    length is the number of crossings.  It holds no reference to its
+    curve, which caches it."""
 
-    __slots__ = ("curve", "crossings", "param_order", "param_bounds")
+    __slots__ = ("crossings", "param_order", "param_bounds")
 
     def __init__(
         self,
-        curve: PlaneCurve,
         crossings: tuple[Crossing, ...],
         param_order: tuple[tuple[int, int], ...],
         param_bounds: tuple[tuple[Fraction, Fraction], ...],
     ):
-        object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "param_order", param_order)
         object.__setattr__(self, "param_bounds", param_bounds)
@@ -168,7 +199,7 @@ class CrossingSet:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return self.curve, self.crossings, self.param_order, self.param_bounds
+        return self.crossings, self.param_order, self.param_bounds
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -248,6 +279,15 @@ def _sqrt_bounds(n: int, den: int) -> tuple[int, int]:
 def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     """All double points, certified simple and sorted by x.
 
+    They are computed once per curve, on the first call, and cached as
+    `curve.crossings`; every later call returns that same set.
+    """
+    return curve.crossings
+
+
+def _crossings(curve: PlaneCurve) -> CrossingSet:
+    """The computation behind `PlaneCurve.crossings`.
+
     W is isolated once; its remainder chain also gives the tangency
     test.  Each root's interval is carried from its discriminant sign
     to its letter sign to the clash loop, so no halving is repeated.
@@ -318,7 +358,6 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
         Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letters[i]) for i in order
     )
     return CrossingSet(
-        curve=curve,
         crossings=crossings,
         param_order=tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
         param_bounds=tuple(bounds[k] for k in flat),

@@ -7,17 +7,21 @@ at the dyadic rational of least denominator in the gap, which keeps the
 coefficients small; its degree is the number of sign changes in the
 Gauss sequence.  All sign checks are exact: by construction the roots
 lie strictly between the parameter intervals, so evaluating at a
-rational endpoint decides each sign.
+rational endpoint decides each sign, on integers.
 
-Verification reads the over/under sign and the twist sense of every
-crossing with `signs_at_roots`: one coprimality certificate modulo a prime
-rules out exact vanishing, with a rational gcd only where it fails, and
-a mean value test on integers over a bisected dyadic isolating interval
-gives the sign.  The twist sense is unoriented, so each crossing sign is
-turned by the direction in x of both strands, the sign of x' on their
-parameter enclosures.  The knot is named by its determinant, the
-integer |det| of a Fox coloring minor computed by fraction-free
-elimination.  No floating point decides anything.
+Verification works on the caller's curve object (`PlaneCurve` keeps one
+object per value), so its crossings are computed once, and so is the
+part of every twist sense that does not depend on z.  It reads the
+over/under sign of every crossing with `signs_at_roots`: one coprimality
+certificate modulo a prime rules out exact vanishing, with a rational
+gcd only where it fails, and a mean value test on integers over a
+bisected dyadic isolating interval gives the sign.  The twist sense is
+unoriented: each crossing sign is multiplied by the sign of the tangent
+determinant and by the direction in x of both strands, the sign of x'
+on their parameter enclosures, all three found once per curve.  The
+knot is named by the class of the diagram's fraction, checked against
+the determinant, the integer |det| of a Fox coloring minor computed by
+fraction-free elimination.  No floating point decides anything.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..arith import KnotRecord, default_catalog
-from ..diagram import TrigonalDiagram
+from ..arith import KnotRecord
+from ..diagram import TrigonalDiagram, identify_knot
 from .curves import CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
-from .poly import Polynomial, signs_at_roots
+from .poly import Polynomial, _sign, _value, signs_at_roots
 
 
 class HeightError(ValueError):
@@ -110,9 +114,9 @@ def _simplest_dyadic(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _sign_on_interval(p: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
-    lo, hi = p(iv[0]), p(iv[1])
-    s_lo = (lo > 0) - (lo < 0)
-    s_hi = (hi > 0) - (hi < 0)
+    """The sign of p at both ends of iv, read from integers: the sign of
+    p(n / d) is that of d^deg p * den * p(n / d) for d > 0."""
+    s_lo, s_hi = (_sign(_value(p.cs, e.numerator, e.denominator)) for e in iv)
     if s_lo != s_hi or s_lo == 0:
         raise HeightError("height polynomial has a root inside a parameter interval")
     return s_lo
@@ -152,24 +156,30 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingS
     """
     if cs is None:
         cs = curve_crossings(curve)
-    return _hands(curve, cs, crossing_signs(curve, z, cs))
+    return _hands(curve, crossing_signs(curve, z, cs))
 
 
-def _hands(curve: PlaneCurve, cs: CrossingSet, overs: Sequence[int]) -> list[int]:
-    """Handedness from the crossing signs, one tangent-determinant sign
-    pass, and the direction in x of both strands."""
+def _hands(curve: PlaneCurve, overs: Sequence[int]) -> list[int]:
+    """Handedness from the crossing signs and the curve's cached `_turns`."""
+    return [over * turn for over, turn in zip(overs, curve._turns)]
+
+
+def _turns(curve: PlaneCurve) -> tuple[int, ...]:
+    """Per crossing, sign(N(u)) sign(x'(t) x'(s)): one tangent-determinant
+    sign pass and the direction in x of both strands.  None of it
+    depends on z; `PlaneCurve._turns` caches it."""
     v = curve._eliminator.v
     dx = curve.x.derivative()
     A_y, B_y = _pair_reduction(curve.y.derivative(), v)
     A_x, B_x = _pair_reduction(dx, v)
     N = A_y * B_x - B_y * A_x
+    crossings = curve.crossings.crossings
     out = []
-    slopes = signs_at_roots(N, [c.u for c in cs.crossings])
-    for c, over, (s_num, _) in zip(cs.crossings, overs, slopes):
+    for c, (s_num, _) in zip(crossings, signs_at_roots(N, [c.u for c in crossings])):
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
-        out.append(over * s_num * _direction(dx, c.t) * _direction(dx, c.s))
-    return out
+        out.append(s_num * _direction(dx, c.t) * _direction(dx, c.s))
+    return tuple(out)
 
 
 def _direction(dx: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
@@ -272,32 +282,24 @@ def verify_embedding(
     """Extract the signed trigonal diagram of (x, y, z) and identify the knot.
 
     The xy-projection must be nodal and z must separate every crossing,
-    which is checked exactly.  Identification goes through the knot
-    determinant (the two-bridge fraction numerator), an integer Fox
-    coloring minor of the Gauss structure of the curve, with the
-    crossing count bounding the crossing number; this avoids any
-    assumption about how the closure arc through infinity sits relative
-    to the folds.  A curve without crossings is the unknot, which has no
-    trigonal diagram: that raises EmbeddingError.
+    which is checked exactly.  The plane curve is the one its caller
+    built, if that is still alive, so its crossings are not computed
+    again.  The knot is named by the class of the diagram's fraction
+    (`identify_knot`); None when the catalog has no such class, as for
+    the unknot.  The fraction's numerator must equal the knot
+    determinant, an integer Fox coloring minor of the curve's own Gauss
+    structure that assumes nothing about how the closure arc through
+    infinity sits relative to the folds; EmbeddingError when they
+    differ.  A curve without crossings is the unknot, which has no
+    trigonal diagram: that raises EmbeddingError too.
     """
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
     if not cs.crossings:
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z, cs)
-    hands = _hands(curve, cs, overs)
-    d = TrigonalDiagram(_signed_entries(cs, curve, hands))
-    det = _determinant(cs, overs)
-    matches = [
-        rec
-        for rec in default_catalog()
-        if rec.fraction.alpha == det and rec.crossing_number <= len(cs.crossings)
-    ]
-    if len(matches) == 1:
-        return d, matches[0]
-    if not matches:
-        return d, None
-    raise EmbeddingError(
-        f"determinant {det} with {len(cs.crossings)} crossings matches several knots: "
-        + ", ".join(r.name for r in matches)
-    )
+    d = TrigonalDiagram(_signed_entries(cs, curve, _hands(curve, overs)))
+    alpha, det = d.fraction().alpha, _determinant(cs, overs)
+    if alpha != det:
+        raise EmbeddingError(f"the diagram {d} has fraction numerator {alpha}, but the knot determinant is {det}")
+    return d, identify_knot(d)

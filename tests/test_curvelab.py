@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lexiknot.arith import default_catalog, fraction_equivalent
 from lexiknot.curvelab import (
+    HeightError,
     NonNodalError,
     NotTrigonalError,
     PlaneCurve,
@@ -44,6 +46,16 @@ def q7(x0=Fraction(-3, 4)):
     return add_triple_point(PlaneCurve(T3, chebyshev(4)), x0, Fraction(1))
 
 
+def unshared(x, y):
+    """The curve (x, y), asserted to be held by no other live object: a
+    curve is one object per value, so a test that counts the work of its
+    cached data must build a value that nothing else keeps alive.
+    Scaling y by a positive constant keeps every crossing, letter and
+    twist sense, and gives such a value."""
+    assert (x, y) not in PlaneCurve._live, "another live object holds this curve"
+    return PlaneCurve(x, y)
+
+
 class TestCrossings:
     def test_critical_points_isolated_once(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module
@@ -55,7 +67,7 @@ class TestCrossings:
             return isolate_real_roots(p)
 
         monkeypatch.setattr(curves_module, "isolate_real_roots", counted)
-        c = PlaneCurve(T3, chebyshev(5))
+        c = unshared(T3, chebyshev(5).scale(2))
         word_from_curve(c, curve_crossings(c))
         assert isolated.count(T3.derivative()) == 1
 
@@ -71,7 +83,7 @@ class TestCrossings:
 
         for module in (curves_module, svg_module):
             monkeypatch.setattr(module, "isolate_real_roots", counted, raising=False)
-        c = PlaneCurve(T3, chebyshev(4))
+        c = unshared(T3, chebyshev(4).scale(2))
         svg_module.render_svg(c, curve_crossings(c))
         assert isolated.count(T3.derivative()) == 1
 
@@ -132,16 +144,20 @@ class TestCrossings:
         monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
         monkeypatch.setattr(poly_module, "sturm_sequence", lambda p: chains.append(p) or sturm(p))
         monkeypatch.setattr(curves_module, "signs_at_roots", counted_signs)
-        c = PlaneCurve(T3, chebyshev(7))
+        c = unshared(T3, chebyshev(7).scale(2))
         assert len(curve_crossings(c)) == 6
         # the only gcds left are the signs' own coprimality tests
         assert stray_gcds == []
         assert chains.count(c._eliminator.W) == 1
 
-    def test_crossings_leave_no_reference_cycle(self):
+    def test_crossings_leave_no_reference_cycle(self, monkeypatch):
         # the isolation bisects from a work list, not a self-recursive
-        # closure, so no Sturm chain waits for the cyclic collector
-        c = PlaneCurve(T3, chebyshev(20))
+        # closure, so no Sturm chain waits for the cyclic collector; and
+        # nothing the curve caches refers back to it, so reference
+        # counting frees the curve as soon as its last holder drops it
+        import lexiknot.curvelab.curves as curves_module
+
+        c = unshared(T3, chebyshev(20))
         gc.collect()
         flags = gc.get_debug()
         gc.set_debug(gc.DEBUG_SAVEALL)
@@ -153,6 +169,19 @@ class TestCrossings:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert garbage == 0, f"{garbage} objects in reference cycles"
+        ref = weakref.ref(c)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del c
+            assert ref() is None, "the curve outlived its last holder"
+        finally:
+            if enabled:
+                gc.enable()
+        body, computed = curves_module._crossings, []
+        monkeypatch.setattr(curves_module, "_crossings", lambda curve: computed.append(curve) or body(curve))
+        again = PlaneCurve(T3, chebyshev(20))
+        assert len(curve_crossings(again)) == 19 and computed == [again]
 
     def test_each_root_is_refined_once(self, monkeypatch):
         # the disc sign, the letter sign and the clash loop carry one
@@ -332,7 +361,8 @@ class TestEmbedding:
 
     def test_6_2_witness_signs_each_crossing_twice(self, monkeypatch):
         # one z sign and one slope sign per crossing, nothing recomputed
-        curve = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
+        witness = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
+        curve = unshared(witness.x, witness.y.scale(2))
         cs = curve_crossings(curve)
         height, _ = height_polynomial(cs, alternating_overpasses(cs))
         calls = []
@@ -405,15 +435,52 @@ class TestEmbedding:
                 super().__init__(curve)
 
         monkeypatch.setattr(curves_module, "_Eliminator", Counted)
-        c = PlaneCurve(T3, chebyshev(5))
+        c = unshared(T3, chebyshev(5).scale(2))
         cs = curve_crossings(c)
+        assert len(built) == 1
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
         built.clear()
+        # the caller's curve, with its crossings, is reused
         _, rec = verify_embedding(c.x, c.y, z)
-        assert rec.name == "4_1" and len(built) == 1
-        built.clear()
-        add_triple_point(PlaneCurve(T3, chebyshev(4)), Fraction(-1, 2), Fraction(1))
+        assert rec.name == "4_1" and built == []
+        add_triple_point(unshared(T3, chebyshev(4).scale(2)), Fraction(-1, 2), Fraction(1))
         assert len(built) == 1
+
+
+    def test_three_heights_make_one_tangent_sign_pass(self, monkeypatch):
+        # the tangent-determinant signs and the strand directions do not
+        # depend on z, so the curve finds them once for all its heights
+        c = unshared(T3, chebyshev(7).scale(2))
+        cs = curve_crossings(c)
+        v = c._eliminator.v
+        A_y, B_y = _pair_reduction(c.y.derivative(), v)
+        A_x, B_x = _pair_reduction(c.x.derivative(), v)
+        N = A_y * B_x - B_y * A_x
+        passes = []
+        monkeypatch.setattr(height_module, "signs_at_roots", lambda h, roots: passes.append(h) or signs_at_roots(h, roots))
+        rng = random.Random(2)
+        for _ in range(3):
+            z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+            crossing_handedness(c, z, cs)
+        assert passes.count(N) == 1 and len(passes) == 4
+
+    def test_sign_on_interval_matches_fraction_evaluation(self):
+        def sign_by_fractions(p, e):
+            value = sum(c * e**i for i, c in enumerate(p.coeffs))
+            return (value > 0) - (value < 0)
+
+        rng = random.Random(1)
+        for _ in range(400):
+            ends = sorted(Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 8)) for _ in range(2))
+            p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 8))] + [1])
+            if rng.random() < 0.2:  # a root at an end
+                p = p * Polynomial([-rng.choice(ends), 1])
+            signs = {sign_by_fractions(p, e) for e in ends}
+            if len(signs) == 1 and 0 not in signs:
+                assert height_module._sign_on_interval(p, tuple(ends)) == signs.pop()
+            else:
+                with pytest.raises(HeightError):
+                    height_module._sign_on_interval(p, tuple(ends))
 
 
 class TestDeterminant:
@@ -459,6 +526,31 @@ class TestDiagramClass:
         assert rec.name == name
         assert fraction_equivalent(d.fraction(), default_catalog().get(name).fraction, include_mirror=True)
 
+    def test_class_names_random_over_choices(self, monkeypatch):
+        # 40 over-choices each of (T3,T7) and (T3,T8): the knot is named by
+        # the class of the diagram, where a determinant lookup met several
+        # knots on 1 and 11 of them, and the caller's crossings are reused
+        import lexiknot.curvelab.curves as curves_module
+
+        body, computed = curves_module._crossings, []
+        monkeypatch.setattr(curves_module, "_crossings", lambda curve: computed.append(curve) or body(curve))
+        rng = random.Random(1)
+        named = set()
+        for b in (7, 8):
+            c = PlaneCurve(T3, chebyshev(b))
+            cs = curve_crossings(c)
+            computed.clear()
+            for _ in range(40):
+                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+                d, rec = verify_embedding(c.x, c.y, z)
+                if rec is None:
+                    assert d.fraction().alpha == 1, (b, d)
+                else:
+                    assert fraction_equivalent(d.fraction(), rec.fraction, include_mirror=True), (b, d, rec.name)
+                    named.add(rec.name)
+            assert computed == [], f"(T3,T{b}): verify_embedding computed the crossings again"
+        assert {"6_3", "7_7"} <= named
+
     def test_strand_direction_is_exact_or_raises(self):
         from lexiknot.curvelab import EmbeddingError
 
@@ -478,7 +570,7 @@ class TestDiagramClass:
             for _ in range(40):
                 z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
                 overs = crossing_signs(c, z, cs)
-                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(c, cs, overs)))
+                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(c, overs)))
                 assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
 
 
@@ -520,6 +612,17 @@ class TestEmbeddingErrors:
         assert len(curve_crossings(NO_CROSSINGS)) == 0
         with pytest.raises(EmbeddingError, match="unknot"):
             verify_embedding(NO_CROSSINGS.x, NO_CROSSINGS.y, chebyshev(5))
+
+    def test_numerator_must_be_the_determinant(self, monkeypatch):
+        from lexiknot.curvelab import EmbeddingError
+
+        c = PlaneCurve(T3, chebyshev(5))
+        cs = curve_crossings(c)
+        z, _ = height_polynomial(cs, alternating_overpasses(cs))
+        assert verify_embedding(c.x, c.y, z)[1].name == "4_1"
+        monkeypatch.setattr(height_module, "_determinant", lambda cs, overs: 7)
+        with pytest.raises(EmbeddingError, match="numerator 5, but the knot determinant is 7"):
+            verify_embedding(c.x, c.y, z)
 
     def test_non_cubic_eliminator_is_not_trigonal(self):
         from types import SimpleNamespace
