@@ -9,6 +9,9 @@ alpha is odd for a knot and even for a two-component link.
 Continued fractions [m_1, ..., m_k] = m_1 + 1/(m_2 + 1/(... + 1/m_k)) are
 evaluated through the 2x2 integer matrix recurrence, so zero and +-1
 entries need no special casing and no division ever happens.
+
+The module's records, `SchubertFraction` and `KnotRecord`, are
+NamedTuples: immutable, equal and hashed as their fields.
 """
 
 from __future__ import annotations
@@ -22,56 +25,32 @@ class DegenerateFractionError(ValueError):
     """Raised when an operation needs alpha >= 2 but got an unknot/empty class."""
 
 
-class SchubertFraction:
+class SchubertFraction(NamedTuple):
     """A Schubert fraction alpha/beta in canonical form.
 
     ``alpha >= 0`` and, when ``alpha >= 2``, ``beta`` is reduced into
-    ``[1, alpha - 1]``.  ``negative`` records the sign of the fraction
-    before normalization; the canonical residue already determines the
-    knot (including chirality), the flag only answers mirror-sensitive
-    questions about how the fraction was originally written and stays
-    out of equality and hash.  Immutable.
+    ``[1, alpha - 1]``; the canonical residue determines the knot,
+    chirality included.
     """
 
-    __slots__ = ("alpha", "beta", "negative")
-
-    def __init__(self, alpha: int, beta: int, negative: bool = False):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "negative", negative)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"SchubertFraction is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta))
-
-    def __repr__(self) -> str:
-        return f"SchubertFraction(alpha={self.alpha}, beta={self.beta}, negative={self.negative})"
+    alpha: int
+    beta: int
 
     @classmethod
     def make(cls, p: int, q: int) -> "SchubertFraction":
         """Normalize the rational p/q (q may be negative or zero for 1/0)."""
         if p == 0 and q == 0:
             raise ValueError("0/0 is not a fraction")
-        neg = (p < 0) != (q < 0)
         # carry the sign on q so that alpha stays nonnegative
         p, q = abs(p), q if p >= 0 else -q
         g = gcd(p, abs(q)) or 1
         p //= g
         q //= g
         if p == 0:
-            return cls(0, 1, neg)
+            return cls(0, 1)
         if p == 1:
-            return cls(1, 0, neg)
-        return cls(p, q % p, neg)
+            return cls(1, 0)
+        return cls(p, q % p)
 
     def __str__(self) -> str:
         return f"{self.alpha}/{self.beta}"

@@ -38,8 +38,9 @@ import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ..frozen import Frozen
 from ..planereduce import PlaneWord, letters_to_runs
 from .poly import (
     Polynomial,
@@ -64,7 +65,7 @@ class NotTrigonalError(ValueError):
 BOTTOM, TOP = 0, 1  # crossing positions: third strand above vs below
 
 
-class PlaneCurve:
+class PlaneCurve(Frozen):
     """The plane curve (x, y), x a cubic with two real folds and deg y >= 2.
 
     One object per value: while a curve with these coordinates is alive,
@@ -94,18 +95,8 @@ class PlaneCurve:
         cls._live[x, y] = curve
         return curve
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"PlaneCurve is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
+    def _key(self) -> tuple:
+        return self.x, self.y
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -136,45 +127,19 @@ class PlaneCurve:
         return _turns(self)
 
 
-class Crossing:
+class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
     rational bounds on its parameters t < s and on its x; and its letter,
-    BOTTOM or TOP.  Immutable, equal when all five are."""
+    BOTTOM or TOP."""
 
-    __slots__ = ("u", "t", "s", "x", "letter")
-
-    def __init__(
-        self,
-        u: RootInterval,
-        t: tuple[Fraction, Fraction],
-        s: tuple[Fraction, Fraction],
-        x: tuple[Fraction, Fraction],
-        letter: int,
-    ):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "letter", letter)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"Crossing is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.u, self.t, self.s, self.x, self.letter
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    u: RootInterval
+    t: tuple[Fraction, Fraction]
+    s: tuple[Fraction, Fraction]
+    x: tuple[Fraction, Fraction]
+    letter: int
 
 
-class CrossingSet:
+class CrossingSet(Frozen):
     """A curve's crossings sorted by x; per crossing, the positions of its
     two parameters in the global t-order; and the parameters' rational
     bounds in that order.  Immutable, equal when all three are; its
@@ -192,22 +157,6 @@ class CrossingSet:
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "param_order", param_order)
         object.__setattr__(self, "param_bounds", param_bounds)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"CrossingSet is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.crossings, self.param_order, self.param_bounds
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __len__(self) -> int:
         return len(self.crossings)

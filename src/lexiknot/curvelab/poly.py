@@ -1,24 +1,24 @@
 """Exact univariate polynomials over the rationals with certified real roots.
 
-A `Polynomial` is held as integers: cs and den with coeffs = cs/den, in
-a normal form (den > 0, gcd(den, *cs) = 1, no trailing zero), so equal
-polynomials have equal fields.  Arithmetic, composition and the gcd
-build their results from integers; `coeffs`, the rational view, and
-`primitive`, cs over its positive content so every sign is kept, are
-computed once on demand.  The value at a/d, d > 0, is read by
-homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of p(a/d).
-Roots are isolated by bisection below a Cauchy bound rounded up to a
-power of two, against a primitive pseudo-remainder Sturm chain, into
-`RootInterval`s: integers (a, b, d), d a power of two, and the sign at
-a/d, so a halving takes one integer evaluation.  A sign at an isolated
-root is certified by a coprimality test modulo the prime 2^61 - 1, run
-once per pair of h and the roots' polynomial, with a rational gcd only
-when it fails, and then by halving the interval with
+A `Polynomial` is an immutable `Frozen` record held as integers: cs and
+den with coeffs = cs/den, in a normal form (den > 0, gcd(den, *cs) = 1,
+no trailing zero), so equal polynomials have equal fields.  Arithmetic,
+composition and the gcd build their results from integers; `coeffs`, the
+rational view, and `primitive`, cs over its positive content so every
+sign is kept, are computed once on demand.  The value at a/d, d > 0, is
+read by homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of
+p(a/d).  Roots are isolated by bisection below a Cauchy bound rounded up
+to a power of two, against a primitive pseudo-remainder Sturm chain,
+into `RootInterval`s, NamedTuples of integers (a, b, d), d a power of
+two, and the sign at a/d, so a halving takes one integer evaluation.  A
+sign at an isolated root is certified by a coprimality test modulo the
+prime 2^61 - 1, run once per pair of h and the roots' polynomial, with a
+rational gcd only when it fails, and then by halving the interval with
 `RootInterval.refine`, the one bisection step of the module, until a
 mean value test on integers decides it: h's value at the midpoint
 outweighs an interval enclosure of h' times the half-width.  The sign
-comes back with the interval it was decided on, so the next sign at
-the same root starts there.  Floating point decides nothing.
+comes back with the interval it was decided on, so the next sign at the
+same root starts there.  Floating point decides nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
+
+from ..frozen import Frozen
 
 Rat = Union[int, Fraction]
 
@@ -35,7 +37,7 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Polynomial with exact rational coefficients, ascending degree.
 
     Held as integers: coeffs = cs / den with den > 0, gcd(den, *cs) = 1
@@ -62,18 +64,8 @@ class Polynomial:
         object.__setattr__(self, "cs", tuple(cs))
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"Polynomial is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cs == other.cs and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.cs, self.den))
+    def _key(self) -> tuple:
+        return self.cs, self.den
 
     def __repr__(self) -> str:
         return f"Polynomial.from_integers({self.cs}, {self.den})"
@@ -321,35 +313,16 @@ def _variations(seq: Sequence[Sequence[int]], a: int, d: int) -> int:
     return v
 
 
-class RootInterval:
+class RootInterval(NamedTuple):
     """Open isolating interval (a/d, b/d) of a simple real root of the
     squarefree poly: a < b, d a power of two, and sa the sign of poly at
-    a/d, which is no root of it.  Immutable, equal when all five are."""
+    a/d, which is no root of it."""
 
-    __slots__ = ("poly", "a", "b", "d", "sa")
-
-    def __init__(self, poly: Polynomial, a: int, b: int, d: int, sa: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "sa", sa)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"RootInterval is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.poly, self.a, self.b, self.d, self.sa
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    poly: Polynomial
+    a: int
+    b: int
+    d: int
+    sa: int
 
     @property
     def lo(self) -> Fraction:

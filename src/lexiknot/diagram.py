@@ -11,13 +11,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .arith import KnotRecord, SchubertFraction, catalog_lookup, cf_eval
+from .frozen import Frozen
 
 
 class IsletError(ValueError):
     """Raised when a crossing-count formula is applied to a diagram with islets."""
 
 
-class TrigonalDiagram:
+class TrigonalDiagram(Frozen):
     """D(m_1, ..., m_k) for k >= 1, immutable, equal when the entries are."""
 
     __slots__ = ("entries",)
@@ -27,19 +28,6 @@ class TrigonalDiagram:
         if not entries:
             raise ValueError("a trigonal diagram needs at least one region")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"TrigonalDiagram is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         return f"TrigonalDiagram({self.entries})"

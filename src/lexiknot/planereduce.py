@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import KnotRecord
 from .diagram import TrigonalDiagram
@@ -47,6 +47,7 @@ from .enumeration import (
     m_C,
     table_budget,
 )
+from .frozen import Frozen
 
 Runs = tuple[int, ...]
 Move = tuple[str, int, int]  # (kind, image index, position)
@@ -60,7 +61,7 @@ class MoveError(ValueError):
 # words and normalization
 
 
-class PlaneWord:
+class PlaneWord(Frozen):
     """Run-length word of an unsigned plane trigonal diagram; immutable,
     equal when the runs are."""
 
@@ -71,19 +72,6 @@ class PlaneWord:
         if any(r < 0 for r in runs):
             raise ValueError("run lengths are nonnegative")
         object.__setattr__(self, "runs", runs)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"PlaneWord is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.runs == other.runs
-
-    def __hash__(self) -> int:
-        return hash(self.runs)
 
     def __repr__(self) -> str:
         return f"PlaneWord({self.runs})"
@@ -275,21 +263,15 @@ def _boundary_slides(runs: Runs) -> set[Runs]:
     return out
 
 
-def _class_moves(img_idx: int, img: Runs) -> Iterator[tuple[None, Runs, int]]:
-    """The word-class moves of one image, all cost-free and unrecorded."""
-    for tgt in _braid_rewrites(img).union(_PARTNERS.get(img, ()), _boundary_slides(img)):
-        yield None, tgt, 0
-
-
 def neighbors(w: PlaneWord) -> set[PlaneWord]:
     """Words one crossing-preserving move away from w: normalization,
     reversal, and the word-class moves (curated whole-word identities,
     braid exchanges, boundary slides).  Only the identities feed the
-    degree arithmetic; same_word_class walks all of them."""
+    degree arithmetic; same_word_class searches all of them."""
     out: set[Runs] = set()
-    for img_idx, img in enumerate(word_images(w.runs)):
+    for img in word_images(w.runs):
         out.add(img)
-        out.update(tgt for _, tgt, _ in _class_moves(img_idx, img))
+        out.update(_braid_rewrites(img), _PARTNERS.get(img, ()), _boundary_slides(img))
     out.discard(w.runs)
     return {PlaneWord(r) for r in out}
 
@@ -309,7 +291,13 @@ class BaseTable:
     """Known lexicographic data of fully reduced words, keyed by canonical class."""
 
     def __init__(self, entries: Iterable[BaseEntry], overrides: Iterable[BaseEntry]):
-        self.entries: dict[Runs, BaseEntry] = {canonical_runs(e.runs): e for e in entries}
+        self.entries: dict[Runs, BaseEntry] = {}
+        for e in entries:
+            key = canonical_runs(e.runs)
+            if key in self.entries:
+                rows = " and ".join("|".join(map(str, x.runs)) for x in (self.entries[key], e))
+                raise ValueError(f"base rows {rows} name one word class {key}")
+            self.entries[key] = e
         # an override replaces a named entry unless the entry's bound is stronger
         for e in overrides:
             key = canonical_runs(e.runs)
@@ -445,40 +433,6 @@ class _SearchState:
         self.move = move
 
 
-def _walk(
-    w: PlaneWord,
-    moves: Callable[[int, Runs], Iterable[tuple[Optional[Move], Runs, int]]],
-    depth: Optional[int] = None,
-) -> dict[Runs, _SearchState]:
-    """0/3-cost BFS over the canonical word classes reachable from w.
-
-    ``moves(img_idx, img)`` yields ``(move, target_runs, cost)`` for one
-    image of the current word.  Cost-free moves go to the front of the
-    queue, so every state keeps its least cost; once ``depth`` costly
-    steps are spent, costly moves are skipped.
-    """
-    start = canonical_runs(w.runs)
-    states: dict[Runs, _SearchState] = {start: _SearchState(0, None, None)}
-    queue: deque[Runs] = deque([start])
-    while queue:
-        cur = queue.popleft()
-        cur_cost = states[cur].cost
-        capped = depth is not None and cur_cost // 3 >= depth
-        for img_idx, img in enumerate(word_images(cur)):
-            for move, tgt, cost in moves(img_idx, img):
-                if cost and capped:
-                    continue
-                key = canonical_runs(tgt)
-                ncost = cur_cost + cost
-                if key not in states or states[key].cost > ncost:
-                    states[key] = _SearchState(ncost, cur, move)
-                    if cost:
-                        queue.append(key)
-                    else:
-                        queue.appendleft(key)
-    return states
-
-
 def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs, int]]:
     """The moves of the degree arithmetic on one image: the curated
     identities (cost 0, indexed into the sorted partner list as replay
@@ -494,9 +448,34 @@ def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs, int]
 
 
 def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchState]:
-    """The reduction walk from w.  Braid exchanges and boundary slides
-    stay out of it, keeping every degree claim anchored to explicit curves."""
-    return _walk(w, _reduction_moves, depth)
+    """0/3-cost BFS over the canonical word classes reachable from w by
+    `_reduction_moves`.  Braid exchanges and boundary slides stay out of
+    it, keeping every degree claim anchored to explicit curves.
+
+    Cost-free moves go to the front of the queue, so every state keeps
+    its least cost; once ``depth`` costly steps are spent, costly moves
+    are skipped.
+    """
+    start = canonical_runs(w.runs)
+    states: dict[Runs, _SearchState] = {start: _SearchState(0, None, None)}
+    queue: deque[Runs] = deque([start])
+    while queue:
+        cur = queue.popleft()
+        cur_cost = states[cur].cost
+        capped = depth is not None and cur_cost // 3 >= depth
+        for img_idx, img in enumerate(word_images(cur)):
+            for move, tgt, cost in _reduction_moves(img_idx, img):
+                if cost and capped:
+                    continue
+                key = canonical_runs(tgt)
+                ncost = cur_cost + cost
+                if key not in states or states[key].cost > ncost:
+                    states[key] = _SearchState(ncost, cur, move)
+                    if cost:
+                        queue.append(key)
+                    else:
+                        queue.appendleft(key)
+    return states
 
 
 def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrace:
@@ -550,8 +529,22 @@ def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[in
 
 def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
     """Whether two words are linked by crossing-preserving normalization
-    moves (curated identities, braid exchanges, boundary slides)."""
-    return canonical_runs(w2.runs) in _walk(w1, _class_moves)
+    moves (curated identities, braid exchanges, boundary slides): a
+    breadth-first search from w1 over `neighbors` that stops at w2."""
+    goal = canonical_runs(w2.runs)
+    start = canonical_runs(w1.runs)
+    if start == goal:
+        return True
+    seen, queue = {start}, deque([start])
+    while queue:
+        for nb in neighbors(PlaneWord(queue.popleft())):
+            key = canonical_runs(nb.runs)
+            if key == goal:
+                return True
+            if key not in seen:
+                seen.add(key)
+                queue.append(key)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source-tree lints: failures raise typed errors, never bare asserts, no
-module imports dataclasses, and no public name goes unused."""
+module imports dataclasses, one class holds the immutability protocol,
+and no public name goes unused."""
 
 import ast
 import re
@@ -33,6 +34,30 @@ def test_no_module_imports_dataclasses():
                 continue
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
+def _bound_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body binds by def or by assignment."""
+    out = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_only_the_frozen_base_writes_the_immutability_protocol():
+    # records are NamedTuples or subclasses of frozen.Frozen, so the
+    # protocol has one copy to read and to fix
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and (path.name, node.name) != ("frozen.py", "Frozen"):
+                for name in sorted(_bound_names(node) & {"__setattr__", "__delattr__", "__hash__"}):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}.{name}")
     assert not found, found
 
 

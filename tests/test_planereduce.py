@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from itertools import combinations
@@ -166,6 +167,18 @@ class TestNeighbors:
             for nb in neighbors(w):
                 assert same_word_class(w, nb), (runs, nb.runs)
 
+    def test_same_word_class_stops_at_the_first_hit(self, monkeypatch):
+        # a neighbour is found while the start word is expanded, so no
+        # other word of the class is: each expansion rewrites both images
+        # of one word
+        calls = count_calls(monkeypatch, "_braid_rewrites", planereduce)
+        for runs in all_words(6):
+            w = W(runs)
+            for nb in neighbors(w):
+                calls.clear()
+                assert same_word_class(w, nb)
+                assert len({canonical_runs(args[0]) for args in calls}) <= 1, (runs, nb.runs)
+
 
 # every Degree-column cell of the published table whose accounting the
 # engine reproduces; (base runs, cost, bound) per source word
@@ -268,6 +281,16 @@ class TestLowerBounds:
             if entry.b_exact is None:
                 derived = (planereduce._crossing_rule(sum(entry.runs)), planereduce._two_run_exact(entry.runs))
                 assert all(d is None or entry.b_lower > d for d in derived), entry
+
+    def test_each_base_row_names_its_own_class(self):
+        # no later row overwrites an earlier one of the same class
+        text = (Path(planereduce.__file__).parent / "data" / "bases.csv").read_text()
+        for row in csv.DictReader(text.splitlines()):
+            runs = tuple(int(t) for t in row["runs"].split("|"))
+            assert base_table().lookup(runs).source == row["source"], row
+        entries = [planereduce.BaseEntry((0, 2), 4, 4, "a"), planereduce.BaseEntry((2, 0), 4, 4, "b")]
+        with pytest.raises(ValueError, match=r"0\|2 and 2\|0"):
+            planereduce.BaseTable(entries, [])
 
     def test_override_provenance(self):
         lo, prov = b_lower_bound(W((2, 3, 3)))

@@ -90,14 +90,12 @@ def test_fraction_sign_stays_out_of_equality_and_hash():
     f = SchubertFraction.make(7, -3)
     g = SchubertFraction.make(7, 4)
     assert (f.alpha, f.beta) == (g.alpha, g.beta) == (7, 4)
-    assert f.negative and not g.negative
     assert f == g and not f != g
     assert hash(f) == hash(g)
-    assert SchubertFraction.make(-7, 3) == SchubertFraction(7, 4, False)
+    assert SchubertFraction.make(-7, 3) == SchubertFraction(7, 4)
 
 
 def test_constructors_keep_their_signatures():
-    assert SchubertFraction(7, 4).negative is False
     assert str(SchubertFraction(7, 4)) == "7/4"
     assert str(DegreeTriple(a=3, b=7, c=11)) == "(3,7,11)"
     assert tuple(DegreeTriple(3, 7, 11)) == (3, 7, 11)
