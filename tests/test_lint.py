@@ -41,11 +41,10 @@ def _bound_names(cls: ast.ClassDef) -> set[str]:
     """The names a class body binds by def or by assignment."""
     out = set()
     for stmt in cls.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, ast.FunctionDef):
             out.add(stmt.name)
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            out.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.Assign):
+            out.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
     return out
 
 

@@ -1,5 +1,5 @@
 """The package's records: constructors, validation, value equality and hash,
-and immutability, as plain classes without generated code."""
+and immutability, whether NamedTuples or subclasses of frozen.Frozen."""
 
 from fractions import Fraction
 
