@@ -7,7 +7,11 @@ u = t + s, v = ts the cubic equation is linear in v,
     v(u) = (p3 u^2 + p2 u + p1) / p3,
 
 and reducing Q(t) - Q(s) by t - s gives a single polynomial W(u) whose
-real roots with u^2 - 4 v(u) > 0 are the crossings.  Values on a branch
+real roots with u^2 - 4 v(u) > 0 are the crossings.  That discriminant
+is a concave quadratic, positive only between its roots r1 < r2, so W
+is isolated only on the integer box [floor r1, ceil r2]: its roots
+outside are solitary points (complex conjugate t, s) and are never
+isolated.  Values on a branch
 pair reduce modulo z^2 - u z + v(u):  z^k = a_k(u) z + b_k(u), so the
 crossing height, the crossing x, and the third-strand height are all
 polynomials in u, and every discrete decision is a certified sign of a
@@ -225,6 +229,21 @@ def _sqrt_bounds(n: int, den: int) -> tuple[int, int]:
     return r * g, (r + 1) * g
 
 
+def _disc_box(disc: Polynomial) -> tuple[int, int]:
+    """(floor r1, ceil r2) for the roots r1 < r2 of the pair discriminant.
+
+    disc = D / den_D is a quadratic with negative lead, and its roots are
+    real and distinct, twice the folds' parameters, so it is positive
+    exactly on (r1, r2).  With Delta = c1^2 - 4 c0 c2 > 0 and
+    q = ceil(sqrt(Delta)), r1, r2 = (c1 -+ sqrt(Delta)) / (-2 c2), and
+    flooring the numerators before the division by -2 c2 > 0 keeps the
+    floor and the ceiling exact.
+    """
+    c0, c1, c2 = disc.cs
+    q = isqrt(c1 * c1 - 4 * c0 * c2 - 1) + 1
+    return (c1 - q) // (-2 * c2), -((-c1 - q) // (-2 * c2))
+
+
 def curve_crossings(curve: PlaneCurve) -> CrossingSet:
     """All double points, certified simple and sorted by x.
 
@@ -237,12 +256,16 @@ def curve_crossings(curve: PlaneCurve) -> CrossingSet:
 def _crossings(curve: PlaneCurve) -> CrossingSet:
     """The computation behind `PlaneCurve.crossings`.
 
-    W is isolated once; its remainder chain also gives the tangency
-    test.  Each root's interval is carried from its discriminant sign
-    to its letter sign to the clash loop, so no halving is repeated.
-    Each round of that loop halves the u-interval of every crossing
-    whose x-interval or parameter interval meets another crossing's,
-    and encloses only those again.
+    W is isolated once, and only on the integer box around the roots of
+    the pair discriminant (`_disc_box`): a real root of W outside it is
+    a solitary point and is never isolated, and the few solitary roots
+    inside it are dropped by the discriminant's sign.  The remainder
+    chain is that of the whole of W, so it also gives the tangency test.
+    Each root's interval is carried from its discriminant sign to its
+    letter sign to the clash loop, so no halving is repeated.  Each
+    round of that loop halves the u-interval of every crossing whose
+    x-interval or parameter interval meets another crossing's, and
+    encloses only those again.
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), vanishing pair separation, a
@@ -253,7 +276,7 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     W = el.W
     if W.is_zero():
         raise NonNodalError("symmetric system degenerates; y is a function of x")
-    squarefree, roots = _squarefree_isolation(W)
+    squarefree, roots = _squarefree_isolation(W, _disc_box(el.disc))
     if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 

@@ -7,10 +7,12 @@ composition and the gcd build their results from integers; `coeffs`, the
 rational view, and `primitive`, cs over its positive content so every
 sign is kept, are computed once on demand.  The value at a/d, d > 0, is
 read by homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of
-p(a/d).  Roots are isolated by bisection below a Cauchy bound rounded up
-to a power of two, against a primitive pseudo-remainder Sturm chain,
-into `RootInterval`s, NamedTuples of integers (a, b, d), d a power of
-two, and the sign at a/d, so a halving takes one integer evaluation.  A
+p(a/d).  Roots are isolated by bisection against a primitive
+pseudo-remainder Sturm chain, by default below a Cauchy bound rounded
+up to a power of two; a caller that needs only the roots in an integer
+box (lo, hi) can start the bisection there instead.  The roots come as
+`RootInterval`s, NamedTuples of integers (a, b, d), d a power of two,
+and the sign at a/d, so a halving takes one integer evaluation.  A
 sign at an isolated root is certified by a coprimality test modulo the
 prime 2^61 - 1, run once per pair of h and the roots' polynomial, with a
 rational gcd only when it fails, and then by halving the interval with
@@ -358,23 +360,38 @@ def isolate_real_roots(p: Polynomial) -> list[RootInterval]:
     return _squarefree_isolation(p)[1]
 
 
-def _squarefree_isolation(p: Polynomial) -> tuple[Polynomial, list[RootInterval]]:
-    """p's squarefree part, of p's degree iff p has no multiple root, and its real roots.
+def _squarefree_isolation(
+    p: Polynomial, box: Optional[tuple[int, int]] = None
+) -> tuple[Polynomial, list[RootInterval]]:
+    """p's squarefree part, of p's degree iff p has no multiple root, and
+    its real roots: all of them, or those inside an integer box.
 
-    Bisection starts from Cauchy's bound 1 + max |c_i / c_n| rounded up
-    to a power of two 2^e, and runs on a work list of intervals
-    (a/d, b/d), d a power of two, each with the chain's sign variations
-    at both ends, so a split evaluates the chain at its midpoint only.
+    Bisection starts by default from Cauchy's bound 1 + max |c_i / c_n|
+    rounded up to a power of two 2^e, on (-2^e, 2^e).  Given a box
+    (lo, hi) of integers lo < hi, it starts from there instead, after
+    moving each end outwards by 1 for as long as p vanishes at it, so a
+    root at lo or hi is isolated too.  Either way it runs on a work list
+    of intervals (a/d, b/d), d a power of two, each with the chain's sign
+    variations at both ends, so a split evaluates the chain at its
+    midpoint only.  The chain is that of the whole of p, so the degree
+    of the squarefree part reports a multiple root outside the box too.
     """
     if p.degree < 1:
         return p, []
     seq = sturm_sequence(p)
     sf = seq[0] if len(seq[-1]) == 1 else _primitive(_pseudo_divide(seq[0], seq[-1])[1])
-    lc = abs(sf[-1])
-    bound = -(-(lc + max(abs(sf[i]) for i in range(len(sf) - 1))) // lc)  # Cauchy's, rounded up
-    top = 1 << (bound - 1).bit_length()  # the least power of two >= bound
-    # Cauchy's bound is strict, so neither end is a root
-    work = [(-top, _variations(seq, -top, 1), top, _variations(seq, top, 1), 1)]
+    if box is None:
+        lc = abs(sf[-1])
+        bound = -(-(lc + max(abs(sf[i]) for i in range(len(sf) - 1))) // lc)  # Cauchy's, rounded up
+        hi = 1 << (bound - 1).bit_length()  # the least power of two >= bound
+        lo = -hi  # Cauchy's bound is strict, so neither end is a root
+    else:
+        lo, hi = box
+        while _value(sf, lo, 1) == 0:
+            lo -= 1
+        while _value(sf, hi, 1) == 0:
+            hi += 1
+    work = [(lo, _variations(seq, lo, 1), hi, _variations(seq, hi, 1), 1)]
     poly, out = Polynomial.from_integers(sf), []
     while work:
         a, va, b, vb, d = work.pop()

@@ -1,21 +1,23 @@
 """Crossing sets from the integer enclosure loop against a Fraction oracle.
 
-The oracle is the Fraction form of `curve_crossings`' schedule: each
-root of W is refined until the mean value test decides the sign of the
-pair discriminant, then from there until it decides the letter sign,
-and the clash loop starts from those intervals.  It uses interval
-Horner on rational coefficients, square-root bounds on the reduced
-radicand, and a pairwise overlap test.  Both must return the same
-rationals, not merely containing ones.
+The oracle is the Fraction form of `curve_crossings`' schedule: W is
+isolated on the integer box [floor r1, ceil r2] around the roots of the
+pair discriminant, derived here on its own from the Fraction
+coefficients; each root is refined until the mean value test decides
+the sign of the pair discriminant, then from there until it decides the
+letter sign, and the clash loop starts from those intervals.  It uses
+interval Horner on rational coefficients, square-root bounds on the
+reduced radicand, and a pairwise overlap test.  Both must return the
+same rationals, not merely containing ones.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 
 from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
-from lexiknot.curvelab.poly import isolate_real_roots
+from lexiknot.curvelab.poly import _squarefree_isolation
 
 T3 = chebyshev(3)
 
@@ -25,6 +27,27 @@ def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
     n, d = x.numerator, x.denominator
     r = isqrt(n * d << 64)
     return Fraction(r, d << 32), Fraction(r + 1, d << 32)
+
+
+def disc_box(disc: Polynomial) -> tuple[int, int]:
+    """(floor r1, ceil r2) for the roots r1 < r2 of the concave quadratic
+    disc: approximated through isqrt, then settled by exact signs, since
+    an integer n left of the vertex has n <= r1 iff disc(n) <= 0, and one
+    right of it has n >= r2 iff disc(n) <= 0."""
+    c0, c1, c2 = disc.coeffs
+    assert c2 < 0
+    vertex = -c1 / (2 * c2)
+    half_width = sqrt_bounds(c1 * c1 - 4 * c0 * c2)[0] / (-2 * c2)
+    lo, hi = floor(vertex - half_width), -floor(-vertex - half_width)
+    while disc(lo) > 0:
+        lo -= 1
+    while lo + 1 <= vertex and disc(lo + 1) <= 0:
+        lo += 1
+    while disc(hi) > 0:
+        hi += 1
+    while hi - 1 >= vertex and disc(hi - 1) <= 0:
+        hi -= 1
+    return lo, hi
 
 
 def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -61,7 +84,8 @@ def overlapping(ivs) -> set[int]:
 
 def oracle_crossings(curve: PlaneCurve):
     el = curve._eliminator
-    kept = [r for sg, r in (refined_sign(el.disc, r) for r in isolate_real_roots(el.W)) if sg > 0]
+    roots = _squarefree_isolation(el.W, disc_box(el.disc))[1]
+    kept = [r for sg, r in (refined_sign(el.disc, r) for r in roots) if sg > 0]
     kept = [refined_sign(el.y_third - el.y_of_u, r)[1] for r in kept]
     enc = [enclosures(el, r) for r in kept]
     for _ in range(64):
@@ -89,20 +113,26 @@ def q7(x0: Fraction) -> PlaneCurve:
     return add_triple_point(PlaneCurve(T3, chebyshev(4)), x0, Fraction(1))
 
 
-CURVES = {
-    **{f"(T3,T{b})": PlaneCurve(T3, chebyshev(b)) for b in (4, 7, 10, 13)},
-    "6_2 witness": perturb(q7(Fraction(-1, 2)), Fraction(1, 1024)),
+CURVES = {  # name: (curve, its number of crossings)
+    **{f"(T3,T{b})": (PlaneCurve(T3, chebyshev(b)), b - 1) for b in (4, 7, 10, 13)},
+    "6_2 witness": (perturb(q7(Fraction(-1, 2)), Fraction(1, 1024)), 6),
     # a rational, non-unit lead: v(u) and the discriminant carry denominators
-    "x = 2/3 t^3 - t": PlaneCurve(Polynomial([0, -1, 0, Fraction(2, 3)]), chebyshev(7).compose(Polynomial([0, Fraction(2, 3)]))),
+    "x = 2/3 t^3 - t": (
+        PlaneCurve(Polynomial([0, -1, 0, Fraction(2, 3)]), chebyshev(7).compose(Polynomial([0, Fraction(2, 3)]))),
+        6,
+    ),
+    # irrational discriminant roots +-sqrt(8/3) in the box [-2, 2]: W has a
+    # solitary root near -1.935, isolated inside the box and dropped by its sign
+    "x = t^3 - 2t": (PlaneCurve(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1])), 2),
 }
 
 
 @pytest.mark.parametrize("name", CURVES)
 def test_crossing_sets_equal_the_fraction_oracle(name):
-    curve = CURVES[name]
+    curve, count = CURVES[name]
     cs = curve_crossings(curve)
     crossings, param_order, param_bounds = oracle_crossings(curve)
-    assert len(cs) >= 3
+    assert len(cs) == count
     assert [((c.u.lo, c.u.hi), c.t, c.s, c.x) for c in cs.crossings] == crossings
     assert cs.param_order == param_order
     assert cs.param_bounds == param_bounds

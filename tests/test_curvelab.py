@@ -198,6 +198,52 @@ class TestCrossings:
             assert word_from_curve(c, cs).runs == (1,) * (b - 1)
             assert 2 * len(calls) <= restarted, (b, len(calls))
 
+    def test_w_is_isolated_only_on_the_discriminant_box(self, monkeypatch):
+        # disc = 8 - 3u^2 has roots +-sqrt(8/3), so the box is [-2, 2]; of
+        # W's four real roots, the one near 2.2 lies outside it and is never
+        # isolated, and the solitary one near -1.935 lies in the rounding
+        # margin, so its discriminant sign drops it
+        import lexiknot.curvelab.curves as curves_module
+
+        signs, asked = curves_module.signs_at_roots, []
+
+        def counted(h, roots):
+            asked.append((h, len(roots)))
+            return signs(h, roots)
+
+        monkeypatch.setattr(curves_module, "signs_at_roots", counted)
+        c = unshared(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1]).scale(3))
+        cs = curve_crossings(c)
+        assert [n for h, n in asked if h == c._eliminator.disc] == [3]
+        assert len(isolate_real_roots(c._eliminator.W)) == 4
+        assert len(cs) == 2 and word_from_curve(c, cs).runs == (0, 2)
+
+    def test_root_of_w_at_a_box_end_is_still_isolated(self):
+        # W = u (4 - u^2) vanishes at the discriminant's roots +-2, the box
+        # ends: a cusp at each fold
+        c = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 0, -2, 0, 1]))
+        with pytest.raises(NonNodalError, match="pair separation vanishes"):
+            curve_crossings(c)
+
+    def test_crossings_are_the_whole_line_roots_with_positive_discriminant(self):
+        rng = random.Random(21)
+        xs = [Polynomial([0, -3, 0, 1]), Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 0, Fraction(2, 3)])]
+        checked = solitary = 0
+        for _ in range(60):
+            degree = rng.randint(4, 8)
+            y = Polynomial([rng.randint(-3, 3) for _ in range(degree)] + [rng.choice((-1, 1))])
+            c = PlaneCurve(rng.choice(xs), y)
+            el = c._eliminator
+            try:
+                count = len(curve_crossings(c))
+            except NonNodalError:
+                continue
+            signs = [sg for sg, _ in signs_at_roots(el.disc, isolate_real_roots(el.W))]
+            assert count == signs.count(1), (c.x, y)
+            checked += 1
+            solitary += signs.count(-1)
+        assert checked >= 40 and solitary > 0
+
     def test_non_trigonal_rejected(self):
         with pytest.raises(NotTrigonalError):
             PlaneCurve(Polynomial([0, 1]), chebyshev(4))

@@ -9,6 +9,7 @@ from lexiknot.curvelab.curves import _sqrt_bounds
 from lexiknot.curvelab.poly import (
     Polynomial,
     _pseudo_divide,
+    _squarefree_isolation,
     chebyshev,
     isolate_real_roots,
     sign_at_root,
@@ -89,6 +90,18 @@ class TestRoots:
         monkeypatch.setattr(P, "gcd", forbidden)
         assert len(isolate_real_roots(chebyshev(7))) == 7
         assert len(isolate_real_roots(P.from_roots([1, 1, 2, 2, 2, -3]))) == 3
+
+    def test_isolation_on_a_box(self):
+        # only the roots in the box, and a root at an end is moved inside
+        # by widening that end; the squarefree part is still the whole one
+        p = P.from_roots([-5, 1, 1, Fraction(5, 2), 3, 7])
+        sf, roots = _squarefree_isolation(p, (1, 3))
+        assert sf.degree == 5
+        assert len(roots) == 3
+        for r, x in zip(roots, (1, Fraction(5, 2), 3)):
+            assert r.lo < x < r.hi
+        assert roots[0].lo >= 0 and roots[-1].hi <= 4
+        assert _squarefree_isolation(p, (-4, 0))[1] == []
 
     def test_count_roots(self):
         # isolation counts the roots, and signs of t - c at them count
