@@ -152,14 +152,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     if any(r.error for r in rows):
         for r in rows:
             if r.error:
-                print(f"{r.name}: FAILED: {r.error}", file=sys.stderr)
+                print(f"{r.knot.name}: FAILED: {r.error}", file=sys.stderr)
                 print(r.traceback, end="", file=sys.stderr)
         return 2
     if args.diff:
-        diff = diff_expected(rows, expected)
-        if not diff.ok:
-            for m in diff.mismatches:
-                print(f"mismatch: {m}", file=sys.stderr)
+        mismatches = diff_expected(rows, expected)
+        for m in mismatches:
+            print(f"mismatch: {m}", file=sys.stderr)
+        if mismatches:
             return 1
     return 0
 

@@ -202,9 +202,15 @@ def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) ->
 
     Crossings grouped by position into twist regions; the twist sense
     must be uniform inside a region.  Odd regions count right twists
-    positively, even regions negatively.
+    positively, even regions negatively.  A boundary zero of the word
+    is an empty region, so it is a 0 entry at either end: a leading one
+    when the first crossing is at the bottom position, and a trailing
+    one when `_oriented_letters`' trailing marker puts the right fold
+    pair on the last crossing's side.  Without the trailing 0 the plat
+    closes on the wrong side of the last region, and the fraction
+    numerator differs from the knot determinant.
     """
-    letters, _ = _oriented_letters(curve, cs)
+    letters, trail_marker = _oriented_letters(curve, cs)
     entries: list[int] = []
     hsigns: list[int] = []
     if letters and letters[0] == 1:
@@ -221,6 +227,8 @@ def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) ->
             entries.append(h if parity == 0 else -h)
             hsigns.append(h)
             prev = letter
+    if trail_marker:
+        entries.append(0)
     return entries
 
 

@@ -557,46 +557,35 @@ def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
     return reduction_search(w, depth).lower_bound()
 
 
-class DegreeReport:
-    """Degree bounds of one knot; the lists default to fresh empty ones."""
+class DegreeVerdict(NamedTuple):
+    """Degree bounds of one knot and their proof.
 
-    def __init__(
-        self,
-        knot: KnotRecord,
-        b_lower: int,
-        b_upper: int,
-        c_lower: int,
-        c_upper: int,
-        status: str,  # "exact" | "range"
-        deg_C: DegreeTriple,
-        diagrams: Optional[list[TrigonalDiagram]] = None,
-        traces: Optional[list[ReductionTrace]] = None,
-        witnesses: Optional[list[str]] = None,
-    ):
-        self.knot = knot
-        self.b_lower = b_lower
-        self.b_upper = b_upper
-        self.c_lower = c_lower
-        self.c_upper = c_upper
-        self.status = status
-        self.deg_C = deg_C
-        self.diagrams = [] if diagrams is None else diagrams
-        self.traces = [] if traces is None else traces
-        self.witnesses = [] if witnesses is None else witnesses
+    ``witness`` is the reduction trace whose ``upper`` set ``b_upper``,
+    or None when the Chebyshev triple ``deg_C`` set it.  A row whose
+    computation failed has status "failed", zero bounds, no diagrams,
+    and the error with its formatted traceback.
+    """
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
+    knot: KnotRecord
+    b_lower: int
+    b_upper: int
+    c_lower: int
+    c_upper: int
+    status: str  # "exact" | "range" | "failed"
+    deg_C: DegreeTriple
+    diagrams: tuple[TrigonalDiagram, ...] = ()
+    traces: tuple[ReductionTrace, ...] = ()
+    witness: Optional[ReductionTrace] = None
+    error: Optional[str] = None
+    traceback: Optional[str] = None
 
     @property
     def starred(self) -> bool:
-        return self.b_upper < self.deg_C.b or (
-            self.b_upper == self.deg_C.b and self.c_upper < self.deg_C.c
-        )
+        """The lexicographic degree beats deg_C; never on a failed row."""
+        return self.status != "failed" and (self.b_upper, self.c_upper) < (self.deg_C.b, self.deg_C.c)
 
 
-def degree_verdict(k: KnotRecord) -> DegreeReport:
+def degree_verdict(k: KnotRecord) -> DegreeVerdict:
     """Assemble lower and upper degree bounds for one catalog knot.
 
     One m_C search feeds both the Chebyshev triple and the enumeration
@@ -614,15 +603,11 @@ def degree_verdict(k: KnotRecord) -> DegreeReport:
     if not diagrams:
         raise SearchExhausted(f"no simple diagram of {k.name} within {budget} crossings")
 
-    b_upper = cheb.b
-    witnesses = [f"Chebyshev C(3,{cheb.b})"]
-    traces = []
-    for d in diagrams:
-        trace = reduction_search(project(d))
-        traces.append(trace)
+    b_upper, witness = cheb.b, None
+    traces = tuple([reduction_search(project(d)) for d in diagrams])
+    for trace in traces:
         if trace.upper is not None and trace.upper < b_upper:
-            b_upper = trace.upper
-            witnesses = [f"{d} reduced to {trace.base} + {trace.cost}"]
+            b_upper, witness = trace.upper, trace
     b_lower = min(t.bound for t in traces)
 
     b = b_upper
@@ -635,15 +620,4 @@ def degree_verdict(k: KnotRecord) -> DegreeReport:
     candidates = [c for c in range(c_floor, c_hi + 1) if c % 3 != 0]
     c_lo = min(candidates) if candidates else c_hi
     status = "exact" if (b_lower == b_upper and len(candidates) <= 1) else "range"
-    return DegreeReport(
-        knot=k,
-        b_lower=b_lower,
-        b_upper=b_upper,
-        c_lower=c_lo,
-        c_upper=c_hi,
-        status=status,
-        deg_C=cheb,
-        diagrams=diagrams,
-        traces=traces,
-        witnesses=witnesses,
-    )
+    return DegreeVerdict(k, b_lower, b_upper, c_lo, c_hi, status, cheb, tuple(diagrams), traces, witness)

@@ -152,19 +152,38 @@ def test_criterion_3_reduction_accounting():
     _report("criterion 3: reduction accounting reproduces the Degree column", ok)
 
 
-def test_criterion_4_final_verdicts():
-    rows = build_table()
-    ok = all(r.error is None for r in rows)
+@pytest.fixture(scope="module")
+def rows():
+    """The verdicts of all 26 catalog knots."""
+    return build_table()
+
+
+def test_criterion_4_final_verdicts(rows):
+    ok = len(rows) == 26 and all(r.error is None for r in rows)
     for r in rows:
-        rec = r.record
-        ok = ok and (r.b, r.c_lo, r.c_hi) == (rec.lex_b, rec.lex_c_lo, rec.lex_c_hi)
-        ok = ok and r.starred == (r.name in STARRED)
+        rec = r.knot
+        ok = ok and (r.b_upper, r.c_lower, r.c_upper) == (rec.lex_b, rec.lex_c_lo, rec.lex_c_hi)
+        ok = ok and r.starred == (rec.name in STARRED)
         ok = ok and (r.status == "exact") == (rec.lex_c_lo == rec.lex_c_hi)
     shipped = resources.files("lexiknot.data").joinpath("knots.csv")
     with resources.as_file(shipped) as path:
-        ok = ok and diff_expected(rows, load_expected(str(path))).ok
+        ok = ok and diff_expected(rows, load_expected(str(path))) == []
     ok = ok and emit(rows, "json") == REFERENCE_JSON.read_text()
     _report("criterion 4: verdicts match the lexicographic-degree column, zero diffs, reference JSON", ok)
+
+
+def test_every_row_names_the_trace_that_sets_its_upper_bound(rows):
+    # the witness is None exactly when the Chebyshev diagram C(3,b) gives
+    # b_upper; otherwise it is one of the row's traces, its upper bound is
+    # b_upper, and it replays to its base
+    for r in rows:
+        name = r.knot.name
+        assert (r.witness is None) == (r.b_upper == r.deg_C.b), name
+        if r.witness is not None:
+            assert r.witness in r.traces, name
+            assert r.witness.upper == r.b_upper, name
+            assert r.witness.replay().runs == r.witness.base.runs, name
+    assert {r.knot.name for r in rows if r.witness is not None} == STARRED
 
 
 def test_criterion_5_curve_oracles():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -618,6 +619,20 @@ class TestDiagramClass:
                 overs = crossing_signs(c, z, cs)
                 d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(c, overs)))
                 assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
+
+    def test_boundary_zeros_at_both_ends_are_entries(self):
+        # the word (0,1,1,1,0): three crossings, a first letter of 1 (the
+        # leading zero) and a trailing marker (the trailing zero); without
+        # a trailing 0 entry every over-choice gave numerator 0 or 2
+        c = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([-4, -1, 6, -1, 3, -2, -2, 1]))
+        cs = curve_crossings(c)
+        assert word_from_curve(c, cs).runs == (0, 1, 1, 1, 0)
+        for overs in itertools.product((False, True), repeat=3):
+            z, _ = height_polynomial(cs, list(overs))
+            d, rec = verify_embedding(c.x, c.y, z)
+            assert len(d) == 5 and d.entries[0] == d.entries[-1] == 0, (overs, d)
+            det = height_module._determinant(cs, crossing_signs(c, z, cs))
+            assert d.fraction().alpha == det == 1 and rec is None, (overs, d)
 
 
 class TestSymmetries:

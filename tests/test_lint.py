@@ -55,7 +55,7 @@ def test_only_the_frozen_base_writes_the_immutability_protocol():
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ClassDef) and (path.name, node.name) != ("frozen.py", "Frozen"):
-                for name in sorted(_bound_names(node) & {"__setattr__", "__delattr__", "__hash__"}):
+                for name in sorted(_bound_names(node) & {"__setattr__", "__delattr__", "__eq__", "__hash__"}):
                     found.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}.{name}")
     assert not found, found
 

@@ -11,8 +11,14 @@ from lexiknot.curvelab.curves import Crossing, CrossingSet
 from lexiknot.curvelab.poly import RootInterval
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.enumeration import DegreeTriple
-from lexiknot.planereduce import BaseEntry, DegreeReport, PlaneWord, base_table, degree_verdict, reduction_search
-from lexiknot.report import Diff, TableRow
+from lexiknot.planereduce import (
+    BaseEntry,
+    DegreeVerdict,
+    PlaneWord,
+    base_table,
+    degree_verdict,
+    reduction_search,
+)
 
 T3 = chebyshev(3)
 
@@ -42,6 +48,7 @@ FROZEN = {
     "PlaneCurve": (lambda: PlaneCurve(T3, chebyshev(4)), "y"),
     "Crossing": (_crossing, "letter"),
     "CrossingSet": (_crossing_set, "crossings"),
+    "DegreeVerdict": (lambda: degree_verdict(default_catalog().get("6_2")), "b_upper"),
 }
 
 
@@ -101,8 +108,8 @@ def test_constructors_keep_their_signatures():
     assert tuple(DegreeTriple(3, 7, 11)) == (3, 7, 11)
     assert str(TrigonalDiagram([2, -1])) == "D(2,-1)" and len(TrigonalDiagram([2, -1])) == 2
     assert str(PlaneWord([])) == "()" and str(PlaneWord([2, 0, 1])) == "(2,0,1)"
-    row = TableRow("x", default_catalog().get("3_1"), DegreeTriple(3, 4, 5), [], [], 4, 5, 5, "exact", False)
-    assert row.error is None and row.traceback is None
+    row = DegreeVerdict(default_catalog().get("3_1"), 4, 4, 5, 5, "exact", DegreeTriple(3, 4, 5))
+    assert row.witness is None and row.error is None and row.traceback is None
     assert isinstance(default_catalog().get("3_1"), KnotRecord)
     assert base_table().lookup((3,)).b_lower == 4
 
@@ -124,21 +131,17 @@ def test_invalid_values_raise_their_error_types(build, error):
         build()
 
 
-def test_reports_and_diffs_get_fresh_lists():
+def test_verdict_sequences_are_tuples():
+    # no default is a shared mutable list, and a computed verdict holds
+    # tuples, so it hashes (test_equal_values_are_equal_and_hash_alike)
     k = default_catalog().get("3_1")
-    deg = DegreeTriple(3, 4, 5)
-    r1, r2 = (DegreeReport(k, 4, 4, 5, 5, "exact", deg) for _ in range(2))
-    r1.diagrams.append(TrigonalDiagram([3]))
-    r1.traces.append(None)
-    r1.witnesses.append("w")
-    assert r2.diagrams == [] and r2.traces == [] and r2.witnesses == []
-    d1, d2 = Diff(), Diff()
-    d1.mismatches.append("m")
-    assert d2.mismatches == [] and d2.ok and not d1.ok
+    bare = DegreeVerdict(k, 4, 4, 5, 5, "exact", DegreeTriple(3, 4, 5))
+    assert (bare.diagrams, bare.traces) == ((), ())
+    rep = degree_verdict(default_catalog().get("6_2"))
+    assert isinstance(rep.diagrams, tuple) and isinstance(rep.traces, tuple)
 
 
 def test_reports_compare_by_value():
     k = default_catalog().get("3_1")
     assert degree_verdict(k) == degree_verdict(k)
     assert degree_verdict(k) != degree_verdict(default_catalog().get("4_1"))
-    assert Diff(["m"]) == Diff(["m"]) != Diff()

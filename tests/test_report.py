@@ -14,16 +14,17 @@ def small_rows():
 class TestBuildTable:
     def test_3_1_row(self, small_rows):
         row = small_rows[0]
-        assert row.name == "3_1"
-        assert (row.b, row.c_lo, row.c_hi) == (4, 5, 5)
+        assert row.knot.name == "3_1"
+        assert (row.b_upper, row.c_lower, row.c_upper) == (4, 5, 5)
         assert not row.starred
 
     def test_6_2_starred(self, small_rows):
         row = small_rows[1]
-        assert row.lex_text == "**(3,7,11)"
+        assert row.starred and (row.b_upper, row.c_lower, row.c_upper) == (7, 11, 11)
 
     def test_7_6_starred(self, small_rows):
-        assert small_rows[2].lex_text == "**(3,8,13)"
+        row = small_rows[2]
+        assert row.starred and (row.b_upper, row.c_lower, row.c_upper) == (8, 13, 13)
 
     def test_empty(self):
         assert build_table([]) == []
@@ -42,6 +43,23 @@ class TestBuildTable:
         assert row.traceback.startswith("Traceback (most recent call last):")
         assert "in exhausted" in row.traceback
         assert row.traceback.rstrip().endswith("SearchExhausted: nothing for 3_1")
+        # its b_upper of 0 is below deg_C.b, yet a failed row is never starred
+        assert (row.b_upper, row.c_lower, row.c_upper, row.deg_C.b) == (0, 0, 0, 4)
+        assert not row.starred
+        assert (row.diagrams, row.traces, row.witness) == ((), (), None)
+        (data,) = json.loads(emit([row], "json"))
+        assert data == {
+            "name": "3_1",
+            "fraction": "3/1",
+            "N": 3,
+            "deg_C": {"a": 3, "b": 4, "c": 5},
+            "simple_diagrams": [],
+            "reductions": [],
+            "lex": {"b": 0, "c": 0},
+            "status": "failed",
+            "starred": False,
+            "error": "SearchExhausted: nothing for 3_1",
+        }
 
 
 class TestEmit:
@@ -56,8 +74,15 @@ class TestEmit:
         assert row["starred"] is True
 
     def test_markdown_stars(self, small_rows):
-        md = emit(small_rows, "md")
-        assert "**(3,7,11)" in md
+        md = emit(small_rows, "md").splitlines()
+        assert md[2].endswith("| (3,4,5) |")
+        assert md[3].endswith("| **(3,7,11) |")
+        assert md[4].endswith("| **(3,8,13) |")
+
+    def test_markdown_c_range(self):
+        (row,) = build_table(["8_7"])
+        assert not row.starred
+        assert emit([row], "md").splitlines()[2].endswith("| (3,10,11/14) |")
 
     def test_unknown_format(self, small_rows):
         with pytest.raises(ValueError):
@@ -71,8 +96,7 @@ class TestDiff:
         shipped = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
         path = tmp_path / "knots.csv"
         path.write_text(shipped)
-        diff = diff_expected(small_rows, load_expected(str(path)))
-        assert diff.ok
+        assert diff_expected(small_rows, load_expected(str(path))) == []
 
     def test_tampered_value_flagged(self, small_rows, tmp_path):
         from importlib import resources
@@ -87,15 +111,14 @@ class TestDiff:
             w = csv.DictWriter(fh, fieldnames=rows[0].keys())
             w.writeheader()
             w.writerows(rows)
-        diff = diff_expected(small_rows, load_expected(str(path)))
-        assert not diff.ok
-        assert any("6_2.lex_b" in m for m in diff.mismatches)
+        mismatches = diff_expected(small_rows, load_expected(str(path)))
+        assert mismatches == ["6_2.lex_b: computed 7, expected 8"]
 
     def test_missing_row_flagged(self, small_rows, tmp_path):
         path = tmp_path / "knots.csv"
         path.write_text("name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n")
-        diff = diff_expected(small_rows, load_expected(str(path)))
-        assert len(diff.mismatches) == 3
+        mismatches = diff_expected(small_rows, load_expected(str(path)))
+        assert mismatches == [f"{name}: missing from expected file" for name in ("3_1", "6_2", "7_6")]
 
     def test_file_without_name_column_rejected(self, tmp_path):
         path = tmp_path / "knots.csv"
