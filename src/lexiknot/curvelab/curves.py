@@ -13,23 +13,33 @@ is isolated only on the integer box [floor r1, ceil r2]: its roots
 outside are solitary points (complex conjugate t, s) and are never
 isolated.  Values on a branch
 pair reduce modulo z^2 - u z + v(u):  z^k = a_k(u) z + b_k(u), so the
-crossing height, the crossing x, and the third-strand height are all
-polynomials in u, and every discrete decision is a certified sign of a
-polynomial at an isolated algebraic number.
+crossing height and the crossing x are polynomials in u, and every
+discrete decision is a certified sign of a polynomial at an isolated
+algebraic number or at a fold.
 
 This layer runs on integers.  The pair reduction is Horner on the
 polynomials' integer coefficients.  Each root of W carries one isolating
 interval through the curve's questions: the sign of the pair
-discriminant refines it as far as that sign needs, the letter sign
-refines it further from there, and the clash loop starts from the
-result.  That loop separates crossings over integer enclosures: for an
-isolating interval (a/d, b/d) of u, the crossing's x is enclosed over
-den_x d^3 and its parameters t < s over den_D d^2 2^33, with sqrt of
-the discriminant bounded by isqrt on the reduced radicand at this
-module's scale 2^32.  Enclosures of different crossings are compared
-after rescaling to the lcm of their d, so every comparison is exact,
-and the rational intervals a `Crossing` reports are built once, after
-the loop.
+discriminant refines it as far as that sign needs, and the clash loop
+starts from there.  That loop separates crossings over integer
+enclosures: for an isolating interval (a/d, b/d) of u, the crossing's x
+is enclosed over den_x d^3 and its parameters t < s over den_D d^2 2^33,
+with sqrt of the discriminant bounded by isqrt on the reduced radicand
+at this module's scale 2^32.  Enclosures of different crossings are
+compared after rescaling to the lcm of their d, so every comparison is
+exact, and the rational intervals a `Crossing` reports are built once,
+after the loop.  The loop also halves until x' has one sign on each
+parameter enclosure, which puts each parameter on one of the three
+branches that the folds c1 < c2 cut the parameter line into.
+
+The letters need no further sign.  Over the band between the folds the
+curve is a 3-strand braid along x (Orevkov's view of a trigonal curve),
+so a crossing's letter is which two of the three y-ordered branches it
+swaps.  The order is known just right of the left fold, and each
+crossing, in x-order, swaps two adjacent branches.  The fold data are
+exact and refinement-free: the fold height minus the third strand's
+height and y' are read at the roots of the quadratic x' in
+Q(sqrt(Delta)) (`signs_at_quadratic_roots`).
 
 A `PlaneCurve` is one object per value, and its crossings are a cached
 property of it: they are computed once, however many callers ask for
@@ -53,6 +63,7 @@ from .poly import (
     _product,
     _squarefree_isolation,
     isolate_real_roots,
+    signs_at_quadratic_roots,
     signs_at_roots,
 )
 
@@ -67,6 +78,9 @@ class NotTrigonalError(ValueError):
 
 
 BOTTOM, TOP = 0, 1  # crossing positions: third strand above vs below
+# the branches of the parameter line cut by the folds c1 < c2: t < c1,
+# c1 < t < c2 and t > c2; x is monotone on each
+_A, _B, _C = 0, 1, 2
 
 
 class PlaneCurve(Frozen):
@@ -94,7 +108,8 @@ class PlaneCurve(Frozen):
             raise NotTrigonalError(f"x-degree {x.degree}, need a cubic")
         if y.degree < 2:
             raise NotTrigonalError(f"y-degree {y.degree}, need at least 2")
-        if len(curve._critical_points) != 2:
+        p = x.cs  # x' = p1 + 2 p2 t + 3 p3 t^2 has discriminant 4 (p2^2 - 3 p1 p3)
+        if p[2] * p[2] <= 3 * p[1] * p[3]:
             raise NotTrigonalError("the cubic needs two distinct real critical points")
         cls._live[x, y] = curve
         return curve
@@ -112,9 +127,9 @@ class PlaneCurve(Frozen):
         return _crossings(self)
 
     @cached_property
-    def _critical_points(self) -> list[RootInterval]:
-        """Isolated roots of x', the parameters of the folds, found once."""
-        return isolate_real_roots(self.x.derivative())
+    def _folds(self) -> tuple["_Fold", "_Fold"]:
+        """The left and the right fold (`_fold_sides`), found once."""
+        return _fold_sides(self)
 
     @cached_property
     def _eliminator(self) -> "_Eliminator":
@@ -133,14 +148,15 @@ class PlaneCurve(Frozen):
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
-    rational bounds on its parameters t < s and on its x; and its letter,
-    BOTTOM or TOP."""
+    rational bounds on its parameters t < s and on its x; its letter,
+    BOTTOM or TOP; and the branches (_A, _B or _C) of t and of s."""
 
     u: RootInterval
     t: tuple[Fraction, Fraction]
     s: tuple[Fraction, Fraction]
     x: tuple[Fraction, Fraction]
     letter: int
+    branches: tuple[int, int]
 
 
 class CrossingSet(Frozen):
@@ -199,7 +215,6 @@ class _Eliminator:
         p = curve.x.cs
         # v(u) = (p3 u^2 + p2 u + p1)/p3, where x's denominator cancels
         self.v = Polynomial.from_integers(p[1:], p[3])
-        self.sum_roots = Fraction(-p[2], p[3])
         A_q, B_q = _pair_reduction(curve.y, self.v)
         A_x, B_x = _pair_reduction(curve.x, self.v)
         if not A_x.is_zero():
@@ -207,8 +222,7 @@ class _Eliminator:
         self.W = A_q                    # vanishes exactly at crossings
         self.x_of_u = B_x               # crossing x
         self.y_of_u = B_q               # crossing height
-        # third branch: r = sum_roots - u, heights via composition
-        self.y_third = curve.y.compose(Polynomial([self.sum_roots, -1]))
+        self.dx = curve.x.derivative()  # its sign puts a parameter on a branch
         # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
         self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
 
@@ -261,16 +275,25 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     a solitary point and is never isolated, and the few solitary roots
     inside it are dropped by the discriminant's sign.  The remainder
     chain is that of the whole of W, so it also gives the tangency test.
-    Each root's interval is carried from its discriminant sign to its
-    letter sign to the clash loop, so no halving is repeated.  Each
-    round of that loop halves the u-interval of every crossing whose
-    x-interval or parameter interval meets another crossing's, and
-    encloses only those again.
+    Each root's interval is carried from its discriminant sign to the
+    clash loop, so no halving is repeated.  Each round of that loop
+    halves the u-interval of every crossing whose x-interval or
+    parameter interval meets another crossing's, or on one of whose
+    parameter intervals x' may vanish, and encloses only those again.
+
+    So each parameter is put on one branch, once: t < s puts t on _A
+    when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
+    when x'(s) has that sign and on _B otherwise.  The fold data are
+    found before the loop: a crossing at a fold point raises there, so
+    the loop never halves towards a root of x'.  The letters are then
+    read off the bottom-to-top order of the branches in x-order
+    (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), vanishing pair separation, a
-    third branch meeting a crossing, or crossings whose x or parameters
-    could not be separated (a triple point stalls exactly at x).
+    third branch meeting a fold, crossings whose x or parameters could
+    not be separated (a triple point stalls exactly at x), or a branch
+    order that no nodal curve has.
     """
     el = curve._eliminator
     W = el.W
@@ -286,29 +309,24 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
             raise NonNodalError(f"pair separation vanishes near u in ({float(r.lo):.4f}, {float(r.hi):.4f})")
         if ds > 0:
             kept.append(r)
+    left, right = curve._folds
 
-    # letters: exact sign of third-branch height minus crossing height
-    h_third = el.y_third - el.y_of_u
-    letters: list[int] = []
-    for i, (sg, r) in enumerate(signs_at_roots(h_third, kept)):
-        kept[i] = r
-        if sg == 0:
-            raise NonNodalError(
-                f"non-nodal configuration: third branch passes through the "
-                f"crossing near u in ({float(r.lo):.4f}, {float(r.hi):.4f})"
-            )
-        letters.append(BOTTOM if sg > 0 else TOP)
-
-    # refine until x-intervals and parameter intervals are pairwise disjoint
+    # refine until x-intervals and parameter intervals are pairwise
+    # disjoint and every parameter is on a branch; a branch, once
+    # decided on an enclosure of the parameter, stays
     enc = [_enclosures(el, r) for r in kept]
+    branches = [_branches(el, e) for e in enc]
     for _ in range(_MAX_CLASH_ROUNDS):
         xs, params = _rescaled(el, enc)
         clash = _overlapping(xs) | {k // 2 for k in _overlapping(params)}
+        clash.update(i for i, b in enumerate(branches) if b is None)
         if not clash:
             break
         for i in clash:
             kept[i] = kept[i].refine()
             enc[i] = _enclosures(el, kept[i])
+            if branches[i] is None:
+                branches[i] = _branches(el, enc[i])
     else:
         xs, _ = _rescaled(el, enc)
         shared = _overlapping(xs)
@@ -321,19 +339,58 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
         raise NonNodalError("crossing parameters could not be separated")
 
     order = sorted(range(len(kept)), key=lambda i: xs[i][0])
+    letters = _letters(left.order, right.order, [branches[i] for i in order])
     ivs = [_intervals(el, e) for e in enc]
     bounds = [iv for i in order for iv in ivs[i][1:]]
     keys = [params[k][0] for i in order for k in (2 * i, 2 * i + 1)]
     flat = sorted(range(len(bounds)), key=keys.__getitem__)
     pos = {k: rank for rank, k in enumerate(flat)}
     crossings = tuple(
-        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letters[i]) for i in order
+        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letter, branches=branches[i])
+        for i, letter in zip(order, letters)
     )
     return CrossingSet(
         crossings=crossings,
         param_order=tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
         param_bounds=tuple(bounds[k] for k in flat),
     )
+
+
+def _branches(el: _Eliminator, e) -> Optional[tuple[int, int]]:
+    """The branches of one crossing's parameters t < s, from the sign of
+    x' on their integer enclosures; None while x' may vanish on one."""
+    d, _, t, s = e
+    den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
+    dx = el.dx.cs
+    out = []
+    for (lo, hi), outer in zip((t, s), (_A, _C)):
+        vlo, vhi = _enclose(dx, lo, hi, den_p)
+        if vlo <= 0 <= vhi:
+            return None
+        out.append(outer if (vlo > 0) == (dx[-1] > 0) else _B)
+    return out[0], out[1]
+
+
+def _letters(start: tuple[int, ...], end: tuple[int, ...], branches: Sequence[tuple[int, int]]) -> list[int]:
+    """The letters of crossings in x-order from the branches they join.
+
+    ``start`` is the bottom-to-top order of the branches just right of
+    the left fold, and ``end`` just left of the right fold.  A crossing
+    swaps two y-adjacent branches, and its letter is BOTTOM exactly when
+    the third branch is on top.  NonNodalError if a crossing joins two
+    branches that are not adjacent, or the order reached at the right
+    fold is not that fold's.
+    """
+    order, letters = list(start), []
+    for bt, bs in branches:
+        i, j = sorted((order.index(bt), order.index(bs)))
+        if j - i != 1:
+            raise NonNodalError(f"a crossing joins branches {bt} and {bs}, which are not adjacent in {order}")
+        order[i], order[j] = order[j], order[i]
+        letters.append(BOTTOM if i == 0 else TOP)
+    if tuple(order) != end:
+        raise NonNodalError(f"the branch order {order} at the right fold is not the fold's {list(end)}")
+    return letters
 
 
 def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
@@ -393,26 +450,50 @@ def _overlapping(ivs: Sequence[tuple[int, int]]) -> set[int]:
     return hit
 
 
-def _fold_sides(curve: PlaneCurve) -> tuple[int, int]:
-    """Positions (BOTTOM/TOP) of the left and right fold pairs.
+class _Fold(NamedTuple):
+    """One fold: the position (BOTTOM or TOP) of its merging pair against
+    the third strand, and the bottom-to-top order of the three branches
+    beside it, inside the band."""
 
-    At each critical value of the cubic two strands merge; the side is
-    decided by comparing their height with the third strand's, exactly.
+    side: int
+    order: tuple[int, int, int]
+
+
+def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
+    """The left and the right fold, exactly and without refinement.
+
+    At the fold c1 the branches _A and _B merge, beside _C, and at c2 _B
+    and _C merge, beside _A.  Next to a fold c, inside the band, the
+    pair's branch of larger parameter is on top exactly when y'(c) > 0,
+    and the pair is above the third strand exactly when the fold height
+    minus the third strand's height is positive; the third root of
+    x(z) = x(c) is S - 2c, S the sum of x's roots.  Both signs are read
+    at the roots of the quadratic x' in Q(sqrt(Delta))
+    (`signs_at_quadratic_roots`).  The left fold is the local minimum of
+    x: c2 when x's lead is positive, c1 when it is negative.
+
+    NonNodalError when the third strand meets a fold point, or y'
+    vanishes there (a cusp).
     """
-    # fold height minus third-strand height, as a polynomial in the
-    # critical parameter (the third root of x(z) = x(c) is s - 2c)
-    h = curve.y - curve.y.compose(Polynomial([curve._eliminator.sum_roots, -2]))
-    sides = []
-    for sg, _ in signs_at_roots(h, curve._critical_points):
-        if sg == 0:
+    y, p = curve.y, curve.x.cs
+    h = y - y.compose(Polynomial.from_integers([-p[2], -2 * p[3]], p[3]))
+    dx = curve._eliminator.dx
+    folds = []
+    for side, slope, pair, third in zip(
+        signs_at_quadratic_roots(h, dx), signs_at_quadratic_roots(y.derivative(), dx), ((_A, _B), (_B, _C)), (_C, _A)
+    ):
+        if side == 0:
             raise NonNodalError("fold pair meets the third strand")
-        sides.append(BOTTOM if sg < 0 else TOP)
-    # the local minimum of x bounds the band on the left; of the two
-    # sorted critical points it is the larger exactly when the lead is
-    # positive
-    if curve.x.lead > 0:
-        return sides[1], sides[0]
-    return sides[0], sides[1]
+        if slope == 0:
+            raise NonNodalError("cusp: y' vanishes at a fold")
+        lo, hi = pair if slope > 0 else pair[::-1]
+        if side > 0:
+            folds.append(_Fold(TOP, (third, lo, hi)))
+        else:
+            folds.append(_Fold(BOTTOM, (lo, hi, third)))
+    if p[3] > 0:
+        return folds[1], folds[0]
+    return folds[0], folds[1]
 
 
 def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> PlaneWord:
@@ -433,7 +514,7 @@ def _oriented_letters(curve: PlaneCurve, cs: CrossingSet) -> tuple[list[int], bo
     exactly when the left fold pair sits on its side, and the trailing
     marker: whether the right fold pair sits on the last crossing's side.
     """
-    left, right = _fold_sides(curve)
+    left, right = (f.side for f in curve._folds)
     letters = [c.letter for c in cs.crossings]
     if not letters:
         return letters, False

@@ -18,10 +18,11 @@ gcd only where it fails, and a mean value test on integers over a
 bisected dyadic isolating interval gives the sign.  The twist sense is
 unoriented: each crossing sign is multiplied by the sign of the tangent
 determinant and by the direction in x of both strands, the sign of x'
-on their parameter enclosures, all three found once per curve.  The
-knot is named by the class of the diagram's fraction, checked against
-the determinant, the integer |det| of a Fox coloring minor computed by
-fraction-free elimination.  No floating point decides anything.
+on the branches that `curve_crossings` put their parameters on, both
+found once per curve.  The knot is named by the class of the diagram's
+fraction, checked against the determinant, the integer |det| of a Fox
+coloring minor computed by fraction-free elimination.  No floating
+point decides anything.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 from ..arith import KnotRecord
 from ..diagram import TrigonalDiagram, identify_knot
-from .curves import CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
+from .curves import _B, CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
 from .poly import Polynomial, _sign, _value, signs_at_roots
 
 
@@ -166,35 +167,23 @@ def _hands(curve: PlaneCurve, overs: Sequence[int]) -> list[int]:
 
 def _turns(curve: PlaneCurve) -> tuple[int, ...]:
     """Per crossing, sign(N(u)) sign(x'(t) x'(s)): one tangent-determinant
-    sign pass and the direction in x of both strands.  None of it
-    depends on z; `PlaneCurve._turns` caches it."""
+    sign pass, and the direction in x of both strands, read off the
+    branches that `curve_crossings` put t and s on.  x' has one sign on
+    the outer branches and the other on the middle one, and no crossing
+    joins the middle branch to itself, so x'(t) x'(s) < 0 exactly when
+    one of t, s is on the middle branch.  None of it depends on z;
+    `PlaneCurve._turns` caches it."""
     v = curve._eliminator.v
-    dx = curve.x.derivative()
     A_y, B_y = _pair_reduction(curve.y.derivative(), v)
-    A_x, B_x = _pair_reduction(dx, v)
+    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
     N = A_y * B_x - B_y * A_x
     crossings = curve.crossings.crossings
     out = []
     for c, (s_num, _) in zip(crossings, signs_at_roots(N, [c.u for c in crossings])):
         if s_num == 0:
             raise EmbeddingError("tangent branches are parallel at a crossing")
-        out.append(s_num * _direction(dx, c.t) * _direction(dx, c.s))
+        out.append(-s_num if _B in c.branches else s_num)
     return tuple(out)
-
-
-def _direction(dx: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
-    """sign(x') on a parameter enclosure, exactly.  x' is a quadratic, so
-    it keeps its sign on the enclosure when it has one sign at both ends
-    and, if the enclosure holds it, at its vertex."""
-    lo, hi = iv
-    points = [lo, hi]
-    vertex = Fraction(-dx.cs[1], 2 * dx.cs[2])
-    if lo < vertex < hi:
-        points.append(vertex)
-    signs = {(v > 0) - (v < 0) for v in map(dx, points)}
-    if len(signs) != 1 or 0 in signs:
-        raise EmbeddingError(f"x' changes sign on the parameter enclosure ({float(lo):.4f}, {float(hi):.4f})")
-    return signs.pop()
 
 
 def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) -> list[int]:

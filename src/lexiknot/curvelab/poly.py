@@ -20,7 +20,9 @@ rational gcd only when it fails, and then by halving the interval with
 mean value test on integers decides it: h's value at the midpoint
 outweighs an interval enclosure of h' times the half-width.  The sign
 comes back with the interval it was decided on, so the next sign at the
-same root starts there.  Floating point decides nothing.
+same root starts there.  At the roots of a quadratic no interval is
+needed: `signs_at_quadratic_roots` reads both signs in Q(sqrt(Delta))
+from a remainder of degree one.  Floating point decides nothing.
 """
 
 from __future__ import annotations
@@ -483,6 +485,39 @@ def sign_at_root(
             return _sign(v), root
         root = root.refine()
     raise RuntimeError("sign refinement did not converge")
+
+
+def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
+    """Exact signs of h at the smaller and at the larger root of a
+    quadratic q with a positive discriminant, decided in Q(sqrt(Delta))
+    without isolating or refining anything.
+
+    With q = A t^2 + B t + C primitive and Delta = B^2 - 4 A C, pseudo-
+    division gives m h = Q q + r1 t + r0 with m > 0, so at a root
+    c = (-B +- sqrt(Delta)) / 2A, h(c) has the sign of r1 c + r0 =
+    (X +- r1 sqrt(Delta)) / 2A with X = 2A r0 - B r1.  The sign of
+    X + Y sqrt(Delta) is that of X or of Y when they agree or one is 0,
+    and otherwise that of X exactly when X^2 > Y^2 Delta.  The smaller
+    root takes -sqrt(Delta) when A > 0 and +sqrt(Delta) when A < 0.
+    """
+    if q.degree != 2:
+        raise ValueError(f"degree {q.degree}, need a quadratic")
+    C, B, A = q.primitive
+    disc = B * B - 4 * A * C
+    if disc <= 0:
+        raise ValueError("the quadratic needs two distinct real roots")
+    r = _pseudo_divide(h.primitive, q.primitive)[2] + [0, 0]
+    X, sa = 2 * A * r[0] - B * r[1], _sign(A)
+
+    def sign_with(Y: int) -> int:  # the sign of (X + Y sqrt(Delta)) / 2A
+        sx, sy = _sign(X), _sign(Y)
+        if sx == sy or sy == 0:
+            return sa * sx
+        if sx == 0:
+            return sa * sy
+        return sa * sx * _sign(X * X - Y * Y * disc)
+
+    return sign_with(-sa * r[1]), sign_with(sa * r[1])
 
 
 def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[tuple[int, RootInterval]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .curves import BOTTOM, CrossingSet, PlaneCurve, curve_crossings
+from .poly import isolate_real_roots
 
 
 def render_svg(
@@ -19,7 +20,7 @@ def render_svg(
     """
     if cs is None:
         cs = curve_crossings(curve)
-    t_marks = [float(r.mid) for r in curve._critical_points]
+    t_marks = [float(r.mid) for r in isolate_real_roots(curve.x.derivative())]
     spread = max(abs(m) for m in t_marks) if t_marks else 1.0
     t_lo, t_hi = -2.2 * spread, 2.2 * spread
 

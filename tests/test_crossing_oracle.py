@@ -4,11 +4,13 @@ The oracle is the Fraction form of `curve_crossings`' schedule: W is
 isolated on the integer box [floor r1, ceil r2] around the roots of the
 pair discriminant, derived here on its own from the Fraction
 coefficients; each root is refined until the mean value test decides
-the sign of the pair discriminant, then from there until it decides the
-letter sign, and the clash loop starts from those intervals.  It uses
-interval Horner on rational coefficients, square-root bounds on the
-reduced radicand, and a pairwise overlap test.  Both must return the
-same rationals, not merely containing ones.
+the sign of the pair discriminant, and the clash loop starts from those
+intervals.  That loop halves every crossing whose x-interval or
+parameter interval meets another's, or whose parameter intervals have
+not yet both had an interval enclosure of x' without 0.  It uses interval
+Horner on rational coefficients, square-root bounds on the reduced
+radicand, and a pairwise overlap test.  Both must return the same
+rationals, not merely containing ones.
 """
 
 from fractions import Fraction
@@ -86,11 +88,14 @@ def oracle_crossings(curve: PlaneCurve):
     el = curve._eliminator
     roots = _squarefree_isolation(el.W, disc_box(el.disc))[1]
     kept = [r for sg, r in (refined_sign(el.disc, r) for r in roots) if sg > 0]
-    kept = [refined_sign(el.y_third - el.y_of_u, r)[1] for r in kept]
     enc = [enclosures(el, r) for r in kept]
+    dx = curve.x.derivative()
+    undecided = set(range(len(kept)))  # crossings with x' not yet of one sign on both enclosures
     for _ in range(64):
+        undecided -= {i for i in undecided if all(0 < a or b < 0 for a, b in (interval_horner(dx, *iv) for iv in enc[i][1:]))}
         clash = overlapping([x for x, _, _ in enc])
         clash |= {k // 2 for k in overlapping([iv for e in enc for iv in e[1:]])}
+        clash |= undecided
         if not clash:
             break
         for i in clash:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import os
 import random
 import weakref
 from fractions import Fraction
@@ -31,7 +32,7 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import _Eliminator, _pair_reduction
+from lexiknot.curvelab.curves import _B, BOTTOM, TOP, _Eliminator, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import signs_at_roots
 from lexiknot.diagram import TrigonalDiagram
@@ -58,7 +59,10 @@ def unshared(x, y):
 
 
 class TestCrossings:
-    def test_critical_points_isolated_once(self, monkeypatch):
+    def test_folds_need_no_isolation(self, monkeypatch):
+        # the two-real-folds check, the fold sides and the letters are all
+        # exact in Q(sqrt(Delta)) or read off the branch order, so nothing on
+        # the crossings and word path isolates the roots of x'
         import lexiknot.curvelab.curves as curves_module
 
         isolated = []
@@ -69,8 +73,8 @@ class TestCrossings:
 
         monkeypatch.setattr(curves_module, "isolate_real_roots", counted)
         c = unshared(T3, chebyshev(5).scale(2))
-        word_from_curve(c, curve_crossings(c))
-        assert isolated.count(T3.derivative()) == 1
+        assert word_from_curve(c, curve_crossings(c)).runs == (1, 1, 1, 1)
+        assert isolated == []
 
     def test_svg_reads_the_critical_points(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module
@@ -185,9 +189,9 @@ class TestCrossings:
         assert len(curve_crossings(again)) == 19 and computed == [again]
 
     def test_each_root_is_refined_once(self, monkeypatch):
-        # the disc sign, the letter sign and the clash loop carry one
-        # interval per root; restarting each from the isolating interval
-        # took 345 and 564 halvings on (T3,T20) and (T3,T26)
+        # the disc sign and the clash loop carry one interval per root;
+        # restarting each sign from the isolating interval took 345 and 564
+        # halvings on (T3,T20) and (T3,T26), with a letter sign per root
         from lexiknot.curvelab.poly import RootInterval
 
         refine, calls = RootInterval.refine, []
@@ -252,7 +256,81 @@ class TestCrossings:
             PlaneCurve(Polynomial([0, 0, 0, 1]), chebyshev(4))  # no folds
 
 
+# the size of the letter oracle's family; CI runs it with 3000 and 32
+LETTER_ORACLE_CURVES = int(os.environ.get("LEXIKNOT_LETTER_ORACLE_CURVES", "300"))
+LETTER_ORACLE_MAX_B = int(os.environ.get("LEXIKNOT_LETTER_ORACLE_MAX_B", "20"))
+LETTER_ORACLE_XS = (
+    Polynomial([0, -3, 0, 1]),
+    Polynomial([0, 3, 0, -1]),
+    Polynomial([0, -1, 0, Fraction(2, 3)]),
+    Polynomial([0, -2, Fraction(1, 3), 1]),
+)
+
+
+def third_strand_letters(curve, cs):
+    """The letters by their definition: the exact sign, at each crossing's
+    u, of the third strand's height y(S - u) minus the crossing height, S
+    the sum of x's roots; BOTTOM when the third strand is above."""
+    el = curve._eliminator
+    S = Fraction(-curve.x.cs[2], curve.x.cs[3])
+    h = curve.y.compose(Polynomial([S, -1])) - el.y_of_u
+    letters = []
+    for sg, _ in signs_at_roots(h, [c.u for c in cs.crossings]):
+        assert sg != 0, "the third strand passes through a crossing"
+        letters.append(BOTTOM if sg > 0 else TOP)
+    return letters
+
+
+def letter_oracle_family():
+    """(T3,Tb) for b <= LETTER_ORACLE_MAX_B, then seeded random curves
+    over the four x-cubics: y of degree 4 to 8, integer coefficients in
+    [-9, 9] and a leading +-1."""
+    for b in range(2, LETTER_ORACLE_MAX_B + 1):
+        yield PlaneCurve(T3, chebyshev(b))
+    rng = random.Random(24)
+    while True:
+        degree = rng.randint(4, 8)
+        y = Polynomial([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-1, 1))])
+        yield PlaneCurve(rng.choice(LETTER_ORACLE_XS), y)
+
+
 class TestWords:
+    def test_branch_order_checks_raise(self):
+        from lexiknot.curvelab.curves import _A, _C, _letters
+
+        # from A < B < C bottom to top, swapping A and B at the bottom and
+        # then A and C at the top ends at B < C < A
+        start, end = (_A, _B, _C), (_B, _C, _A)
+        assert _letters(start, end, [(_A, _B), (_A, _C)]) == [BOTTOM, TOP]
+        with pytest.raises(NonNodalError, match="not adjacent"):
+            _letters(start, end, [(_A, _C)])
+        with pytest.raises(NonNodalError, match="right fold"):
+            _letters(start, end, [(_A, _B)])
+
+    def test_branch_order_letters_equal_the_third_strand_signs(self):
+        # the branch-order letters against the exact sign that defines
+        # them, and each crossing's branches against x' on its parameters;
+        # the two consistency checks of the branch order never fire
+        checked = raised = 0
+        for curve in letter_oracle_family():
+            if checked == LETTER_ORACLE_CURVES + LETTER_ORACLE_MAX_B - 1:
+                break
+            try:
+                cs = curve_crossings(curve)
+            except NonNodalError as exc:
+                assert "branch" not in str(exc), (curve.x, curve.y, exc)
+                raised += 1
+                continue
+            if not cs.crossings:
+                continue
+            assert [c.letter for c in cs.crossings] == third_strand_letters(curve, cs), (curve.x, curve.y)
+            dx, lead = curve.x.derivative(), curve.x.lead
+            for c in cs.crossings:
+                outer = [(dx((lo + hi) / 2) > 0) == (lead > 0) for lo, hi in (c.t, c.s)]
+                assert [b != _B for b in c.branches] == outer, (curve.x, curve.y)
+            checked += 1
+        assert raised > 0
+
     def test_trefoil_class(self):
         c = PlaneCurve(T3, chebyshev(4))
         assert same_word_class(word_from_curve(c), PlaneWord((3,)))
@@ -598,16 +676,23 @@ class TestDiagramClass:
             assert computed == [], f"(T3,T{b}): verify_embedding computed the crossings again"
         assert {"6_3", "7_7"} <= named
 
-    def test_strand_direction_is_exact_or_raises(self):
-        from lexiknot.curvelab import EmbeddingError
-
-        dx = T3.derivative()  # 12 t^2 - 3: negative exactly on |t| < 1/2
-        assert height_module._direction(dx, (Fraction(1), Fraction(2))) == 1
-        assert height_module._direction(dx, (Fraction(-1, 4), Fraction(1, 3))) == -1
-        for iv in ((Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1)), (Fraction(-1), Fraction(1))):
-            # a fold inside, a fold at an end, both folds inside
-            with pytest.raises(EmbeddingError):
-                height_module._direction(dx, iv)
+    def test_fold_inside_a_parameter_enclosure_is_refined_away(self):
+        # once the crossings were separated, the t-enclosure of the second
+        # one ended on the fold t = -1 of x = t^3 - 3t, and every over-choice
+        # raised "x' changes sign on the parameter enclosure"; the clash
+        # loop now halves until x' has one sign on each enclosure
+        c = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([8, 7, 1, 9, 0, 2, -5, -1]))
+        cs = curve_crossings(c)
+        assert word_from_curve(c, cs).runs == (0, 1, 1)
+        dx = c.x.derivative()
+        for x in cs.crossings:
+            for lo, hi in (x.t, x.s):
+                assert not lo <= -1 <= hi and not lo <= 1 <= hi
+                assert (dx(lo) > 0) == (dx(hi) > 0)
+        for overs in itertools.product((False, True), repeat=2):
+            z, _ = height_polynomial(cs, list(overs))
+            d, rec = verify_embedding(c.x, c.y, z)
+            assert tuple(d.fraction()) == (1, 0) and rec is None, (overs, d)
 
     def test_fraction_numerator_is_the_determinant(self):
         rng = random.Random(1)

@@ -16,6 +16,7 @@ from lexiknot.curvelab.poly import (
     _value,
     isolate_real_roots,
     sign_at_root,
+    signs_at_quadratic_roots,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -274,3 +275,60 @@ def test_sign_at_a_root_hit_exactly_by_a_midpoint(h, sign):
     lo, hi = _enclose(h.cs, 0, 1, 2)
     assert lo < 0 < hi
     assert sign_at_root(h, root)[0] == _sympy_sign(h, sympy.Rational(1, 4)) == sign
+
+
+def _check_quadratic_signs(h: Polynomial, q: Polynomial) -> tuple[int, int]:
+    roots = _real_roots(q)
+    assert len(roots) == 2
+    signs = signs_at_quadratic_roots(h, q)
+    assert signs == tuple(_sympy_sign(h, r) for r in roots), (h, q, roots)
+    return signs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small, min_size=0, max_size=8), small, small, st.integers(-6, 6).filter(bool), st.booleans())
+@example([1, 1], -1, 3, -1, False)  # lead < 0: the smaller root takes +sqrt(Delta)
+@example([0, 1], 0, 2, -1, True)  # h = t q: 0 at both roots
+def test_signs_at_quadratic_roots_agree_with_sympy(h_coeffs, c, b, a, times_q):
+    # q = a t^2 + b t + c of either lead sign, with an irrational or a
+    # perfect-square discriminant; h a multiple of q when `times_q`
+    q = Polynomial([c, b, a])
+    assume(b * b - 4 * a * c > 0)
+    h = Polynomial(h_coeffs)
+    if times_q:
+        h = h * q
+    signs = _check_quadratic_signs(h, q)
+    if times_q:
+        assert signs == (0, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(small, min_size=0, max_size=6),
+    st.tuples(small, st.integers(1, 4)),
+    st.tuples(small, st.integers(1, 4)),
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from((None, 0, 1)),
+)
+@example([1], (1, 1), (2, 1), -1, 0)  # lead < 0, h vanishes at the smaller root
+@example([1], (1, 1), (2, 1), -1, 1)  # lead < 0, h vanishes at the larger root
+def test_signs_at_rational_folds_agree_with_sympy(h_coeffs, r1, r2, lead, shared):
+    # q = lead (d1 t - n1)(d2 t - n2) has rational roots, as the folds of
+    # every x of the curves workload do; h shares the factor of root
+    # `shared` with q, so its sign there is 0
+    roots = [Fraction(*r1), Fraction(*r2)]
+    assume(roots[0] != roots[1])
+    factors = [Polynomial([-r.numerator, r.denominator]) for r in roots]
+    q = factors[0] * factors[1] * Polynomial([lead])
+    h = Polynomial(h_coeffs)
+    if shared is not None:
+        h = h * factors[shared]
+    signs = _check_quadratic_signs(h, q)
+    if shared is not None:
+        assert signs[sorted(roots).index(roots[shared])] == 0
+
+
+def test_signs_at_quadratic_roots_need_two_real_roots():
+    for q in (Polynomial([1, 0, 1]), Polynomial([1, 2, 1]), Polynomial([0, 1])):
+        with pytest.raises(ValueError):
+            signs_at_quadratic_roots(Polynomial([1]), q)
