@@ -11,11 +11,11 @@ real roots with u^2 - 4 v(u) > 0 are the crossings.  That discriminant
 is a concave quadratic, positive only between its roots r1 < r2, so W
 is isolated only on the integer box [floor r1, ceil r2]: its roots
 outside are solitary points (complex conjugate t, s) and are never
-isolated.  Values on a branch
-pair reduce modulo z^2 - u z + v(u):  z^k = a_k(u) z + b_k(u), so the
-crossing height and the crossing x are polynomials in u, and every
-discrete decision is a certified sign of a polynomial at an isolated
-algebraic number or at a fold.
+isolated.  Values on a branch pair reduce modulo z^2 - u z + v(u):
+z^k = a_k(u) z + b_k(u), so the crossing x and the difference of a
+height's values on the pair are polynomials in u, and every discrete
+decision is a certified sign of a polynomial at an isolated algebraic
+number or at a fold.
 
 This layer runs on integers.  The pair reduction is Horner on the
 polynomials' integer coefficients.  Each root of W carries one isolating
@@ -32,12 +32,13 @@ after the loop.  The loop also halves until x' has one sign on each
 parameter enclosure, which puts each parameter on one of the three
 branches that the folds c1 < c2 cut the parameter line into.
 
-The letters need no further sign.  Over the band between the folds the
-curve is a 3-strand braid along x (Orevkov's view of a trigonal curve),
-so a crossing's letter is which two of the three y-ordered branches it
-swaps.  The order is known just right of the left fold, and each
-crossing, in x-order, swaps two adjacent branches.  The fold data are
-exact and refinement-free: the fold height minus the third strand's
+The letters and the turns need no further sign.  Over the band
+between the folds the curve is a 3-strand braid along x (Orevkov's view
+of a trigonal curve), so a crossing's letter is which two of the three
+y-ordered branches it swaps, and its turn is which of its two strands
+comes from above.  The order is known just right of the left fold, and
+each crossing, in x-order, swaps two adjacent branches.  The fold data
+are exact and refinement-free: the fold height minus the third strand's
 height and y' are read at the roots of the quadratic x' in
 Q(sqrt(Delta)) (`signs_at_quadratic_roots`).
 
@@ -136,27 +137,20 @@ class PlaneCurve(Frozen):
         """The curve's symmetric-coordinate data, built once."""
         return _Eliminator(self)
 
-    @cached_property
-    def _turns(self) -> tuple[int, ...]:
-        """Per crossing, the factor that turns its over/under sign into
-        its twist sense; it does not depend on the height, so it is
-        found once (`height._turns`)."""
-        from .height import _turns
-
-        return _turns(self)
-
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
     rational bounds on its parameters t < s and on its x; its letter,
-    BOTTOM or TOP; and the branches (_A, _B or _C) of t and of s."""
+    BOTTOM or TOP; and its turn, +1 when the strand of t is above that
+    of s just left of the crossing and -1 when it is below.  The turn
+    times the over/under sign is the crossing's twist sense."""
 
     u: RootInterval
     t: tuple[Fraction, Fraction]
     s: tuple[Fraction, Fraction]
     x: tuple[Fraction, Fraction]
     letter: int
-    branches: tuple[int, int]
+    turn: int
 
 
 class CrossingSet(Frozen):
@@ -215,13 +209,12 @@ class _Eliminator:
         p = curve.x.cs
         # v(u) = (p3 u^2 + p2 u + p1)/p3, where x's denominator cancels
         self.v = Polynomial.from_integers(p[1:], p[3])
-        A_q, B_q = _pair_reduction(curve.y, self.v)
+        A_q, _ = _pair_reduction(curve.y, self.v)
         A_x, B_x = _pair_reduction(curve.x, self.v)
         if not A_x.is_zero():
             raise NotTrigonalError("x leaves a remainder modulo its own pair relation; it is not a cubic")
         self.W = A_q                    # vanishes exactly at crossings
         self.x_of_u = B_x               # crossing x
-        self.y_of_u = B_q               # crossing height
         self.dx = curve.x.derivative()  # its sign puts a parameter on a branch
         # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
         self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
@@ -285,9 +278,9 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
     when x'(s) has that sign and on _B otherwise.  The fold data are
     found before the loop: a crossing at a fold point raises there, so
-    the loop never halves towards a root of x'.  The letters are then
-    read off the bottom-to-top order of the branches in x-order
-    (`_letters`).
+    the loop never halves towards a root of x'.  The letters and the
+    turns are then read off the bottom-to-top order of the branches in
+    x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), vanishing pair separation, a
@@ -346,8 +339,8 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     flat = sorted(range(len(bounds)), key=keys.__getitem__)
     pos = {k: rank for rank, k in enumerate(flat)}
     crossings = tuple(
-        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letter, branches=branches[i])
-        for i, letter in zip(order, letters)
+        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letter, turn=turn)
+        for i, (letter, turn) in zip(order, letters)
     )
     return CrossingSet(
         crossings=crossings,
@@ -371,23 +364,27 @@ def _branches(el: _Eliminator, e) -> Optional[tuple[int, int]]:
     return out[0], out[1]
 
 
-def _letters(start: tuple[int, ...], end: tuple[int, ...], branches: Sequence[tuple[int, int]]) -> list[int]:
-    """The letters of crossings in x-order from the branches they join.
+def _letters(
+    start: tuple[int, ...], end: tuple[int, ...], branches: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """(letter, turn) of crossings in x-order from the branches of their
+    parameters t < s.
 
     ``start`` is the bottom-to-top order of the branches just right of
     the left fold, and ``end`` just left of the right fold.  A crossing
-    swaps two y-adjacent branches, and its letter is BOTTOM exactly when
-    the third branch is on top.  NonNodalError if a crossing joins two
-    branches that are not adjacent, or the order reached at the right
-    fold is not that fold's.
+    swaps two y-adjacent branches; its letter is BOTTOM exactly when the
+    third branch is on top, and its turn is +1 exactly when t's branch
+    is the upper one before the swap.  NonNodalError if a crossing joins
+    two branches that are not adjacent, or the order reached at the
+    right fold is not that fold's.
     """
     order, letters = list(start), []
     for bt, bs in branches:
-        i, j = sorted((order.index(bt), order.index(bs)))
-        if j - i != 1:
+        i, j = order.index(bt), order.index(bs)
+        if abs(i - j) != 1:
             raise NonNodalError(f"a crossing joins branches {bt} and {bs}, which are not adjacent in {order}")
-        order[i], order[j] = order[j], order[i]
-        letters.append(BOTTOM if i == 0 else TOP)
+        order[i], order[j] = bs, bt
+        letters.append((BOTTOM if min(i, j) == 0 else TOP, 1 if i > j else -1))
     if tuple(order) != end:
         raise NonNodalError(f"the branch order {order} at the right fold is not the fold's {list(end)}")
     return letters
@@ -499,29 +496,17 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
 def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> PlaneWord:
     """Run-length word of the curve's diagram.
 
-    The presentation is normalized through the vertical-flip freedom:
-    boundary zeros appear exactly when a turning point sits on the same
-    side as its nearest crossing.
+    The presentation is normalized through the vertical-flip freedom: a
+    crossing's letter is read as TOP exactly when it is on the left fold
+    pair's side, and the trailing marker is set when the last crossing
+    is on the right fold pair's side.  So boundary zeros appear exactly
+    when a turning point sits on the same side as its nearest crossing.
     """
     if cs is None:
         cs = curve_crossings(curve)
-    letters, trail_marker = _oriented_letters(curve, cs)
-    return PlaneWord(letters_to_runs(letters, trail_marker))
-
-
-def _oriented_letters(curve: PlaneCurve, cs: CrossingSet) -> tuple[list[int], bool]:
-    """Crossing letters in x-order, flipped so that the first is TOP
-    exactly when the left fold pair sits on its side, and the trailing
-    marker: whether the right fold pair sits on the last crossing's side.
-    """
     left, right = (f.side for f in curve._folds)
-    letters = [c.letter for c in cs.crossings]
-    if not letters:
-        return letters, False
-    trail_marker = right == letters[-1]
-    if (letters[0] == TOP) != (left == letters[0]):
-        letters = [1 - p for p in letters]
-    return letters, trail_marker
+    letters = [TOP if c.letter == left else BOTTOM for c in cs.crossings]
+    return PlaneWord(letters_to_runs(letters, bool(cs.crossings) and cs.crossings[-1].letter == right))
 
 
 def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> PlaneCurve:

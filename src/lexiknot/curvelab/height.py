@@ -10,16 +10,19 @@ lie strictly between the parameter intervals, so evaluating at a
 rational endpoint decides each sign, on integers.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
-object per value), so its crossings are computed once, and so is the
-part of every twist sense that does not depend on z.  It reads the
+object per value), so its crossings are computed once.  It reads the
 over/under sign of every crossing with `signs_at_roots`: one coprimality
 certificate modulo a prime rules out exact vanishing, with a rational
 gcd only where it fails, and a mean value test on integers over a
-bisected dyadic isolating interval gives the sign.  The twist sense is
-unoriented: each crossing sign is multiplied by the sign of the tangent
-determinant and by the direction in x of both strands, the sign of x'
-on the branches that `curve_crossings` put their parameters on, both
-found once per curve.  The knot is named by the class of the diagram's
+bisected dyadic isolating interval gives the sign.  No other sign at a
+root is taken here.  The twist sense is unoriented: it is the over/under
+sign times the crossing's turn, which strand comes from above just left
+of the crossing, read off the branch order by `curve_crossings`.  (That
+product equals the crossing sign with both strands turned to run
+towards +x, the over/under sign times the tangent determinant's sign
+times x'(t) x'(s); the tests check it against that definition.)  The
+diagram's entries are the twist senses summed over the regions of the
+curve's word.  The knot is named by the class of the diagram's
 fraction, checked against the determinant, the integer |det| of a Fox
 coloring minor computed by fraction-free elimination.  No floating
 point decides anything.
@@ -32,7 +35,7 @@ from typing import Optional, Sequence
 
 from ..arith import KnotRecord
 from ..diagram import TrigonalDiagram, identify_knot
-from .curves import _B, CrossingSet, PlaneCurve, _oriented_letters, _pair_reduction, curve_crossings
+from .curves import CrossingSet, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
 from .poly import Polynomial, _sign, _value, signs_at_roots
 
 
@@ -146,78 +149,40 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
 def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] = None) -> list[int]:
     """Geometric twist sense of each crossing, in x-order, exactly.
 
-    With t < s the parameters of the crossing and T = (x', y') the plane
-    tangent, the oriented crossing sign is sign(z(t) - z(s)) *
-    sign(det(T_t, T_s)).  The first factor is crossing_signs(curve, z,
-    cs).  The second is sign(N(u)), since det(T_t, T_s) = x'(t) y'(s) -
-    y'(t) x'(s) = (s - t) N(u) with N = A_y' B_x' - B_y' A_x' built from
-    the pair reductions of y' and x'.  The twist sense of the diagram is
-    unoriented: it is the crossing sign with both strands turned to run
-    towards +x, which multiplies it by sign(x'(t) x'(s)).
+    The twist sense is unoriented: it is the crossing sign with both
+    strands turned to run towards +x.  With t < s the parameters of the
+    crossing, it is crossing_signs(curve, z, cs), the sign of z(t) -
+    z(s), times the crossing's turn: +1 when t's strand comes from above
+    just left of the crossing, -1 when it comes from below.
     """
     if cs is None:
         cs = curve_crossings(curve)
-    return _hands(curve, crossing_signs(curve, z, cs))
+    return _hands(cs, crossing_signs(curve, z, cs))
 
 
-def _hands(curve: PlaneCurve, overs: Sequence[int]) -> list[int]:
-    """Handedness from the crossing signs and the curve's cached `_turns`."""
-    return [over * turn for over, turn in zip(overs, curve._turns)]
-
-
-def _turns(curve: PlaneCurve) -> tuple[int, ...]:
-    """Per crossing, sign(N(u)) sign(x'(t) x'(s)): one tangent-determinant
-    sign pass, and the direction in x of both strands, read off the
-    branches that `curve_crossings` put t and s on.  x' has one sign on
-    the outer branches and the other on the middle one, and no crossing
-    joins the middle branch to itself, so x'(t) x'(s) < 0 exactly when
-    one of t, s is on the middle branch.  None of it depends on z;
-    `PlaneCurve._turns` caches it."""
-    v = curve._eliminator.v
-    A_y, B_y = _pair_reduction(curve.y.derivative(), v)
-    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
-    N = A_y * B_x - B_y * A_x
-    crossings = curve.crossings.crossings
-    out = []
-    for c, (s_num, _) in zip(crossings, signs_at_roots(N, [c.u for c in crossings])):
-        if s_num == 0:
-            raise EmbeddingError("tangent branches are parallel at a crossing")
-        out.append(-s_num if _B in c.branches else s_num)
-    return tuple(out)
+def _hands(cs: CrossingSet, overs: Sequence[int]) -> list[int]:
+    """Handedness from the crossing signs and the crossings' turns."""
+    return [over * c.turn for over, c in zip(overs, cs.crossings)]
 
 
 def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
     """Signed run entries of the diagram in x-order.
 
-    Crossings grouped by position into twist regions; the twist sense
-    must be uniform inside a region.  Odd regions count right twists
-    positively, even regions negatively.  A boundary zero of the word
-    is an empty region, so it is a 0 entry at either end: a leading one
-    when the first crossing is at the bottom position, and a trailing
-    one when `_oriented_letters`' trailing marker puts the right fold
-    pair on the last crossing's side.  Without the trailing 0 the plat
+    The twist senses are split along the runs of the curve's word
+    (`word_from_curve`), and region i's entry is (-1)^i times the sum of
+    its twist senses: odd regions count right twists positively, even
+    regions negatively.  The twists of one region are powers of one
+    braid generator, and sigma^a sigma^b = sigma^(a+b), so a region
+    whose twists differ in sense counts their sum, which may be 0
+    (`cf_eval` accepts interior zeros).  A boundary zero of the word is an empty region, so
+    it is a 0 entry at either end; without the trailing one the plat
     closes on the wrong side of the last region, and the fraction
     numerator differs from the knot determinant.
     """
-    letters, trail_marker = _oriented_letters(curve, cs)
-    entries: list[int] = []
-    hsigns: list[int] = []
-    if letters and letters[0] == 1:
-        entries.append(0)
-        hsigns.append(0)
-    prev = None
-    for letter, h in zip(letters, hands):
-        if letter == prev:
-            if h != hsigns[-1]:
-                raise EmbeddingError("mixed twist sense inside one region")
-            entries[-1] += 1 if entries[-1] > 0 else -1
-        else:
-            parity = len(entries) % 2
-            entries.append(h if parity == 0 else -h)
-            hsigns.append(h)
-            prev = letter
-    if trail_marker:
-        entries.append(0)
+    entries, k = [], 0
+    for i, run in enumerate(word_from_curve(curve, cs).runs):
+        entries.append((-1) ** i * sum(hands[k : k + run]))
+        k += run
     return entries
 
 
@@ -295,7 +260,7 @@ def verify_embedding(
     if not cs.crossings:
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z, cs)
-    d = TrigonalDiagram(_signed_entries(cs, curve, _hands(curve, overs)))
+    d = TrigonalDiagram(_signed_entries(cs, curve, _hands(cs, overs)))
     alpha, det = d.fraction().alpha, _determinant(cs, overs)
     if alpha != det:
         raise EmbeddingError(f"the diagram {d} has fraction numerator {alpha}, but the knot determinant is {det}")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexiknot.arith import default_catalog, fraction_equivalent
+from lexiknot.arith import SchubertFraction, default_catalog, fraction_equivalent
 from lexiknot.curvelab import (
     HeightError,
     NonNodalError,
@@ -32,11 +32,11 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import _B, BOTTOM, TOP, _Eliminator, _pair_reduction
+from lexiknot.curvelab.curves import BOTTOM, TOP, _Eliminator, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import signs_at_roots
 from lexiknot.diagram import TrigonalDiagram
-from lexiknot.planereduce import PlaneWord, same_word_class
+from lexiknot.planereduce import PlaneWord, project, same_word_class
 
 T3 = chebyshev(3)
 QUINTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 4, 0, -4, 0, 1]))
@@ -271,14 +271,31 @@ def third_strand_letters(curve, cs):
     """The letters by their definition: the exact sign, at each crossing's
     u, of the third strand's height y(S - u) minus the crossing height, S
     the sum of x's roots; BOTTOM when the third strand is above."""
-    el = curve._eliminator
     S = Fraction(-curve.x.cs[2], curve.x.cs[3])
-    h = curve.y.compose(Polynomial([S, -1])) - el.y_of_u
+    h = curve.y.compose(Polynomial([S, -1])) - _pair_reduction(curve.y, curve._eliminator.v)[1]
     letters = []
     for sg, _ in signs_at_roots(h, [c.u for c in cs.crossings]):
         assert sg != 0, "the third strand passes through a crossing"
         letters.append(BOTTOM if sg > 0 else TOP)
     return letters
+
+
+def tangent_turns(curve, cs):
+    """The turns by the tangent determinant: with T = (x', y') and t < s,
+    det(T_t, T_s) = (s - t) N(u), N = A_y' B_x' - B_y' A_x', and with both
+    strands run towards +x the strand of t comes from above exactly when
+    that determinant is positive; x' is read at the parameter midpoints."""
+    v = curve._eliminator.v
+    A_y, B_y = _pair_reduction(curve.y.derivative(), v)
+    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
+    N, dx = A_y * B_x - B_y * A_x, curve.x.derivative()
+    turns = []
+    for c in cs.crossings:
+        sn = sign_at_root(N, c.u)[0]
+        assert sn != 0, "the tangents are parallel at a crossing"
+        directions = dx(sum(c.t) / 2) * dx(sum(c.s) / 2)
+        turns.append(sn if directions > 0 else -sn)
+    return turns
 
 
 def letter_oracle_family():
@@ -296,21 +313,24 @@ def letter_oracle_family():
 
 class TestWords:
     def test_branch_order_checks_raise(self):
-        from lexiknot.curvelab.curves import _A, _C, _letters
+        from lexiknot.curvelab.curves import _A, _B, _C, _letters
 
         # from A < B < C bottom to top, swapping A and B at the bottom and
-        # then A and C at the top ends at B < C < A
+        # then A and C at the top ends at B < C < A; both times t's branch,
+        # A, is the lower one before the swap, so both turns are -1
         start, end = (_A, _B, _C), (_B, _C, _A)
-        assert _letters(start, end, [(_A, _B), (_A, _C)]) == [BOTTOM, TOP]
+        assert _letters(start, end, [(_A, _B), (_A, _C)]) == [(BOTTOM, -1), (TOP, -1)]
+        # the same swaps with t on the upper branch turn the other way
+        assert _letters(start, end, [(_B, _A), (_C, _A)]) == [(BOTTOM, 1), (TOP, 1)]
         with pytest.raises(NonNodalError, match="not adjacent"):
             _letters(start, end, [(_A, _C)])
         with pytest.raises(NonNodalError, match="right fold"):
             _letters(start, end, [(_A, _B)])
 
     def test_branch_order_letters_equal_the_third_strand_signs(self):
-        # the branch-order letters against the exact sign that defines
-        # them, and each crossing's branches against x' on its parameters;
-        # the two consistency checks of the branch order never fire
+        # the branch-order letters and turns against the exact signs that
+        # define them; the two consistency checks of the branch order
+        # never fire
         checked = raised = 0
         for curve in letter_oracle_family():
             if checked == LETTER_ORACLE_CURVES + LETTER_ORACLE_MAX_B - 1:
@@ -324,10 +344,7 @@ class TestWords:
             if not cs.crossings:
                 continue
             assert [c.letter for c in cs.crossings] == third_strand_letters(curve, cs), (curve.x, curve.y)
-            dx, lead = curve.x.derivative(), curve.x.lead
-            for c in cs.crossings:
-                outer = [(dx((lo + hi) / 2) > 0) == (lead > 0) for lo, hi in (c.t, c.s)]
-                assert [b != _B for b in c.branches] == outer, (curve.x, curve.y)
+            assert [c.turn for c in cs.crossings] == tangent_turns(curve, cs), (curve.x, curve.y)
             checked += 1
         assert raised > 0
 
@@ -484,8 +501,8 @@ class TestEmbedding:
         assert rec is not None and rec.name == "6_2"
         assert (curve.x.degree, curve.y.degree, height.degree) == (3, 7, 11)
 
-    def test_6_2_witness_signs_each_crossing_twice(self, monkeypatch):
-        # one z sign and one slope sign per crossing, nothing recomputed
+    def test_6_2_witness_signs_each_crossing_once(self, monkeypatch):
+        # one z sign per crossing: the turns come with the crossings
         witness = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
         curve = unshared(witness.x, witness.y.scale(2))
         cs = curve_crossings(curve)
@@ -499,7 +516,7 @@ class TestEmbedding:
         monkeypatch.setattr(height_module, "signs_at_roots", counted)
         _, rec = verify_embedding(curve.x, curve.y, height)
         assert rec.name == "6_2"
-        assert calls == [len(cs), len(cs)]
+        assert calls == [len(cs)]
 
     def test_handedness_is_the_tangent_determinant_sign(self):
         # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num),
@@ -572,9 +589,9 @@ class TestEmbedding:
         assert len(built) == 1
 
 
-    def test_three_heights_make_one_tangent_sign_pass(self, monkeypatch):
-        # the tangent-determinant signs and the strand directions do not
-        # depend on z, so the curve finds them once for all its heights
+    def test_three_heights_make_no_tangent_sign_pass(self, monkeypatch):
+        # the turns do not depend on z and come with the crossings, so
+        # each height takes one sign pass, that of z, and N is never signed
         c = unshared(T3, chebyshev(7).scale(2))
         cs = curve_crossings(c)
         v = c._eliminator.v
@@ -587,7 +604,7 @@ class TestEmbedding:
         for _ in range(3):
             z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
             crossing_handedness(c, z, cs)
-        assert passes.count(N) == 1 and len(passes) == 4
+        assert passes.count(N) == 0 and len(passes) == 3
 
     def test_sign_on_interval_matches_fraction_evaluation(self):
         def sign_by_fractions(p, e):
@@ -627,6 +644,40 @@ class TestDeterminant:
                 overs = [rng.choice((1, -1)) for _ in cs.crossings]
                 flipped = [-o for o in overs]
                 assert height_module._determinant(cs, flipped) == height_module._determinant(cs, overs)
+
+
+# the (T3,P7) and (T3,P10) curves that bases.csv cites for the words (5)
+# and (7), of the torus family (T3,P(3n+1))
+P7 = Polynomial([0, Fraction(259, 677), Fraction(-160, 721), 0, Fraction(33, 226), -1, 0, Fraction(211, 495)])
+P10 = Polynomial(
+    [0, Fraction(447, 321137), Fraction(103541, 241597), 0, -1, Fraction(-3629, 970201), 0,
+     Fraction(1628, 965065), Fraction(582665, 654509), 0, Fraction(-88667, 325596)]
+)
+
+# the number of draws of the mixed-region survey; CI runs all 40,000, which
+# meet 21 words of two or more crossings where the first 3,500 meet 13
+MIXED_REGION_DRAWS = int(os.environ.get("LEXIKNOT_MIXED_REGION_DRAWS", "3500"))
+MIXED_REGION_WORDS = {3500: 13, 40000: 21}
+
+
+def first_curve_of_each_word(draws):
+    """(curve, crossings, word) for the first nodal curve of each word with
+    two or more crossings among ``draws`` seeded curves x = t^3 - 3t and
+    y of degree 4, 5, 7 or 8, integer coefficients in [-9, 9] and a
+    leading +-1."""
+    rng, seen = random.Random(5), set()
+    for _ in range(draws):
+        degree = rng.choice((4, 5, 7, 8))
+        y = Polynomial([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-1, 1))])
+        curve = PlaneCurve(Polynomial([0, -3, 0, 1]), y)
+        try:
+            cs = curve_crossings(curve)
+        except NonNodalError:
+            continue
+        word = word_from_curve(curve, cs)
+        if len(cs) >= 2 and word.runs not in seen:
+            seen.add(word.runs)
+            yield curve, cs, word
 
 
 class TestDiagramClass:
@@ -694,6 +745,60 @@ class TestDiagramClass:
             d, rec = verify_embedding(c.x, c.y, z)
             assert tuple(d.fraction()) == (1, 0) and rec is None, (overs, d)
 
+    @pytest.mark.parametrize(
+        "y, word, knots",
+        [
+            (P7, (5,), {None: 20, "3_1": 10, "5_1": 2}),
+            (P10, (7,), {None: 70, "3_1": 42, "5_1": 14, "7_1": 2}),
+        ],
+        ids=["T3,P7", "T3,P10"],
+    )
+    def test_torus_family_curves_return_on_every_over_choice(self, y, word, knots):
+        # the words (5) and (7) are one region each, and most over-choices
+        # twist it in both senses: the region counts the sum of its twists
+        c = PlaneCurve(T3, y)
+        cs = curve_crossings(c)
+        assert word_from_curve(c, cs).runs == word
+        named = dict.fromkeys(knots, 0)
+        for overs in itertools.product((False, True), repeat=len(cs)):
+            z, _ = height_polynomial(cs, list(overs))
+            d, rec = verify_embedding(c.x, c.y, z)
+            assert rec is not None or d.fraction().alpha == 1, (overs, d)
+            named[rec and rec.name] += 1
+        assert named == knots
+
+    def test_every_over_choice_of_a_seeded_family_returns(self):
+        # the first curve of each word of the seeded family: on every
+        # over-choice the diagram is returned, its numerator is the
+        # determinant, t -> -t keeps its class and y -> -y mirrors it; where
+        # every region has one twist sense, its projection is the word
+        neg_t = Polynomial([0, -1])
+        words = mixed = 0
+        for c, cs, word in first_curve_of_each_word(MIXED_REGION_DRAWS):
+            words += 1
+            # held, so that their crossings are computed once
+            reversed_c, mirrored_c = PlaneCurve(c.x.compose(neg_t), c.y.compose(neg_t)), PlaneCurve(c.x, -c.y)
+            for overs in itertools.islice(itertools.product((False, True), repeat=len(cs)), 64):
+                z, _ = height_polynomial(cs, list(overs))
+                d, _ = verify_embedding(c.x, c.y, z)
+                f = d.fraction()
+                assert f.alpha == height_module._determinant(cs, crossing_signs(c, z, cs)), (c.y, overs, d)
+                reversed_d, _ = verify_embedding(reversed_c.x, reversed_c.y, z.compose(neg_t))
+                assert fraction_equivalent(reversed_d.fraction(), f), (c.y, overs, d, reversed_d)
+                mirrored_d, _ = verify_embedding(mirrored_c.x, mirrored_c.y, z)
+                mirror = SchubertFraction.make(f.alpha, -f.beta)
+                assert fraction_equivalent(mirrored_d.fraction(), mirror), (c.y, overs, d, mirrored_d)
+                hands, k, uniform = crossing_handedness(c, z, cs), 0, True
+                for run in word.runs:
+                    uniform &= len(set(hands[k : k + run])) <= 1
+                    k += run
+                if uniform:
+                    assert project(d).runs == word.runs, (c.y, overs, d)
+                else:
+                    mixed += 1
+        assert words == MIXED_REGION_WORDS.get(MIXED_REGION_DRAWS, words)
+        assert mixed > 0
+
     def test_fraction_numerator_is_the_determinant(self):
         rng = random.Random(1)
         for b in (4, 5, 7, 8):
@@ -702,7 +807,7 @@ class TestDiagramClass:
             for _ in range(40):
                 z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
                 overs = crossing_signs(c, z, cs)
-                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(c, overs)))
+                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(cs, overs)))
                 assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
 
     def test_boundary_zeros_at_both_ends_are_entries(self):

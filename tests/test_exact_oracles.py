@@ -237,7 +237,7 @@ def test_bareiss_matches_sympy(rows):
 def test_pair_reductions_hold_modulo_the_crossing_condition(x_coeffs, q_coeffs):
     # a crossing pair t != s solves C = (x(t) - x(s))/(t - s) = 0, and in
     # Q[t, s] modulo C: q(t) - q(s) = (t - s) A_q(t + s), and the tangent
-    # determinant numerator N that height._hands builds satisfies
+    # determinant numerator N of the curve-lab turn oracle satisfies
     # q'(t) x'(s) - q'(s) x'(t) = (t - s) N(t + s)
     x, q = Polynomial(x_coeffs), Polynomial(q_coeffs)
     assume(x.degree == 3 and x.coeffs[2] ** 2 > 3 * x.coeffs[1] * x.coeffs[3] and q.degree >= 2)
