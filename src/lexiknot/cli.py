@@ -62,6 +62,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
+    if args.cap is not None and args.cap < 0:
+        return _usage_error("mc", f"argument --cap: must be at least 0, got {args.cap}")
     rec = _record_for(args.fraction)
     try:
         m = m_C(rec, cap=args.cap)
@@ -72,6 +74,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.depth is not None and args.depth < 0:
+        return _usage_error("reduce", f"argument --depth: must be at least 0, got {args.depth}")
     trace = reduction_search(args.word, depth=args.depth)
     lower, prov = trace.lower_bound()
     if args.json:
@@ -125,6 +129,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
             print(f"EmbeddingError: {exc}", file=sys.stderr)
             return 2
         out["diagram"] = d.text()
+        out["fraction"] = str(d.fraction())
         out["knot"] = rec.name if rec else None
     if args.svg:
         with open(args.svg, "w") as fh:
@@ -135,7 +140,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     else:
         print(f"bidegree (3,{curve.bidegree[1]}), {out['crossings']} crossings, word {word}")
         if "knot" in out:
-            print(f"diagram {out['diagram']} -> {out['knot']}")
+            print(f"diagram {out['diagram']} = {out['fraction']} -> {out['knot']}")
     return 0
 
 

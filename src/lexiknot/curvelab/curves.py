@@ -21,16 +21,19 @@ This layer runs on integers.  The pair reduction is Horner on the
 polynomials' integer coefficients.  Each root of W carries one isolating
 interval through the curve's questions: the sign of the pair
 discriminant refines it as far as that sign needs, and the clash loop
-starts from there.  That loop separates crossings over integer
-enclosures: for an isolating interval (a/d, b/d) of u, the crossing's x
-is enclosed over den_x d^3 and its parameters t < s over den_D d^2 2^33,
-with sqrt of the discriminant bounded by isqrt on the reduced radicand
-at this module's scale 2^32.  Enclosures of different crossings are
-compared after rescaling to the lcm of their d, so every comparison is
-exact, and the rational intervals a `Crossing` reports are built once,
-after the loop.  The loop also halves until x' has one sign on each
-parameter enclosure, which puts each parameter on one of the three
-branches that the folds c1 < c2 cut the parameter line into.
+starts from there.  That loop separates the crossings' parameters over
+integer enclosures: for an isolating interval (a/d, b/d) of u, t < s
+are enclosed over den_D d^2 2^33, with sqrt of the discriminant bounded
+by isqrt on the reduced radicand at this module's scale 2^32.
+Enclosures of different crossings are compared after rescaling to the
+lcm of their d, so every comparison is exact, and the rational
+intervals a `Crossing` reports are built once, after the loop.  The
+loop also halves until x' has one sign on each parameter enclosure,
+which puts each parameter on one of the three branches that the folds
+c1 < c2 cut the parameter line into.  No x is enclosed: x is strictly
+monotone in t on each branch, and any two crossings share a branch, so
+their x-order is their parameters' order there, reversed where x falls.
+A triple point stalls the loop, since its crossings share parameters.
 
 The letters and the turns need no further sign.  Over the band
 between the folds the curve is a 3-strand braid along x (Orevkov's view
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -140,15 +143,13 @@ class PlaneCurve(Frozen):
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
-    rational bounds on its parameters t < s and on its x; its letter,
-    BOTTOM or TOP; and its turn, +1 when the strand of t is above that
+    rational bounds on its parameters t < s; its letter, BOTTOM or TOP; and its turn, +1 when the strand of t is above that
     of s just left of the crossing and -1 when it is below.  The turn
     times the over/under sign is the crossing's twist sense."""
 
     u: RootInterval
     t: tuple[Fraction, Fraction]
     s: tuple[Fraction, Fraction]
-    x: tuple[Fraction, Fraction]
     letter: int
     turn: int
 
@@ -209,12 +210,7 @@ class _Eliminator:
         p = curve.x.cs
         # v(u) = (p3 u^2 + p2 u + p1)/p3, where x's denominator cancels
         self.v = Polynomial.from_integers(p[1:], p[3])
-        A_q, _ = _pair_reduction(curve.y, self.v)
-        A_x, B_x = _pair_reduction(curve.x, self.v)
-        if not A_x.is_zero():
-            raise NotTrigonalError("x leaves a remainder modulo its own pair relation; it is not a cubic")
-        self.W = A_q                    # vanishes exactly at crossings
-        self.x_of_u = B_x               # crossing x
+        self.W = _pair_reduction(curve.y, self.v)[0]  # vanishes exactly at crossings
         self.dx = curve.x.derivative()  # its sign puts a parameter on a branch
         # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
         self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
@@ -270,23 +266,25 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     chain is that of the whole of W, so it also gives the tangency test.
     Each root's interval is carried from its discriminant sign to the
     clash loop, so no halving is repeated.  Each round of that loop
-    halves the u-interval of every crossing whose x-interval or
-    parameter interval meets another crossing's, or on one of whose
-    parameter intervals x' may vanish, and encloses only those again.
+    halves the u-interval of every crossing whose parameter interval
+    meets another, or on one of whose parameter intervals x' may vanish,
+    and encloses only those again.
 
     So each parameter is put on one branch, once: t < s puts t on _A
     when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
     when x'(s) has that sign and on _B otherwise.  The fold data are
     found before the loop: a crossing at a fold point raises there, so
-    the loop never halves towards a root of x'.  The letters and the
+    the loop never halves towards a root of x'.  One sort of the
+    parameters gives their ranks, which are `param_order` and, on a
+    branch two crossings share, their x-order.  The letters and the
     turns are then read off the bottom-to-top order of the branches in
     x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), vanishing pair separation, a
-    third branch meeting a fold, crossings whose x or parameters could
-    not be separated (a triple point stalls exactly at x), or a branch
-    order that no nodal curve has.
+    third branch meeting a fold, crossing parameters that could not be
+    separated (a triple point stalls there), or a branch order that no
+    nodal curve has.
     """
     el = curve._eliminator
     W = el.W
@@ -304,14 +302,14 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
             kept.append(r)
     left, right = curve._folds
 
-    # refine until x-intervals and parameter intervals are pairwise
-    # disjoint and every parameter is on a branch; a branch, once
-    # decided on an enclosure of the parameter, stays
+    # refine until the parameter intervals are pairwise disjoint and every
+    # parameter is on a branch; a branch, once decided on an enclosure of
+    # the parameter, stays
     enc = [_enclosures(el, r) for r in kept]
     branches = [_branches(el, e) for e in enc]
     for _ in range(_MAX_CLASH_ROUNDS):
-        xs, params = _rescaled(el, enc)
-        clash = _overlapping(xs) | {k // 2 for k in _overlapping(params)}
+        params = _rescaled(enc)
+        clash = {k // 2 for k in _overlapping(params)}
         clash.update(i for i, b in enumerate(branches) if b is None)
         if not clash:
             break
@@ -321,38 +319,38 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
             if branches[i] is None:
                 branches[i] = _branches(el, enc[i])
     else:
-        xs, _ = _rescaled(el, enc)
-        shared = _overlapping(xs)
-        if shared:
-            i = min(shared, key=xs.__getitem__)
-            lo, hi = _intervals(el, enc[i])[0]
-            raise NonNodalError(
-                f"non-nodal configuration: crossings share x near ({float(lo):.4f}, {float(hi):.4f}) — a triple point?"
-            )
-        raise NonNodalError("crossing parameters could not be separated")
+        r = kept[min(clash)]
+        message = f"crossing parameters near u in ({float(r.lo):.4f}, {float(r.hi):.4f}) could not be separated"
+        raise NonNodalError(f"non-nodal configuration: {message} — a triple point?")
 
-    order = sorted(range(len(kept)), key=lambda i: xs[i][0])
+    flat = sorted(range(len(params)), key=lambda k: params[k][0])
+    rank = sorted(range(len(flat)), key=flat.__getitem__)  # rank[k]: the position of k in flat
+    up = curve.x.cs[-1] > 0
+    rises = (up, not up, up)  # whether x rises with t on _A, _B, _C
+
+    def left_of(i: int, j: int) -> int:
+        b = next(b for b in branches[i] if b in branches[j])
+        before = rank[2 * i + branches[i].index(b)] < rank[2 * j + branches[j].index(b)]
+        return -1 if before == rises[b] else 1
+
+    order = sorted(range(len(kept)), key=cmp_to_key(left_of))
     letters = _letters(left.order, right.order, [branches[i] for i in order])
     ivs = [_intervals(el, e) for e in enc]
-    bounds = [iv for i in order for iv in ivs[i][1:]]
-    keys = [params[k][0] for i in order for k in (2 * i, 2 * i + 1)]
-    flat = sorted(range(len(bounds)), key=keys.__getitem__)
-    pos = {k: rank for rank, k in enumerate(flat)}
     crossings = tuple(
-        Crossing(u=kept[i], t=ivs[i][1], s=ivs[i][2], x=ivs[i][0], letter=letter, turn=turn)
+        Crossing(u=kept[i], t=ivs[i][0], s=ivs[i][1], letter=letter, turn=turn)
         for i, (letter, turn) in zip(order, letters)
     )
     return CrossingSet(
         crossings=crossings,
-        param_order=tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
-        param_bounds=tuple(bounds[k] for k in flat),
+        param_order=tuple((rank[2 * i], rank[2 * i + 1]) for i in order),
+        param_bounds=tuple(ivs[k // 2][k % 2] for k in flat),
     )
 
 
 def _branches(el: _Eliminator, e) -> Optional[tuple[int, int]]:
     """The branches of one crossing's parameters t < s, from the sign of
     x' on their integer enclosures; None while x' may vanish on one."""
-    d, _, t, s = e
+    d, t, s = e
     den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
     dx = el.dx.cs
     out = []
@@ -390,11 +388,10 @@ def _letters(
     return letters
 
 
-def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """(d, x, t, s): the crossing isolated by r = (a/d, b/d), with the
-    integer enclosure of its x over den_x d^deg(x) and those of its
-    parameters t < s over den_D d^2 2^33, from u and the pair
-    discriminant, a quadratic cleared as disc = D / den_D."""
+def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(d, t, s): the crossing isolated by r = (a/d, b/d), with the
+    integer enclosures of its parameters t < s over den_D d^2 2^33, from
+    u and the pair discriminant, a quadratic cleared as disc = D / den_D."""
     a, b, d = r.a, r.b, r.d
     ds, den = el.disc.cs, el.disc.den
     scale = den * d * d
@@ -403,36 +400,27 @@ def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int],
     shi = _sqrt_bounds(dhi, scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
-    return d, _enclose(el.x_of_u.cs, a, b, d), (ua - shi, ub - slo), (ua + slo, ub + shi)
+    return d, (ua - shi, ub - slo), (ua + slo, ub + shi)
 
 
-def _rescaled(el: _Eliminator, enc) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The x-intervals and the flat t, s intervals of all crossings as
-    integers over one denominator: each crossing's are rescaled from
-    its d to the lcm of all the d, so comparing them compares the
-    rationals exactly."""
+def _rescaled(enc) -> list[tuple[int, int]]:
+    """The flat t, s intervals of all crossings as integers over one
+    denominator: each crossing's are rescaled from its d to the lcm of
+    all the d, so comparing them compares the rationals exactly."""
     common = lcm(*[e[0] for e in enc])
-    nx = el.x_of_u.degree
-    xs, params = [], []
-    for d, x, t, s in enc:
-        f = common // d
-        fx, fp = f**nx, f * f
-        xs.append((x[0] * fx, x[1] * fx))
-        params.append((t[0] * fp, t[1] * fp))
-        params.append((s[0] * fp, s[1] * fp))
-    return xs, params
+    params = []
+    for d, t, s in enc:
+        f = (common // d) ** 2
+        params.append((t[0] * f, t[1] * f))
+        params.append((s[0] * f, s[1] * f))
+    return params
 
 
-def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The rational x-, t- and s-intervals of one crossing's enclosures."""
-    d, x, t, s = e
-    den_x = el.x_of_u.den * d**el.x_of_u.degree
+def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The rational t- and s-intervals of one crossing's enclosures."""
+    d, t, s = e
     den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
-    return (
-        (Fraction(x[0], den_x), Fraction(x[1], den_x)),
-        (Fraction(t[0], den_p), Fraction(t[1], den_p)),
-        (Fraction(s[0], den_p), Fraction(s[1], den_p)),
-    )
+    return (Fraction(t[0], den_p), Fraction(t[1], den_p)), (Fraction(s[0], den_p), Fraction(s[1], den_p))
 
 
 def _overlapping(ivs: Sequence[tuple[int, int]]) -> set[int]:
@@ -521,7 +509,8 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
     el = curve._eliminator
     cs = curve_crossings(curve)
-    if any(sg == 0 for sg, _ in signs_at_roots(el.x_of_u - Polynomial.const(x0), [c.u for c in cs.crossings])):
+    crossing_x = _pair_reduction(curve.x, el.v)[1]
+    if any(sg == 0 for sg, _ in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in cs.crossings])):
         raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
 

@@ -44,6 +44,23 @@ def test_curve_with_height(capsys):
     assert payload["knot"] == "3_1"
 
 
+def test_curve_off_catalog_knot_reports_its_fraction(capsys):
+    # on (T3,T11), this over-choice (earlier parameter over, per crossing
+    # in x-order) gives 37/8, a two-bridge knot beyond the catalog, which
+    # the knot name alone does not tell from the unknot
+    from lexiknot.curvelab import PlaneCurve, chebyshev, curve_crossings, height_polynomial
+
+    cs = curve_crossings(PlaneCurve(chebyshev(3), chebyshev(11)))
+    z, _ = height_polynomial(cs, [c == "1" for c in "1000110110"])
+    assert z.degree == 16
+    argv = ["curve", "--x", "cheb:3", "--y", "cheb:11", "--z", "coeffs:" + ",".join(map(str, z.coeffs))]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["diagram"], payload["fraction"], payload["knot"]) == ("-1,-1,-1,1,1,1,1,1,1,1", "37/8", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "diagram -1,-1,-1,1,1,1,1,1,1,1 = 37/8 -> None"
+
+
 def test_curve_rational_coeffs(capsys):
     assert main(["curve", "--x", "coeffs:0,-3,0,1", "--y", "coeffs:-2,-2,-2,0,1"]) == 0
     out = capsys.readouterr().out
@@ -153,6 +170,16 @@ def test_enumerate_budget_out_of_range_is_a_usage_error(budget, message, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"lexiknot enumerate: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["mc", "--fraction", "5/2", "--cap", "-1"], ["reduce", "--word", "2,1,3", "--depth", "-1"]]
+)
+def test_negative_cap_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot {argv[0]}: error: argument {argv[3]}: must be at least 0, got -1\n"
 
 
 def test_table_missing_diff_file_is_a_usage_error(tmp_path, capsys):

@@ -5,12 +5,16 @@ isolated on the integer box [floor r1, ceil r2] around the roots of the
 pair discriminant, derived here on its own from the Fraction
 coefficients; each root is refined until the mean value test decides
 the sign of the pair discriminant, and the clash loop starts from those
-intervals.  That loop halves every crossing whose x-interval or
-parameter interval meets another's, or whose parameter intervals have
-not yet both had an interval enclosure of x' without 0.  It uses interval
-Horner on rational coefficients, square-root bounds on the reduced
-radicand, and a pairwise overlap test.  Both must return the same
-rationals, not merely containing ones.
+intervals.  That loop halves every crossing whose parameter interval
+meets another's, or whose parameter intervals have not yet both had an
+interval enclosure of x' without 0.  It uses interval Horner on rational
+coefficients, square-root bounds on the reduced radicand, and a pairwise
+overlap test.  Both must return the same rationals, not merely
+containing ones.
+
+The x-order is checked apart from that schedule: the oracle refines
+copies of the u-intervals until interval Horner enclosures of the
+crossing x(u) are disjoint, and the crossings must come in increasing x.
 """
 
 from fractions import Fraction
@@ -77,7 +81,28 @@ def enclosures(el, r):
     shi = sqrt_bounds(dhi)[1]
     t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
     s_iv = ((r.lo + slo) / 2, (r.hi + shi) / 2)
-    return interval_horner(el.x_of_u, r.lo, r.hi), t_iv, s_iv
+    return t_iv, s_iv
+
+
+def x_order(curve: PlaneCurve, us) -> list[int]:
+    """Indices of the crossings isolated by ``us`` in increasing x.
+
+    With z^2 = u z - v, z^3 = (u^2 - v) z - u v, so at v = v(u) the
+    cubic x(z) = p0 + p1 z + p2 z^2 + p3 z^3 reduces to
+    x(u) = p0 - v(u) (p2 + p3 u), the coefficient of z vanishing.  Copies
+    of the intervals are halved until their enclosures of x(u) are
+    disjoint."""
+    p0, p1, p2, p3 = curve.x.coeffs
+    x = Polynomial.const(p0) - Polynomial([p1 / p3, p2 / p3, 1]) * Polynomial([p2, p3])
+    us = list(us)
+    for _ in range(64):
+        xs = [interval_horner(x, r.lo, r.hi) for r in us]
+        clash = overlapping(xs)
+        if not clash:
+            return sorted(range(len(us)), key=lambda i: xs[i][0])
+        for i in clash:
+            us[i] = us[i].refine()
+    raise AssertionError("the oracle could not separate the crossings' x")
 
 
 def overlapping(ivs) -> set[int]:
@@ -92,10 +117,8 @@ def oracle_crossings(curve: PlaneCurve):
     dx = curve.x.derivative()
     undecided = set(range(len(kept)))  # crossings with x' not yet of one sign on both enclosures
     for _ in range(64):
-        undecided -= {i for i in undecided if all(0 < a or b < 0 for a, b in (interval_horner(dx, *iv) for iv in enc[i][1:]))}
-        clash = overlapping([x for x, _, _ in enc])
-        clash |= {k // 2 for k in overlapping([iv for e in enc for iv in e[1:]])}
-        clash |= undecided
+        undecided -= {i for i in undecided if all(0 < a or b < 0 for a, b in (interval_horner(dx, *iv) for iv in enc[i]))}
+        clash = {k // 2 for k in overlapping([iv for e in enc for iv in e])} | undecided
         if not clash:
             break
         for i in clash:
@@ -103,13 +126,13 @@ def oracle_crossings(curve: PlaneCurve):
             enc[i] = enclosures(el, kept[i])
     else:
         raise AssertionError("the oracle could not separate the crossings")
-    order = sorted(range(len(kept)), key=lambda i: enc[i][0][0])
-    bounds = [iv for i in order for iv in enc[i][1:]]
+    order = x_order(curve, kept)
+    bounds = [iv for e in enc for iv in e]
     flat = sorted(range(len(bounds)), key=lambda k: bounds[k][0])
-    pos = {k: rank for rank, k in enumerate(flat)}
+    rank = {k: position for position, k in enumerate(flat)}
     return (
-        [((kept[i].lo, kept[i].hi), enc[i][1], enc[i][2], enc[i][0]) for i in order],
-        tuple((pos[2 * n], pos[2 * n + 1]) for n in range(len(order))),
+        [((kept[i].lo, kept[i].hi), enc[i][0], enc[i][1]) for i in order],
+        tuple((rank[2 * i], rank[2 * i + 1]) for i in order),
         tuple(bounds[k] for k in flat),
     )
 
@@ -138,6 +161,7 @@ def test_crossing_sets_equal_the_fraction_oracle(name):
     cs = curve_crossings(curve)
     crossings, param_order, param_bounds = oracle_crossings(curve)
     assert len(cs) == count
-    assert [((c.u.lo, c.u.hi), c.t, c.s, c.x) for c in cs.crossings] == crossings
+    # the oracle lists its crossings in increasing x
+    assert [((c.u.lo, c.u.hi), c.t, c.s) for c in cs.crossings] == crossings
     assert cs.param_order == param_order
     assert cs.param_bounds == param_bounds

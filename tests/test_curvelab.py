@@ -298,6 +298,33 @@ def tangent_turns(curve, cs):
     return turns
 
 
+def x_ascends(curve, cs):
+    """Whether each pair of consecutive crossings is in increasing x,
+    decided exactly: both u-intervals are halved until their interval
+    Horner enclosures of the crossing x(u) are disjoint.  Fails the test
+    if they do not separate in 64 rounds."""
+    x = _pair_reduction(curve.x, curve._eliminator.v)[1].coeffs
+
+    def enclosure(r):
+        lo = hi = Fraction(0)
+        for c in reversed(x):
+            ends = (lo * r.lo, lo * r.hi, hi * r.lo, hi * r.hi)
+            lo, hi = min(ends) + c, max(ends) + c
+        return lo, hi
+
+    for a, b in zip((c.u for c in cs.crossings), (c.u for c in cs.crossings[1:])):
+        for _ in range(64):
+            (alo, ahi), (blo, bhi) = enclosure(a), enclosure(b)
+            if ahi < blo or bhi < alo:
+                break
+            a, b = a.refine(), b.refine()
+        else:
+            pytest.fail(f"the x of crossings near u = {float(a.lo):.4f} and {float(b.lo):.4f} did not separate")
+        if bhi < alo:
+            return False
+    return True
+
+
 def letter_oracle_family():
     """(T3,Tb) for b <= LETTER_ORACLE_MAX_B, then seeded random curves
     over the four x-cubics: y of degree 4 to 8, integer coefficients in
@@ -329,8 +356,9 @@ class TestWords:
 
     def test_branch_order_letters_equal_the_third_strand_signs(self):
         # the branch-order letters and turns against the exact signs that
-        # define them; the two consistency checks of the branch order
-        # never fire
+        # define them, and the x-order read off the shared branches against
+        # exact x enclosures; the two consistency checks of the branch
+        # order never fire
         checked = raised = 0
         for curve in letter_oracle_family():
             if checked == LETTER_ORACLE_CURVES + LETTER_ORACLE_MAX_B - 1:
@@ -345,6 +373,7 @@ class TestWords:
                 continue
             assert [c.letter for c in cs.crossings] == third_strand_letters(curve, cs), (curve.x, curve.y)
             assert [c.turn for c in cs.crossings] == tangent_turns(curve, cs), (curve.x, curve.y)
+            assert x_ascends(curve, cs), (curve.x, curve.y)
             checked += 1
         assert raised > 0
 
@@ -370,7 +399,8 @@ class TestTriplePoint:
         assert c.y.coeffs == ref.coeffs
 
     def test_unperturbed_is_non_nodal(self):
-        with pytest.raises(NonNodalError):
+        # the three crossings at the triple point share parameters pairwise
+        with pytest.raises(NonNodalError, match="could not be separated — a triple point"):
             curve_crossings(q7())
 
     def test_line_through_crossing_rejected(self):
@@ -874,13 +904,6 @@ class TestEmbeddingErrors:
         monkeypatch.setattr(height_module, "_determinant", lambda cs, overs: 7)
         with pytest.raises(EmbeddingError, match="numerator 5, but the knot determinant is 7"):
             verify_embedding(c.x, c.y, z)
-
-    def test_non_cubic_eliminator_is_not_trigonal(self):
-        from types import SimpleNamespace
-
-        quartic_x = SimpleNamespace(x=Polynomial([0, -3, 0, 1, 1]), y=chebyshev(4))
-        with pytest.raises(NotTrigonalError):
-            _Eliminator(quartic_x)
 
     def test_wrong_overpass_count_rejected(self):
         from lexiknot.curvelab import HeightError

@@ -25,7 +25,7 @@ T3 = chebyshev(3)
 
 def _crossing():
     c = curve_crossings(PlaneCurve(T3, chebyshev(4))).crossings[0]
-    return Crossing(u=c.u, t=c.t, s=c.s, x=c.x, letter=c.letter, turn=c.turn)
+    return Crossing(u=c.u, t=c.t, s=c.s, letter=c.letter, turn=c.turn)
 
 
 def _crossing_set():
