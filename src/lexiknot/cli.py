@@ -37,6 +37,24 @@ def _parse_poly(text: str):
     return Polynomial.parse(text.removeprefix("coeffs:"))
 
 
+def _expecting(parse, expected: str):
+    """An argparse type that reads ``text`` with ``parse`` and reports a
+    ValueError by what was expected, not by the parser's name."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return convert
+
+
+_poly_arg = _expecting(_parse_poly, "cheb:N with N >= 0, or coeffs: followed by comma-separated rationals")
+_word_arg = _expecting(PlaneWord.parse, "a comma-separated word of nonnegative integers such as 2,1,3")
+_fraction_arg = _expecting(parse_fraction, "A/B (or A) with integers A and B, not both 0")
+
+
 def _knot_names(text: str) -> list[str]:
     names = text.split(",")
     unknown = [n for n in names if n not in default_catalog().names()]
@@ -177,27 +195,27 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="simple diagrams of a knot within a crossing budget")
-    p.add_argument("--fraction", required=True, type=parse_fraction, help="Schubert fraction A/B")
+    p.add_argument("--fraction", required=True, type=_fraction_arg, help="Schubert fraction A/B")
     p.add_argument("--budget", type=int, default=None, help="crossing budget (default: m_C)")
     p.add_argument("--strict", action="store_true", help="use the bare slide-normal filter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("mc", help="minimal length of a +-1 diagram")
-    p.add_argument("--fraction", required=True, type=parse_fraction)
+    p.add_argument("--fraction", required=True, type=_fraction_arg)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("reduce", help="reduce a plane word and bound its degree")
-    p.add_argument("--word", required=True, type=PlaneWord.parse, help="comma-separated run lengths, e.g. 2,1,3")
+    p.add_argument("--word", required=True, type=_word_arg, help="comma-separated run lengths, e.g. 2,1,3")
     p.add_argument("--depth", type=int, default=None, help="cap on reduction steps")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("curve", help="crossings and word of a plane curve")
-    p.add_argument("--x", required=True, type=_parse_poly, help="cheb:N or coeffs:c0,c1,... (rationals)")
-    p.add_argument("--y", required=True, type=_parse_poly)
-    p.add_argument("--z", default=None, type=_parse_poly, help="height polynomial; identifies the knot")
+    p.add_argument("--x", required=True, type=_poly_arg, help="cheb:N or coeffs:c0,c1,... (rationals)")
+    p.add_argument("--y", required=True, type=_poly_arg)
+    p.add_argument("--z", default=None, type=_poly_arg, help="height polynomial; identifies the knot")
     p.add_argument("--svg", default=None, help="write an SVG rendering here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)

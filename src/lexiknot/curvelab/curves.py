@@ -41,9 +41,11 @@ of a trigonal curve), so a crossing's letter is which two of the three
 y-ordered branches it swaps, and its turn is which of its two strands
 comes from above.  The order is known just right of the left fold, and
 each crossing, in x-order, swaps two adjacent branches.  The fold data
-are exact and refinement-free: the fold height minus the third strand's
-height and y' are read at the roots of the quadratic x' in
-Q(sqrt(Delta)) (`signs_at_quadratic_roots`).
+are exact and refinement-free.  The fold height minus the third
+strand's, y(t) - y(S - 2t) with S the sum of x's roots, and y' are
+reduced modulo the quadratic x' by Horner in Z[t]/(x'), which composes
+nothing and divides nothing, and the signs of the degree-one remainders
+at the roots of x' are read in Q(sqrt(Delta)).
 
 A `PlaneCurve` is one object per value, and its crossings are a cached
 property of it: they are computed once, however many callers ask for
@@ -65,6 +67,7 @@ from .poly import (
     RootInterval,
     _enclose,
     _product,
+    _remainder_mod_quadratic,
     _squarefree_isolation,
     isolate_real_roots,
     signs_at_quadratic_roots,
@@ -143,9 +146,10 @@ class PlaneCurve(Frozen):
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
-    rational bounds on its parameters t < s; its letter, BOTTOM or TOP; and its turn, +1 when the strand of t is above that
-    of s just left of the crossing and -1 when it is below.  The turn
-    times the over/under sign is the crossing's twist sense."""
+    rational bounds on its parameters t < s; its letter, BOTTOM or TOP;
+    and its turn, +1 when the strand of t is above that of s just left
+    of the crossing and -1 when it is below.  The turn times the
+    over/under sign is the crossing's twist sense."""
 
     u: RootInterval
     t: tuple[Fraction, Fraction]
@@ -451,18 +455,17 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
     and _C merge, beside _A.  Next to a fold c, inside the band, the
     pair's branch of larger parameter is on top exactly when y'(c) > 0,
     and the pair is above the third strand exactly when the fold height
-    minus the third strand's height is positive; the third root of
-    x(z) = x(c) is S - 2c, S the sum of x's roots.  Both signs are read
-    at the roots of the quadratic x' in Q(sqrt(Delta))
+    minus the third strand's height, reduced modulo x' by Horner
+    (`_fold_height_remainder`), is positive.  Both signs are read at the
+    roots of the quadratic x' in Q(sqrt(Delta))
     (`signs_at_quadratic_roots`).  The left fold is the local minimum of
     x: c2 when x's lead is positive, c1 when it is negative.
 
     NonNodalError when the third strand meets a fold point, or y'
     vanishes there (a cusp).
     """
-    y, p = curve.y, curve.x.cs
-    h = y - y.compose(Polynomial.from_integers([-p[2], -2 * p[3]], p[3]))
-    dx = curve._eliminator.dx
+    dx, y = curve._eliminator.dx, curve.y
+    h = Polynomial.from_integers(_fold_height_remainder(curve.x, y))
     folds = []
     for side, slope, pair, third in zip(
         signs_at_quadratic_roots(h, dx), signs_at_quadratic_roots(y.derivative(), dx), ((_A, _B), (_B, _C)), (_C, _A)
@@ -476,9 +479,22 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
             folds.append(_Fold(TOP, (third, lo, hi)))
         else:
             folds.append(_Fold(BOTTOM, (lo, hi, third)))
-    if p[3] > 0:
+    if curve.x.cs[3] > 0:
         return folds[1], folds[0]
     return folds[0], folds[1]
+
+
+def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
+    """(r0, r1) with r0 + r1 t a positive multiple of y(t) - y(S - 2t)
+    modulo x', S the sum of x's roots, with no composition: at a fold c,
+    S - 2c is the third root of x(z) = x(c).  Horner in Z[t]/(x') reads
+    y at t and at S - 2t = (-p2 - 2 p3 t) / p3, both over the one
+    denominator |p3|, so the two remainders share their multiplier."""
+    p, cs, dx = x.cs, y.primitive, x.derivative().primitive
+    e = abs(p[3])
+    near = _remainder_mod_quadratic(cs, (0, e, e), dx)
+    far = _remainder_mod_quadratic(cs, (-p[2] if p[3] > 0 else p[2], -2 * e, e), dx)
+    return near[0] - far[0], near[1] - far[1]
 
 
 def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> PlaneWord:

@@ -7,10 +7,12 @@ composition and the gcd build their results from integers; `coeffs`, the
 rational view, and `primitive`, cs over its positive content so every
 sign is kept, are computed once on demand.  The value at a/d, d > 0, is
 read by homogeneous Horner as sum c_i a^i d^(n-i), which has the sign of
-p(a/d).  Roots are isolated by bisection against a primitive
-pseudo-remainder Sturm chain, by default below a Cauchy bound rounded
-up to a power of two; a caller that needs only the roots in an integer
-box (lo, hi) can start the bisection there instead.  The roots come as
+p(a/d).  Roots are counted by a primitive pseudo-remainder Sturm
+chain, by default below a Cauchy bound rounded up to a power of two; a
+caller that needs only the roots in an integer box (lo, hi) can start
+there instead.  An interval of c >= 2 roots is isolated by c sign
+changes on a dyadic grid of 2^j >= 2c cells when 2^j <= deg + 1, and
+otherwise bisected, one chain evaluation per midpoint.  The roots come as
 `RootInterval`s, NamedTuples of integers (a, b, d), d a power of two,
 and the sign at a/d, so a halving takes one integer evaluation.  A
 sign at an isolated root is certified by a coprimality test modulo the
@@ -21,8 +23,9 @@ mean value test on integers decides it: h's value at the midpoint
 outweighs an interval enclosure of h' times the half-width.  The sign
 comes back with the interval it was decided on, so the next sign at the
 same root starts there.  At the roots of a quadratic no interval is
-needed: `signs_at_quadratic_roots` reads both signs in Q(sqrt(Delta))
-from a remainder of degree one.  Floating point decides nothing.
+needed: `signs_at_quadratic_roots` reduces h modulo the quadratic by
+Horner and reads both signs in Q(sqrt(Delta)).  Floating point decides
+nothing.
 """
 
 from __future__ import annotations
@@ -368,15 +371,24 @@ def _squarefree_isolation(
     """p's squarefree part, of p's degree iff p has no multiple root, and
     its real roots: all of them, or those inside an integer box.
 
-    Bisection starts by default from Cauchy's bound 1 + max |c_i / c_n|
+    The search starts by default from Cauchy's bound 1 + max |c_i / c_n|
     rounded up to a power of two 2^e, on (-2^e, 2^e).  Given a box
     (lo, hi) of integers lo < hi, it starts from there instead, after
     moving each end outwards by 1 for as long as p vanishes at it, so a
     root at lo or hi is isolated too.  Either way it runs on a work list
     of intervals (a/d, b/d), d a power of two, each with the chain's sign
-    variations at both ends, so a split evaluates the chain at its
-    midpoint only.  The chain is that of the whole of p, so the degree
-    of the squarefree part reports a multiple root outside the box too.
+    variations at both ends, whose difference c counts its roots.
+
+    An interval with c >= 2 is first sampled by the squarefree part sf
+    at the 2^j + 1 points of a dyadic grid, 2^j >= 2c the least power of
+    two.  If exactly c cells change sign strictly, each holds an odd
+    number of the c roots, so one: they are the isolating intervals.  A
+    root on the grid leaves fewer than c such cells.  The grid is tried
+    only when 2^j <= deg sf + 1, so a failed try costs about two chain
+    evaluations; otherwise, or when it fails, the interval is split at
+    its midpoint with one.  The chain is that of the whole of p, so the
+    degree of the squarefree part reports a multiple root outside the
+    box too.
     """
     if p.degree < 1:
         return p, []
@@ -397,9 +409,18 @@ def _squarefree_isolation(
     poly, out = Polynomial.from_integers(sf), []
     while work:
         a, va, b, vb, d = work.pop()
-        if va - vb == 1:
+        c = va - vb
+        if c == 1:
             out.append(RootInterval(poly, a, b, d, _sign(_value(sf, a, d))))
-        elif va - vb > 1:
+        elif c > 1:
+            j = (2 * c - 1).bit_length()  # 2^j: the least power of two >= 2c
+            if 1 << j <= len(sf):
+                a0, w, dj = a << j, b - a, d << j
+                signs = [_sign(_value(sf, a0 + k * w, dj)) for k in range((1 << j) + 1)]
+                cells = [k for k in range(1 << j) if signs[k] * signs[k + 1] < 0]
+                if len(cells) == c:
+                    out.extend(RootInterval(poly, a0 + k * w, a0 + (k + 1) * w, dj, signs[k]) for k in cells)
+                    continue
             a, b, m, d = 2 * a, 2 * b, a + b, 2 * d
             while _value(sf, m, d) == 0:
                 a, b, m, d = 2 * a, 2 * b, a + m, 2 * d
@@ -492,9 +513,9 @@ def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
     quadratic q with a positive discriminant, decided in Q(sqrt(Delta))
     without isolating or refining anything.
 
-    With q = A t^2 + B t + C primitive and Delta = B^2 - 4 A C, pseudo-
-    division gives m h = Q q + r1 t + r0 with m > 0, so at a root
-    c = (-B +- sqrt(Delta)) / 2A, h(c) has the sign of r1 c + r0 =
+    With q = A t^2 + B t + C primitive and Delta = B^2 - 4 A C, Horner
+    modulo q gives r1 t + r0, a positive multiple of h modulo q, so at a
+    root c = (-B +- sqrt(Delta)) / 2A, h(c) has the sign of r1 c + r0 =
     (X +- r1 sqrt(Delta)) / 2A with X = 2A r0 - B r1.  The sign of
     X + Y sqrt(Delta) is that of X or of Y when they agree or one is 0,
     and otherwise that of X exactly when X^2 > Y^2 Delta.  The smaller
@@ -506,8 +527,8 @@ def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
     disc = B * B - 4 * A * C
     if disc <= 0:
         raise ValueError("the quadratic needs two distinct real roots")
-    r = _pseudo_divide(h.primitive, q.primitive)[2] + [0, 0]
-    X, sa = 2 * A * r[0] - B * r[1], _sign(A)
+    r0, r1 = _remainder_mod_quadratic(h.primitive, (0, 1, 1), q.primitive)
+    X, sa = 2 * A * r0 - B * r1, _sign(A)
 
     def sign_with(Y: int) -> int:  # the sign of (X + Y sqrt(Delta)) / 2A
         sx, sy = _sign(X), _sign(Y)
@@ -517,7 +538,28 @@ def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
             return sa * sy
         return sa * sx * _sign(X * X - Y * Y * disc)
 
-    return sign_with(-sa * r[1]), sign_with(sa * r[1])
+    return sign_with(-sa * r1), sign_with(sa * r1)
+
+
+def _remainder_mod_quadratic(cs: Sequence[int], z: tuple[int, int, int], q: Sequence[int]) -> tuple[int, int]:
+    """(r0, r1) with M cs(z) = r0 + r1 t modulo q for an integer M > 0.
+
+    q = (C, B, A) are a quadratic's integer coefficients, and z = (z0,
+    z1, e) stands for (z0 + z1 t) / e with e > 0.  Horner in Z[t]/(q),
+    with q's lead A made positive: for R = r0 + r1 t and Z = z0 + z1 t,
+    A R Z = (A r0 z0 - C r1 z1) + (A (r0 z1 + r1 z0) - B r1 z1) t modulo
+    q, so a step R -> A R Z + c M over M -> A e M takes a handful of
+    products, and M = (A e)^(deg + 1) for every z of one e.
+    """
+    C, B, A = q if q[2] > 0 else [-c for c in q]
+    z0, z1, e = z
+    r0 = r1 = 0
+    m = 1
+    for c in reversed(cs):
+        m *= A * e
+        p = r1 * z1
+        r0, r1 = A * r0 * z0 - C * p + c * m, A * (r0 * z1 + r1 * z0) - B * p
+    return r0, r1
 
 
 def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[tuple[int, RootInterval]]:

@@ -240,3 +240,30 @@ def test_table_failed_row_prints_its_traceback_on_stderr(monkeypatch, capsys):
     assert lines[1] == "Traceback (most recent call last):"
     assert any("in exhausted" in line for line in lines)
     assert lines[-1] == "lexiknot.enumeration.SearchExhausted: nothing for 3_1"
+
+
+_POLY = "cheb:N with N >= 0, or coeffs: followed by comma-separated rationals"
+_WORD = "a comma-separated word of nonnegative integers such as 2,1,3"
+_FRACTION = "A/B (or A) with integers A and B, not both 0"
+
+
+@pytest.mark.parametrize(
+    "argv, option, expected",
+    [
+        (["curve", "--x", "coeffs:0,-3,x", "--y", "cheb:4"], "--x", _POLY),
+        (["curve", "--x", "cheb:3", "--y", "cheb:-1"], "--y", _POLY),
+        (["curve", "--x", "cheb:3", "--y", "cheb:4", "--z", "coeffs:1/0"], "--z", _POLY),
+        (["reduce", "--word", "2,a"], "--word", _WORD),
+        (["reduce", "--word", "2,-1"], "--word", _WORD),
+        (["mc", "--fraction", "9/x"], "--fraction", _FRACTION),
+        (["enumerate", "--fraction", "0/0"], "--fraction", _FRACTION),
+    ],
+)
+def test_argument_errors_say_what_was_expected(argv, option, expected, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    bad = argv[argv.index(option) + 1]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"lexiknot {argv[0]}: error: argument {option}: expected {expected}, got {bad!r}"
+    )

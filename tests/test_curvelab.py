@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexiknot.arith import SchubertFraction, default_catalog, fraction_equivalent
@@ -32,9 +32,9 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import BOTTOM, TOP, _Eliminator, _pair_reduction
+from lexiknot.curvelab.curves import BOTTOM, TOP, _Eliminator, _fold_height_remainder, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
-from lexiknot.curvelab.poly import signs_at_roots
+from lexiknot.curvelab.poly import signs_at_quadratic_roots, signs_at_roots
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, project, same_word_class
 
@@ -75,6 +75,20 @@ class TestCrossings:
         c = unshared(T3, chebyshev(5).scale(2))
         assert word_from_curve(c, curve_crossings(c)).runs == (1, 1, 1, 1)
         assert isolated == []
+
+    def test_t3_t26_composes_nothing_and_halves_the_chain_evaluations(self, monkeypatch):
+        # the fold sides reduce y(t) and y(S - 2t) modulo x' by Horner, and
+        # the sign grid certifies W's roots: bisection alone evaluated the
+        # Sturm chain 27 times on (T3,T26)
+        import lexiknot.curvelab.poly as poly_module
+
+        variations, compose, chains, composed = poly_module._variations, Polynomial.compose, [], []
+        monkeypatch.setattr(poly_module, "_variations", lambda *a: chains.append(a) or variations(*a))
+        monkeypatch.setattr(Polynomial, "compose", lambda p, inner: composed.append(p) or compose(p, inner))
+        c = unshared(T3, chebyshev(26).scale(2))
+        assert word_from_curve(c, curve_crossings(c)).runs == (1,) * 25
+        assert composed == []
+        assert 2 * len(chains) <= 27
 
     def test_svg_reads_the_critical_points(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module
@@ -254,6 +268,36 @@ class TestCrossings:
             PlaneCurve(Polynomial([0, 1]), chebyshev(4))
         with pytest.raises(NotTrigonalError):
             PlaneCurve(Polynomial([0, 0, 0, 1]), chebyshev(4))  # no folds
+
+
+FOLD_XS = (
+    T3,  # x' = 12 t^2 - 3: a lead that is no unit
+    Polynomial([0, -3, 0, 1]),
+    Polynomial([0, -1, 0, Fraction(2, 3)]),
+    Polynomial([0, -2, Fraction(1, 3), 1]),
+    Polynomial([5, Fraction(-7, 2), 3, -2]),
+)
+fold_rational = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(fold_rational, min_size=0, max_size=10),
+    st.one_of(st.sampled_from(FOLD_XS), st.lists(fold_rational, min_size=4, max_size=4).map(Polynomial)),
+    st.booleans(),
+)
+@example([0, 0, 1], T3, False)
+@example([0, 4, 0, -4, 0, 1], Polynomial([0, -3, 0, 1]), True)
+def test_fold_height_remainder_matches_the_composition(y_coeffs, x, flip):
+    # Horner modulo x' gives the signs at both folds of y(t) - y(S - 2t),
+    # S the sum of x's roots, that the composed polynomial has there; x of
+    # both lead signs, rational coefficients, and y of any degree
+    x = -x if flip else x
+    assume(x.degree == 3 and x.cs[2] ** 2 > 3 * x.cs[1] * x.cs[3])
+    y, dx = Polynomial(y_coeffs), x.derivative()
+    h = y - y.compose(Polynomial([Fraction(-x.cs[2], x.cs[3]), -2]))
+    remainder = Polynomial.from_integers(_fold_height_remainder(x, y))
+    assert signs_at_quadratic_roots(remainder, dx) == signs_at_quadratic_roots(h, dx)
 
 
 # the size of the letter oracle's family; CI runs it with 3000 and 32

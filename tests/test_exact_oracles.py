@@ -6,14 +6,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lexiknot.curvelab.curves import PlaneCurve, _pair_reduction
+from lexiknot.curvelab import poly as poly_module
+from lexiknot.curvelab.curves import PlaneCurve, _disc_box, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
 from lexiknot.curvelab.poly import (
     Polynomial,
     RootInterval,
     _enclose,
     _pseudo_divide,
+    _squarefree_isolation,
     _value,
+    chebyshev,
     isolate_real_roots,
     sign_at_root,
     signs_at_quadratic_roots,
@@ -103,6 +106,96 @@ def test_isolating_endpoints_are_dyadic_and_enclose_the_roots(coeffs, halvings):
             _assert_isolating(r)
             assert r.lo < rho < r.hi
             r = r.refine()
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+def _checked_isolation(W: Polynomial, box=None) -> tuple[list[RootInterval], int]:
+    """W's roots isolated on the box (all of them when None) and the
+    Sturm-chain evaluations it took, checked against sympy's own exact
+    isolation of W's squarefree part (`Poly.intervals`, the one
+    `real_roots` is built on): the intervals are sorted and disjoint,
+    each holds exactly one real root, and every root in the closed box
+    lies in one of them."""
+    evaluations = []
+    variations = poly_module._variations
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_variations", lambda *a: evaluations.append(a) or variations(*a))
+        roots = _squarefree_isolation(W, box)[1]
+    P = _sympy_poly(W).sqf_part()
+    oracle = [(_fraction(a), _fraction(b)) for (a, b), _ in P.intervals()]
+    assert len(oracle) == len(sympy.real_roots(P))
+
+    def sign_of(f, q: Fraction) -> int:
+        return int(sympy.sign(f.eval(sympy.Rational(q.numerator, q.denominator))))
+
+    def side(k: int, q: Fraction) -> int:
+        """The sign of oracle root k minus q.  sympy's interval [a, b] is
+        a rational root when a = b, and otherwise holds its root in the
+        open (a, b), where the ends may be other, rational, roots; so for
+        q inside, the root is below q exactly when P's sign just right of
+        a, read off P' when P(a) = 0, differs from its sign at q."""
+        a, b = oracle[k]
+        if a == b:
+            return (a > q) - (a < q)
+        if not a < q < b:
+            return 1 if q <= a else -1
+        sq = sign_of(P, q)
+        if sq == 0:
+            return 0
+        return -1 if (sign_of(P, a) or sign_of(P.diff(t), a)) != sq else 1
+
+    for r in roots:
+        _assert_isolating(r)
+    assert all(r.hi <= n.lo for r, n in zip(roots, roots[1:]))
+    held = [[k for k in range(len(oracle)) if side(k, r.lo) > 0 > side(k, r.hi)] for r in roots]
+    assert all(len(ks) == 1 for ks in held), held
+    in_box = [k for k in range(len(oracle)) if box is None or side(k, box[0]) >= 0 >= side(k, box[1])]
+    assert set(in_box) <= {ks[0] for ks in held}
+    return roots, len(evaluations)
+
+
+def test_grid_isolation_of_t3_tb_agrees_with_sympy():
+    # the dyadic sign grid certifies W's roots on the discriminant box
+    # with fewer chain evaluations than bisection alone needs: past the
+    # two box-end counts, k roots take k - 1 midpoint evaluations by
+    # bisection, and far fewer here
+    for b in range(2, 33):
+        el = PlaneCurve(chebyshev(3), chebyshev(b))._eliminator
+        roots, evaluations = _checked_isolation(el.W, _disc_box(el.disc))
+        assert len(roots) == (0 if b % 3 == 0 else b - 1)
+        if len(roots) >= 6:
+            assert evaluations - 2 < len(roots) - 1, (b, evaluations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small, min_size=2, max_size=12), st.one_of(st.none(), st.tuples(st.integers(-4, 3), st.integers(1, 5))))
+@example([0, -6, 0, 1, 0, 0, 0, 0, 1], None)
+def test_isolation_of_random_polynomials_agrees_with_sympy(coeffs, box):
+    W = Polynomial(coeffs)
+    assume(W.degree >= 1)
+    _checked_isolation(W, None if box is None else (box[0], box[0] + box[1]))
+
+
+@pytest.mark.parametrize(
+    "W, box",
+    [
+        # roots on grid points: the grid meets a root, so it cannot certify
+        (Polynomial.from_roots([Fraction(k, 8) for k in (1, 2, 3)] + [3, 4, 5, 6]), (0, 1)),
+        (Polynomial.from_roots([-1, 0, 1]) * Polynomial([1, 0, 1]) * Polynomial([2, 0, 1]), None),
+        # clustered roots: a cell of the grid holds several
+        (Polynomial.from_roots([Fraction(k, 1000) for k in (1, 2, 3)] + [2, 3, 4, 5]), (0, 1)),
+        (Polynomial.from_roots([Fraction(k, 1000) for k in range(-3, 4)] + [2, 3]), None),
+        # too many roots for the cost rule at first: Wilkinson-15 and T25
+        (Polynomial.from_roots(range(1, 16)), None),
+        (chebyshev(25), None),
+    ],
+)
+def test_isolation_falls_back_to_bisection_and_agrees_with_sympy(W, box):
+    roots, evaluations = _checked_isolation(W, box)
+    assert roots and evaluations > 2  # at least one midpoint split
 
 
 def test_refine_shrinks_around_a_root_hit_exactly_by_the_midpoint():

@@ -153,6 +153,18 @@ class TestRoots:
         # (t - 2)(t - 5)(t^2 - 2): zero at +-sqrt 2 and 2, exact signs elsewhere
         assert [sg for sg, _ in signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots)] == [1, 0, -1, 0, 0]
 
+    @pytest.mark.parametrize("p, bisection", [(P.from_roots(range(1, 16)), 57), (chebyshev(25), 35)])
+    def test_sign_grid_costs_no_extra_chain_evaluation(self, p, bisection, monkeypatch):
+        # Wilkinson-15 and T25 on their Cauchy boxes hold too many roots
+        # for the grid's cost rule at first, and then some grid tries fail:
+        # still no more Sturm-chain evaluations than bisection alone took
+        import lexiknot.curvelab.poly as poly
+
+        variations, calls = poly._variations, []
+        monkeypatch.setattr(poly, "_variations", lambda *a: calls.append(a) or variations(*a))
+        assert len(isolate_real_roots(p)) == p.degree
+        assert len(calls) <= bisection
+
     def test_refinement(self):
         root = isolate_real_roots(P([-2, 0, 1]))[1]  # sqrt(2)
         tight = refined_below(root, Fraction(1, 10**6))
