@@ -110,21 +110,6 @@ def cf_expand_positive(f: SchubertFraction) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _inverse_mod(b: int, a: int) -> Optional[int]:
-    """Inverse of b modulo a by extended Euclid, or None if not coprime."""
-    if a <= 0:
-        return None
-    r0, r1 = a, b % a
-    s0, s1 = 0, 1
-    while r1:
-        k = r0 // r1
-        r0, r1 = r1, r0 - k * r1
-        s0, s1 = s1, s0 - k * s1
-    if r0 != 1:
-        return None
-    return s0 % a
-
-
 def class_residues(f: SchubertFraction, include_mirror: bool = False) -> set[int]:
     """The residues beta' mod alpha with alpha/beta' equivalent to f, for alpha >= 1.
 
@@ -133,9 +118,10 @@ def class_residues(f: SchubertFraction, include_mirror: bool = False) -> set[int
     """
     a = f.alpha
     out = {f.beta % a}
-    inv = _inverse_mod(f.beta, a)
-    if inv is not None:
-        out.add(inv)
+    try:
+        out.add(pow(f.beta, -1, a))
+    except ValueError:  # beta and alpha share a factor: no inverse
+        pass
     if include_mirror:
         out |= {-r % a for r in out}
     return out

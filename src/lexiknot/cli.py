@@ -95,7 +95,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.depth is not None and args.depth < 0:
         return _usage_error("reduce", f"argument --depth: must be at least 0, got {args.depth}")
     trace = reduction_search(args.word, depth=args.depth)
-    lower, prov = trace.lower_bound()
     if args.json:
         print(
             json.dumps(
@@ -104,15 +103,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
                     "base": list(trace.base.runs),
                     "cost": trace.cost,
                     "steps": [list(s) for s in trace.steps],
-                    "b_lower": lower,
-                    "provenance": prov,
+                    "b_lower": trace.bound,
+                    "provenance": trace.provenance,
                 },
                 indent=2,
             )
         )
     else:
         print(f"base {trace.base} cost {trace.cost}")
-        print(f"b >= {lower}  ({prov})")
+        print(f"b >= {trace.bound}  ({trace.provenance})")
     return 0
 
 

@@ -54,20 +54,15 @@ def alternating_overpasses(cs: CrossingSet) -> list[bool]:
     overpass.  Fails if the parameter interleaving is incompatible with
     a strictly alternating sequence.
     """
-    out: list[Optional[bool]] = [None] * len(cs.crossings)
-    for i, (a, b) in enumerate(cs.param_order):
-        ga, gb = a % 2 == 0, b % 2 == 0
-        if ga == gb:
-            raise HeightError("parameter interleaving admits no alternating Gauss sequence")
-        out[i] = ga if a < b else gb
-    return [bool(v) for v in out]
+    if any(a % 2 == b % 2 for a, b in cs.param_order):
+        raise HeightError("parameter interleaving admits no alternating Gauss sequence")
+    return [a % 2 == 0 for a, _ in cs.param_order]
 
 
 def gauss_sequence(cs: CrossingSet, over_at: Sequence[bool]) -> list[int]:
     """Signs +-1 at the 2m crossing parameters in parameter order."""
     signs = [0] * (2 * len(cs.crossings))
-    for i, (a, b) in enumerate(cs.param_order):
-        first, second = (a, b) if a < b else (b, a)
+    for i, (first, second) in enumerate(cs.param_order):
         s = 1 if over_at[i] else -1
         signs[first] = s
         signs[second] = -s
@@ -197,10 +192,8 @@ def _determinant(cs: CrossingSet, overs: Sequence[int]) -> int:
     integer matrix has the determinant as its absolute value.
     """
     n = len(cs.crossings)
-    if n == 0:
-        return 1
     # parameter positions of each crossing's overpass and underpass
-    visits = [(min(p), max(p)) if o > 0 else (max(p), min(p)) for p, o in zip(cs.param_order, overs)]
+    visits = [p if o > 0 else p[::-1] for p, o in zip(cs.param_order, overs)]
     unders = {u for _, u in visits}
     # arc of the segment leaving each parameter position; the last
     # segment runs through infinity back into arc 0

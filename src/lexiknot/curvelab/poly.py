@@ -87,10 +87,6 @@ class Polynomial(Frozen):
         return p
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls([])
-
-    @classmethod
     def const(cls, c: Rat) -> "Polynomial":
         return cls([c])
 

@@ -290,7 +290,7 @@ class BaseEntry(NamedTuple):
 class BaseTable:
     """Known lexicographic data of fully reduced words, keyed by canonical class."""
 
-    def __init__(self, entries: Iterable[BaseEntry], overrides: Iterable[BaseEntry]):
+    def __init__(self, entries: Iterable[BaseEntry]):
         self.entries: dict[Runs, BaseEntry] = {}
         for e in entries:
             key = canonical_runs(e.runs)
@@ -298,33 +298,21 @@ class BaseTable:
                 rows = " and ".join("|".join(map(str, x.runs)) for x in (self.entries[key], e))
                 raise ValueError(f"base rows {rows} name one word class {key}")
             self.entries[key] = e
-        # an override replaces a named entry unless the entry's bound is stronger
-        for e in overrides:
-            key = canonical_runs(e.runs)
-            named = self.entries.get(key)
-            if named is None or named.b_lower <= e.b_lower:
-                self.entries[key] = e
 
     @classmethod
     def load(cls) -> "BaseTable":
         from importlib import resources  # only where a table is read: Python 3.12's imports inspect
 
-        def rows(name: str) -> Iterator[tuple[Runs, dict[str, str]]]:
-            text = resources.files("lexiknot.data").joinpath(name).read_text()
-            for row in csv.DictReader(text.splitlines()):
-                yield tuple(int(t) for t in row["runs"].split("|") if t != ""), row
-
-        entries = [
+        text = resources.files("lexiknot.data").joinpath("bases.csv").read_text()
+        return cls(
             BaseEntry(
-                runs, int(row["b_exact"]) if row["b_exact"] else None, int(row["b_lower"]), row["source"]
+                tuple(int(t) for t in row["runs"].split("|") if t != ""),
+                int(row["b_exact"]) if row["b_exact"] else None,
+                int(row["b_lower"]),
+                row["source"],
             )
-            for runs, row in rows("bases.csv")
-        ]
-        overrides = [
-            BaseEntry(runs, None, int(row["b_lower"]), f"table row {row['table_row']}")
-            for runs, row in rows("bounds_overrides.csv")
-        ]
-        return cls(entries, overrides)
+            for row in csv.DictReader(text.splitlines())
+        )
 
     def lookup(self, runs: Runs) -> Optional[BaseEntry]:
         return self.entries.get(canonical_runs(runs))
@@ -400,7 +388,7 @@ class ReductionTrace(NamedTuple):
     base: PlaneWord
     cost: int
     bound: int
-    provenance: str
+    provenance: str  # the rule that gave bound for the source
     upper: Optional[int]  # least b_exact + cost over the explored words
 
     def replay(self) -> PlaneWord:
@@ -415,67 +403,53 @@ class ReductionTrace(NamedTuple):
                 w = canonical_runs(_PARTNERS[word.runs][pos])
         return PlaneWord(w)
 
-    def lower_bound(self) -> tuple[int, str]:
-        """b_lower_bound of the source word: its own base bound, or this
-        trace's bound where that is stronger, with the rule that fired."""
-        best, prov = _base(self.source.runs)[:2]
-        if self.bound > best:
-            return self.bound, f"reduction to {self.base} ({self.provenance}) + {self.cost}"
-        return best, prov
 
-
-class _SearchState:
-    __slots__ = ("cost", "parent", "move")
-
-    def __init__(self, cost: int, parent: Optional[Runs], move: Optional[Move]):
-        self.cost = cost
-        self.parent = parent
-        self.move = move
-
-
-def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs, int]]:
+def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs]]:
     """The moves of the degree arithmetic on one image: the curated
-    identities (cost 0, indexed into the sorted partner list as replay
-    reads them), then R and the boundary R (cost 3 each)."""
+    identities (indexed into the sorted partner list as replay reads
+    them), then R and the boundary R."""
     for pos, tgt in enumerate(_PARTNERS.get(img, ())):
-        yield ("ident", img_idx, pos), tgt, 0
+        yield ("ident", img_idx, pos), tgt
     word = PlaneWord(img)
     for i in range(len(img) - 2):
         if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
-            yield ("R", img_idx, i), apply_R(word, i).runs, 3
+            yield ("R", img_idx, i), apply_R(word, i).runs
     if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
-        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs, 3
+        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs
 
 
-def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, _SearchState]:
-    """0/3-cost BFS over the canonical word classes reachable from w by
-    `_reduction_moves`.  Braid exchanges and boundary slides stay out of
+def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[tuple[Runs, Move]]]:
+    """The canonical word classes reachable from w by `_reduction_moves`,
+    each mapped to the (parent, move) that first reached it, and the
+    start word to None.  Braid exchanges and boundary slides stay out of
     it, keeping every degree claim anchored to explicit curves.
 
-    Cost-free moves go to the front of the queue, so every state keeps
-    its least cost; once ``depth`` costly steps are spent, costly moves
-    are skipped.
+    An R step removes three crossings and an identity none, so every
+    path to a word costs sum(start) - sum(word) and the search is plain
+    reachability.  Identities go to the front of the queue, which fixes
+    the parent each word records; once ``depth`` R steps are spent, R
+    moves are skipped.
     """
     start = canonical_runs(w.runs)
-    states: dict[Runs, _SearchState] = {start: _SearchState(0, None, None)}
+    n = sum(start)
+    parents: dict[Runs, Optional[tuple[Runs, Move]]] = {start: None}
     queue: deque[Runs] = deque([start])
     while queue:
         cur = queue.popleft()
-        cur_cost = states[cur].cost
-        capped = depth is not None and cur_cost // 3 >= depth
+        capped = depth is not None and (n - sum(cur)) // 3 >= depth
         for img_idx, img in enumerate(word_images(cur)):
-            for move, tgt, cost in _reduction_moves(img_idx, img):
-                if cost and capped:
+            for move, tgt in _reduction_moves(img_idx, img):
+                ident = move[0] == "ident"
+                if capped and not ident:
                     continue
                 key = canonical_runs(tgt)
-                ncost = cur_cost + cost
-                if key not in states or states[key].cost > ncost:
-                    states[key] = _SearchState(ncost, cur, move)
-                    if cost:
-                        queue.append(key)
-                    else:
+                if key not in parents:
+                    parents[key] = (cur, move)
+                    if ident:
                         queue.appendleft(key)
-    return states
+                    else:
+                        queue.append(key)
+    return parents
 
 
 def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrace:
@@ -486,36 +460,41 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     the search keeps the largest.  A word that is itself a base (named
     entry or a one/two-run word) stays put: its own value is already the
     strongest consistent bound.  Ties prefer bases with named table
-    entries, then fewer crossings, then shorter words, then fewer steps.
-    The same explored words give the upper bound: the least degree of an
+    entries, then fewer crossings, then shorter words.  The provenance
+    is the source's own rule unless the reduction is stronger.  The
+    same explored words give the upper bound: the least degree of an
     explicit curve for w, a realizable base's b_exact plus the cost of
     undoing the R steps that reach it.
     """
-    states = _explore(w, depth)
-    known = {runs: _base(runs) for runs in states}
-    target = canonical_runs(w.runs)  # the start state: cost 0, no parent
-    if known[target][3] > 1:
+    parents = _explore(w, depth)
+    known = {runs: _base(runs) for runs in parents}
+    start = target = canonical_runs(w.runs)
+    n = sum(start)
+    if known[start][3] > 1:
 
         def rank(runs: Runs):
             lower, _, _, kind = known[runs]
-            cost = states[runs].cost
-            return (-(lower + cost), kind, sum(runs), len(runs), cost, runs)
+            return (-(lower + n - sum(runs)), kind, sum(runs), len(runs), runs)
 
-        target = min(states, key=rank)
+        target = min(parents, key=rank)
     steps: list[Move] = []
-    cur = target
-    while states[cur].parent is not None:
-        steps.append(states[cur].move)
-        cur = states[cur].parent
-    bound, prov = known[target][:2]
-    cost = states[target].cost
-    upper = min((b + states[r].cost for r, (_, _, b, _) in known.items() if b is not None), default=None)
+    link = parents[target]
+    while link is not None:
+        steps.append(link[1])
+        link = parents[link[0]]
+    lower, prov = known[target][:2]
+    cost = n - sum(target)
+    if lower + cost == known[start][0]:
+        prov = known[start][1]
+    else:
+        prov = f"reduction to {PlaneWord(target)} ({prov}) + {cost}"
+    upper = min((b + n - sum(r) for r, (_, _, b, _) in known.items() if b is not None), default=None)
     return ReductionTrace(
         source=w.normalized(),
         steps=tuple(reversed(steps)),
         base=PlaneWord(target),
         cost=cost,
-        bound=bound + cost,
+        bound=lower + cost,
         provenance=prov,
         upper=upper,
     )
@@ -552,9 +531,10 @@ def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
 
 
 def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
-    """Max of the crossing rule, the one/two-run exact value, reduction
-    bounds, and table overrides, with the rule that fired."""
-    return reduction_search(w, depth).lower_bound()
+    """Max of the crossing rule, the one/two-run exact value, the base
+    table and reduction bounds, with the rule that fired."""
+    trace = reduction_search(w, depth)
+    return trace.bound, trace.provenance
 
 
 class DegreeVerdict(NamedTuple):
@@ -591,9 +571,8 @@ def degree_verdict(k: KnotRecord) -> DegreeVerdict:
     One m_C search feeds both the Chebyshev triple and the enumeration
     budget, and one reduction search per simple diagram gives both its
     trace and its constructive upper bound.  The diagram's lower bound
-    is trace.bound, which equals b_lower_bound(w)[0]: the start word is
-    among the explored states at cost 0 and _base is invariant under
-    reversal, so trace.bound >= _base(w)[0].
+    is trace.bound, the number b_lower_bound(w) returns: the start word
+    is explored at cost 0, so the bound is never below the word's own.
     """
     n = k.crossing_number
     m = m_C(k)

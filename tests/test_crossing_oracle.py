@@ -164,4 +164,6 @@ def test_crossing_sets_equal_the_fraction_oracle(name):
     # the oracle lists its crossings in increasing x
     assert [((c.u.lo, c.u.hi), c.t, c.s) for c in cs.crossings] == crossings
     assert cs.param_order == param_order
+    # each crossing lists its parameters t < s, so every pair increases
+    assert all(a < b for a, b in cs.param_order)
     assert cs.param_bounds == param_bounds

@@ -240,6 +240,8 @@ class TestReductionSearch:
                 trace = reduction_search(W(src), depth)
                 assert trace.replay().runs == canonical_runs(trace.base.runs), (src, depth)
                 assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), (src, depth)
+                # every path to a word costs the crossings it has lost
+                assert trace.cost == trace.source.crossings - trace.base.crossings, (src, depth)
 
     def test_sharper_route_on_8_13_fourth_row(self):
         # the published cell stops at deg D(0,3)+6 (b >= 10); the boundary
@@ -290,7 +292,7 @@ class TestLowerBounds:
             assert base_table().lookup(runs).source == row["source"], row
         entries = [planereduce.BaseEntry((0, 2), 4, 4, "a"), planereduce.BaseEntry((2, 0), 4, 4, "b")]
         with pytest.raises(ValueError, match=r"0\|2 and 2\|0"):
-            planereduce.BaseTable(entries, [])
+            planereduce.BaseTable(entries)
 
     def test_override_provenance(self):
         lo, prov = b_lower_bound(W((2, 3, 3)))
