@@ -141,20 +141,23 @@ def fraction_equivalent(
 
 
 class KnotRecord(NamedTuple):
-    """One row of the two-bridge catalog."""
+    """One two-bridge knot: its name and Schubert fraction, and the
+    crossing number of its reduced alternating diagram, the sum of the
+    fraction's positive expansion.  Build it with `_knot_record`."""
 
     name: str
     fraction: SchubertFraction
     crossing_number: int
-    degC_b: int
-    degC_c: int
-    lex_b: int
-    lex_c_lo: int
-    lex_c_hi: int
+
+
+def _knot_record(name: str, f: SchubertFraction) -> KnotRecord:
+    """The record of the knot f, named name, for alpha >= 2."""
+    return KnotRecord(name, f, sum(cf_expand_positive(f)))
 
 
 class Catalog:
-    """The shipped table of two-bridge knots with eight or fewer crossings."""
+    """The two-bridge knots with eight or fewer crossings, by name and
+    fraction; the expected-result columns of knots.csv are not read here."""
 
     def __init__(self, records: Sequence[KnotRecord]):
         self.records = list(records)
@@ -165,19 +168,9 @@ class Catalog:
         from importlib import resources  # only where a table is read: Python 3.12's imports inspect
 
         text = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
-        rows = list(csv.DictReader(text.splitlines()))
         records = [
-            KnotRecord(
-                name=row["name"],
-                fraction=SchubertFraction.make(int(row["alpha"]), int(row["beta"])),
-                crossing_number=int(row["N"]),
-                degC_b=int(row["degC_b"]),
-                degC_c=int(row["degC_c"]),
-                lex_b=int(row["lex_b"]),
-                lex_c_lo=int(row["lex_c_lo"]),
-                lex_c_hi=int(row["lex_c_hi"]),
-            )
-            for row in rows
+            _knot_record(row["name"], SchubertFraction.make(int(row["alpha"]), int(row["beta"])))
+            for row in csv.DictReader(text.splitlines())
         ]
         return cls(records)
 
@@ -216,27 +209,10 @@ def catalog_lookup(f: SchubertFraction) -> Optional[KnotRecord]:
 
 
 def record_for_fraction(f: SchubertFraction) -> KnotRecord:
-    """Catalog record for f, or a synthetic one for off-catalog knots.
-
-    The synthetic record carries the crossing number of the alternating
-    normal form; the degree columns are left at zero since nothing is
-    tabulated for it.
-    """
+    """Catalog record for f, or one named by the fraction for an
+    off-catalog knot."""
     if f.is_link:
         raise DegenerateFractionError(f"{f} has even numerator: a two-component link")
     if f.alpha <= 1:
         raise DegenerateFractionError(f"{f} is the unknot")
-    rec = catalog_lookup(f)
-    if rec is not None:
-        return rec
-    n = sum(cf_expand_positive(f))
-    return KnotRecord(
-        name=str(f),
-        fraction=f,
-        crossing_number=n,
-        degC_b=0,
-        degC_c=0,
-        lex_b=0,
-        lex_c_lo=0,
-        lex_c_hi=0,
-    )
+    return catalog_lookup(f) or _knot_record(str(f), f)

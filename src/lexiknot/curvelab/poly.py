@@ -74,6 +74,9 @@ class Polynomial(Frozen):
     def _key(self) -> tuple:
         return self.cs, self.den
 
+    def __reduce__(self):
+        return Polynomial.from_integers, self._key()
+
     def __repr__(self) -> str:
         return f"Polynomial.from_integers({self.cs}, {self.den})"
 

@@ -8,6 +8,9 @@ class Frozen:
     sets its fields with ``object.__setattr__``.  Two records are equal,
     and hash alike, when they are of one class and their ``_key()`` are
     equal; ``_key`` defaults to the ``__slots__`` fields in order.
+    Copy and pickle rebuild a record by calling its class on ``_key()``,
+    so a subclass whose constructor takes other arguments overrides
+    ``__reduce__``.
     """
 
     __slots__ = ()
@@ -27,3 +30,6 @@ class Frozen:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()

@@ -542,8 +542,8 @@ class DegreeVerdict(NamedTuple):
 
     ``witness`` is the reduction trace whose ``upper`` set ``b_upper``,
     or None when the Chebyshev triple ``deg_C`` set it.  A row whose
-    computation failed has status "failed", zero bounds, no diagrams,
-    and the error with its formatted traceback.
+    computation failed has status "failed", zero bounds, no deg_C, no
+    diagrams, and the error with its formatted traceback.
     """
 
     knot: KnotRecord
@@ -552,7 +552,7 @@ class DegreeVerdict(NamedTuple):
     c_lower: int
     c_upper: int
     status: str  # "exact" | "range" | "failed"
-    deg_C: DegreeTriple
+    deg_C: Optional[DegreeTriple]
     diagrams: tuple[TrigonalDiagram, ...] = ()
     traces: tuple[ReductionTrace, ...] = ()
     witness: Optional[ReductionTrace] = None

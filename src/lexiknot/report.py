@@ -8,14 +8,15 @@ import json
 from operator import attrgetter
 from typing import Optional, Sequence
 
-from .arith import Catalog, default_catalog
-from .enumeration import DegreeTriple
+from .arith import default_catalog
 from .planereduce import DegreeVerdict, degree_verdict
 
 
-def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog] = None) -> list[DegreeVerdict]:
-    """Run the full pipeline for the requested knots, in catalog order."""
-    cat = catalog or default_catalog()
+def build_table(names: Optional[Sequence[str]] = None) -> list[DegreeVerdict]:
+    """Run the full pipeline for the requested knots, in catalog order.
+
+    A knot whose computation raises gets a failed row, with no deg_C."""
+    cat = default_catalog()
     wanted = cat.names() if names is None else list(names)
     rows: list[DegreeVerdict] = []
     for name in wanted:
@@ -25,21 +26,19 @@ def build_table(names: Optional[Sequence[str]] = None, catalog: Optional[Catalog
         except Exception as exc:  # row marked failed, others continue
             import traceback  # only on failure: at start-up it and linecache add to every run's peak memory
 
-            deg_C = DegreeTriple(3, rec.degC_b, rec.degC_c)
             error = f"{type(exc).__name__}: {exc}"
-            rows.append(
-                DegreeVerdict(rec, 0, 0, 0, 0, "failed", deg_C, error=error, traceback=traceback.format_exc())
-            )
+            rows.append(DegreeVerdict(rec, 0, 0, 0, 0, "failed", None, error=error, traceback=traceback.format_exc()))
     return rows
 
 
-# the integer knots.csv columns, in file order, and how a row computes each
+# the integer knots.csv columns, in file order, and how a row computes
+# each; the deg_C columns are None on a failed row
 _COLUMN_VALUES = {
     "alpha": attrgetter("knot.fraction.alpha"),
     "beta": attrgetter("knot.fraction.beta"),
     "N": attrgetter("knot.crossing_number"),
-    "degC_b": attrgetter("deg_C.b"),
-    "degC_c": attrgetter("deg_C.c"),
+    "degC_b": lambda r: None if r.deg_C is None else r.deg_C.b,
+    "degC_c": lambda r: None if r.deg_C is None else r.deg_C.c,
     "lex_b": attrgetter("b_upper"),
     "lex_c_lo": attrgetter("c_lower"),
     "lex_c_hi": attrgetter("c_upper"),
@@ -48,8 +47,8 @@ COLUMNS = list(_COLUMN_VALUES)
 CSV_HEADER = ["name", *COLUMNS]
 
 
-def _columns(r: DegreeVerdict) -> dict[str, int]:
-    """The integer knots.csv columns of a computed row, by name."""
+def _columns(r: DegreeVerdict) -> dict[str, Optional[int]]:
+    """The integer knots.csv columns of a row, by name."""
     return {col: value(r) for col, value in _COLUMN_VALUES.items()}
 
 
@@ -64,7 +63,7 @@ def _lex_text(r: DegreeVerdict) -> str:
 def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
     if fmt == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")  # as knots.csv; None writes an empty cell
         w.writerow(CSV_HEADER)
         for r in rows:
             w.writerow([r.knot.name, *_columns(r).values()])
@@ -77,7 +76,7 @@ def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
                     "name": r.knot.name,
                     "fraction": str(r.knot.fraction),
                     "N": r.knot.crossing_number,
-                    "deg_C": {"a": 3, "b": r.deg_C.b, "c": r.deg_C.c},
+                    "deg_C": None if r.deg_C is None else {"a": 3, "b": r.deg_C.b, "c": r.deg_C.c},
                     "simple_diagrams": [d.text() for d in r.diagrams],
                     "reductions": [
                         {
@@ -107,10 +106,8 @@ def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
                 f"deg D({','.join(str(x) for x in t.base.runs)})+{t.cost}" for t in r.traces
             )
             diags = "<br>".join(str(d) for d in r.diagrams)
-            lines.append(
-                f"| {r.knot.name} | {r.knot.fraction} | (3,{r.deg_C.b},{r.deg_C.c}) "
-                f"| {diags} | {degs} | {_lex_text(r)} |"
-            )
+            deg_C = "" if r.deg_C is None else r.deg_C
+            lines.append(f"| {r.knot.name} | {r.knot.fraction} | {deg_C} | {diags} | {degs} | {_lex_text(r)} |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

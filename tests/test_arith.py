@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from lexiknot.arith import (
     fraction_equivalent,
     parse_fraction,
 )
+from lexiknot.report import load_expected
 
 
 def frac(a, b):
@@ -167,8 +169,12 @@ class TestCatalog:
         assert len(default_catalog()) == 26
 
     def test_crossing_number_matches_normal_form(self):
+        # computed from the fraction, it is the published N column
+        shipped = resources.files("lexiknot.data").joinpath("knots.csv")
+        with resources.as_file(shipped) as path:
+            expected = load_expected(str(path))
         for rec in default_catalog():
-            assert sum(cf_expand_positive(rec.fraction)) == rec.crossing_number
+            assert rec.crossing_number == sum(cf_expand_positive(rec.fraction)) == expected[rec.name]["N"]
 
     def test_parse_fraction(self):
         assert parse_fraction("11/3") == frac(11, 3)

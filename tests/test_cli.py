@@ -234,6 +234,7 @@ def test_table_failed_row_prints_its_traceback_on_stderr(monkeypatch, capsys):
     captured = capsys.readouterr()
     (row,) = json.loads(captured.out)
     assert row["status"] == "failed" and row["error"] == "SearchExhausted: nothing for 3_1"
+    assert row["deg_C"] is None
     assert "traceback" not in row and "Traceback" not in captured.out
     lines = captured.err.splitlines()
     assert lines[0] == "3_1: FAILED: SearchExhausted: nothing for 3_1"

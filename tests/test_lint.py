@@ -1,6 +1,7 @@
 """Source-tree lints: failures raise typed errors, never bare asserts, no
 module imports dataclasses, one class holds the immutability protocol,
-and no public name goes unused."""
+no public name goes unused, and only the report reads the published
+columns of knots.csv."""
 
 import ast
 from collections import Counter
@@ -94,3 +95,16 @@ def test_every_public_name_is_used():
     }
     unused = sorted(name for name in defined if not refs[name])
     assert not unused, unused
+
+
+def test_only_the_report_reads_the_published_columns():
+    # the catalog's expected results (Chebyshev and lexicographic degrees)
+    # are read by the --diff path alone, so no computed value can be one
+    # copied from the file
+    published = {"degC_b", "degC_c", "lex_b", "lex_c_lo", "lex_c_hi"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path != SRC / "report.py":
+            names = _referenced_names(ast.parse(path.read_text(), str(path)))
+            found += [f"{path.relative_to(SRC)}: {name}" for name in sorted(published & names.keys())]
+    assert not found, found

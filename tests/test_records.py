@@ -1,6 +1,8 @@
 """The package's records: constructors, validation, value equality and hash,
 and immutability, whether NamedTuples or subclasses of frozen.Frozen."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,21 @@ def test_equal_values_are_equal_and_hash_alike(name):
     assert (a is b) == (name == "PlaneCurve")
     assert a == b and not a != b
     assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["copy", "deepcopy", "pickle"]
+)
+@pytest.mark.parametrize("name", FROZEN)
+def test_copies_and_pickle_round_trips_are_equal(name, duplicate):
+    build, field = FROZEN[name]
+    record = build()
+    twin = duplicate(record)
+    assert type(twin) is type(record)
+    assert twin == record and hash(twin) == hash(record)
+    assert getattr(twin, field) == getattr(record, field)
+    # a live curve comes back as itself, with what it has cached
+    assert (twin is record) == (name == "PlaneCurve")
 
 
 @pytest.mark.parametrize(

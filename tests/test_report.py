@@ -43,16 +43,19 @@ class TestBuildTable:
         assert row.traceback.startswith("Traceback (most recent call last):")
         assert "in exhausted" in row.traceback
         assert row.traceback.rstrip().endswith("SearchExhausted: nothing for 3_1")
-        # its b_upper of 0 is below deg_C.b, yet a failed row is never starred
-        assert (row.b_upper, row.c_lower, row.c_upper, row.deg_C.b) == (0, 0, 0, 4)
+        # nothing was computed, so there is no deg_C, and a failed row is never starred
+        assert (row.b_upper, row.c_lower, row.c_upper, row.deg_C) == (0, 0, 0, None)
         assert not row.starred
         assert (row.diagrams, row.traces, row.witness) == ((), (), None)
+        # every format prints the missing deg_C empty
+        assert emit([row], "csv").splitlines()[1] == "3_1,3,1,3,,,0,0,0"
+        assert emit([row], "md").splitlines()[2] == "| 3_1 | 3/1 |  |  |  | (3,0,0) |"
         (data,) = json.loads(emit([row], "json"))
         assert data == {
             "name": "3_1",
             "fraction": "3/1",
             "N": 3,
-            "deg_C": {"a": 3, "b": 4, "c": 5},
+            "deg_C": None,
             "simple_diagrams": [],
             "reductions": [],
             "lex": {"b": 0, "c": 0},
