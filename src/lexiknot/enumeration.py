@@ -5,12 +5,14 @@ e_i = +-1; the knot then has a Chebyshev diagram C(3, b) with b = m_C + 1
 and a parametrization (T_3, T_b, C) with deg C + b = 3N.
 
 Both come from the knot's fraction, not from testing candidates.  m_C is
-a shortest path over continuant pairs, found by one breadth-first pass.
-The simple diagrams come from one generator that expands the fraction into
-the integer sequences of its class, starting from the integers
-q = beta^(+-1) (mod alpha) within the Fibonacci bound.  The mirror image
-of a sequence is its negation, which the rules below treat alike, so the
-mirror class is left to `canonical_diagram`.
+a shortest path over continuant pairs; the breadth-first levels are the
+same for every knot, so one record of them per process serves every call
+and grows only as deep as a call asks.  The simple diagrams come from one
+generator that expands the fraction into the integer sequences of its
+class, starting from the integers q = beta^(+-1) (mod alpha) within the
+Fibonacci bound, which it applies to the next two continuants of each
+prefix.  The mirror image of a sequence is its negation, which the rules
+below treat alike, so the mirror class is left to `canonical_diagram`.
 It keeps only islet-free sequences that survive boundary conditions that
 slide isotopies remove:
 
@@ -57,31 +59,62 @@ class DegreeTriple(NamedTuple("DegreeTriple", [("a", int), ("b", int), ("c", int
         return f"({self.a},{self.b},{self.c})"
 
 
+class _PairLevels:
+    """The breadth-first levels of the +-1 continuant pairs, shared by
+    every m_C call and built only as deep as one has asked.
+
+    Level L holds the pairs +-(p, q), each kept as the one that is
+    > (0, 0), that a +-1 sequence of length L reaches and no shorter one
+    does; ``index(L)`` maps each p > 0 of level L to the residues q mod p
+    of its pairs.  The last level's pairs and every pair reached so far
+    are kept to extend the record by one more level.
+    """
+
+    def __init__(self):
+        self.indexes: list[dict[int, set[int]]] = []
+        self.last: set[tuple[int, int]] = set()
+        self.seen: set[tuple[int, int]] = set()
+
+    def index(self, length: int) -> dict[int, set[int]]:
+        while len(self.indexes) < length:
+            if self.indexes:
+                # prepending m to a tail with pair (p, q) gives (m p + q, p)
+                longer = ((m * p + q, p) for p, q in self.last for m in (1, -1))
+                level = {pq if pq > (0, 0) else (-pq[0], -pq[1]) for pq in longer} - self.seen
+            else:
+                level = {(1, 1), (1, -1)}  # +-(m, 1) for the one-entry sequences (m)
+            index: dict[int, set[int]] = {}
+            for p, q in level:
+                if p:
+                    index.setdefault(p, set()).add(q % p)
+            self.indexes.append(index)
+            self.last = level
+            self.seen |= level
+        return self.indexes[length - 1]
+
+
+_PAIR_LEVELS = _PairLevels()
+
+
 def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
     """Minimal length of a +-1 continued fraction hitting k's class (mirror included).
 
     A shortest path over continuant pairs: a sequence starts at a pair
     (alpha, q) of the class, each entry m = +-1 steps +-(p, q) to
-    +-(q, p - m q), and the last entry is one pair +-(1, +-1).  One
-    breadth-first pass runs it from that end, so no start pair needs
-    listing: the pairs at distance L are the continuant pairs of the +-1
-    sequences of length L, and m_C is the first L at which one of them
-    lies in the class.
+    +-(q, p - m q), and the last entry is one pair +-(1, +-1).  The
+    breadth-first levels from that end are the same for every knot, so
+    one record of them serves every call and is extended only as far as
+    a call asks: the pairs first reached at length L are the continuant
+    pairs of the +-1 sequences of length L with no shorter one, and m_C
+    is the first L <= cap at which one of them lies in the class.
     """
     if cap is None:
         cap = default_cap(k.crossing_number)
     alpha = k.fraction.alpha
     residues = class_residues(k.fraction, include_mirror=True)
-    level = {(1, 1), (1, -1)}  # +-(m, 1) for the one-entry sequences (m)
-    seen = set(level)
     for length in range(1, cap + 1):
-        if any(p == alpha and q % alpha in residues for p, q in level):
+        if not residues.isdisjoint(_PAIR_LEVELS.index(length).get(alpha, ())):
             return length
-        # prepending m to a tail with pair (p, q) gives (m p + q, p); each
-        # pair is kept up to sign, as the one that is > (0, 0)
-        longer = ((m * p + q, p) for p, q in level for m in (1, -1))
-        level = {pq if pq > (0, 0) else (-pq[0], -pq[1]) for pq in longer} - seen
-        seen |= level
     raise SearchExhausted(f"no +-1 representation of {k.name} with length <= {cap}")
 
 
@@ -131,8 +164,12 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
     If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
     the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
     Sum |m_i| = s bounds |continuant| by Fibonacci F_{s+1}, reached by all
-    ones.  The rules are local, so a prefix is cut as soon as an entry
-    breaks one.
+    ones.  An entry m = +-a with sum left still to spend is tried only
+    when both continuants it leads to fit: q, that of a tail of sum
+    <= left - a, within F_{left-a+1}, and p - m q, that of a tail of sum
+    <= left - a - 1, within F_{left-a}; the cut subtrees yield nothing,
+    so the output and its order do not depend on the cut.  The rules are
+    local, so a prefix is cut as soon as an entry breaks one.
     """
     if budget <= 0:
         return
@@ -149,7 +186,8 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
-                if rule(prev, m, first, False):
+                # p - m q is the continuant of a tail of sum <= left - a - 1
+                if abs(p - m * q) <= fib[left - a] and rule(prev, m, first, False):
                     yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
 
     # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and

@@ -542,15 +542,15 @@ class DegreeVerdict(NamedTuple):
 
     ``witness`` is the reduction trace whose ``upper`` set ``b_upper``,
     or None when the Chebyshev triple ``deg_C`` set it.  A row whose
-    computation failed has status "failed", zero bounds, no deg_C, no
-    diagrams, and the error with its formatted traceback.
+    computation failed has status "failed", no bounds (all four None),
+    no deg_C, no diagrams, and the error with its formatted traceback.
     """
 
     knot: KnotRecord
-    b_lower: int
-    b_upper: int
-    c_lower: int
-    c_upper: int
+    b_lower: Optional[int]
+    b_upper: Optional[int]
+    c_lower: Optional[int]
+    c_upper: Optional[int]
     status: str  # "exact" | "range" | "failed"
     deg_C: Optional[DegreeTriple]
     diagrams: tuple[TrigonalDiagram, ...] = ()

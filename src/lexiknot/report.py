@@ -15,7 +15,8 @@ from .planereduce import DegreeVerdict, degree_verdict
 def build_table(names: Optional[Sequence[str]] = None) -> list[DegreeVerdict]:
     """Run the full pipeline for the requested knots, in catalog order.
 
-    A knot whose computation raises gets a failed row, with no deg_C."""
+    A knot whose computation raises gets a failed row, with no bounds
+    and no deg_C."""
     cat = default_catalog()
     wanted = cat.names() if names is None else list(names)
     rows: list[DegreeVerdict] = []
@@ -27,12 +28,13 @@ def build_table(names: Optional[Sequence[str]] = None) -> list[DegreeVerdict]:
             import traceback  # only on failure: at start-up it and linecache add to every run's peak memory
 
             error = f"{type(exc).__name__}: {exc}"
-            rows.append(DegreeVerdict(rec, 0, 0, 0, 0, "failed", None, error=error, traceback=traceback.format_exc()))
+            trace = traceback.format_exc()
+            rows.append(DegreeVerdict(rec, None, None, None, None, "failed", None, error=error, traceback=trace))
     return rows
 
 
 # the integer knots.csv columns, in file order, and how a row computes
-# each; the deg_C columns are None on a failed row
+# each; the deg_C and lex columns are None on a failed row
 _COLUMN_VALUES = {
     "alpha": attrgetter("knot.fraction.alpha"),
     "beta": attrgetter("knot.fraction.beta"),
@@ -54,10 +56,22 @@ def _columns(r: DegreeVerdict) -> dict[str, Optional[int]]:
 
 def _lex_text(r: DegreeVerdict) -> str:
     """The Lex. degree cell of the md table: (3,b,c) or (3,b,c_lo/c_hi),
-    in bold when starred."""
+    in bold when starred; empty on a failed row."""
+    if r.b_upper is None:
+        return ""
     star = "**" if r.starred else ""
     c = r.c_lower if r.c_lower == r.c_upper else f"{r.c_lower}/{r.c_upper}"
     return f"{star}(3,{r.b_upper},{c})"
+
+
+def _lex_json(r: DegreeVerdict) -> Optional[dict[str, int]]:
+    """The lex entry of a JSON row: b and c, or b and c's range; None on
+    a failed row."""
+    if r.b_upper is None:
+        return None
+    if r.c_lower == r.c_upper:
+        return {"b": r.b_upper, "c": r.c_lower}
+    return {"b": r.b_upper, "c_lo": r.c_lower, "c_hi": r.c_upper}
 
 
 def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
@@ -87,9 +101,7 @@ def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
                         }
                         for d, t in zip(r.diagrams, r.traces)
                     ],
-                    "lex": {"b": r.b_upper, "c": r.c_lower}
-                    if r.c_lower == r.c_upper
-                    else {"b": r.b_upper, "c_lo": r.c_lower, "c_hi": r.c_upper},
+                    "lex": _lex_json(r),
                     "status": r.status,
                     "starred": r.starred,
                     **({"error": r.error} if r.error else {}),

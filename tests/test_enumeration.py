@@ -1,21 +1,111 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from lexiknot.arith import cf_eval, cf_eval_pair, default_catalog, fraction_equivalent
+from lexiknot.arith import (
+    SchubertFraction,
+    cf_eval,
+    cf_eval_pair,
+    cf_expand_positive,
+    class_residues,
+    default_catalog,
+    fraction_equivalent,
+    record_for_fraction,
+)
 from lexiknot.diagram import TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import (
     DegreeTriple,
     SearchExhausted,
     _class_sequences,
+    _simple_step,
+    _slide_step,
     canonical_diagram,
     chebyshev_degree,
+    default_cap,
     enumerate_simple_diagrams,
     m_C,
     table_budget,
 )
 
 CAT = default_catalog()
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the crossing numbers the m_C oracle and the prune differential reach;
+# CI runs them with 12 and 11
+MC_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_MC_ORACLE_CROSSINGS", "10"))
+PRUNE_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_PRUNE_ORACLE_CROSSINGS", "9"))
+
+
+def knot_classes(max_crossings):
+    """One fraction of each two-bridge knot with at most max_crossings
+    crossings, a knot and its mirror image as one: alpha odd, beta the
+    least residue of the class and its mirror."""
+    fib = [0, 1]
+    while len(fib) <= max_crossings + 1:
+        fib.append(fib[-1] + fib[-2])
+    out = []
+    for alpha in range(3, fib[max_crossings + 1] + 1, 2):  # a continuant of sum n is at most F_{n+1}
+        for beta in range(1, alpha):
+            f = SchubertFraction.make(alpha, beta)
+            if gcd(alpha, beta) == 1 and beta == min(class_residues(f, include_mirror=True)):
+                if sum(cf_expand_positive(f)) <= max_crossings:
+                    out.append(f)
+    return out
+
+
+def class_images(f):
+    """f, its inverse beta^-1 and its mirror -beta: three fractions of one class up to mirror."""
+    return (f, SchubertFraction.make(f.alpha, pow(f.beta, -1, f.alpha)), SchubertFraction.make(f.alpha, -f.beta))
+
+
+def m_C_by_its_own_search(k, cap=None):
+    """m_C by a breadth-first pass from +-(1, +-1) that builds its levels
+    afresh on every call and shares nothing."""
+    if cap is None:
+        cap = default_cap(k.crossing_number)
+    alpha = k.fraction.alpha
+    residues = class_residues(k.fraction, include_mirror=True)
+    level = {(1, 1), (1, -1)}
+    seen = set(level)
+    for length in range(1, cap + 1):
+        if any(p == alpha and q % alpha in residues for p, q in level):
+            return length
+        longer = ((m * p + q, p) for p, q in level for m in (1, -1))
+        level = {pq if pq > (0, 0) else (-pq[0], -pq[1]) for pq in longer} - seen
+        seen |= level
+    return None
+
+
+def class_sequences_unpruned(f, budget, strict=False):
+    """The class generator with the Fibonacci bound on the next
+    continuant only, not on the one after it."""
+    if budget <= 0:
+        return
+    fib = [0, 1]
+    while len(fib) <= budget + 1:
+        fib.append(fib[-1] + fib[-2])
+    rule = _slide_step if strict else _simple_step
+
+    def expand(p, q, left, prev, first):
+        if abs(q) == 1 and 0 < abs(p) <= left and rule(prev, p * q, first, True):
+            yield (p * q,)
+        for a in range(1, left):
+            if abs(q) > fib[left - a + 1]:
+                break
+            for m in (a, -a):
+                if rule(prev, m, first, False):
+                    yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
+
+    alpha, bound = f.alpha, fib[budget]
+    for r in sorted(class_residues(f)):
+        for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
+            yield from expand(alpha, q, budget, 0, False)
 
 
 def signed_sequences(budget):
@@ -62,8 +152,44 @@ class TestMC:
         assert m_C(CAT.get("7_7")) == 7
 
     def test_not_found_within_cap(self):
-        with pytest.raises(SearchExhausted):
-            m_C(CAT.get("8_12"), cap=6)
+        # also once m_C(8_12) = 10 has built the levels past the cap
+        rec = CAT.get("8_12")
+        assert m_C(rec) == 10
+        for cap in (6, 9):
+            with pytest.raises(SearchExhausted):
+                m_C(rec, cap=cap)
+
+    def test_equals_a_search_of_its_own_on_every_class(self):
+        # every class up to MC_ORACLE_CROSSINGS crossings, as beta, beta^-1
+        # and -beta; one cap short of m_C finds nothing
+        for f in knot_classes(MC_ORACLE_CROSSINGS):
+            for g in class_images(f):
+                rec = record_for_fraction(g)
+                expected = m_C_by_its_own_search(rec)
+                if expected is None:
+                    with pytest.raises(SearchExhausted):
+                        m_C(rec)
+                    continue
+                assert m_C(rec) == expected, g
+                with pytest.raises(SearchExhausted):
+                    m_C(rec, cap=expected - 1)
+
+    def test_levels_are_built_on_demand_in_any_order(self):
+        # a fresh interpreter builds no level at import; asked deepest
+        # first, later calls read levels built for a longer search
+        fractions = sorted(knot_classes(9), key=lambda f: f.alpha, reverse=True)
+        code = (
+            f"import json, sys; sys.path.insert(0, {str(SRC)!r}); import lexiknot.cli; "
+            "from lexiknot import enumeration as e; from lexiknot.arith import SchubertFraction, record_for_fraction; "
+            "built = len(e._PAIR_LEVELS.indexes); "
+            "print(json.dumps([built, [e.m_C(record_for_fraction(SchubertFraction.make(a, b))) "
+            "for a, b in json.loads(sys.argv[1])]]))"
+        )
+        pairs = json.dumps([[f.alpha, f.beta] for f in fractions])
+        out = subprocess.run([sys.executable, "-c", code, pairs], capture_output=True, text=True, check=True).stdout
+        built, answers = json.loads(out)
+        assert built == 0
+        assert answers == [m_C_by_its_own_search(record_for_fraction(f)) for f in fractions]
 
     def test_fibonacci_growth_bound(self):
         # no +-1 word of length m can reach alpha beyond the Fibonacci range
@@ -122,6 +248,17 @@ class TestClassSequences:
             fib.append(fib[-1] + fib[-2])
         for s in signed_sequences(10):
             assert abs(cf_eval_pair(s)[0]) <= fib[sum(map(abs, s)) + 1], s
+
+    def test_prune_cuts_only_dead_subtrees(self):
+        # the same list, in the same order, as the generator without the
+        # bound on the continuant two entries on, for every class up to
+        # PRUNE_ORACLE_CROSSINGS crossings at budgets N..N+3
+        for f in knot_classes(PRUNE_ORACLE_CROSSINGS):
+            n = sum(cf_expand_positive(f))
+            for budget in range(n, n + 4):
+                for strict in (False, True):
+                    expected = list(class_sequences_unpruned(f, budget, strict))
+                    assert list(_class_sequences(f, budget, strict)) == expected, (f, budget, strict)
 
     @pytest.mark.parametrize("budget", [0, -1, -3])
     def test_empty_budget_yields_nothing(self, budget):

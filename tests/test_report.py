@@ -43,13 +43,14 @@ class TestBuildTable:
         assert row.traceback.startswith("Traceback (most recent call last):")
         assert "in exhausted" in row.traceback
         assert row.traceback.rstrip().endswith("SearchExhausted: nothing for 3_1")
-        # nothing was computed, so there is no deg_C, and a failed row is never starred
-        assert (row.b_upper, row.c_lower, row.c_upper, row.deg_C) == (0, 0, 0, None)
+        # nothing was computed, so there are no bounds and no deg_C, and a
+        # failed row is never starred
+        assert (row.b_lower, row.b_upper, row.c_lower, row.c_upper, row.deg_C) == (None, None, None, None, None)
         assert not row.starred
         assert (row.diagrams, row.traces, row.witness) == ((), (), None)
-        # every format prints the missing deg_C empty
-        assert emit([row], "csv").splitlines()[1] == "3_1,3,1,3,,,0,0,0"
-        assert emit([row], "md").splitlines()[2] == "| 3_1 | 3/1 |  |  |  | (3,0,0) |"
+        # every format prints the missing deg_C and lexicographic degree empty
+        assert emit([row], "csv").splitlines()[1] == "3_1,3,1,3,,,,,"
+        assert emit([row], "md").splitlines()[2] == "| 3_1 | 3/1 |  |  |  |  |"
         (data,) = json.loads(emit([row], "json"))
         assert data == {
             "name": "3_1",
@@ -58,7 +59,7 @@ class TestBuildTable:
             "deg_C": None,
             "simple_diagrams": [],
             "reductions": [],
-            "lex": {"b": 0, "c": 0},
+            "lex": None,
             "status": "failed",
             "starred": False,
             "error": "SearchExhausted: nothing for 3_1",
