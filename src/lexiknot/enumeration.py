@@ -32,7 +32,7 @@ as soon as it breaks one and never builds a sequence it would drop.
 from __future__ import annotations
 
 from math import ceil, gcd
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arith import KnotRecord, SchubertFraction, class_residues
 from .diagram import TrigonalDiagram, crossing_number
@@ -154,7 +154,7 @@ def _slide_step(prev: int, m: int, first: bool, last: bool) -> bool:
     return prev == 0 or abs(m) != 1 or m * prev > 0
 
 
-def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> Iterator[tuple[int, ...]]:
+def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> list[tuple[int, ...]]:
     """Every nonzero sequence with sum |m_i| <= budget whose continued
     fraction lies in f's class and that passes the simple-diagram rule
     (``strict``: the slide-normal rule), each once.  The mirror class
@@ -167,44 +167,53 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
     ones.  An entry m = +-a with sum left still to spend is tried only
     when both continuants it leads to fit: q, that of a tail of sum
     <= left - a, within F_{left-a+1}, and p - m q, that of a tail of sum
-    <= left - a - 1, within F_{left-a}; the cut subtrees yield nothing,
+    <= left - a - 1, within F_{left-a}; the cut subtrees hold no sequence,
     so the output and its order do not depend on the cut.  The rules are
-    local, so a prefix is cut as soon as an entry breaks one.
+    local, so a prefix is cut as soon as an entry breaks one.  The pass
+    extends one shared prefix list and appends to one output list.
     """
+    out: list[tuple[int, ...]] = []
     if budget <= 0:
-        return
+        return out
     fib = [0, 1]
     while len(fib) <= budget + 1:
         fib.append(fib[-1] + fib[-2])
     rule = _slide_step if strict else _simple_step
+    prefix: list[int] = []
 
-    def expand(p: int, q: int, left: int, prev: int, first: bool) -> Iterator[tuple[int, ...]]:
-        """The allowed tails after the entry prev with pair +-(p, q) and sum |m_i| <= left."""
+    def expand(p: int, q: int, left: int, prev: int, first: bool) -> None:
+        """Append prefix + each allowed tail after prev with pair +-(p, q) and sum |m_i| <= left."""
         if abs(q) == 1 and 0 < abs(p) <= left and rule(prev, p * q, first, True):
-            yield (p * q,)
+            out.append((*prefix, p * q))
         for a in range(1, left):
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
                 # p - m q is the continuant of a tail of sum <= left - a - 1
                 if abs(p - m * q) <= fib[left - a] and rule(prev, m, first, False):
-                    yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
+                    prefix.append(m)
+                    expand(q, p - m * q, left - a, m, prev == 0)
+                    prefix.pop()
 
     # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and
     # p = alpha > 0 fixes the sign, so each sequence has exactly one q
     alpha, bound = f.alpha, fib[budget]
     for r in sorted(class_residues(f)):
         for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
-            yield from expand(alpha, q, budget, 0, False)
+            expand(alpha, q, budget, 0, False)
+    return out
+
+
+def _canonical_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Least of {entries, reversal, negation, both}, preferring a positive leading entry."""
+    images = [entries, entries[::-1]]
+    images += [tuple([-m for m in e]) for e in images]
+    return min(images, key=lambda e: (e[0] <= 0, e))
 
 
 def canonical_diagram(d: TrigonalDiagram) -> TrigonalDiagram:
-    """Representative of {d, reversal, mirror, both}: lexicographically
-    least entries, preferring a positive leading entry."""
-    images = [d.entries, d.entries[::-1]]
-    images += [tuple(-m for m in e) for e in images]
-    best = min(images, key=lambda e: (0 if e[0] > 0 else 1, e))
-    return TrigonalDiagram(best)
+    """Representative of {d, reversal, mirror, both}: its `_canonical_entries`."""
+    return TrigonalDiagram(_canonical_entries(d.entries))
 
 
 def enumerate_simple_diagrams(
@@ -225,7 +234,7 @@ def enumerate_simple_diagrams(
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
     if budget > 16:
         raise ValueError("budgets beyond 16 crossings are out of range")
-    found = {canonical_diagram(TrigonalDiagram(e)).entries for e in _class_sequences(k.fraction, budget, strict)}
+    found = {_canonical_entries(e) for e in _class_sequences(k.fraction, budget, strict)}
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 

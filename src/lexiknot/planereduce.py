@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from functools import cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import KnotRecord
 from .diagram import TrigonalDiagram
@@ -123,7 +124,8 @@ def word_images(runs: Runs) -> list[Runs]:
 
 
 def canonical_runs(runs: Runs) -> Runs:
-    return min(word_images(runs), key=lambda r: (len(r), r))
+    runs = normalize_runs(runs)
+    return min(runs, runs[::-1])  # the two images have one length
 
 
 def runs_to_letters(runs: Runs) -> tuple[int, ...]:
@@ -357,11 +359,13 @@ def _two_run_exact(runs: Runs) -> Optional[int]:
     return (3 * n - 1) // 2
 
 
+@cache
 def _base(runs: Runs) -> tuple[int, str, Optional[int], int]:
     """What is known of a word without searching, from one table lookup:
     its best lower bound with the rule that fired, its exact degree if a
     realization is known, and its kind, the preference order when traces
-    tie (0 for named entries, 1 for the one/two-run family, 2 otherwise)."""
+    tie (0 for named entries, 1 for the one/two-run family, 2 otherwise).
+    Memoized per word; the searches ask only about canonical words."""
     entry = base_table().lookup(runs)
     two = _two_run_exact(runs)
     lower = _crossing_rule(sum(runs))
@@ -404,22 +408,32 @@ class ReductionTrace(NamedTuple):
         return PlaneWord(w)
 
 
-def _reduction_moves(img_idx: int, img: Runs) -> Iterator[tuple[Move, Runs]]:
-    """The moves of the degree arithmetic on one image: the curated
+# canonical word -> its (move, canonical target)s, filled as searches reach it
+_SUCCESSORS: dict[Runs, tuple[tuple[Move, Runs], ...]] = {}
+
+
+def _successors(runs: Runs) -> tuple[tuple[Move, Runs], ...]:
+    """The moves of the degree arithmetic from a canonical word, on image
+    0 (the word) and then on image 1 (its reversal): the curated
     identities (indexed into the sorted partner list as replay reads
-    them), then R and the boundary R."""
-    for pos, tgt in enumerate(_PARTNERS.get(img, ())):
-        yield ("ident", img_idx, pos), tgt
-    word = PlaneWord(img)
-    for i in range(len(img) - 2):
-        if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
-            yield ("R", img_idx, i), apply_R(word, i).runs
-    if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
-        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs
+    them), then R and the boundary R.  Only the first move to a target
+    is kept, the only one that can record it: an identity and an R step
+    never share one, since R removes three crossings."""
+    out: dict[Runs, Move] = {}
+    for img_idx, img in enumerate((runs, runs[::-1])):
+        for pos, tgt in enumerate(_PARTNERS.get(img, ())):
+            out.setdefault(canonical_runs(tgt), ("ident", img_idx, pos))
+        for i in range(len(img) - 2):
+            if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
+                tgt = img[:i] + (img[i] - 1, img[i + 2] - 1) + img[i + 3 :]
+                out.setdefault(canonical_runs(tgt), ("R", img_idx, i))
+        if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
+            out.setdefault(canonical_runs((0, img[1] - 1) + img[2:]), ("Rb", img_idx, 0))
+    return tuple((move, tgt) for tgt, move in out.items())
 
 
 def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[tuple[Runs, Move]]]:
-    """The canonical word classes reachable from w by `_reduction_moves`,
+    """The canonical word classes reachable from w by `_successors`,
     each mapped to the (parent, move) that first reached it, and the
     start word to None.  Braid exchanges and boundary slides stay out of
     it, keeping every degree claim anchored to explicit curves.
@@ -428,7 +442,8 @@ def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[t
     path to a word costs sum(start) - sum(word) and the search is plain
     reachability.  Identities go to the front of the queue, which fixes
     the parent each word records; once ``depth`` R steps are spent, R
-    moves are skipped.
+    moves are skipped.  Every search walks one graph, `_SUCCESSORS`,
+    which gets a word's moves the first time any search reaches it.
     """
     start = canonical_runs(w.runs)
     n = sum(start)
@@ -437,18 +452,14 @@ def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[t
     while queue:
         cur = queue.popleft()
         capped = depth is not None and (n - sum(cur)) // 3 >= depth
-        for img_idx, img in enumerate(word_images(cur)):
-            for move, tgt in _reduction_moves(img_idx, img):
-                ident = move[0] == "ident"
-                if capped and not ident:
-                    continue
-                key = canonical_runs(tgt)
-                if key not in parents:
-                    parents[key] = (cur, move)
-                    if ident:
-                        queue.appendleft(key)
-                    else:
-                        queue.append(key)
+        moves = _SUCCESSORS.get(cur)
+        if moves is None:
+            moves = _SUCCESSORS[cur] = _successors(cur)
+        for move, tgt in moves:
+            ident = move[0] == "ident"
+            if tgt not in parents and (ident or not capped):
+                parents[tgt] = (cur, move)
+                (queue.appendleft if ident else queue.append)(tgt)
     return parents
 
 

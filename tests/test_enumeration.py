@@ -82,9 +82,10 @@ def m_C_by_its_own_search(k, cap=None):
     return None
 
 
-def class_sequences_unpruned(f, budget, strict=False):
-    """The class generator with the Fibonacci bound on the next
-    continuant only, not on the one after it."""
+def class_sequences_by_generators(f, budget, strict=False, prune=True):
+    """The class generator as a chain of nested generators, each level
+    rebuilding its tails as (m,) + tail; without ``prune``, with the
+    Fibonacci bound on the next continuant only, not on the one after it."""
     if budget <= 0:
         return
     fib = [0, 1]
@@ -99,13 +100,24 @@ def class_sequences_unpruned(f, budget, strict=False):
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
-                if rule(prev, m, first, False):
+                if (not prune or abs(p - m * q) <= fib[left - a]) and rule(prev, m, first, False):
                     yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
 
     alpha, bound = f.alpha, fib[budget]
     for r in sorted(class_residues(f)):
         for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
             yield from expand(alpha, q, budget, 0, False)
+
+
+def simple_diagrams_by_generators(rec, budget, strict=False):
+    """enumerate_simple_diagrams as a canonical TrigonalDiagram per
+    sequence of the generator chain, each canonicalized by its own key."""
+    found = set()
+    for e in class_sequences_by_generators(rec.fraction, budget, strict):
+        images = [e, e[::-1]]
+        images += [tuple(-m for m in x) for x in images]
+        found.add(TrigonalDiagram(min(images, key=lambda x: (0 if x[0] > 0 else 1, x))).entries)
+    return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
 def signed_sequences(budget):
@@ -257,7 +269,7 @@ class TestClassSequences:
             n = sum(cf_expand_positive(f))
             for budget in range(n, n + 4):
                 for strict in (False, True):
-                    expected = list(class_sequences_unpruned(f, budget, strict))
+                    expected = list(class_sequences_by_generators(f, budget, strict, prune=False))
                     assert list(_class_sequences(f, budget, strict)) == expected, (f, budget, strict)
 
     @pytest.mark.parametrize("budget", [0, -1, -3])
@@ -356,6 +368,17 @@ class TestEnumeration:
                 )
             }
             assert ours == kept
+
+    def test_equals_the_generator_chain_on_every_class(self):
+        # the same diagrams in the same order as a canonical TrigonalDiagram
+        # per sequence of the nested-generator pass, for every class up to
+        # 10 crossings at budgets N..N+3 under both filters
+        for f in knot_classes(10):
+            rec = record_for_fraction(f)
+            for budget in range(rec.crossing_number, rec.crossing_number + 4):
+                for strict in (False, True):
+                    expected = simple_diagrams_by_generators(rec, budget, strict)
+                    assert enumerate_simple_diagrams(rec, budget, strict) == expected, (f, budget, strict)
 
     def test_budget_below_crossing_number_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from itertools import combinations
 from pathlib import Path
 
@@ -26,12 +30,17 @@ from lexiknot.planereduce import (
     project,
     reduction_search,
     same_word_class,
+    word_images,
 )
 
 W = PlaneWord
 CAT = default_catalog()
 # verdicts of the 69 nine- and ten-crossing classes, recorded by the benchmark
 QUERIES = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "queries.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the crossing number the reduction oracle reaches; CI runs it with 12
+REDUCTION_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_REDUCTION_ORACLE_CROSSINGS", "9"))
 
 
 def all_words(max_crossings):
@@ -45,6 +54,56 @@ def all_words(max_crossings):
                 runs = tuple(ends[i + 1] - ends[i] for i in range(k + 1))
                 out += [runs, (0,) + runs]
     return out
+
+
+def normalized_words(max_crossings):
+    """Every normalized word with at most max_crossings crossings: positive
+    runs with or without a single zero at either end, and the empty word."""
+    words = all_words(max_crossings)
+    return words + [runs + (0,) for runs in words if runs]
+
+
+def canonical_by_its_own_key(runs):
+    return min(word_images(runs), key=lambda r: (len(r), r))
+
+
+def reduction_moves_by_their_own_rewrites(img_idx, img):
+    """The moves of the degree arithmetic on one image, rewritten through
+    PlaneWord, apply_R and apply_boundary_R and left as the rewrite gives
+    them: the identities, then R, then the boundary R."""
+    for pos, tgt in enumerate(planereduce._PARTNERS.get(img, ())):
+        yield ("ident", img_idx, pos), tgt
+    word = PlaneWord(img)
+    for i in range(len(img) - 2):
+        if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
+            yield ("R", img_idx, i), apply_R(word, i).runs
+    if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
+        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs
+
+
+def explore_by_its_own_search(w, depth=None):
+    """The reduction search that computes every move of every word it
+    reaches, on both images, and shares nothing between calls."""
+    start = canonical_by_its_own_key(w.runs)
+    n = sum(start)
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        capped = depth is not None and (n - sum(cur)) // 3 >= depth
+        for img_idx, img in enumerate(word_images(cur)):
+            for move, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
+                ident = move[0] == "ident"
+                if capped and not ident:
+                    continue
+                key = canonical_by_its_own_key(tgt)
+                if key not in parents:
+                    parents[key] = (cur, move)
+                    if ident:
+                        queue.appendleft(key)
+                    else:
+                        queue.append(key)
+    return parents
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -254,6 +313,67 @@ class TestReductionSearch:
     def test_depth_cap(self):
         trace = reduction_search(W((2, 1, 2, 2)), depth=1)
         assert trace.cost <= 3
+
+    def test_equals_a_search_of_its_own_on_every_word(self, monkeypatch):
+        # every field of every trace, on every normalized word up to
+        # REDUCTION_ORACLE_CROSSINGS crossings at depths 0, 1, 2 and None:
+        # once from an empty graph, depth-capped searches first, then again
+        # in reverse order on the graph the first pass filled
+        words = normalized_words(REDUCTION_ORACLE_CROSSINGS)
+        cases = [(runs, depth) for depth in (0, 1, 2, None) for runs in words]
+        with monkeypatch.context() as m:
+            m.setattr(planereduce, "_explore", explore_by_its_own_search)
+            m.setattr(planereduce, "_base", planereduce._base.__wrapped__)
+            expected = {case: reduction_search(W(case[0]), case[1])._asdict() for case in cases}
+        planereduce._SUCCESSORS.clear()
+        planereduce._base.cache_clear()
+        for order in (cases, cases[::-1]):
+            for runs, depth in order:
+                assert reduction_search(W(runs), depth)._asdict() == expected[runs, depth], (runs, depth)
+        # each word's entry keeps the first move to each target, in the
+        # order the rewrites give them
+        for runs, moves in planereduce._SUCCESSORS.items():
+            first: dict = {}
+            for img_idx, img in enumerate(word_images(runs)):
+                for move, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
+                    first.setdefault(canonical_by_its_own_key(tgt), move)
+            assert moves == tuple((move, tgt) for tgt, move in first.items()), runs
+
+    def test_one_reduction_graph_per_process(self):
+        # a fresh interpreter holds no successor and no base fact after its
+        # imports; one table pass computes each word's moves once, for
+        # exactly the words its searches explore
+        code = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+import lexiknot.cli, lexiknot.curvelab
+from lexiknot import planereduce as p
+from lexiknot.report import build_table
+
+at_import = [len(p._SUCCESSORS), p._base.cache_info().currsize]
+computed, explored = [], set()
+successors, explore = p._successors, p._explore
+
+def counted(runs):
+    computed.append(runs)
+    return successors(runs)
+
+def recorded(w, depth=None):
+    parents = explore(w, depth)
+    explored.update(parents)
+    return parents
+
+p._successors, p._explore = counted, recorded
+build_table()
+facts = p._base.cache_info()
+print(json.dumps([at_import, computed, sorted(p._SUCCESSORS), sorted(explored), [facts.currsize, facts.misses]]))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        at_import, computed, graph, explored, facts = json.loads(out)
+        assert at_import == [0, 0]
+        assert len(computed) == len({tuple(r) for r in computed}) == 73
+        assert sorted(computed) == graph == explored
+        assert facts == [73, 73]
 
     def test_trace_bound_is_the_lower_bound(self):
         words = all_words(9)
