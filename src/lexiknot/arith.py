@@ -17,6 +17,7 @@ NamedTuples: immutable, equal and hashed as their fields.
 from __future__ import annotations
 
 import csv
+from functools import cache
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -194,14 +195,9 @@ class Catalog:
         return None
 
 
-_DEFAULT_CATALOG: Optional[Catalog] = None
-
-
+@cache
 def default_catalog() -> Catalog:
-    global _DEFAULT_CATALOG
-    if _DEFAULT_CATALOG is None:
-        _DEFAULT_CATALOG = Catalog.load()
-    return _DEFAULT_CATALOG
+    return Catalog.load()
 
 
 def catalog_lookup(f: SchubertFraction) -> Optional[KnotRecord]:

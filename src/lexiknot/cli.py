@@ -60,6 +60,9 @@ def _knot_names(text: str) -> list[str]:
     unknown = [n for n in names if n not in default_catalog().names()]
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown knot(s): {', '.join(unknown)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"knot(s) named twice: {', '.join(repeated)}")
     return names
 
 
@@ -149,8 +152,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         out["fraction"] = str(d.fraction())
         out["knot"] = rec.name if rec else None
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(curve, cs))
+        svg = render_svg(curve, cs)
+        try:
+            with open(args.svg, "w") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            return _usage_error("curve", f"argument --svg: cannot write {args.svg}: {exc.strerror}")
         out["svg"] = args.svg
     if args.json:
         print(json.dumps(out, indent=2))

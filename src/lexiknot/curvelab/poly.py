@@ -94,8 +94,8 @@ class Polynomial(Frozen):
         return cls([c])
 
     @classmethod
-    def from_roots(cls, roots: Sequence[Rat], lead: Rat = 1) -> "Polynomial":
-        p = cls.const(lead)
+    def from_roots(cls, roots: Sequence[Rat]) -> "Polynomial":
+        p = cls.const(1)
         for r in roots:
             p = p * cls([-_frac(r), 1])
         return p

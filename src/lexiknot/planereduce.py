@@ -20,15 +20,17 @@ accounting of the results table exercises on words without interior
 single-crossing runs.
 
 Cost-free identifications between realizable words: reversal (a
-parameter sign change preserves degrees), the braid exchange on three
-consecutive alternating crossings (perturb the triple point both ways),
-and a small curated list of whole-word identities read off explicit
+parameter sign change preserves degrees), the braid exchange, and a
+small curated list of whole-word identities read off explicit
 low-degree curves: (2,2) ~ (1,1,1,1), (3) ~ (1,1,1), (0,2) ~ (0,1,1),
-and the merging of all one-crossing words.  Sub-word use of the curated
-identities is unsound (it would collapse word classes with different
-minimal degrees), so they apply to whole words only; the degree
-arithmetic additionally leaves braid exchanges to the word-class
-matcher, whose identifications are not fed back into bounds.
+and the merging of all one-crossing words.  The braid exchange swaps
+the two resolutions of one triple point, (u, m+1, 1, n+1, v) and
+(u, m, 1, 1, 1, n, v), read at an R window; R takes both to (u, m, n, v).
+Sub-word use of the curated identities is unsound (it would collapse
+word classes with different minimal degrees), so they apply to whole
+words only; the degree arithmetic additionally leaves braid exchanges
+to the word-class matcher, whose identifications are not fed back into
+bounds.  Every move rewrites run tuples, and each is written once.
 """
 
 from __future__ import annotations
@@ -89,32 +91,24 @@ class PlaneWord(Frozen):
     def crossings(self) -> int:
         return sum(self.runs)
 
-    def normalized(self) -> "PlaneWord":
-        return PlaneWord(normalize_runs(self.runs))
-
 
 def normalize_runs(runs: Runs) -> Runs:
-    """Collapse interior zeros and doubled boundary zeros."""
-    runs = tuple(runs)
-    changed = True
-    while changed:
-        changed = False
-        if len(runs) >= 2 and runs[0] == 0 and runs[1] == 0:
-            runs = runs[2:]
-            changed = True
-            continue
-        if len(runs) >= 2 and runs[-1] == 0 and runs[-2] == 0:
-            runs = runs[:-2]
-            changed = True
-            continue
-        for i in range(1, len(runs) - 1):
-            if runs[i] == 0:
-                runs = runs[: i - 1] + (runs[i - 1] + runs[i + 1],) + runs[i + 2 :]
-                changed = True
-                break
-    if runs == (0,):
-        return ()
-    return runs
+    """Collapse interior zeros and doubled boundary zeros in one pass: a
+    zero with a run on its left joins that run to the next one, and a
+    word with no crossings is ()."""
+    out: list[int] = []
+    join = False
+    for r in runs:
+        if join:
+            out[-1] += r
+            join = False
+        elif r == 0 and out:
+            join = True
+        else:
+            out.append(r)
+    if join:
+        out.append(0)
+    return tuple(out) if any(out) else ()
 
 
 def word_images(runs: Runs) -> list[Runs]:
@@ -126,14 +120,6 @@ def word_images(runs: Runs) -> list[Runs]:
 def canonical_runs(runs: Runs) -> Runs:
     runs = normalize_runs(runs)
     return min(runs, runs[::-1])  # the two images have one length
-
-
-def runs_to_letters(runs: Runs) -> tuple[int, ...]:
-    """Crossing positions in x-order: 0 for odd slots, 1 for even slots."""
-    out: list[int] = []
-    for i, r in enumerate(runs):
-        out.extend([i % 2] * r)
-    return tuple(out)
 
 
 def letters_to_runs(letters: Sequence[int], trail0: bool) -> Runs:
@@ -167,24 +153,39 @@ def project(d: TrigonalDiagram) -> PlaneWord:
 # moves
 
 
+def _moves(runs: Runs) -> dict[tuple[str, int], Runs]:
+    """The moves of the degree arithmetic on a word, keyed by kind and
+    position, to their targets before normalization, in the order the
+    searches take them: the curated identities ("ident", indexed into
+    the sorted partner list), R at each window i where runs i, i+1, i+2
+    read (>=1, 1, >=1), (.., a, 1, b, ..) -> (.., a-1, b-1, ..), and the
+    boundary R ("Rb" at 0), (2, a, y) -> (0, a-1, y) for a >= 1."""
+    out = {("ident", pos): tgt for pos, tgt in enumerate(_PARTNERS.get(runs, ()))}
+    for i in range(len(runs) - 2):
+        if runs[i] >= 1 and runs[i + 1] == 1 and runs[i + 2] >= 1:
+            out["R", i] = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
+    if len(runs) >= 2 and runs[0] == 2 and runs[1] >= 1:
+        out["Rb", 0] = (0, runs[1] - 1) + runs[2:]
+    return out
+
+
+def _move_target(runs: Runs, kind: str, pos: int) -> Runs:
+    """The target of one move on a word, before normalization; a
+    MoveError where the move does not apply."""
+    tgt = _moves(runs).get((kind, pos))
+    if tgt is None:
+        raise MoveError(f"no {kind} move at position {pos} of {PlaneWord(runs)}")
+    return tgt
+
+
 def apply_R(w: PlaneWord, i: int) -> PlaneWord:
     """Reduction R at run index i: (.., a, 1, b, ..) -> (.., a-1, b-1, ..)."""
-    runs = w.runs
-    if not (0 <= i <= len(runs) - 3):
-        raise MoveError(f"no room for the R pattern at index {i} of {w}")
-    if runs[i] < 1 or runs[i + 1] != 1 or runs[i + 2] < 1:
-        raise MoveError(f"R pattern (>=1, 1, >=1) absent at index {i} of {w}")
-    out = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
-    return PlaneWord(normalize_runs(out))
+    return PlaneWord(normalize_runs(_move_target(w.runs, "R", i)))
 
 
 def apply_boundary_R(w: PlaneWord) -> PlaneWord:
     """Boundary reduction (2, a, y) -> (0, a-1, y)."""
-    runs = w.runs
-    if len(runs) < 2 or runs[0] != 2 or runs[1] < 1:
-        raise MoveError(f"boundary pattern (2, >=1, ...) absent in {w}")
-    out = (0, runs[1] - 1) + runs[2:]
-    return PlaneWord(normalize_runs(out))
+    return PlaneWord(normalize_runs(_move_target(w.runs, "Rb", 0)))
 
 
 def inverse_R(w: PlaneWord, split: tuple[int, int], branch: str) -> PlaneWord:
@@ -230,38 +231,31 @@ _PARTNERS: dict[Runs, tuple[Runs, ...]] = {
 
 
 def _braid_rewrites(runs: Runs) -> set[Runs]:
-    """Exchange three consecutive alternating crossings: aba -> bab.
-
-    When the rewrite moves the last crossing to the other position the
-    trailing marker toggles with it (the turning point stays put).
-    """
-    letters = runs_to_letters(runs)
-    trail0 = bool(runs) and runs[-1] == 0
-    out: set[Runs] = set()
-    for j in range(len(letters) - 2):
-        a, b, c = letters[j : j + 3]
-        if a == c != b:
-            new = letters[:j] + (b, a, b) + letters[j + 3 :]
-            new_trail0 = trail0 ^ (new[-1] != letters[-1])
-            out.add(letters_to_runs(new, new_trail0))
-    return out
+    """Exchange three consecutive alternating crossings, aba -> bab: swap
+    the two resolutions of the triple point at each R window of a
+    normalized word, branches A (u, m+1, 1, n+1, v) and B (u, m, 1, 1,
+    1, n, v), by putting (1, 1, 1) back into their common R target
+    (u, m, n, v).  A run emptied at the end leaves a zero, which toggles
+    the trailing marker as the last crossing changes position."""
+    moves = _moves(runs).items()
+    return {normalize_runs(t[: i + 1] + (1, 1, 1) + t[i + 1 :]) for (kind, i), t in moves if kind == "R"}
 
 
 def _boundary_slides(runs: Runs) -> set[Runs]:
-    """Slide the outermost crossing around its adjacent turning point.
-
+    """Slide an outermost crossing of a normalized word around its
+    turning point, which keeps its boundary zero: the first crossing
+    splits off its run on a word of at least two crossings,
+    (lead, c1, ..) -> (lead, 1, c1-1, ..), and the last crossing moves
+    to the other position, (.., ck, trail) -> (.., ck-1, 1, trail).
     Word-normalization move only (it feeds the class matcher, never the
-    degree arithmetic): the boundary crossing changes position while the
-    turning point moves with it, keeping the boundary marker."""
-    letters = runs_to_letters(runs)
-    if not letters:
+    degree arithmetic)."""
+    if not runs:
         return set()
-    trail0 = bool(runs) and runs[-1] == 0
-    out = {
-        letters_to_runs((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
-        letters_to_runs(letters[:-1] + (1 - letters[-1],), trail0),
-    }
-    out.discard(normalize_runs(runs))
+    i = int(runs[0] == 0)  # the first and the last positive run
+    j = len(runs) - 1 - (runs[-1] == 0)
+    out = {normalize_runs(runs[:j] + (runs[j] - 1, 1) + runs[j + 1 :])}
+    if sum(runs) >= 2:
+        out.add(normalize_runs(runs[:i] + (1, runs[i] - 1) + runs[i + 1 :]))
     return out
 
 
@@ -320,14 +314,9 @@ class BaseTable:
         return self.entries.get(canonical_runs(runs))
 
 
-_BASE_TABLE: Optional[BaseTable] = None
-
-
+@cache
 def base_table() -> BaseTable:
-    global _BASE_TABLE
-    if _BASE_TABLE is None:
-        _BASE_TABLE = BaseTable.load()
-    return _BASE_TABLE
+    return BaseTable.load()
 
 
 def _crossing_rule(n: int) -> int:
@@ -342,11 +331,11 @@ def _crossing_rule(n: int) -> int:
 def _two_run_exact(runs: Runs) -> Optional[int]:
     """Exact degree floor((3N-1)/2) of torus and twist words.
 
-    Applies to words of one or two positive runs without boundary zeros
-    whose alternating diagram is a knot (odd continued-fraction
-    numerator); those are the words with a known exact realization.
+    Applies to normalized words of one or two positive runs without
+    boundary zeros whose alternating diagram is a knot (odd
+    continued-fraction numerator); those are the words with a known
+    exact realization.
     """
-    runs = normalize_runs(runs)
     if not runs or 0 in runs or len(runs) > 2:
         return None
     if len(runs) == 1:
@@ -398,13 +387,7 @@ class ReductionTrace(NamedTuple):
     def replay(self) -> PlaneWord:
         w = canonical_runs(self.source.runs)
         for kind, img_idx, pos in self.steps:
-            word = PlaneWord(word_images(w)[img_idx])
-            if kind == "R":
-                w = canonical_runs(apply_R(word, pos).runs)
-            elif kind == "Rb":
-                w = canonical_runs(apply_boundary_R(word).runs)
-            else:
-                w = canonical_runs(_PARTNERS[word.runs][pos])
+            w = canonical_runs(_move_target(w[::-1] if img_idx else w, kind, pos))
         return PlaneWord(w)
 
 
@@ -413,22 +396,15 @@ _SUCCESSORS: dict[Runs, tuple[tuple[Move, Runs], ...]] = {}
 
 
 def _successors(runs: Runs) -> tuple[tuple[Move, Runs], ...]:
-    """The moves of the degree arithmetic from a canonical word, on image
-    0 (the word) and then on image 1 (its reversal): the curated
-    identities (indexed into the sorted partner list as replay reads
-    them), then R and the boundary R.  Only the first move to a target
-    is kept, the only one that can record it: an identity and an R step
+    """The moves of the degree arithmetic from a canonical word, those of
+    `_moves` on image 0 (the word) and then on image 1 (its reversal),
+    with their canonical targets.  Only the first move to a target is
+    kept, the only one that can record it: an identity and an R step
     never share one, since R removes three crossings."""
     out: dict[Runs, Move] = {}
     for img_idx, img in enumerate((runs, runs[::-1])):
-        for pos, tgt in enumerate(_PARTNERS.get(img, ())):
-            out.setdefault(canonical_runs(tgt), ("ident", img_idx, pos))
-        for i in range(len(img) - 2):
-            if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
-                tgt = img[:i] + (img[i] - 1, img[i + 2] - 1) + img[i + 3 :]
-                out.setdefault(canonical_runs(tgt), ("R", img_idx, i))
-        if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
-            out.setdefault(canonical_runs((0, img[1] - 1) + img[2:]), ("Rb", img_idx, 0))
+        for (kind, pos), tgt in _moves(img).items():
+            out.setdefault(canonical_runs(tgt), (kind, img_idx, pos))
     return tuple((move, tgt) for tgt, move in out.items())
 
 
@@ -501,7 +477,7 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
         prov = f"reduction to {PlaneWord(target)} ({prov}) + {cost}"
     upper = min((b + n - sum(r) for r, (_, _, b, _) in known.items() if b is not None), default=None)
     return ReductionTrace(
-        source=w.normalized(),
+        source=PlaneWord(normalize_runs(w.runs)),
         steps=tuple(reversed(steps)),
         base=PlaneWord(target),
         cost=cost,

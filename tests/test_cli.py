@@ -190,6 +190,24 @@ def test_table_missing_diff_file_is_a_usage_error(tmp_path, capsys):
     assert captured.err == f"lexiknot table: error: argument --diff: no such file: {missing}\n"
 
 
+def test_table_repeated_knot_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--knots", "3_1,4_1,3_1", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "lexiknot table: error: argument --knots: knot(s) named twice: 3_1"
+
+
+def test_curve_unwritable_svg_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "trefoil.svg", tmp_path):
+        assert main(["curve", "--x", "cheb:3", "--y", "cheb:4", "--svg", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"lexiknot curve: error: argument --svg: cannot write {path}: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_mc_exhausted_cap_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mc", "--fraction", "29/8", "--cap", "6"])

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import deque
-from itertools import combinations
+from itertools import combinations, groupby, product
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from lexiknot.planereduce import (
     degree_verdict,
     inverse_R,
     neighbors,
+    letters_to_runs,
     normalize_runs,
     project,
     reduction_search,
@@ -67,6 +68,16 @@ def canonical_by_its_own_key(runs):
     return min(word_images(runs), key=lambda r: (len(r), r))
 
 
+def r_pattern(runs, i):
+    """Whether R applies at index i: runs i, i+1, i+2 read (>=1, 1, >=1)."""
+    return 0 <= i <= len(runs) - 3 and runs[i] >= 1 and runs[i + 1] == 1 and runs[i + 2] >= 1
+
+
+def boundary_pattern(runs):
+    """Whether the boundary R applies: the word starts (2, >=1)."""
+    return len(runs) >= 2 and runs[0] == 2 and runs[1] >= 1
+
+
 def reduction_moves_by_their_own_rewrites(img_idx, img):
     """The moves of the degree arithmetic on one image, rewritten through
     PlaneWord, apply_R and apply_boundary_R and left as the rewrite gives
@@ -75,10 +86,86 @@ def reduction_moves_by_their_own_rewrites(img_idx, img):
         yield ("ident", img_idx, pos), tgt
     word = PlaneWord(img)
     for i in range(len(img) - 2):
-        if img[i] >= 1 and img[i + 1] == 1 and img[i + 2] >= 1:
+        if r_pattern(img, i):
             yield ("R", img_idx, i), apply_R(word, i).runs
-    if len(img) >= 2 and img[0] == 2 and img[1] >= 1:
+    if boundary_pattern(img):
         yield ("Rb", img_idx, 0), apply_boundary_R(word).runs
+
+
+def normalize_runs_by_loop(runs):
+    """Collapse interior zeros and doubled boundary zeros, one at a time."""
+    runs = tuple(runs)
+    changed = True
+    while changed:
+        changed = False
+        if len(runs) >= 2 and runs[0] == 0 and runs[1] == 0:
+            runs = runs[2:]
+            changed = True
+            continue
+        if len(runs) >= 2 and runs[-1] == 0 and runs[-2] == 0:
+            runs = runs[:-2]
+            changed = True
+            continue
+        for i in range(1, len(runs) - 1):
+            if runs[i] == 0:
+                runs = runs[: i - 1] + (runs[i - 1] + runs[i + 1],) + runs[i + 2 :]
+                changed = True
+                break
+    if runs == (0,):
+        return ()
+    return runs
+
+
+def runs_to_letters(runs):
+    """Crossing positions in x-order: 0 for odd slots, 1 for even slots."""
+    out = []
+    for i, r in enumerate(runs):
+        out.extend([i % 2] * r)
+    return tuple(out)
+
+
+def letters_to_runs_by_groupby(letters, trail0):
+    """The run word of a crossing-position sequence: a leading zero when
+    the first crossing sits in the even position, and the trailing marker."""
+    lead = [0] if letters and letters[0] == 1 else []
+    return normalize_runs_by_loop(lead + [len(list(g)) for _, g in groupby(letters)] + [0] * trail0)
+
+
+def braid_rewrites_by_letters(runs):
+    """aba -> bab on three consecutive alternating crossings; the trailing
+    marker toggles when the last crossing changes position."""
+    letters = runs_to_letters(runs)
+    trail0 = bool(runs) and runs[-1] == 0
+    out = set()
+    for j in range(len(letters) - 2):
+        a, b, c = letters[j : j + 3]
+        if a == c != b:
+            new = letters[:j] + (b, a, b) + letters[j + 3 :]
+            out.add(letters_to_runs_by_groupby(new, trail0 ^ (new[-1] != letters[-1])))
+    return out
+
+
+def boundary_slides_by_letters(runs):
+    """Flip every crossing after the first, or the last crossing alone,
+    keeping the trailing marker; the word itself is not a slide."""
+    letters = runs_to_letters(runs)
+    if not letters:
+        return set()
+    trail0 = bool(runs) and runs[-1] == 0
+    out = {
+        letters_to_runs_by_groupby((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
+        letters_to_runs_by_groupby(letters[:-1] + (1 - letters[-1],), trail0),
+    }
+    out.discard(normalize_runs_by_loop(runs))
+    return out
+
+
+def raises_move_error(move, *args):
+    try:
+        move(*args)
+    except MoveError:
+        return True
+    return False
 
 
 def explore_by_its_own_search(w, depth=None):
@@ -237,6 +324,48 @@ class TestNeighbors:
                 calls.clear()
                 assert same_word_class(w, nb)
                 assert len({canonical_runs(args[0]) for args in calls}) <= 1, (runs, nb.runs)
+
+
+class TestWordMovesAgainstLetters:
+    # every word move rewrites runs; the letter forms they replaced, and
+    # the normalization loop, are the oracles, on every normalized word up
+    # to REDUCTION_ORACLE_CROSSINGS crossings
+
+    def test_run_rewrites_and_neighbors_equal_the_letter_rewrites(self, monkeypatch):
+        words = normalized_words(REDUCTION_ORACLE_CROSSINGS)
+        with monkeypatch.context() as m:
+            m.setattr(planereduce, "_braid_rewrites", braid_rewrites_by_letters)
+            m.setattr(planereduce, "_boundary_slides", boundary_slides_by_letters)
+            expected = {runs: neighbors(W(runs)) for runs in words}
+        for runs in words:
+            assert planereduce._braid_rewrites(runs) == braid_rewrites_by_letters(runs), runs
+            assert planereduce._boundary_slides(runs) == boundary_slides_by_letters(runs), runs
+            assert neighbors(W(runs)) == expected[runs], runs
+
+    def test_normalize_equals_the_loop(self):
+        tuples = [t for length in range(8) for t in product(range(4), repeat=length)]
+        assert len(tuples) == 21845
+        for runs in tuples:
+            assert normalize_runs(runs) == normalize_runs_by_loop(runs), runs
+
+    def test_letters_to_runs_equals_its_oracle(self):
+        for length in range(11):
+            for letters in product((0, 1), repeat=length):
+                for trail0 in (False, True):
+                    assert letters_to_runs(letters, trail0) == letters_to_runs_by_groupby(letters, trail0)
+
+    def test_reductions_raise_exactly_where_the_pattern_is_absent(self):
+        for runs in normalized_words(REDUCTION_ORACLE_CROSSINGS):
+            w = W(runs)
+            for i in range(-1, len(runs) + 1):
+                assert raises_move_error(apply_R, w, i) != r_pattern(runs, i), (runs, i)
+                if r_pattern(runs, i):
+                    tgt = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
+                    assert apply_R(w, i).runs == normalize_runs_by_loop(tgt), (runs, i)
+            assert raises_move_error(apply_boundary_R, w) != boundary_pattern(runs), runs
+            if boundary_pattern(runs):
+                tgt = (0, runs[1] - 1) + runs[2:]
+                assert apply_boundary_R(w).runs == normalize_runs_by_loop(tgt), runs
 
 
 # every Degree-column cell of the published table whose accounting the
