@@ -102,9 +102,11 @@ class Polynomial(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        """Comma-separated rationals, ascending: '0,-3,0,1' is t^3 - 3t."""
+        """Comma-separated rationals, ascending: '0,-3,0,1' is t^3 - 3t; an
+        empty token is an error, and the empty text is zero."""
+        toks = text.replace(" ", "")
         try:
-            return cls([Fraction(tok) for tok in text.replace(" ", "").split(",") if tok])
+            return cls([Fraction(tok) for tok in toks.split(",")] if toks else [])
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -123,12 +125,6 @@ class Polynomial(Frozen):
     @property
     def degree(self) -> int:
         return len(self.cs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        if not self.cs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.cs[-1], self.den)
 
     def is_zero(self) -> bool:
         return not self.cs

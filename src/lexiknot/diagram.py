@@ -40,7 +40,9 @@ class TrigonalDiagram(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "TrigonalDiagram":
-        return cls([int(tok) for tok in text.replace(" ", "").split(",") if tok])
+        """Comma-separated entries: '2,1,-3'; an empty token is an error."""
+        text = text.replace(" ", "")
+        return cls([int(tok) for tok in text.split(",")] if text else [])
 
     def text(self) -> str:
         return ",".join(str(m) for m in self.entries)
@@ -75,12 +77,6 @@ def crossing_number(d: TrigonalDiagram) -> int:
     if islets(d):
         raise IsletError(f"{d} has islets; the formula sum|m_i| - s does not apply")
     return d.sum_abs - d.sign_changes
-
-
-def gauss_sign_changes(d: TrigonalDiagram) -> int:
-    """Sign changes of the Gauss sequence: 2N + s - 1."""
-    n = crossing_number(d)
-    return 2 * n + d.sign_changes - 1
 
 
 def identify_knot(d: TrigonalDiagram) -> Optional[KnotRecord]:

@@ -12,7 +12,7 @@ generator that expands the fraction into the integer sequences of its
 class, starting from the integers q = beta^(+-1) (mod alpha) within the
 Fibonacci bound, which it applies to the next two continuants of each
 prefix.  The mirror image of a sequence is its negation, which the rules
-below treat alike, so the mirror class is left to `canonical_diagram`.
+below treat alike, so the mirror class is left to `_canonical_entries`.
 It keeps only islet-free sequences that survive boundary conditions that
 slide isotopies remove:
 
@@ -209,11 +209,6 @@ def _canonical_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
     images = [entries, entries[::-1]]
     images += [tuple([-m for m in e]) for e in images]
     return min(images, key=lambda e: (e[0] <= 0, e))
-
-
-def canonical_diagram(d: TrigonalDiagram) -> TrigonalDiagram:
-    """Representative of {d, reversal, mirror, both}: its `_canonical_entries`."""
-    return TrigonalDiagram(_canonical_entries(d.entries))
 
 
 def enumerate_simple_diagrams(

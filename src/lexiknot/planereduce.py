@@ -20,17 +20,17 @@ accounting of the results table exercises on words without interior
 single-crossing runs.
 
 Cost-free identifications between realizable words: reversal (a
-parameter sign change preserves degrees), the braid exchange, and a
-small curated list of whole-word identities read off explicit
-low-degree curves: (2,2) ~ (1,1,1,1), (3) ~ (1,1,1), (0,2) ~ (0,1,1),
-and the merging of all one-crossing words.  The braid exchange swaps
-the two resolutions of one triple point, (u, m+1, 1, n+1, v) and
-(u, m, 1, 1, 1, n, v), read at an R window; R takes both to (u, m, n, v).
-Sub-word use of the curated identities is unsound (it would collapse
-word classes with different minimal degrees), so they apply to whole
-words only; the degree arithmetic additionally leaves braid exchanges
-to the word-class matcher, whose identifications are not fed back into
-bounds.  Every move rewrites run tuples, and each is written once.
+parameter sign change preserves degrees) and a small curated list of
+whole-word identities read off explicit low-degree curves:
+(2,2) ~ (1,1,1,1), (3) ~ (1,1,1), (0,2) ~ (0,1,1), and the merging of
+all one-crossing words.  Sub-word use of the curated identities is
+unsound (it would collapse word classes with different minimal
+degrees), so they apply to whole words only.  Braid exchanges (the two
+resolutions of one triple point, which R takes to one word) and
+boundary slides never feed a bound, so no move here makes them; the
+word-class matcher that does, to compare curve words with diagram
+words, is a test oracle in tests/wordclass.py.  Every move rewrites run
+tuples, and each is written once.
 """
 
 from __future__ import annotations
@@ -84,8 +84,10 @@ class PlaneWord(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "PlaneWord":
-        toks = [t for t in text.replace(" ", "").split(",") if t]
-        return cls([int(t) for t in toks])
+        """Comma-separated run lengths: '2,1,3'; an empty token is an
+        error, and the empty text is the empty word."""
+        text = text.replace(" ", "")
+        return cls([int(t) for t in text.split(",")] if text else [])
 
     @property
     def crossings(self) -> int:
@@ -178,16 +180,6 @@ def _move_target(runs: Runs, kind: str, pos: int) -> Runs:
     return tgt
 
 
-def apply_R(w: PlaneWord, i: int) -> PlaneWord:
-    """Reduction R at run index i: (.., a, 1, b, ..) -> (.., a-1, b-1, ..)."""
-    return PlaneWord(normalize_runs(_move_target(w.runs, "R", i)))
-
-
-def apply_boundary_R(w: PlaneWord) -> PlaneWord:
-    """Boundary reduction (2, a, y) -> (0, a-1, y)."""
-    return PlaneWord(normalize_runs(_move_target(w.runs, "Rb", 0)))
-
-
 def inverse_R(w: PlaneWord, split: tuple[int, int], branch: str) -> PlaneWord:
     """Insert three crossings: the two ways a resolved triple point splits.
 
@@ -228,48 +220,6 @@ _PARTNERS: dict[Runs, tuple[Runs, ...]] = {
     for images in ({img for g in group for img in word_images(g)} for group in _IDENTITIES)
     for runs in images
 }
-
-
-def _braid_rewrites(runs: Runs) -> set[Runs]:
-    """Exchange three consecutive alternating crossings, aba -> bab: swap
-    the two resolutions of the triple point at each R window of a
-    normalized word, branches A (u, m+1, 1, n+1, v) and B (u, m, 1, 1,
-    1, n, v), by putting (1, 1, 1) back into their common R target
-    (u, m, n, v).  A run emptied at the end leaves a zero, which toggles
-    the trailing marker as the last crossing changes position."""
-    moves = _moves(runs).items()
-    return {normalize_runs(t[: i + 1] + (1, 1, 1) + t[i + 1 :]) for (kind, i), t in moves if kind == "R"}
-
-
-def _boundary_slides(runs: Runs) -> set[Runs]:
-    """Slide an outermost crossing of a normalized word around its
-    turning point, which keeps its boundary zero: the first crossing
-    splits off its run on a word of at least two crossings,
-    (lead, c1, ..) -> (lead, 1, c1-1, ..), and the last crossing moves
-    to the other position, (.., ck, trail) -> (.., ck-1, 1, trail).
-    Word-normalization move only (it feeds the class matcher, never the
-    degree arithmetic)."""
-    if not runs:
-        return set()
-    i = int(runs[0] == 0)  # the first and the last positive run
-    j = len(runs) - 1 - (runs[-1] == 0)
-    out = {normalize_runs(runs[:j] + (runs[j] - 1, 1) + runs[j + 1 :])}
-    if sum(runs) >= 2:
-        out.add(normalize_runs(runs[:i] + (1, runs[i] - 1) + runs[i + 1 :]))
-    return out
-
-
-def neighbors(w: PlaneWord) -> set[PlaneWord]:
-    """Words one crossing-preserving move away from w: normalization,
-    reversal, and the word-class moves (curated whole-word identities,
-    braid exchanges, boundary slides).  Only the identities feed the
-    degree arithmetic; same_word_class searches all of them."""
-    out: set[Runs] = set()
-    for img in word_images(w.runs):
-        out.add(img)
-        out.update(_braid_rewrites(img), _PARTNERS.get(img, ()), _boundary_slides(img))
-    out.discard(w.runs)
-    return {PlaneWord(r) for r in out}
 
 
 # ---------------------------------------------------------------------------
@@ -491,26 +441,6 @@ def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[in
     """Least degree of an explicit curve for w via reductions to
     realizable bases (each undone R step costs exactly 3)."""
     return reduction_search(w, depth).upper
-
-
-def same_word_class(w1: PlaneWord, w2: PlaneWord) -> bool:
-    """Whether two words are linked by crossing-preserving normalization
-    moves (curated identities, braid exchanges, boundary slides): a
-    breadth-first search from w1 over `neighbors` that stops at w2."""
-    goal = canonical_runs(w2.runs)
-    start = canonical_runs(w1.runs)
-    if start == goal:
-        return True
-    seen, queue = {start}, deque([start])
-    while queue:
-        for nb in neighbors(PlaneWord(queue.popleft())):
-            key = canonical_runs(nb.runs)
-            if key == goal:
-                return True
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,8 @@ def load_expected(path: str) -> dict[str, dict[str, int]]:
 
 def diff_expected(rows: Sequence[DegreeVerdict], expected: dict[str, dict[str, int]]) -> list[str]:
     """Per-row, per-column comparison against the values `load_expected`
-    read: one mismatch line per difference, none when the tables agree."""
+    read: one mismatch line per difference, none when the tables agree.
+    The published lex b is exact, so b_lower is compared with it too."""
     mismatches = []
     for r in rows:
         name = r.knot.name
@@ -169,4 +170,6 @@ def diff_expected(rows: Sequence[DegreeVerdict], expected: dict[str, dict[str, i
         for col, val in _columns(r).items():
             if exp[col] != val:
                 mismatches.append(f"{name}.{col}: computed {val}, expected {exp[col]}")
+        if r.b_lower != exp["lex_b"]:
+            mismatches.append(f"{name}.b_lower: computed {r.b_lower}, expected {exp['lex_b']}")
     return mismatches

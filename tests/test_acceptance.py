@@ -25,16 +25,16 @@ from lexiknot.curvelab import (
     verify_embedding,
     word_from_curve,
 )
-from lexiknot.diagram import TrigonalDiagram, gauss_sign_changes
-from lexiknot.enumeration import canonical_diagram, chebyshev_degree, enumerate_simple_diagrams, m_C, table_budget
+from lexiknot.diagram import TrigonalDiagram, crossing_number
+from lexiknot.enumeration import _canonical_entries, chebyshev_degree, enumerate_simple_diagrams, m_C, table_budget
 from lexiknot.planereduce import (
     PlaneWord,
     b_lower_bound,
     canonical_runs,
     reduction_search,
-    same_word_class,
 )
 from lexiknot.report import build_table, diff_expected, emit, load_expected
+from wordclass import neighbors, same_word_class
 
 CAT = default_catalog()
 SHIPPED = resources.files("lexiknot.data").joinpath("knots.csv")
@@ -138,7 +138,7 @@ def test_criterion_2_simple_diagram_enumeration():
     for rec in CAT:
         got = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec, m_C(rec)))}
         expected = {
-            canonical_diagram(TrigonalDiagram.parse(t)).entries for t in TABLE_DIAGRAMS[rec.name]
+            _canonical_entries(TrigonalDiagram.parse(t).entries) for t in TABLE_DIAGRAMS[rec.name]
         }
         ok = ok and got == expected
     ok = ok and len(enumerate_simple_diagrams(CAT.get("8_13"), budget=10)) == 5
@@ -307,7 +307,7 @@ def test_criterion_7_property_suites():
         ok = ok and len(curve_crossings(PlaneCurve(chebyshev(3), chebyshev(b)))) == b - 1
 
     # crossing-count conservation under every cost-free move, 10^4 samples
-    from lexiknot.planereduce import neighbors, normalize_runs
+    from lexiknot.planereduce import normalize_runs
 
     seen = 0
     while seen < 10_000:
@@ -329,6 +329,6 @@ def test_criterion_7_property_suites():
     for curve, diagram in curves:
         cs = curve_crossings(curve)
         _, changes = height_polynomial(cs, alternating_overpasses(cs))
-        ok = ok and changes == gauss_sign_changes(diagram)
+        ok = ok and changes == 2 * crossing_number(diagram) + diagram.sign_changes - 1
 
     _report("criterion 7: property suites (CF round trip, reversal, nodal counts, conservation, Gauss)", ok)

@@ -276,6 +276,8 @@ _FRACTION = "A/B (or A) with integers A and B, not both 0"
         (["reduce", "--word", "2,-1"], "--word", _WORD),
         (["mc", "--fraction", "9/x"], "--fraction", _FRACTION),
         (["enumerate", "--fraction", "0/0"], "--fraction", _FRACTION),
+        (["reduce", "--word", "2,,1,3"], "--word", _WORD),
+        (["curve", "--x", "coeffs:0,-3,,1", "--y", "cheb:4"], "--x", _POLY),
     ],
 )
 def test_argument_errors_say_what_was_expected(argv, option, expected, capsys):

@@ -36,7 +36,8 @@ from lexiknot.curvelab.curves import BOTTOM, TOP, _Eliminator, _fold_height_rema
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import signs_at_quadratic_roots, signs_at_roots
 from lexiknot.diagram import TrigonalDiagram
-from lexiknot.planereduce import PlaneWord, project, same_word_class
+from lexiknot.planereduce import PlaneWord, project
+from wordclass import same_word_class
 
 T3 = chebyshev(3)
 QUINTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 4, 0, -4, 0, 1]))

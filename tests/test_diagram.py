@@ -10,7 +10,6 @@ from lexiknot.diagram import (
     IsletError,
     TrigonalDiagram,
     crossing_number,
-    gauss_sign_changes,
     identify_knot,
     islets,
 )
@@ -38,9 +37,10 @@ class TestStatistics:
             crossing_number(D([2, -1, 3]))
 
     def test_gauss_sign_changes(self):
-        assert gauss_sign_changes(D([2, 2])) == 7
-        assert gauss_sign_changes(D([3])) == 5
-        assert gauss_sign_changes(D([3, -4])) == 12
+        # the Gauss sequence changes sign 2N + s - 1 times
+        for entries, changes in (([2, 2], 7), ([3], 5), ([3, -4], 12)):
+            d = D(entries)
+            assert 2 * crossing_number(d) + d.sign_changes - 1 == changes
 
     def test_all_positive_formulas(self):
         rng = random.Random(7)
@@ -49,7 +49,7 @@ class TestStatistics:
             d = D(entries)
             n = crossing_number(d)
             assert n == sum(entries)
-            assert gauss_sign_changes(d) == 2 * n - 1
+            assert d.sign_changes == 0  # so the Gauss sequence changes sign 2N - 1 times
 
 
 def lagrange(entries, pos, eps):
@@ -172,3 +172,6 @@ class TestIdentify:
         d = D.parse("2, 1, -3")
         assert d.entries == (2, 1, -3)
         assert d.text() == "2,1,-3"
+        for text in ("2,,1", "2,1,", ""):
+            with pytest.raises(ValueError):
+                D.parse(text)

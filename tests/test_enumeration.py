@@ -22,10 +22,10 @@ from lexiknot.diagram import TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import (
     DegreeTriple,
     SearchExhausted,
+    _canonical_entries,
     _class_sequences,
     _simple_step,
     _slide_step,
-    canonical_diagram,
     chebyshev_degree,
     default_cap,
     enumerate_simple_diagrams,
@@ -311,7 +311,7 @@ def brute_force_diagrams(rec, budget):
                     continue
                 if not fraction_equivalent(cf_eval(entries), rec.fraction, include_mirror=True):
                     continue
-                out.add(canonical_diagram(d).entries)
+                out.add(_canonical_entries(entries))
     return out
 
 
@@ -319,14 +319,14 @@ class TestEnumeration:
     def test_6_2(self):
         diags = enumerate_simple_diagrams(CAT.get("6_2"), budget=7)
         assert {d.entries for d in diags} == {
-            canonical_diagram(TrigonalDiagram([2, 1, 3])).entries,
-            canonical_diagram(TrigonalDiagram([3, -4])).entries,
+            _canonical_entries((2, 1, 3)),
+            _canonical_entries((3, -4)),
         }
 
     def test_7_7(self):
         diags = enumerate_simple_diagrams(CAT.get("7_7"), budget=7)
         assert len(diags) == 1
-        assert diags[0].entries == canonical_diagram(TrigonalDiagram([2, 1, 1, 1, 2])).entries
+        assert diags[0].entries == _canonical_entries((2, 1, 1, 1, 2))
 
     def test_8_13_budget_10(self):
         diags = enumerate_simple_diagrams(CAT.get("8_13"), budget=10)
@@ -346,9 +346,9 @@ class TestEnumeration:
         from lexiknot.arith import cf_expand_positive
 
         for rec in CAT:
-            nf = canonical_diagram(TrigonalDiagram(cf_expand_positive(rec.fraction)))
+            nf = _canonical_entries(tuple(cf_expand_positive(rec.fraction)))
             found = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec, m_C(rec)))}
-            assert nf.entries in found
+            assert nf in found
 
     def test_exhaustive_against_brute_force(self):
         # soundness: everything returned appears in the unpruned islet-free
@@ -398,12 +398,11 @@ class TestCanonical:
             TrigonalDiagram([-3, -1, -2, 3]),
             TrigonalDiagram([3, -2, -1, -3]),
         ]
-        canon = {canonical_diagram(d).entries for d in images}
+        canon = {_canonical_entries(d.entries) for d in images}
         assert len(canon) == 1
 
     def test_positive_first_preferred(self):
-        c = canonical_diagram(TrigonalDiagram([-2, -2]))
-        assert c.entries[0] > 0
+        assert _canonical_entries((-2, -2))[0] > 0
 
 
 class TestOffCatalog:

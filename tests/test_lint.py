@@ -1,7 +1,7 @@
 """Source-tree lints: failures raise typed errors, never bare asserts, no
 module imports dataclasses, one class holds the immutability protocol,
-no public name goes unused, and only the report reads the published
-columns of knots.csv."""
+every public name is used by the package or the benchmark, and only the
+report reads the published columns of knots.csv."""
 
 import ast
 from collections import Counter
@@ -77,24 +77,36 @@ def _referenced_names(tree: ast.AST) -> Counter:
     return out
 
 
+# public names that no command or pipeline runs yet, with the work that
+# will; a name leaves once it gains a use, so the list only shrinks
+UNUSED_ALLOWED = {
+    "inverse_R": "undoes an R step, to build a table row's curve from its base's (ROADMAP item 7)",
+    "perturb_auto": "resolves the triple point of an undone R step into a nodal curve (ROADMAP items 7 and 14)",
+}
+
+
 def test_every_public_name_is_used():
-    # a public function, class or method must be referred to at least
-    # once, in the package, its tests or the benchmark; references are
-    # read off the syntax tree, so a common word in a comment or a
-    # docstring does not count as a use
-    root = SRC.parents[1]
+    # a public function, class or method must be referred to by the
+    # package or the benchmark, not only by tests, and the imports of an
+    # __init__.py only re-export; references are read off the syntax
+    # tree, so a common word in a comment or a docstring is no use
     refs = Counter()
-    for top in ("src", "tests", "perfbench"):
-        for path in sorted((root / top).rglob("*.py")):
-            refs += _referenced_names(ast.parse(path.read_text(), str(path)))
+    for top in ("src", "perfbench"):
+        for path in sorted((SRC.parents[1] / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            if path.name == "__init__.py":
+                tree.body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
+            refs += _referenced_names(tree)
     defined = {
         node.name
         for path in SRC.rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
-    unused = sorted(name for name in defined if not refs[name])
+    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() if not refs[name])
     assert not unused, unused
+    stale = sorted(name for name in UNUSED_ALLOWED if refs[name] or name not in defined)
+    assert not stale, f"allowed as unused but used or gone: {stale}"
 
 
 def test_only_the_report_reads_the_published_columns():

@@ -17,22 +17,21 @@ from lexiknot.enumeration import SearchExhausted
 from lexiknot.planereduce import (
     MoveError,
     PlaneWord,
-    apply_R,
-    apply_boundary_R,
     b_lower_bound,
     base_table,
     canonical_runs,
     constructive_upper,
     degree_verdict,
     inverse_R,
-    neighbors,
     letters_to_runs,
     normalize_runs,
     project,
     reduction_search,
-    same_word_class,
     word_images,
 )
+
+import wordclass
+from wordclass import neighbors, same_word_class
 
 W = PlaneWord
 CAT = default_catalog()
@@ -78,18 +77,22 @@ def boundary_pattern(runs):
     return len(runs) >= 2 and runs[0] == 2 and runs[1] >= 1
 
 
+def reduced(runs, kind, pos):
+    """The normalized target of one move of the degree arithmetic."""
+    return normalize_runs(planereduce._move_target(runs, kind, pos))
+
+
 def reduction_moves_by_their_own_rewrites(img_idx, img):
-    """The moves of the degree arithmetic on one image, rewritten through
-    PlaneWord, apply_R and apply_boundary_R and left as the rewrite gives
-    them: the identities, then R, then the boundary R."""
+    """The moves of the degree arithmetic on one image, found by the
+    pattern checks and normalized: the identities, then R, then the
+    boundary R."""
     for pos, tgt in enumerate(planereduce._PARTNERS.get(img, ())):
         yield ("ident", img_idx, pos), tgt
-    word = PlaneWord(img)
     for i in range(len(img) - 2):
         if r_pattern(img, i):
-            yield ("R", img_idx, i), apply_R(word, i).runs
+            yield ("R", img_idx, i), reduced(img, "R", i)
     if boundary_pattern(img):
-        yield ("Rb", img_idx, 0), apply_boundary_R(word).runs
+        yield ("Rb", img_idx, 0), reduced(img, "Rb", 0)
 
 
 def normalize_runs_by_loop(runs):
@@ -116,48 +119,11 @@ def normalize_runs_by_loop(runs):
     return runs
 
 
-def runs_to_letters(runs):
-    """Crossing positions in x-order: 0 for odd slots, 1 for even slots."""
-    out = []
-    for i, r in enumerate(runs):
-        out.extend([i % 2] * r)
-    return tuple(out)
-
-
 def letters_to_runs_by_groupby(letters, trail0):
     """The run word of a crossing-position sequence: a leading zero when
     the first crossing sits in the even position, and the trailing marker."""
     lead = [0] if letters and letters[0] == 1 else []
     return normalize_runs_by_loop(lead + [len(list(g)) for _, g in groupby(letters)] + [0] * trail0)
-
-
-def braid_rewrites_by_letters(runs):
-    """aba -> bab on three consecutive alternating crossings; the trailing
-    marker toggles when the last crossing changes position."""
-    letters = runs_to_letters(runs)
-    trail0 = bool(runs) and runs[-1] == 0
-    out = set()
-    for j in range(len(letters) - 2):
-        a, b, c = letters[j : j + 3]
-        if a == c != b:
-            new = letters[:j] + (b, a, b) + letters[j + 3 :]
-            out.add(letters_to_runs_by_groupby(new, trail0 ^ (new[-1] != letters[-1])))
-    return out
-
-
-def boundary_slides_by_letters(runs):
-    """Flip every crossing after the first, or the last crossing alone,
-    keeping the trailing marker; the word itself is not a slide."""
-    letters = runs_to_letters(runs)
-    if not letters:
-        return set()
-    trail0 = bool(runs) and runs[-1] == 0
-    out = {
-        letters_to_runs_by_groupby((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
-        letters_to_runs_by_groupby(letters[:-1] + (1 - letters[-1],), trail0),
-    }
-    out.discard(normalize_runs_by_loop(runs))
-    return out
 
 
 def raises_move_error(move, *args):
@@ -220,16 +186,24 @@ class TestWords:
         assert normalize_runs((2, 0, 0, 2)) == (2, 2)
         assert normalize_runs((0,)) == ()
 
+    def test_parse(self):
+        assert PlaneWord.parse("2, 1,3").runs == (2, 1, 3)
+        assert PlaneWord.parse("").runs == ()
+        for text in ("2,,1,3", "2,1,", ",2"):
+            with pytest.raises(ValueError):
+                PlaneWord.parse(text)
+
     def test_canonical_prefers_short_then_small(self):
         assert canonical_runs((3, 2, 0)) == (0, 2, 3)
         assert canonical_runs((5,)) == (5,)
 
 
 class TestApplyR:
+    # R and the boundary R, as the search and replay take them
     def test_examples(self):
-        assert apply_R(W((2, 1, 3)), 0).runs == (1, 2)
-        assert apply_R(W((3, 1, 3)), 0).runs == (2, 2)
-        assert apply_R(W((1, 1, 1, 1)), 0).runs == (1,)
+        assert reduced((2, 1, 3), "R", 0) == (1, 2)
+        assert reduced((3, 1, 3), "R", 0) == (2, 2)
+        assert reduced((1, 1, 1, 1), "R", 0) == (1,)
 
     def test_removes_three_crossings(self):
         rng = random.Random(5)
@@ -244,19 +218,18 @@ class TestApplyR:
             if not spots:
                 continue
             i = rng.choice(spots)
-            out = apply_R(W(runs), i)
-            assert sum(out.runs) == sum(runs) - 3
+            assert sum(reduced(runs, "R", i)) == sum(runs) - 3
             done += 1
 
     def test_pattern_mismatch(self):
-        with pytest.raises(MoveError):
-            apply_R(W((2, 2, 3)), 0)
+        with pytest.raises(MoveError, match=r"no R move at position 0 of \(2,2,3\)"):
+            reduced((2, 2, 3), "R", 0)
 
     def test_boundary_variant(self):
-        assert apply_boundary_R(W((2, 2, 3))).runs == (0, 1, 3)
-        assert apply_boundary_R(W((2, 1, 3))).runs == (3,)
-        with pytest.raises(MoveError):
-            apply_boundary_R(W((3, 2)))
+        assert reduced((2, 2, 3), "Rb", 0) == (0, 1, 3)
+        assert reduced((2, 1, 3), "Rb", 0) == (3,)
+        with pytest.raises(MoveError, match=r"no Rb move at position 0 of \(3,2\)"):
+            reduced((3, 2), "Rb", 0)
 
 
 class TestInverseR:
@@ -273,9 +246,9 @@ class TestInverseR:
         # R at the insertion point reopens the split run into the
         # adjacent pair (m, n); both branches agree there
         w = W((2, 4, 3))
-        a = apply_R(inverse_R(w, (1, 2), "A"), 1)
-        b = apply_R(inverse_R(w, (1, 2), "B"), 2)
-        assert a.runs == b.runs == (2, 2, 2, 3)
+        a = reduced(inverse_R(w, (1, 2), "A").runs, "R", 1)
+        b = reduced(inverse_R(w, (1, 2), "B").runs, "R", 2)
+        assert a == b == (2, 2, 2, 3)
 
     def test_invalid_split(self):
         with pytest.raises(MoveError):
@@ -317,7 +290,7 @@ class TestNeighbors:
         # a neighbour is found while the start word is expanded, so no
         # other word of the class is: each expansion rewrites both images
         # of one word
-        calls = count_calls(monkeypatch, "_braid_rewrites", planereduce)
+        calls = count_calls(monkeypatch, "braid_rewrites_by_letters", wordclass)
         for runs in all_words(6):
             w = W(runs)
             for nb in neighbors(w):
@@ -327,20 +300,10 @@ class TestNeighbors:
 
 
 class TestWordMovesAgainstLetters:
-    # every word move rewrites runs; the letter forms they replaced, and
-    # the normalization loop, are the oracles, on every normalized word up
-    # to REDUCTION_ORACLE_CROSSINGS crossings
-
-    def test_run_rewrites_and_neighbors_equal_the_letter_rewrites(self, monkeypatch):
-        words = normalized_words(REDUCTION_ORACLE_CROSSINGS)
-        with monkeypatch.context() as m:
-            m.setattr(planereduce, "_braid_rewrites", braid_rewrites_by_letters)
-            m.setattr(planereduce, "_boundary_slides", boundary_slides_by_letters)
-            expected = {runs: neighbors(W(runs)) for runs in words}
-        for runs in words:
-            assert planereduce._braid_rewrites(runs) == braid_rewrites_by_letters(runs), runs
-            assert planereduce._boundary_slides(runs) == boundary_slides_by_letters(runs), runs
-            assert neighbors(W(runs)) == expected[runs], runs
+    # the run-word primitives against forms of their own: normalization
+    # against a loop, letters_to_runs against a groupby, and the moves of
+    # the degree arithmetic against their patterns on every normalized
+    # word up to REDUCTION_ORACLE_CROSSINGS crossings
 
     def test_normalize_equals_the_loop(self):
         tuples = [t for length in range(8) for t in product(range(4), repeat=length)]
@@ -356,16 +319,15 @@ class TestWordMovesAgainstLetters:
 
     def test_reductions_raise_exactly_where_the_pattern_is_absent(self):
         for runs in normalized_words(REDUCTION_ORACLE_CROSSINGS):
-            w = W(runs)
             for i in range(-1, len(runs) + 1):
-                assert raises_move_error(apply_R, w, i) != r_pattern(runs, i), (runs, i)
+                assert raises_move_error(reduced, runs, "R", i) != r_pattern(runs, i), (runs, i)
                 if r_pattern(runs, i):
                     tgt = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
-                    assert apply_R(w, i).runs == normalize_runs_by_loop(tgt), (runs, i)
-            assert raises_move_error(apply_boundary_R, w) != boundary_pattern(runs), runs
+                    assert reduced(runs, "R", i) == normalize_runs_by_loop(tgt), (runs, i)
+            assert raises_move_error(reduced, runs, "Rb", 0) != boundary_pattern(runs), runs
             if boundary_pattern(runs):
                 tgt = (0, runs[1] - 1) + runs[2:]
-                assert apply_boundary_R(w).runs == normalize_runs_by_loop(tgt), runs
+                assert reduced(runs, "Rb", 0) == normalize_runs_by_loop(tgt), runs
 
 
 # every Degree-column cell of the published table whose accounting the

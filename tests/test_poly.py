@@ -57,6 +57,10 @@ class TestArithmetic:
 
     def test_parse(self):
         assert P.parse("0,-3,0,1").coeffs == (0, -3, 0, 1)
+        assert P.parse("").is_zero()
+        for text in ("0,-3,,1", ",1", "1,"):
+            with pytest.raises(ValueError):
+                P.parse(text)
 
 
 class TestRoots:
@@ -258,7 +262,7 @@ def test_integer_polynomial_matches_a_fraction_reference(a, b, c, k):
     assert p(c) == sum((x * c**i for i, x in enumerate(ra)), Fraction(0))
     assert (p == q) == (ra == rb)
     if ra:
-        assert p.lead == ra[-1]
+        assert p.coeffs[-1] == ra[-1]
 
 
 def test_sqrt_bounds():

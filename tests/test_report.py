@@ -1,9 +1,13 @@
 import csv
 import json
+from importlib import resources
 
 import pytest
 
+from lexiknot import planereduce
 from lexiknot.report import build_table, diff_expected, emit, load_expected
+
+SHIPPED = resources.files("lexiknot.data").joinpath("knots.csv")
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +99,13 @@ class TestEmit:
 
 class TestDiff:
     def test_matches_shipped_catalog(self, small_rows, tmp_path):
-        from importlib import resources
-
-        shipped = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
+        shipped = SHIPPED.read_text()
         path = tmp_path / "knots.csv"
         path.write_text(shipped)
         assert diff_expected(small_rows, load_expected(str(path))) == []
 
     def test_tampered_value_flagged(self, small_rows, tmp_path):
-        from importlib import resources
-
-        shipped = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
+        shipped = SHIPPED.read_text()
         rows = list(csv.DictReader(shipped.splitlines()))
         for row in rows:
             if row["name"] == "6_2":
@@ -116,7 +116,23 @@ class TestDiff:
             w.writeheader()
             w.writerows(rows)
         mismatches = diff_expected(small_rows, load_expected(str(path)))
-        assert mismatches == ["6_2.lex_b: computed 7, expected 8"]
+        # the published b is exact, so the lower bound misses it too
+        assert mismatches == ["6_2.lex_b: computed 7, expected 8", "6_2.b_lower: computed 7, expected 8"]
+
+    def test_lower_bound_short_of_the_published_b_flagged(self, monkeypatch):
+        # without the cited (0,1,3) >= 7, 7_5 keeps b_upper 10 but proves
+        # only b >= 8; the reduction graph holds no base fact, so only the
+        # memoized base facts are recomputed
+        kept = [e for e in planereduce.base_table().entries.values() if e.runs != (0, 1, 3)]
+        monkeypatch.setattr(planereduce, "base_table", lambda: planereduce.BaseTable(kept))
+        planereduce._base.cache_clear()
+        try:
+            rows = build_table(["7_5"])
+        finally:
+            planereduce._base.cache_clear()
+        with resources.as_file(SHIPPED) as path:
+            mismatches = diff_expected(rows, load_expected(str(path)))
+        assert rows[0].status == "range" and mismatches == ["7_5.b_lower: computed 8, expected 10"]
 
     def test_missing_row_flagged(self, small_rows, tmp_path):
         path = tmp_path / "knots.csv"
