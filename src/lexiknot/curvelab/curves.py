@@ -13,24 +13,27 @@ is isolated only on the integer box [floor r1, ceil r2]: its roots
 outside are solitary points (complex conjugate t, s) and are never
 isolated.  Values on a branch pair reduce modulo z^2 - u z + v(u):
 z^k = a_k(u) z + b_k(u), so the crossing x and the difference of a
-height's values on the pair are polynomials in u, and every discrete
-decision is a certified sign of a polynomial at an isolated algebraic
-number or at a fold.
+height's values on the pair are polynomials in u.  Every discrete
+decision of the crossings is exact: an integer enclosure over an
+isolating interval that excludes 0, or a sign at a fold.
 
 This layer runs on integers.  The pair reduction is Horner on the
 polynomials' integer coefficients.  Each root of W carries one isolating
-interval through the curve's questions: the sign of the pair
-discriminant refines it as far as that sign needs, and the clash loop
-starts from there.  That loop separates the crossings' parameters over
-integer enclosures: for an isolating interval (a/d, b/d) of u, t < s
-are enclosed over den_D d^2 2^33, with sqrt of the discriminant bounded
-by isqrt on the reduced radicand at this module's scale 2^32.
-Enclosures of different crossings are compared after rescaling to the
-lcm of their d, so every comparison is exact, and the rational
-intervals a `Crossing` reports are built once, after the loop.  The
-loop also halves until x' has one sign on each parameter enclosure,
-which puts each parameter on one of the three branches that the folds
-c1 < c2 cut the parameter line into.  No x is enclosed: x is strictly
+interval through the curve's questions.  It is halved until the
+enclosure of the pair discriminant -(4/p3) x'(u/2) excludes 0, and the
+clash loop starts from there.  That discriminant vanishes only at twice
+a fold c, where W is a positive multiple of y'(c), and the fold data,
+read first, raise on a cusp, so no sign at a root is asked.  The clash
+loop separates the crossings' parameters over integer enclosures: for
+an isolating interval (a/d, b/d) of u, t < s are enclosed over
+den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
+reduced radicand at this module's scale 2^32.  Enclosures of
+different crossings are compared after rescaling to the lcm of their
+d, so every comparison is exact, and the rational intervals a
+`Crossing` reports are built once, after the loop.  The loop also
+halves until x' has one sign on each parameter enclosure, which puts
+each parameter on one of the three branches that the folds c1 < c2
+cut the parameter line into.  No x is enclosed: x is strictly
 monotone in t on each branch, and any two crossings share a branch, so
 their x-order is their parameters' order there, reversed where x falls.
 A triple point stalls the loop, since its crossings share parameters.
@@ -208,7 +211,8 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
 
 
 class _Eliminator:
-    """Shared symmetric-coordinate data for one curve."""
+    """Shared symmetric-coordinate data for one curve; the pair
+    discriminant u^2 - 4 v(u) is -(4/p3) x'(u/2), from x's integers."""
 
     def __init__(self, curve: PlaneCurve):
         p = curve.x.cs
@@ -216,8 +220,7 @@ class _Eliminator:
         self.v = Polynomial.from_integers(p[1:], p[3])
         self.W = _pair_reduction(curve.y, self.v)[0]  # vanishes exactly at crossings
         self.dx = curve.x.derivative()  # its sign puts a parameter on a branch
-        # discriminant of the pair: u^2 - 4 v(u), a quadratic with lead -3
-        self.disc = Polynomial([0, 0, 1]) - self.v.scale(4)
+        self.disc = Polynomial.from_integers((-4 * p[1], -4 * p[2], -3 * p[3]), p[3])
 
 
 _MAX_CLASH_ROUNDS = 64  # rounds of interval halving to separate crossings
@@ -268,11 +271,13 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     a solitary point and is never isolated, and the few solitary roots
     inside it are dropped by the discriminant's sign.  The remainder
     chain is that of the whole of W, so it also gives the tangency test.
-    Each root's interval is carried from its discriminant sign to the
-    clash loop, so no halving is repeated.  Each round of that loop
-    halves the u-interval of every crossing whose parameter interval
-    meets another, or on one of whose parameter intervals x' may vanish,
-    and encloses only those again.
+    The fold data are read next, and raise on a cusp, the only place
+    where the discriminant vanishes at a root of W.  Each root is then
+    halved until the discriminant's enclosure excludes 0, and carried
+    from there to the clash loop, so no halving is repeated.  Each round
+    of that loop halves the u-interval of every crossing whose parameter
+    interval meets another, or on one of whose parameter intervals x'
+    may vanish, and encloses only those again.
 
     So each parameter is put on one branch, once: t < s puts t on _A
     when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
@@ -285,10 +290,9 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
-    symmetric polynomial, real or not), vanishing pair separation, a
-    third branch meeting a fold, crossing parameters that could not be
-    separated (a triple point stalls there), or a branch order that no
-    nodal curve has.
+    symmetric polynomial, real or not), a cusp or a third branch meeting
+    a fold, crossing parameters that could not be separated (a triple
+    point stalls there), or a branch order that no nodal curve has.
     """
     el = curve._eliminator
     W = el.W
@@ -298,13 +302,13 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
+    left, right = curve._folds  # raises on a cusp, so each halving below ends
     kept: list[RootInterval] = []
-    for ds, r in signs_at_roots(el.disc, roots):
-        if ds == 0:
-            raise NonNodalError(f"pair separation vanishes near u in ({float(r.lo):.4f}, {float(r.hi):.4f})")
-        if ds > 0:
+    for r in roots:
+        while (e := _enclose(el.disc.cs, r.a, r.b, r.d))[0] <= 0 <= e[1]:
+            r = r.refine()
+        if e[0] > 0:
             kept.append(r)
-    left, right = curve._folds
 
     # refine until the parameter intervals are pairwise disjoint and every
     # parameter is on a branch; a branch, once decided on an enclosure of
@@ -395,12 +399,13 @@ def _letters(
 def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(d, t, s): the crossing isolated by r = (a/d, b/d), with the
     integer enclosures of its parameters t < s over den_D d^2 2^33, from
-    u and the pair discriminant, a quadratic cleared as disc = D / den_D."""
+    u and the pair discriminant, a quadratic cleared as disc = D / den_D;
+    its enclosure stays positive on halvings of a kept interval."""
     a, b, d = r.a, r.b, r.d
     ds, den = el.disc.cs, el.disc.den
     scale = den * d * d
     dlo, dhi = _enclose(ds, a, b, d)
-    slo = _sqrt_bounds(max(dlo, 0), scale)[0]
+    slo = _sqrt_bounds(dlo, scale)[0]
     shi = _sqrt_bounds(dhi, scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS

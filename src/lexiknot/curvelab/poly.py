@@ -16,9 +16,9 @@ otherwise bisected, one chain evaluation per midpoint.  The roots come as
 `RootInterval`s, NamedTuples of integers (a, b, d), d a power of two,
 and the sign at a/d, so a halving takes one integer evaluation.  A
 sign at an isolated root is certified by a coprimality test modulo the
-prime 2^61 - 1, run once per pair of h and the roots' polynomial, with a
-rational gcd only when it fails, and then by halving the interval with
-`RootInterval.refine`, the one bisection step of the module, until a
+prime 2^61 - 1, run once per call on h and the roots' one polynomial,
+with a rational gcd only when it fails, and then by halving the
+interval with `RootInterval.refine`, the one bisection step, until a
 mean value test on integers decides it: h's value at the midpoint
 outweighs an interval enclosure of h' times the half-width.  The sign
 comes back with the interval it was decided on, so the next sign at the
@@ -558,11 +558,12 @@ def _remainder_mod_quadratic(cs: Sequence[int], z: tuple[int, int, int], q: Sequ
 
 
 def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[tuple[int, RootInterval]]:
-    """sign_at_root(h, r) for each r, with one common_factor per distinct W = r.poly."""
-    if h.is_zero():
+    """sign_at_root(h, r) for each r, roots of one W = r.poly, with one
+    common_factor(h, W); ValueError if the roots' polynomials differ."""
+    if h.is_zero() or not roots:
         return [(0, r) for r in roots]
-    common: dict[int, tuple[int, ...]] = {}  # id(W) -> common_factor(h, W)
-    for r in roots:
-        if id(r.poly) not in common:
-            common[id(r.poly)] = common_factor(h, r.poly)
-    return [sign_at_root(h, r, common[id(r.poly)]) for r in roots]
+    W = roots[0].poly
+    if any(r.poly != W for r in roots):
+        raise ValueError("the roots of one polynomial are needed")
+    common = common_factor(h, W)
+    return [sign_at_root(h, r, common) for r in roots]

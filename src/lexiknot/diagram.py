@@ -38,12 +38,6 @@ class TrigonalDiagram(Frozen):
     def __len__(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def parse(cls, text: str) -> "TrigonalDiagram":
-        """Comma-separated entries: '2,1,-3'; an empty token is an error."""
-        text = text.replace(" ", "")
-        return cls([int(tok) for tok in text.split(",")] if text else [])
-
     def text(self) -> str:
         return ",".join(str(m) for m in self.entries)
 

@@ -89,10 +89,6 @@ class PlaneWord(Frozen):
         text = text.replace(" ", "")
         return cls([int(t) for t in text.split(",")] if text else [])
 
-    @property
-    def crossings(self) -> int:
-        return sum(self.runs)
-
 
 def normalize_runs(runs: Runs) -> Runs:
     """Collapse interior zeros and doubled boundary zeros in one pass: a

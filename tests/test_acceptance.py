@@ -138,7 +138,7 @@ def test_criterion_2_simple_diagram_enumeration():
     for rec in CAT:
         got = {d.entries for d in enumerate_simple_diagrams(rec, budget=table_budget(rec, m_C(rec)))}
         expected = {
-            _canonical_entries(TrigonalDiagram.parse(t).entries) for t in TABLE_DIAGRAMS[rec.name]
+            _canonical_entries(TrigonalDiagram(t.split(",")).entries) for t in TABLE_DIAGRAMS[rec.name]
         }
         ok = ok and got == expected
     ok = ok and len(enumerate_simple_diagrams(CAT.get("8_13"), budget=10)) == 5

@@ -3,13 +3,13 @@
 The oracle is the Fraction form of `curve_crossings`' schedule: W is
 isolated on the integer box [floor r1, ceil r2] around the roots of the
 pair discriminant, derived here on its own from the Fraction
-coefficients; each root is refined until the mean value test decides
-the sign of the pair discriminant, and the clash loop starts from those
-intervals.  That loop halves every crossing whose parameter interval
-meets another's, or whose parameter intervals have not yet both had an
-interval enclosure of x' without 0.  It uses interval Horner on rational
-coefficients, square-root bounds on the reduced radicand, and a pairwise
-overlap test.  Both must return the same rationals, not merely
+coefficients; each root is refined until an interval Horner enclosure
+of the pair discriminant excludes 0, which decides its sign, and the
+clash loop starts from those intervals.  That loop halves every
+crossing whose parameter interval meets another's, or whose parameter
+intervals have not yet both had an interval enclosure of x' without 0.
+It uses interval Horner on rational coefficients, square-root bounds
+on the reduced radicand, and a pairwise overlap test.  Both must return the same rationals, not merely
 containing ones.
 
 The x-order is checked apart from that schedule: the oracle refines
@@ -64,14 +64,14 @@ def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return elo, ehi
 
 
-def refined_sign(p: Polynomial, r):
-    """The sign of a nonzero p at r's root, by the mean value test on
-    Fraction values, and the interval it was decided on."""
+def disc_sign(el, r):
+    """The sign of the pair discriminant at r's root, where it is nonzero,
+    and the interval it was decided on: r is halved until the interval
+    Horner enclosure of the discriminant excludes 0."""
     while True:
-        v = p(r.mid)
-        lo, hi = interval_horner(p.derivative(), r.lo, r.hi)
-        if abs(v) > max(-lo, hi) * (r.hi - r.lo) / 2:
-            return (v > 0) - (v < 0), r
+        lo, hi = interval_horner(el.disc, r.lo, r.hi)
+        if lo > 0 or hi < 0:
+            return (lo > 0) - (hi < 0), r
         r = r.refine()
 
 
@@ -112,7 +112,7 @@ def overlapping(ivs) -> set[int]:
 def oracle_crossings(curve: PlaneCurve):
     el = curve._eliminator
     roots = _squarefree_isolation(el.W, disc_box(el.disc))[1]
-    kept = [r for sg, r in (refined_sign(el.disc, r) for r in roots) if sg > 0]
+    kept = [r for sg, r in (disc_sign(el, r) for r in roots) if sg > 0]
     enc = [enclosures(el, r) for r in kept]
     dx = curve.x.derivative()
     undecided = set(range(len(kept)))  # crossings with x' not yet of one sign on both enclosures

@@ -32,9 +32,14 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import BOTTOM, TOP, _Eliminator, _fold_height_remainder, _pair_reduction
+from lexiknot.curvelab.curves import BOTTOM, TOP, _disc_box, _Eliminator, _fold_height_remainder, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
-from lexiknot.curvelab.poly import signs_at_quadratic_roots, signs_at_roots
+from lexiknot.curvelab.poly import (
+    _remainder_mod_quadratic,
+    _squarefree_isolation,
+    signs_at_quadratic_roots,
+    signs_at_roots,
+)
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, project
 from wordclass import same_word_class
@@ -141,33 +146,18 @@ class TestCrossings:
                 curve_crossings(c)
 
     def test_tangency_read_from_the_isolation_chain(self, monkeypatch):
-        import lexiknot.curvelab.curves as curves_module
         import lexiknot.curvelab.poly as poly_module
 
-        gcd, sturm = Polynomial.gcd, poly_module.sturm_sequence
-        chains, stray_gcds, in_sign = [], [], []
-
-        def counted_gcd(a, b):
-            if not in_sign:
-                stray_gcds.append((a, b))
-            return gcd(a, b)
-
-        signs = poly_module.signs_at_roots
-
-        def counted_signs(h, roots):
-            in_sign.append(h)
-            try:
-                return signs(h, roots)
-            finally:
-                in_sign.pop()
-
-        monkeypatch.setattr(Polynomial, "gcd", counted_gcd)
+        gcd, sturm, sign = Polynomial.gcd, poly_module.sturm_sequence, poly_module.sign_at_root
+        chains, gcds, signs = [], [], []
+        monkeypatch.setattr(Polynomial, "gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
         monkeypatch.setattr(poly_module, "sturm_sequence", lambda p: chains.append(p) or sturm(p))
-        monkeypatch.setattr(curves_module, "signs_at_roots", counted_signs)
+        monkeypatch.setattr(poly_module, "sign_at_root", lambda *args: signs.append(args) or sign(*args))
         c = unshared(T3, chebyshev(7).scale(2))
         assert len(curve_crossings(c)) == 6
-        # the only gcds left are the signs' own coprimality tests
-        assert stray_gcds == []
+        # no gcd and no sign at a root: the discriminant's sign comes off
+        # each root's own enclosure
+        assert gcds == [] and signs == []
         assert chains.count(c._eliminator.W) == 1
 
     def test_crossings_leave_no_reference_cycle(self, monkeypatch):
@@ -225,24 +215,39 @@ class TestCrossings:
         # margin, so its discriminant sign drops it
         import lexiknot.curvelab.curves as curves_module
 
-        signs, asked = curves_module.signs_at_roots, []
+        isolation, isolated = curves_module._squarefree_isolation, []
 
-        def counted(h, roots):
-            asked.append((h, len(roots)))
-            return signs(h, roots)
+        def counted(p, box):
+            sf, roots = isolation(p, box)
+            isolated.append((p, len(roots)))
+            return sf, roots
 
-        monkeypatch.setattr(curves_module, "signs_at_roots", counted)
+        monkeypatch.setattr(curves_module, "_squarefree_isolation", counted)
         c = unshared(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1]).scale(3))
         cs = curve_crossings(c)
-        assert [n for h, n in asked if h == c._eliminator.disc] == [3]
+        assert isolated == [(c._eliminator.W, 3)]
         assert len(isolate_real_roots(c._eliminator.W)) == 4
         assert len(cs) == 2 and word_from_curve(c, cs).runs == (0, 2)
 
     def test_root_of_w_at_a_box_end_is_still_isolated(self):
         # W = u (4 - u^2) vanishes at the discriminant's roots +-2, the box
-        # ends: a cusp at each fold
+        # ends, and both are isolated: a cusp at each fold
         c = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 0, -2, 0, 1]))
-        with pytest.raises(NonNodalError, match="pair separation vanishes"):
+        el = c._eliminator
+        roots = _squarefree_isolation(el.W, _disc_box(el.disc))[1]
+        assert len(roots) == 3 and all(r.lo < u < r.hi for r, u in zip(roots, (-2, 0, 2)))
+        with pytest.raises(NonNodalError, match="cusp: y' vanishes at a fold"):
+            curve_crossings(c)
+
+    def test_a_cusp_at_an_irrational_fold_raises_there(self):
+        # y' = (t + 1) x' with x' = 3t^2 - 2: W = u (8 - 3u^2) / 4 vanishes
+        # at twice each fold, +-2 sqrt(2/3), inside the box [-2, 2], where
+        # the discriminant 8 - 3u^2 vanishes too; the fold data name the cusp
+        c = PlaneCurve(Polynomial([0, -2, 0, 1]), Polynomial([0, -2, -1, 1, Fraction(3, 4)]))
+        el = c._eliminator
+        assert el.W == Polynomial([0, 2, 0, Fraction(-3, 4)]) and el.disc == Polynomial([8, 0, -3])
+        assert _disc_box(el.disc) == (-2, 2) and len(_squarefree_isolation(el.W, (-2, 2))[1]) == 3
+        with pytest.raises(NonNodalError, match="cusp: y' vanishes at a fold"):
             curve_crossings(c)
 
     def test_crossings_are_the_whole_line_roots_with_positive_discriminant(self):
@@ -263,6 +268,28 @@ class TestCrossings:
             checked += 1
             solitary += signs.count(-1)
         assert checked >= 40 and solitary > 0
+
+    def test_the_pair_discriminant_vanishes_only_where_w_is_y_prime_at_a_fold(self):
+        # disc(u) = -(4/p3) x'(u/2) vanishes only at u = 2c, c a fold, and
+        # W(2t) is a positive multiple of y'(t) modulo x': where the fold
+        # data find no cusp, disc is nonzero at every root of W
+        rng = random.Random(37)
+        leads = (Fraction(2, 3), Fraction(-3, 2), Fraction(5, 4), 3, -2, Fraction(-1, 5))
+        curves = [PlaneCurve(T3, chebyshev(b)) for b in range(2, 33)]
+        while len(curves) < 31 + 300:
+            x = Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] + [rng.choice(leads)])
+            y = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(2, 12))] + [1])
+            try:
+                curves.append(PlaneCurve(x, y.scale(rng.choice((-1, Fraction(3, 2))))))
+            except NotTrigonalError:
+                continue
+        for c in curves:
+            el, dx = c._eliminator, c.x.derivative()
+            assert el.disc == dx.compose(Polynomial([0, Fraction(1, 2)])).scale(-4 / c.x.coeffs[3]), c.x
+            w = _remainder_mod_quadratic(el.W.primitive, (0, 2, 1), dx.primitive)
+            slope = _remainder_mod_quadratic(c.y.derivative().primitive, (0, 1, 1), dx.primitive)
+            assert w[0] * slope[1] == w[1] * slope[0], (c.x, c.y)
+            assert [(a > 0) - (a < 0) for a in w] == [(a > 0) - (a < 0) for a in slope], (c.x, c.y)
 
     def test_non_trigonal_rejected(self):
         with pytest.raises(NotTrigonalError):

@@ -168,10 +168,9 @@ class TestIdentify:
     def test_link_is_none(self):
         assert identify_knot(D([1, 1])) is None
 
-    def test_parse_and_text(self):
-        d = D.parse("2, 1, -3")
+    def test_text(self):
+        d = D([2, 1, -3])
         assert d.entries == (2, 1, -3)
         assert d.text() == "2,1,-3"
-        for text in ("2,,1", "2,1,", ""):
-            with pytest.raises(ValueError):
-                D.parse(text)
+        with pytest.raises(ValueError):
+            D([])

@@ -77,6 +77,59 @@ def _referenced_names(tree: ast.AST) -> Counter:
     return out
 
 
+def _annotated(node: ast.AST, classes: set) -> set:
+    """The classes an annotation names: C, "C", Optional[C] or C | None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Name):
+        return {node.id} & classes
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "Optional":
+        return _annotated(node.slice, classes)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotated(node.left, classes) | _annotated(node.right, classes)
+    return set()
+
+
+def _typed_uses(tree: ast.Module, classes: set, returns: dict) -> set:
+    """The (class, name) pairs a module refers to through a receiver of
+    known class: the class itself, self or cls inside it, a name
+    annotated as it, built by it or returned by a function annotated to
+    return it (``returns``: function name -> classes), or such a call;
+    and the dotted strings "Class.name"."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in ast.walk(c)}
+    functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    top = ast.Module([s for s in tree.body if not isinstance(s, (ast.FunctionDef, ast.ClassDef))], [])
+    uses = set()
+    for scope in [top] + functions:
+        types = {"self": {owner[id(scope)]}, "cls": {owner[id(scope)]}} if id(scope) in owner else {}
+
+        def receiver(node: ast.AST) -> set:
+            if isinstance(node, ast.Name):
+                return {node.id} & classes or types.get(node.id, set())
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                return {name} & classes or returns.get(name, set())
+            return set()
+
+        for node in ast.walk(scope):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                types.setdefault(node.arg, set()).update(_annotated(node.annotation, classes))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                types.setdefault(node.target.id, set()).update(_annotated(node.annotation, classes))
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        types.setdefault(target.id, set()).update(receiver(node.value))
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute):
+                uses.update((c, node.attr) for c in receiver(node.value))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.count(".") == 1:
+                c, name = node.value.split(".")
+                if c in classes:
+                    uses.add((c, name))
+    return uses
+
+
 # public names that no command or pipeline runs yet, with the work that
 # will; a name leaves once it gains a use, so the list only shrinks
 UNUSED_ALLOWED = {
@@ -89,21 +142,38 @@ def test_every_public_name_is_used():
     # a public function, class or method must be referred to by the
     # package or the benchmark, not only by tests, and the imports of an
     # __init__.py only re-export; references are read off the syntax
-    # tree, so a common word in a comment or a docstring is no use
-    refs = Counter()
+    # tree, so a common word in a comment or a docstring is no use.  A
+    # method name that several classes define is used for one of them
+    # only through a receiver of that class (`_typed_uses`)
+    defined, owners = set(), {}  # owners: public method name -> the classes defining it
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                        owners.setdefault(stmt.name, set()).add(node.name)
+    trees = []
     for top in ("src", "perfbench"):
         for path in sorted((SRC.parents[1] / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             if path.name == "__init__.py":
                 tree.body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
-            refs += _referenced_names(tree)
-    defined = {
-        node.name
-        for path in SRC.rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
-    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() if not refs[name])
+            trees.append(tree)
+    classes = {c for cs in owners.values() for c in cs}
+    returns = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+                returns.setdefault(node.name, set()).update(_annotated(node.returns, classes))
+    refs, typed = Counter(), set()
+    for tree in trees:
+        refs += _referenced_names(tree)
+        typed |= _typed_uses(tree, classes, returns)
+    shared = {name for name, cs in owners.items() if len(cs) > 1}
+    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() - shared if not refs[name])
+    unused += sorted(f"{c}.{name}" for name in shared for c in owners[name] if (c, name) not in typed)
     assert not unused, unused
     stale = sorted(name for name in UNUSED_ALLOWED if refs[name] or name not in defined)
     assert not stale, f"allowed as unused but used or gone: {stale}"

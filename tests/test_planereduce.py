@@ -391,7 +391,7 @@ class TestReductionSearch:
                 assert trace.replay().runs == canonical_runs(trace.base.runs), (src, depth)
                 assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), (src, depth)
                 # every path to a word costs the crossings it has lost
-                assert trace.cost == trace.source.crossings - trace.base.crossings, (src, depth)
+                assert trace.cost == sum(trace.source.runs) - sum(trace.base.runs), (src, depth)
 
     def test_sharper_route_on_8_13_fourth_row(self):
         # the published cell stops at deg D(0,3)+6 (b >= 10); the boundary

@@ -150,10 +150,13 @@ class TestRoots:
         for h in (P.from_roots([2, 5]) * P([-2, 0, 1]), P([Fraction(1, 2), 1]), P([0])):
             certified.clear()
             gcds.clear()
-            many = signs_at_roots(h, roots + other)
-            assert len(certified) == (0 if h.is_zero() else 2)  # one per W, whatever the root count
+            many = signs_at_roots(h, roots)
+            assert len(certified) == (0 if h.is_zero() else 1)  # one per call, whatever the root count
             assert len(gcds) <= len(certified)
-            assert many == [sign_at_root(h, r) for r in roots + other]
+            assert many == [sign_at_root(h, r) for r in roots]
+        assert signs_at_roots(P([1, 1]), []) == []
+        with pytest.raises(ValueError, match="one polynomial"):
+            signs_at_roots(P([1, 1]), roots + other)
         # (t - 2)(t - 5)(t^2 - 2): zero at +-sqrt 2 and 2, exact signs elsewhere
         assert [sg for sg, _ in signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots)] == [1, 0, -1, 0, 0]
 
