@@ -21,4 +21,4 @@ from .height import (
     height_polynomial,
     verify_embedding,
 )
-from .poly import Polynomial, RootInterval, chebyshev, isolate_real_roots, sign_at_root
+from .poly import Polynomial, RootInterval, chebyshev, isolate_real_roots, signs_at_roots

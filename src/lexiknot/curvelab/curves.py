@@ -274,7 +274,8 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     The fold data are read next, and raise on a cusp, the only place
     where the discriminant vanishes at a root of W.  Each root is then
     halved until the discriminant's enclosure excludes 0, and carried
-    from there to the clash loop, so no halving is repeated.  Each round
+    from there to the clash loop with that enclosure, which the square
+    roots of t and s start from, so no halving is repeated.  Each round
     of that loop halves the u-interval of every crossing whose parameter
     interval meets another, or on one of whose parameter intervals x'
     may vanish, and encloses only those again.
@@ -304,16 +305,17 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
 
     left, right = curve._folds  # raises on a cusp, so each halving below ends
     kept: list[RootInterval] = []
+    enc = []
     for r in roots:
         while (e := _enclose(el.disc.cs, r.a, r.b, r.d))[0] <= 0 <= e[1]:
             r = r.refine()
         if e[0] > 0:
             kept.append(r)
+            enc.append(_enclosures(el, r, e))
 
     # refine until the parameter intervals are pairwise disjoint and every
     # parameter is on a branch; a branch, once decided on an enclosure of
     # the parameter, stays
-    enc = [_enclosures(el, r) for r in kept]
     branches = [_branches(el, e) for e in enc]
     for _ in range(_MAX_CLASH_ROUNDS):
         params = _rescaled(enc)
@@ -322,8 +324,8 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
         if not clash:
             break
         for i in clash:
-            kept[i] = kept[i].refine()
-            enc[i] = _enclosures(el, kept[i])
+            kept[i] = r = kept[i].refine()
+            enc[i] = _enclosures(el, r, _enclose(el.disc.cs, r.a, r.b, r.d))
             if branches[i] is None:
                 branches[i] = _branches(el, enc[i])
     else:
@@ -396,17 +398,16 @@ def _letters(
     return letters
 
 
-def _enclosures(el: _Eliminator, r: RootInterval) -> tuple[int, tuple[int, int], tuple[int, int]]:
+def _enclosures(el: _Eliminator, r: RootInterval, D: tuple[int, int]) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(d, t, s): the crossing isolated by r = (a/d, b/d), with the
     integer enclosures of its parameters t < s over den_D d^2 2^33, from
-    u and the pair discriminant, a quadratic cleared as disc = D / den_D;
-    its enclosure stays positive on halvings of a kept interval."""
+    u and the positive enclosure D of d^2 D(u) over r, the pair
+    discriminant being a quadratic cleared as D / den_D."""
     a, b, d = r.a, r.b, r.d
-    ds, den = el.disc.cs, el.disc.den
+    den = el.disc.den
     scale = den * d * d
-    dlo, dhi = _enclose(ds, a, b, d)
-    slo = _sqrt_bounds(dlo, scale)[0]
-    shi = _sqrt_bounds(dhi, scale)[1]
+    slo = _sqrt_bounds(D[0], scale)[0]
+    shi = _sqrt_bounds(D[1], scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
     return d, (ua - shi, ub - slo), (ua + slo, ub + shi)
@@ -531,7 +532,7 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
     el = curve._eliminator
     cs = curve_crossings(curve)
     crossing_x = _pair_reduction(curve.x, el.v)[1]
-    if any(sg == 0 for sg, _ in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in cs.crossings])):
+    if 0 in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in cs.crossings]):
         raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
 

@@ -11,13 +11,14 @@ rational endpoint decides each sign, on integers.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
 object per value), so its crossings are computed once.  It reads the
-over/under sign of every crossing with `signs_at_roots`: one coprimality
-certificate modulo a prime rules out exact vanishing, with a rational
-gcd only where it fails, and a mean value test on integers over a
-bisected dyadic isolating interval gives the sign.  No other sign at a
-root is taken here.  The twist sense is unoriented: it is the over/under
-sign times the crossing's turn, which strand comes from above just left
-of the crossing, read off the branch order by `curve_crossings`.  (That
+over/under sign of every crossing with one `signs_at_roots` call: its
+coprimality certificate modulo a prime rules out exact vanishing at all
+the crossings at once, with a rational gcd only where it fails, and
+`sign_at_root`'s mean value test on integers over a bisected dyadic
+isolating interval gives each sign.  No other sign at a root is taken
+here.  The twist sense is unoriented: it is the over/under sign times
+the crossing's turn, which strand comes from above just left of the
+crossing, read off the branch order by `curve_crossings`.  (That
 product equals the crossing sign with both strands turned to run
 towards +x, the over/under sign times the tangent determinant's sign
 times x'(t) x'(s); the tests check it against that definition.)  The
@@ -131,7 +132,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
         cs = curve_crossings(curve)
     Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
-    for c, (s, _) in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
+    for c, s in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
         if s == 0:
             raise EmbeddingError(
                 f"z does not separate the crossing near u in "

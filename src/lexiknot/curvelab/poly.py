@@ -14,18 +14,16 @@ there instead.  An interval of c >= 2 roots is isolated by c sign
 changes on a dyadic grid of 2^j >= 2c cells when 2^j <= deg + 1, and
 otherwise bisected, one chain evaluation per midpoint.  The roots come as
 `RootInterval`s, NamedTuples of integers (a, b, d), d a power of two,
-and the sign at a/d, so a halving takes one integer evaluation.  A
-sign at an isolated root is certified by a coprimality test modulo the
-prime 2^61 - 1, run once per call on h and the roots' one polynomial,
-with a rational gcd only when it fails, and then by halving the
-interval with `RootInterval.refine`, the one bisection step, until a
-mean value test on integers decides it: h's value at the midpoint
-outweighs an interval enclosure of h' times the half-width.  The sign
-comes back with the interval it was decided on, so the next sign at the
-same root starts there.  At the roots of a quadratic no interval is
-needed: `signs_at_quadratic_roots` reduces h modulo the quadratic by
-Horner and reads both signs in Q(sqrt(Delta)).  Floating point decides
-nothing.
+and the sign at a/d, so a halving takes one integer evaluation.
+`signs_at_roots` decides where h vanishes at the roots of one W: a
+coprimality test modulo the prime 2^61 - 1, once per call, with a
+rational gcd only when it fails.  `sign_at_root` decides a sign known
+to be nonzero, halving the interval with `RootInterval.refine`, the
+one bisection step, until a mean value test on integers decides it:
+h's value at the midpoint outweighs an interval enclosure of h' times
+the half-width.  At the roots of a quadratic no interval is needed:
+`signs_at_quadratic_roots` reduces h modulo the quadratic by Horner and
+reads both signs in Q(sqrt(Delta)).  Floating point decides nothing.
 """
 
 from __future__ import annotations
@@ -157,10 +155,6 @@ class Polynomial(Frozen):
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_integers(_product(self.cs, other.cs), self.den * other.den)
-
-    def scale(self, c: Rat) -> "Polynomial":
-        c = _frac(c)
-        return Polynomial.from_integers([c.numerator * a for a in self.cs], self.den * c.denominator)
 
     def derivative(self) -> "Polynomial":
         return Polynomial.from_integers([k * c for k, c in enumerate(self.cs)][1:], self.den)
@@ -455,52 +449,31 @@ def _coprime_mod_prime(f: Sequence[int], g: Sequence[int]) -> bool:
     return True
 
 
-def common_factor(h: Polynomial, W: Polynomial) -> tuple[int, ...]:
-    """The primitive gcd(h, W), or () when a certificate proves it constant.
+def sign_at_root(h: Polynomial, root: RootInterval) -> int:
+    """Exact sign of h at the root isolated by ``root``, where h does not
+    vanish; `signs_at_roots` decides where it does.
 
-    If h and W stay coprime modulo the prime 2^61 - 1, h vanishes at no
-    root of W, and () says so.  Only when that certificate fails is the
-    gcd computed over Q.
+    h is read as its primitive integer coefficients, and ``root.refine``
+    halves the interval until the mean value test decides: over (a/d,
+    b/d) with midpoint m, h keeps the sign of h(m) when |h(m)| > max |h'|
+    (b - a) / 2d, read on integers as |v| > max(-lo, hi) (b - a) with v =
+    (2d)^n h(m) and [lo, hi] the enclosure of (2d)^(n-1) h'.  At a root
+    of h the test never passes, so a zero raises instead of a sign.
     """
-    if _coprime_mod_prime(h.primitive, W.primitive):
-        return ()
-    return h.gcd(W).primitive
-
-
-def sign_at_root(
-    h: Polynomial, root: RootInterval, common: Optional[tuple[int, ...]] = None
-) -> tuple[int, RootInterval]:
-    """Exact sign of h at the root isolated by ``root`` (0 if h vanishes
-    there), and the isolating interval the sign was decided on.
-
-    h is read as its primitive integer coefficients.  ``common`` is
-    common_factor(h, root.poly), computed here unless given.  It divides
-    the squarefree W = root.poly, so it vanishes at the root iff it
-    changes sign across the isolating interval.  Otherwise h is nonzero
-    at the root, and ``root.refine`` halves the interval until the mean
-    value test decides: over (a/d, b/d) with midpoint m, h keeps the sign
-    of h(m) when |h(m)| > max |h'| (b - a) / 2d, read on integers as
-    |v| > max(-lo, hi) (b - a) with v = (2d)^n h(m) and [lo, hi] the
-    enclosure of (2d)^(n-1) h'.  The returned interval is ``root`` itself
-    or a refinement of it, so a caller can ask its next sign there.
-    """
-    if h.is_zero():
-        return 0, root
-    g = common_factor(h, root.poly) if common is None else common
-    if len(g) > 1 and _sign(_value(g, root.a, root.d)) != _sign(_value(g, root.b, root.d)):
-        return 0, root
     cs = h.primitive
+    if not cs:
+        raise ValueError("the zero polynomial has no sign")
     if len(cs) == 1:
-        return _sign(cs[0]), root
+        return _sign(cs[0])
     slope = [k * cs[k] for k in range(1, len(cs))]
     for _ in range(_MAX_REFINE):
         a, b, d = 2 * root.a, 2 * root.b, 2 * root.d
         v = _value(cs, root.a + root.b, d)
         lo, hi = _enclose(slope, a, b, d)
         if abs(v) > max(-lo, hi) * (root.b - root.a):
-            return _sign(v), root
+            return _sign(v)
         root = root.refine()
-    raise RuntimeError("sign refinement did not converge")
+    raise RuntimeError("sign refinement did not converge: does h vanish at the root?")
 
 
 def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
@@ -557,13 +530,22 @@ def _remainder_mod_quadratic(cs: Sequence[int], z: tuple[int, int, int], q: Sequ
     return r0, r1
 
 
-def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[tuple[int, RootInterval]]:
-    """sign_at_root(h, r) for each r, roots of one W = r.poly, with one
-    common_factor(h, W); ValueError if the roots' polynomials differ."""
-    if h.is_zero() or not roots:
-        return [(0, r) for r in roots]
-    W = roots[0].poly
-    if any(r.poly != W for r in roots):
+def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[int]:
+    """Exact sign of h at each root, 0 where h vanishes; ValueError
+    unless the roots are those of one squarefree W = r.poly.
+
+    Where h vanishes is decided once: if h and W stay coprime modulo the
+    prime 2^61 - 1, h vanishes at no root of W.  Only when that
+    certificate fails is the primitive g = gcd(h, W) computed over Q; g
+    divides W, so it vanishes at a root iff it changes sign across the
+    root's isolating interval.  Every other sign is `sign_at_root`'s.
+    """
+    if any(r.poly != roots[0].poly for r in roots):
         raise ValueError("the roots of one polynomial are needed")
-    common = common_factor(h, W)
-    return [sign_at_root(h, r, common) for r in roots]
+    if h.is_zero() or not roots:
+        return [0] * len(roots)
+    W = roots[0].poly
+    g = () if _coprime_mod_prime(h.primitive, W.primitive) else h.gcd(W).primitive
+    return [
+        0 if len(g) > 1 and _value(g, r.a, r.d) * _value(g, r.b, r.d) < 0 else sign_at_root(h, r) for r in roots
+    ]

@@ -27,7 +27,7 @@ from lexiknot.curvelab import (
     isolate_real_roots,
     perturb,
     perturb_auto,
-    sign_at_root,
+    signs_at_roots,
     verify_embedding,
     word_from_curve,
 )
@@ -37,8 +37,8 @@ from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import (
     _remainder_mod_quadratic,
     _squarefree_isolation,
+    sign_at_root,
     signs_at_quadratic_roots,
-    signs_at_roots,
 )
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, project
@@ -78,7 +78,7 @@ class TestCrossings:
             return isolate_real_roots(p)
 
         monkeypatch.setattr(curves_module, "isolate_real_roots", counted)
-        c = unshared(T3, chebyshev(5).scale(2))
+        c = unshared(T3, chebyshev(5) * Polynomial.const(2))
         assert word_from_curve(c, curve_crossings(c)).runs == (1, 1, 1, 1)
         assert isolated == []
 
@@ -91,7 +91,7 @@ class TestCrossings:
         variations, compose, chains, composed = poly_module._variations, Polynomial.compose, [], []
         monkeypatch.setattr(poly_module, "_variations", lambda *a: chains.append(a) or variations(*a))
         monkeypatch.setattr(Polynomial, "compose", lambda p, inner: composed.append(p) or compose(p, inner))
-        c = unshared(T3, chebyshev(26).scale(2))
+        c = unshared(T3, chebyshev(26) * Polynomial.const(2))
         assert word_from_curve(c, curve_crossings(c)).runs == (1,) * 25
         assert composed == []
         assert 2 * len(chains) <= 27
@@ -108,7 +108,7 @@ class TestCrossings:
 
         for module in (curves_module, svg_module):
             monkeypatch.setattr(module, "isolate_real_roots", counted, raising=False)
-        c = unshared(T3, chebyshev(4).scale(2))
+        c = unshared(T3, chebyshev(4) * Polynomial.const(2))
         svg_module.render_svg(c, curve_crossings(c))
         assert isolated.count(T3.derivative()) == 1
 
@@ -153,7 +153,7 @@ class TestCrossings:
         monkeypatch.setattr(Polynomial, "gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
         monkeypatch.setattr(poly_module, "sturm_sequence", lambda p: chains.append(p) or sturm(p))
         monkeypatch.setattr(poly_module, "sign_at_root", lambda *args: signs.append(args) or sign(*args))
-        c = unshared(T3, chebyshev(7).scale(2))
+        c = unshared(T3, chebyshev(7) * Polynomial.const(2))
         assert len(curve_crossings(c)) == 6
         # no gcd and no sign at a root: the discriminant's sign comes off
         # each root's own enclosure
@@ -223,7 +223,7 @@ class TestCrossings:
             return sf, roots
 
         monkeypatch.setattr(curves_module, "_squarefree_isolation", counted)
-        c = unshared(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1]).scale(3))
+        c = unshared(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1]) * Polynomial.const(3))
         cs = curve_crossings(c)
         assert isolated == [(c._eliminator.W, 3)]
         assert len(isolate_real_roots(c._eliminator.W)) == 4
@@ -263,7 +263,7 @@ class TestCrossings:
                 count = len(curve_crossings(c))
             except NonNodalError:
                 continue
-            signs = [sg for sg, _ in signs_at_roots(el.disc, isolate_real_roots(el.W))]
+            signs = signs_at_roots(el.disc, isolate_real_roots(el.W))
             assert count == signs.count(1), (c.x, y)
             checked += 1
             solitary += signs.count(-1)
@@ -280,12 +280,12 @@ class TestCrossings:
             x = Polynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] + [rng.choice(leads)])
             y = Polynomial([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(2, 12))] + [1])
             try:
-                curves.append(PlaneCurve(x, y.scale(rng.choice((-1, Fraction(3, 2))))))
+                curves.append(PlaneCurve(x, y * Polynomial.const(rng.choice((-1, Fraction(3, 2))))))
             except NotTrigonalError:
                 continue
         for c in curves:
             el, dx = c._eliminator, c.x.derivative()
-            assert el.disc == dx.compose(Polynomial([0, Fraction(1, 2)])).scale(-4 / c.x.coeffs[3]), c.x
+            assert el.disc == dx.compose(Polynomial([0, Fraction(1, 2)])) * Polynomial.const(-4 / c.x.coeffs[3]), c.x
             w = _remainder_mod_quadratic(el.W.primitive, (0, 2, 1), dx.primitive)
             slope = _remainder_mod_quadratic(c.y.derivative().primitive, (0, 1, 1), dx.primitive)
             assert w[0] * slope[1] == w[1] * slope[0], (c.x, c.y)
@@ -346,7 +346,7 @@ def third_strand_letters(curve, cs):
     S = Fraction(-curve.x.cs[2], curve.x.cs[3])
     h = curve.y.compose(Polynomial([S, -1])) - _pair_reduction(curve.y, curve._eliminator.v)[1]
     letters = []
-    for sg, _ in signs_at_roots(h, [c.u for c in cs.crossings]):
+    for sg in signs_at_roots(h, [c.u for c in cs.crossings]):
         assert sg != 0, "the third strand passes through a crossing"
         letters.append(BOTTOM if sg > 0 else TOP)
     return letters
@@ -362,8 +362,7 @@ def tangent_turns(curve, cs):
     A_x, B_x = _pair_reduction(curve.x.derivative(), v)
     N, dx = A_y * B_x - B_y * A_x, curve.x.derivative()
     turns = []
-    for c in cs.crossings:
-        sn = sign_at_root(N, c.u)[0]
+    for c, sn in zip(cs.crossings, signs_at_roots(N, [c.u for c in cs.crossings])):
         assert sn != 0, "the tangents are parallel at a crossing"
         directions = dx(sum(c.t) / 2) * dx(sum(c.s) / 2)
         turns.append(sn if directions > 0 else -sn)
@@ -606,7 +605,7 @@ class TestEmbedding:
     def test_6_2_witness_signs_each_crossing_once(self, monkeypatch):
         # one z sign per crossing: the turns come with the crossings
         witness = perturb(q7(Fraction(-1, 2)), Fraction(1, 1024))
-        curve = unshared(witness.x, witness.y.scale(2))
+        curve = unshared(witness.x, witness.y * Polynomial.const(2))
         cs = curve_crossings(curve)
         height, _ = height_polynomial(cs, alternating_overpasses(cs))
         calls = []
@@ -637,7 +636,7 @@ class TestEmbedding:
             A_x, B_x = _pair_reduction(c.x.derivative(), v)
             N = A_y * B_x - B_y * A_x
             expected = [
-                -sign_at_root(A_z, x.u)[0] * sign_at_root(N, x.u)[0] * (-1 if backwards(x.t) != backwards(x.s) else 1)
+                -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t) != backwards(x.s) else 1)
                 for x in cs.crossings
             ]
             assert crossing_handedness(c, z, cs) == expected
@@ -679,7 +678,7 @@ class TestEmbedding:
                 super().__init__(curve)
 
         monkeypatch.setattr(curves_module, "_Eliminator", Counted)
-        c = unshared(T3, chebyshev(5).scale(2))
+        c = unshared(T3, chebyshev(5) * Polynomial.const(2))
         cs = curve_crossings(c)
         assert len(built) == 1
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
@@ -687,14 +686,14 @@ class TestEmbedding:
         # the caller's curve, with its crossings, is reused
         _, rec = verify_embedding(c.x, c.y, z)
         assert rec.name == "4_1" and built == []
-        add_triple_point(unshared(T3, chebyshev(4).scale(2)), Fraction(-1, 2), Fraction(1))
+        add_triple_point(unshared(T3, chebyshev(4) * Polynomial.const(2)), Fraction(-1, 2), Fraction(1))
         assert len(built) == 1
 
 
     def test_three_heights_make_no_tangent_sign_pass(self, monkeypatch):
         # the turns do not depend on z and come with the crossings, so
         # each height takes one sign pass, that of z, and N is never signed
-        c = unshared(T3, chebyshev(7).scale(2))
+        c = unshared(T3, chebyshev(7) * Polynomial.const(2))
         cs = curve_crossings(c)
         v = c._eliminator.v
         A_y, B_y = _pair_reduction(c.y.derivative(), v)

@@ -60,13 +60,13 @@ def test_only_the_frozen_base_writes_the_immutability_protocol():
     assert not found, found
 
 
-def _referenced_names(tree: ast.AST) -> Counter:
-    """The identifiers a module refers to: names, attributes, imported
-    names, and string constants that are identifiers (monkeypatched and
-    traced names are written as strings)."""
+def _referenced_names(tree: ast.AST, bare: bool = True) -> Counter:
+    """The identifiers a module refers to: names (unless not ``bare``),
+    attributes, imported names, and string constants that are
+    identifiers (monkeypatched and traced names are written as strings)."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and bare:
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
@@ -144,7 +144,9 @@ def test_every_public_name_is_used():
     # __init__.py only re-export; references are read off the syntax
     # tree, so a common word in a comment or a docstring is no use.  A
     # method name that several classes define is used for one of them
-    # only through a receiver of that class (`_typed_uses`)
+    # only through a receiver of that class (`_typed_uses`), and any other
+    # method only through an attribute or a string, never a bare name: a
+    # local variable of the same name is no use of the method
     defined, owners = set(), {}  # owners: public method name -> the classes defining it
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -167,12 +169,14 @@ def test_every_public_name_is_used():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
                 returns.setdefault(node.name, set()).update(_annotated(node.returns, classes))
-    refs, typed = Counter(), set()
+    refs, attrs, typed = Counter(), Counter(), set()
     for tree in trees:
         refs += _referenced_names(tree)
+        attrs += _referenced_names(tree, bare=False)
         typed |= _typed_uses(tree, classes, returns)
     shared = {name for name, cs in owners.items() if len(cs) > 1}
-    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() - shared if not refs[name])
+    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() - owners.keys() if not refs[name])
+    unused += sorted(f"{min(cs)}.{name}" for name, cs in owners.items() if name not in shared and not attrs[name])
     unused += sorted(f"{c}.{name}" for name in shared for c in owners[name] if (c, name) not in typed)
     assert not unused, unused
     stale = sorted(name for name in UNUSED_ALLOWED if refs[name] or name not in defined)

@@ -44,7 +44,7 @@ class TestArithmetic:
         a, b = (2, 0, -3, 1), (-1, 2)
         m, q, r = _pseudo_divide(a, b)
         assert (m, q, r) == (8, [-5, -10, 4], [11])
-        assert P(a).scale(m) == P(q) * P(b) + P(r)
+        assert P(a) * P.const(m) == P(q) * P(b) + P(r)
 
     def test_gcd_of_common_factor(self):
         f = P([-1, 1]) * P([2, 1])
@@ -112,15 +112,15 @@ class TestRoots:
         # those above c
         roots = isolate_real_roots(P.from_roots([-1, 0, 1]))
         assert len(roots) == 3
-        assert [sign_at_root(P([Fraction(-1, 2), 1]), r)[0] for r in roots] == [-1, -1, 1]
+        assert signs_at_roots(P([Fraction(-1, 2), 1]), roots) == [-1, -1, 1]
 
     def test_sign_at_root(self):
         p = P.from_roots([2])  # root t = 2
         root = isolate_real_roots(P([-4, 0, 1]))[1]  # sqrt(4)... root 2 of t^2-4
         h = P([-1, 1])  # t - 1, positive at 2
-        assert sign_at_root(h, root)[0] == 1
-        assert sign_at_root(P([3, -1]), root)[0] == 1  # 3 - t at 2 -> 1
-        assert sign_at_root(P([-4, 0, 1]), root)[0] == 0
+        assert sign_at_root(h, root) == 1
+        assert sign_at_root(P([3, -1]), root) == 1  # 3 - t at 2 -> 1
+        assert signs_at_roots(P([-4, 0, 1]), [root]) == [0]
         assert p(2) == 0
 
     def test_sign_at_root_builds_no_sturm_chain(self, monkeypatch):
@@ -134,8 +134,9 @@ class TestRoots:
         monkeypatch.setattr(poly, "sturm_sequence", forbidden)
         h = chebyshev(5) - P([Fraction(1, 3)])  # T_5 = 1/3 at no root of T_7
         tight = [refined_below(r, Fraction(1, 10**12)) for r in roots]
-        assert [sign_at_root(h, r)[0] for r in roots] == [1 if h(r.mid) > 0 else -1 for r in tight]
-        assert [sign_at_root(chebyshev(21), r)[0] for r in roots] == [0] * 7  # T_7 divides T_21
+        expected = [1 if h(r.mid) > 0 else -1 for r in tight]
+        assert [sign_at_root(h, r) for r in roots] == signs_at_roots(h, roots) == expected
+        assert signs_at_roots(chebyshev(21), roots) == [0] * 7  # T_7 divides T_21
 
     def test_signs_at_roots_certify_each_pair_once(self, monkeypatch):
         import lexiknot.curvelab.poly as poly
@@ -147,18 +148,42 @@ class TestRoots:
         coprime, gcd = poly._coprime_mod_prime, P.gcd
         monkeypatch.setattr(poly, "_coprime_mod_prime", lambda f, g: certified.append(g) or coprime(f, g))
         monkeypatch.setattr(P, "gcd", lambda a, b: gcds.append(b) or gcd(a, b))
-        for h in (P.from_roots([2, 5]) * P([-2, 0, 1]), P([Fraction(1, 2), 1]), P([0])):
+        cases = (
+            (P.from_roots([2, 5]) * P([-2, 0, 1]), [1, 0, -1, 0, 0]),  # zero at +-sqrt 2 and 2
+            (P([Fraction(1, 2), 1]), [-1, -1, 1, 1, 1]),
+            (P([0]), [0] * 5),
+        )
+        for h, signs in cases:
             certified.clear()
             gcds.clear()
-            many = signs_at_roots(h, roots)
+            assert signs_at_roots(h, roots) == signs
             assert len(certified) == (0 if h.is_zero() else 1)  # one per call, whatever the root count
             assert len(gcds) <= len(certified)
-            assert many == [sign_at_root(h, r) for r in roots]
         assert signs_at_roots(P([1, 1]), []) == []
         with pytest.raises(ValueError, match="one polynomial"):
             signs_at_roots(P([1, 1]), roots + other)
-        # (t - 2)(t - 5)(t^2 - 2): zero at +-sqrt 2 and 2, exact signs elsewhere
-        assert [sg for sg, _ in signs_at_roots(P.from_roots([2, 5]) * P([-2, 0, 1]), roots)] == [1, 0, -1, 0, 0]
+
+    def test_signs_at_roots_check_the_roots_before_a_zero_h(self):
+        roots = isolate_real_roots(P([-2, 0, 1])) + isolate_real_roots(P([-5, 0, 1]))
+        with pytest.raises(ValueError, match="one polynomial"):
+            signs_at_roots(P([]), roots)
+
+    def test_a_root_where_h_vanishes_asks_no_sign_at_it(self, monkeypatch):
+        import lexiknot.curvelab.poly as poly
+
+        roots = isolate_real_roots(P.from_roots([-3, 1, 2]) * P([-2, 0, 1]))  # -3, -sqrt 2, 1, sqrt 2, 2
+        asked, sign = [], poly.sign_at_root
+        monkeypatch.setattr(poly, "sign_at_root", lambda h, r: asked.append(r) or sign(h, r))
+        assert signs_at_roots(P.from_roots([1]) * P([-2, 0, 1]), roots) == [-1, 0, 0, 0, 1]
+        assert asked == [roots[0], roots[4]]
+
+    def test_sign_at_root_raises_where_h_vanishes(self):
+        roots = isolate_real_roots(P([-2, 0, 1]))
+        for h in (P([-2, 0, 1]), P([-4, 0, 2]) * P([3, 1])):
+            with pytest.raises(RuntimeError, match="vanish at the root"):
+                sign_at_root(h, roots[1])
+        with pytest.raises(ValueError, match="zero polynomial"):
+            sign_at_root(P([]), roots[0])
 
     @pytest.mark.parametrize("p, bisection", [(P.from_roots(range(1, 16)), 57), (chebyshev(25), 35)])
     def test_sign_grid_costs_no_extra_chain_evaluation(self, p, bisection, monkeypatch):
@@ -245,7 +270,7 @@ def test_integer_polynomial_matches_a_fraction_reference(a, b, c, k):
         (p - q, ref_add(ra, tuple(-x for x in rb))),
         (-p, tuple(-x for x in ra)),
         (p * q, ref_mul(ra, rb)),
-        (p.scale(c), ref(x * c for x in ra)),
+        (p * P.const(c), ref(x * c for x in ra)),
         (p.derivative(), ref(i * x for i, x in enumerate(ra))[1:] if ra else ()),
         (p.compose(q), ref_compose(ra, rb)),
         (p.shift(c), ref_compose(ra, (c, Fraction(1)))),
