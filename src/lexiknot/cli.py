@@ -69,7 +69,7 @@ def _knot_names(text: str) -> list[str]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     rec = _record_for(args.fraction)
     try:
-        diagrams = enumerate_simple_diagrams(rec, budget=args.budget, strict=args.strict)
+        diagrams = enumerate_simple_diagrams(rec, budget=args.budget)
     except ValueError as exc:  # the budget is out of range for this knot
         return _usage_error("enumerate", str(exc))
     except SearchExhausted as exc:
@@ -95,9 +95,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    if args.depth is not None and args.depth < 0:
-        return _usage_error("reduce", f"argument --depth: must be at least 0, got {args.depth}")
-    trace = reduction_search(args.word, depth=args.depth)
+    trace = reduction_search(args.word)
     if args.json:
         print(
             json.dumps(
@@ -136,7 +134,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     except (NotTrigonalError, NonNodalError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    word = word_from_curve(curve, cs)
+    word = word_from_curve(curve)
     out = {
         "bidegree": list(curve.bidegree),
         "crossings": len(cs),
@@ -152,7 +150,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         out["fraction"] = str(d.fraction())
         out["knot"] = rec.name if rec else None
     if args.svg:
-        svg = render_svg(curve, cs)
+        svg = render_svg(curve)
         try:
             with open(args.svg, "w") as fh:
                 fh.write(svg)
@@ -203,7 +201,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("enumerate", help="simple diagrams of a knot within a crossing budget")
     p.add_argument("--fraction", required=True, type=_fraction_arg, help="Schubert fraction A/B")
     p.add_argument("--budget", type=int, default=None, help="crossing budget (default: m_C)")
-    p.add_argument("--strict", action="store_true", help="use the bare slide-normal filter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -214,7 +211,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("reduce", help="reduce a plane word and bound its degree")
     p.add_argument("--word", required=True, type=_word_arg, help="comma-separated run lengths, e.g. 2,1,3")
-    p.add_argument("--depth", type=int, default=None, help="cap on reduction steps")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reduce)
 

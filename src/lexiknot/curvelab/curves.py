@@ -511,9 +511,14 @@ def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> Plan
     pair's side, and the trailing marker is set when the last crossing
     is on the right fold pair's side.  So boundary zeros appear exactly
     when a turning point sits on the same side as its nearest crossing.
+    A ``cs`` other than the curve's own crossing set is a ValueError.
     """
+    # The word is read off the crossings the curve caches; ``cs`` stays
+    # only because the benchmark's worker (perfbench/worker.py) passes it.
     if cs is None:
-        cs = curve_crossings(curve)
+        cs = curve.crossings
+    elif cs is not curve.crossings:
+        raise ValueError("the crossing set is not the curve's own")
     left, right = (f.side for f in curve._folds)
     letters = [TOP if c.letter == left else BOTTOM for c in cs.crossings]
     return PlaneWord(letters_to_runs(letters, bool(cs.crossings) and cs.crossings[-1].letter == right))
@@ -563,7 +568,7 @@ def perturb_auto(
             cs = curve_crossings(cand)
             if expect_nodes is not None and len(cs) != expect_nodes:
                 raise NonNodalError("wrong node count")
-            word = word_from_curve(cand, cs)
+            word = word_from_curve(cand)
         except NonNodalError:
             eps /= 2
             last_word = None

@@ -122,14 +122,14 @@ def _sign_on_interval(p: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
     return s_lo
 
 
-def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] = None) -> list[int]:
-    """+1 where the earlier-parameter strand passes over, else -1, exactly.
+def crossing_signs(curve: PlaneCurve, z: Polynomial) -> list[int]:
+    """+1 where the earlier-parameter strand passes over, else -1, exactly,
+    at each of the curve's crossings (`curve_crossings`).
 
     z(t) - z(s) = (t - s) Zh(u) on a crossing pair, and t < s, so the
     sign is read off -Zh at the isolated symmetric coordinate.
     """
-    if cs is None:
-        cs = curve_crossings(curve)
+    cs = curve.crossings
     Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
     for c, s in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
@@ -142,18 +142,16 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] =
     return out
 
 
-def crossing_handedness(curve: PlaneCurve, z: Polynomial, cs: Optional[CrossingSet] = None) -> list[int]:
+def crossing_handedness(curve: PlaneCurve, z: Polynomial) -> list[int]:
     """Geometric twist sense of each crossing, in x-order, exactly.
 
     The twist sense is unoriented: it is the crossing sign with both
     strands turned to run towards +x.  With t < s the parameters of the
-    crossing, it is crossing_signs(curve, z, cs), the sign of z(t) -
-    z(s), times the crossing's turn: +1 when t's strand comes from above
-    just left of the crossing, -1 when it comes from below.
+    crossing, it is crossing_signs(curve, z), the sign of z(t) - z(s),
+    times the crossing's turn: +1 when t's strand comes from above just
+    left of the crossing, -1 when it comes from below.
     """
-    if cs is None:
-        cs = curve_crossings(curve)
-    return _hands(cs, crossing_signs(curve, z, cs))
+    return _hands(curve.crossings, crossing_signs(curve, z))
 
 
 def _hands(cs: CrossingSet, overs: Sequence[int]) -> list[int]:
@@ -161,7 +159,7 @@ def _hands(cs: CrossingSet, overs: Sequence[int]) -> list[int]:
     return [over * c.turn for over, c in zip(overs, cs.crossings)]
 
 
-def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
+def _signed_entries(curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
     """Signed run entries of the diagram in x-order.
 
     The twist senses are split along the runs of the curve's word
@@ -176,7 +174,7 @@ def _signed_entries(cs: CrossingSet, curve: PlaneCurve, hands: Sequence[int]) ->
     numerator differs from the knot determinant.
     """
     entries, k = [], 0
-    for i, run in enumerate(word_from_curve(curve, cs).runs):
+    for i, run in enumerate(word_from_curve(curve).runs):
         entries.append((-1) ** i * sum(hands[k : k + run]))
         k += run
     return entries
@@ -253,8 +251,8 @@ def verify_embedding(
     cs = curve_crossings(curve)
     if not cs.crossings:
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
-    overs = crossing_signs(curve, z, cs)
-    d = TrigonalDiagram(_signed_entries(cs, curve, _hands(cs, overs)))
+    overs = crossing_signs(curve, z)
+    d = TrigonalDiagram(_signed_entries(curve, _hands(cs, overs)))
     alpha, det = d.fraction().alpha, _determinant(cs, overs)
     if alpha != det:
         raise EmbeddingError(f"the diagram {d} has fraction numerator {alpha}, but the knot determinant is {det}")

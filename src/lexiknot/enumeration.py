@@ -11,10 +11,11 @@ and grows only as deep as a call asks.  The simple diagrams come from one
 generator that expands the fraction into the integer sequences of its
 class, starting from the integers q = beta^(+-1) (mod alpha) within the
 Fibonacci bound, which it applies to the next two continuants of each
-prefix.  The mirror image of a sequence is its negation, which the rules
-below treat alike, so the mirror class is left to `_canonical_entries`.
-It keeps only islet-free sequences that survive boundary conditions that
-slide isotopies remove:
+prefix.  The mirror image of a sequence is its negation, which the
+conditions below treat alike, so the mirror class is left to
+`_canonical_entries`.  It keeps only islet-free sequences that survive
+the boundary conditions that slide isotopies remove, one rule
+(`_simple_step`):
 
 * a boundary region of a single twist can be untwisted through the plat
   closure, so |m_1|, |m_k| >= 2;
@@ -148,18 +149,12 @@ def _simple_step(prev: int, m: int, first: bool, last: bool) -> bool:
     return m * prev > 0 or not tied
 
 
-def _slide_step(prev: int, m: int, first: bool, last: bool) -> bool:
-    """The bare slide-normal rule: an entry +-1 after the first has its
-    left neighbour's sign."""
-    return prev == 0 or abs(m) != 1 or m * prev > 0
-
-
-def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> list[tuple[int, ...]]:
+def _class_sequences(f: SchubertFraction, budget: int) -> list[tuple[int, ...]]:
     """Every nonzero sequence with sum |m_i| <= budget whose continued
-    fraction lies in f's class and that passes the simple-diagram rule
-    (``strict``: the slide-normal rule), each once.  The mirror class
-    holds exactly the negations of these, and both rules are invariant
-    under negating every entry, so it is not expanded.
+    fraction lies in f's class and that passes the simple-diagram rule,
+    each once.  The mirror class holds exactly the negations of these,
+    and the rule is invariant under negating every entry, so it is not
+    expanded.
 
     If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
     the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
@@ -168,8 +163,8 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
     when both continuants it leads to fit: q, that of a tail of sum
     <= left - a, within F_{left-a+1}, and p - m q, that of a tail of sum
     <= left - a - 1, within F_{left-a}; the cut subtrees hold no sequence,
-    so the output and its order do not depend on the cut.  The rules are
-    local, so a prefix is cut as soon as an entry breaks one.  The pass
+    so the output and its order do not depend on the cut.  The rule is
+    local, so a prefix is cut as soon as an entry breaks it.  The pass
     extends one shared prefix list and appends to one output list.
     """
     out: list[tuple[int, ...]] = []
@@ -178,19 +173,18 @@ def _class_sequences(f: SchubertFraction, budget: int, strict: bool = False) -> 
     fib = [0, 1]
     while len(fib) <= budget + 1:
         fib.append(fib[-1] + fib[-2])
-    rule = _slide_step if strict else _simple_step
     prefix: list[int] = []
 
     def expand(p: int, q: int, left: int, prev: int, first: bool) -> None:
         """Append prefix + each allowed tail after prev with pair +-(p, q) and sum |m_i| <= left."""
-        if abs(q) == 1 and 0 < abs(p) <= left and rule(prev, p * q, first, True):
+        if abs(q) == 1 and 0 < abs(p) <= left and _simple_step(prev, p * q, first, True):
             out.append((*prefix, p * q))
         for a in range(1, left):
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
                 # p - m q is the continuant of a tail of sum <= left - a - 1
-                if abs(p - m * q) <= fib[left - a] and rule(prev, m, first, False):
+                if abs(p - m * q) <= fib[left - a] and _simple_step(prev, m, first, False):
                     prefix.append(m)
                     expand(q, p - m * q, left - a, m, prev == 0)
                     prefix.pop()
@@ -211,17 +205,10 @@ def _canonical_entries(entries: tuple[int, ...]) -> tuple[int, ...]:
     return min(images, key=lambda e: (e[0] <= 0, e))
 
 
-def enumerate_simple_diagrams(
-    k: KnotRecord,
-    budget: Optional[int] = None,
-    strict: bool = False,
-) -> list[TrigonalDiagram]:
+def enumerate_simple_diagrams(k: KnotRecord, budget: Optional[int] = None) -> list[TrigonalDiagram]:
     """All simple diagrams of k with at most ``budget`` crossings.
 
     Deduplicated by reversal and mirror; the default budget is m_C(k).
-    ``strict`` swaps the boundary-aware filter for the bare slide-normal
-    shape (|m_i| != 1 or m_{i-1} m_i > 0 for i >= 2), which admits more
-    sequences.
     """
     if budget is None:
         budget = m_C(k)
@@ -229,7 +216,7 @@ def enumerate_simple_diagrams(
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
     if budget > 16:
         raise ValueError("budgets beyond 16 crossings are out of range")
-    found = {_canonical_entries(e) for e in _class_sequences(k.fraction, budget, strict)}
+    found = {_canonical_entries(e) for e in _class_sequences(k.fraction, budget)}
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 

@@ -354,7 +354,7 @@ def _successors(runs: Runs) -> tuple[tuple[Move, Runs], ...]:
     return tuple((move, tgt) for tgt, move in out.items())
 
 
-def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[tuple[Runs, Move]]]:
+def _explore(w: PlaneWord) -> dict[Runs, Optional[tuple[Runs, Move]]]:
     """The canonical word classes reachable from w by `_successors`,
     each mapped to the (parent, move) that first reached it, and the
     start word to None.  Braid exchanges and boundary slides stay out of
@@ -363,29 +363,26 @@ def _explore(w: PlaneWord, depth: Optional[int] = None) -> dict[Runs, Optional[t
     An R step removes three crossings and an identity none, so every
     path to a word costs sum(start) - sum(word) and the search is plain
     reachability.  Identities go to the front of the queue, which fixes
-    the parent each word records; once ``depth`` R steps are spent, R
-    moves are skipped.  Every search walks one graph, `_SUCCESSORS`,
-    which gets a word's moves the first time any search reaches it.
+    the parent each word records.  Every search walks one graph,
+    `_SUCCESSORS`, which gets a word's moves the first time any search
+    reaches it.
     """
     start = canonical_runs(w.runs)
-    n = sum(start)
     parents: dict[Runs, Optional[tuple[Runs, Move]]] = {start: None}
     queue: deque[Runs] = deque([start])
     while queue:
         cur = queue.popleft()
-        capped = depth is not None and (n - sum(cur)) // 3 >= depth
         moves = _SUCCESSORS.get(cur)
         if moves is None:
             moves = _SUCCESSORS[cur] = _successors(cur)
         for move, tgt in moves:
-            ident = move[0] == "ident"
-            if tgt not in parents and (ident or not capped):
+            if tgt not in parents:
                 parents[tgt] = (cur, move)
-                (queue.appendleft if ident else queue.append)(tgt)
+                (queue.appendleft if move[0] == "ident" else queue.append)(tgt)
     return parents
 
 
-def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrace:
+def reduction_search(w: PlaneWord) -> ReductionTrace:
     """Best provable reduction of w, and its constructive upper bound.
 
     Every R step is worth exactly 3 in degree in both directions, so any
@@ -399,7 +396,7 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     explicit curve for w, a realizable base's b_exact plus the cost of
     undoing the R steps that reach it.
     """
-    parents = _explore(w, depth)
+    parents = _explore(w)
     known = {runs: _base(runs) for runs in parents}
     start = target = canonical_runs(w.runs)
     n = sum(start)
@@ -433,20 +430,20 @@ def reduction_search(w: PlaneWord, depth: Optional[int] = None) -> ReductionTrac
     )
 
 
-def constructive_upper(w: PlaneWord, depth: Optional[int] = None) -> Optional[int]:
+def constructive_upper(w: PlaneWord) -> Optional[int]:
     """Least degree of an explicit curve for w via reductions to
     realizable bases (each undone R step costs exactly 3)."""
-    return reduction_search(w, depth).upper
+    return reduction_search(w).upper
 
 
 # ---------------------------------------------------------------------------
 # bounds and verdicts
 
 
-def b_lower_bound(w: PlaneWord, depth: Optional[int] = None) -> tuple[int, str]:
+def b_lower_bound(w: PlaneWord) -> tuple[int, str]:
     """Max of the crossing rule, the one/two-run exact value, the base
     table and reduction bounds, with the rule that fired."""
-    trace = reduction_search(w, depth)
+    trace = reduction_search(w)
     return trace.bound, trace.provenance
 
 

@@ -129,7 +129,8 @@ def load_expected(path: str) -> dict[str, dict[str, int]]:
 
     A file that cannot be read as CSV or has no name column raises
     ValueError naming it; so does a row that lacks a column or holds a
-    non-integer cell there, naming the file, the row and the column.
+    non-integer cell there, naming the file, the row and the column, and
+    a knot listed twice, naming the file and the knot.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -141,6 +142,8 @@ def load_expected(path: str) -> dict[str, dict[str, int]]:
         raise ValueError(f"{path}: no name column")
     expected = {}
     for row in rows:
+        if row["name"] in expected:
+            raise ValueError(f"{path}: knot {row['name']} is listed twice")
         values = {}
         for col in COLUMNS:
             cell = row.get(col)

@@ -123,6 +123,18 @@ def test_table_malformed_diff_file_is_a_usage_error(text, problem, tmp_path, cap
     assert err == f"lexiknot table: error: argument --diff: {path}: row 3_1, {problem}\n"
 
 
+def test_table_diff_file_listing_a_knot_twice_is_a_usage_error(tmp_path, capsys):
+    # a wrong 3_1 row followed by the true one: neither row may be dropped
+    path = tmp_path / "knots.csv"
+    path.write_text(
+        "name,alpha,beta,N,degC_b,degC_c,lex_b,lex_c_lo,lex_c_hi\n3_1,3,1,3,4,5,7,8,8\n3_1,3,1,3,4,5,4,5,5\n"
+    )
+    assert main(["table", "--knots", "3_1", "--diff", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot table: error: argument --diff: {path}: knot 3_1 is listed twice\n"
+
+
 def test_table_malformed_diff_file_is_read_before_the_table(monkeypatch, tmp_path, capsys):
     import lexiknot.cli
 
@@ -172,9 +184,7 @@ def test_enumerate_budget_out_of_range_is_a_usage_error(budget, message, capsys)
     assert captured.err == f"lexiknot enumerate: error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["mc", "--fraction", "5/2", "--cap", "-1"], ["reduce", "--word", "2,1,3", "--depth", "-1"]]
-)
+@pytest.mark.parametrize("argv", [["mc", "--fraction", "5/2", "--cap", "-1"]])
 def test_negative_cap_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -82,6 +82,15 @@ class TestCrossings:
         assert word_from_curve(c, curve_crossings(c)).runs == (1, 1, 1, 1)
         assert isolated == []
 
+    def test_word_rejects_another_curves_crossings(self):
+        # (T3,T5)'s four crossings read against (T3,T4)'s folds would give
+        # (0,1,1,1,1), the word of neither curve
+        a, b = PlaneCurve(T3, chebyshev(4)), PlaneCurve(T3, chebyshev(5))
+        with pytest.raises(ValueError, match="not the curve's own"):
+            word_from_curve(a, curve_crossings(b))
+        assert word_from_curve(a, curve_crossings(a)).runs == (1, 1, 1)
+        assert word_from_curve(b, curve_crossings(b)).runs == (1, 1, 1, 1)
+
     def test_t3_t26_composes_nothing_and_halves_the_chain_evaluations(self, monkeypatch):
         # the fold sides reduce y(t) and y(S - 2t) modulo x' by Horner, and
         # the sign grid certifies W's roots: bisection alone evaluated the
@@ -109,7 +118,7 @@ class TestCrossings:
         for module in (curves_module, svg_module):
             monkeypatch.setattr(module, "isolate_real_roots", counted, raising=False)
         c = unshared(T3, chebyshev(4) * Polynomial.const(2))
-        svg_module.render_svg(c, curve_crossings(c))
+        svg_module.render_svg(c)
         assert isolated.count(T3.derivative()) == 1
 
     def test_chebyshev_counts(self):
@@ -639,7 +648,7 @@ class TestEmbedding:
                 -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t) != backwards(x.s) else 1)
                 for x in cs.crossings
             ]
-            assert crossing_handedness(c, z, cs) == expected
+            assert crossing_handedness(c, z) == expected
 
     def test_alternating_signs_on_t3_t14_need_no_rational_gcd(self, monkeypatch):
         # Zh has about 3,000-bit coefficients here; the modular certificate
@@ -649,7 +658,7 @@ class TestEmbedding:
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
         gcd, calls = Polynomial.gcd, []
         monkeypatch.setattr(Polynomial, "gcd", lambda a, b: calls.append(a) or gcd(a, b))
-        signs = crossing_signs(c, z, cs)
+        signs = crossing_signs(c, z)
         assert calls == []
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
@@ -663,7 +672,7 @@ class TestEmbedding:
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
         refine, calls = RootInterval.refine, []
         monkeypatch.setattr(RootInterval, "refine", lambda r: calls.append(r) or refine(r))
-        signs = crossing_signs(c, z, cs)
+        signs = crossing_signs(c, z)
         assert calls and {r.poly for r in calls} == {cs.crossings[0].u.poly}
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
@@ -704,7 +713,7 @@ class TestEmbedding:
         rng = random.Random(2)
         for _ in range(3):
             z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
-            crossing_handedness(c, z, cs)
+            crossing_handedness(c, z)
         assert passes.count(N) == 0 and len(passes) == 3
 
     def test_sign_on_interval_matches_fraction_evaluation(self):
@@ -733,7 +742,7 @@ class TestDeterminant:
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             z, _ = height_polynomial(cs, alternating_overpasses(cs))
-            assert height_module._determinant(cs, crossing_signs(c, z, cs)) == fib
+            assert height_module._determinant(cs, crossing_signs(c, z)) == fib
 
     def test_flipping_every_overpass_keeps_the_determinant(self):
         # the mirror image has the same determinant
@@ -883,13 +892,13 @@ class TestDiagramClass:
                 z, _ = height_polynomial(cs, list(overs))
                 d, _ = verify_embedding(c.x, c.y, z)
                 f = d.fraction()
-                assert f.alpha == height_module._determinant(cs, crossing_signs(c, z, cs)), (c.y, overs, d)
+                assert f.alpha == height_module._determinant(cs, crossing_signs(c, z)), (c.y, overs, d)
                 reversed_d, _ = verify_embedding(reversed_c.x, reversed_c.y, z.compose(neg_t))
                 assert fraction_equivalent(reversed_d.fraction(), f), (c.y, overs, d, reversed_d)
                 mirrored_d, _ = verify_embedding(mirrored_c.x, mirrored_c.y, z)
                 mirror = SchubertFraction.make(f.alpha, -f.beta)
                 assert fraction_equivalent(mirrored_d.fraction(), mirror), (c.y, overs, d, mirrored_d)
-                hands, k, uniform = crossing_handedness(c, z, cs), 0, True
+                hands, k, uniform = crossing_handedness(c, z), 0, True
                 for run in word.runs:
                     uniform &= len(set(hands[k : k + run])) <= 1
                     k += run
@@ -907,8 +916,8 @@ class TestDiagramClass:
             cs = curve_crossings(c)
             for _ in range(40):
                 z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
-                overs = crossing_signs(c, z, cs)
-                d = TrigonalDiagram(height_module._signed_entries(cs, c, height_module._hands(cs, overs)))
+                overs = crossing_signs(c, z)
+                d = TrigonalDiagram(height_module._signed_entries(c, height_module._hands(cs, overs)))
                 assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
 
     def test_boundary_zeros_at_both_ends_are_entries(self):
@@ -922,7 +931,7 @@ class TestDiagramClass:
             z, _ = height_polynomial(cs, list(overs))
             d, rec = verify_embedding(c.x, c.y, z)
             assert len(d) == 5 and d.entries[0] == d.entries[-1] == 0, (overs, d)
-            det = height_module._determinant(cs, crossing_signs(c, z, cs))
+            det = height_module._determinant(cs, crossing_signs(c, z))
             assert d.fraction().alpha == det == 1 and rec is None, (overs, d)
 
 

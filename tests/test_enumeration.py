@@ -25,7 +25,6 @@ from lexiknot.enumeration import (
     _canonical_entries,
     _class_sequences,
     _simple_step,
-    _slide_step,
     chebyshev_degree,
     default_cap,
     enumerate_simple_diagrams,
@@ -82,7 +81,7 @@ def m_C_by_its_own_search(k, cap=None):
     return None
 
 
-def class_sequences_by_generators(f, budget, strict=False, prune=True):
+def class_sequences_by_generators(f, budget, prune=True):
     """The class generator as a chain of nested generators, each level
     rebuilding its tails as (m,) + tail; without ``prune``, with the
     Fibonacci bound on the next continuant only, not on the one after it."""
@@ -91,16 +90,15 @@ def class_sequences_by_generators(f, budget, strict=False, prune=True):
     fib = [0, 1]
     while len(fib) <= budget + 1:
         fib.append(fib[-1] + fib[-2])
-    rule = _slide_step if strict else _simple_step
 
     def expand(p, q, left, prev, first):
-        if abs(q) == 1 and 0 < abs(p) <= left and rule(prev, p * q, first, True):
+        if abs(q) == 1 and 0 < abs(p) <= left and _simple_step(prev, p * q, first, True):
             yield (p * q,)
         for a in range(1, left):
             if abs(q) > fib[left - a + 1]:
                 break
             for m in (a, -a):
-                if (not prune or abs(p - m * q) <= fib[left - a]) and rule(prev, m, first, False):
+                if (not prune or abs(p - m * q) <= fib[left - a]) and _simple_step(prev, m, first, False):
                     yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
 
     alpha, bound = f.alpha, fib[budget]
@@ -109,11 +107,11 @@ def class_sequences_by_generators(f, budget, strict=False, prune=True):
             yield from expand(alpha, q, budget, 0, False)
 
 
-def simple_diagrams_by_generators(rec, budget, strict=False):
+def simple_diagrams_by_generators(rec, budget):
     """enumerate_simple_diagrams as a canonical TrigonalDiagram per
     sequence of the generator chain, each canonicalized by its own key."""
     found = set()
-    for e in class_sequences_by_generators(rec.fraction, budget, strict):
+    for e in class_sequences_by_generators(rec.fraction, budget):
         images = [e, e[::-1]]
         images += [tuple(-m for m in x) for x in images]
         found.add(TrigonalDiagram(min(images, key=lambda x: (0 if x[0] > 0 else 1, x))).entries)
@@ -150,11 +148,6 @@ def simple_by_definition(entries):
         if abs(entries[i]) == 1 and (entries[i - 1] * entries[i] < 0 or entries[i] * entries[i + 1] < 0):
             return False
     return True
-
-
-def slide_normal_by_definition(entries):
-    """The bare slide-normal shape: every |m_i| = 1 with i >= 2 has m_{i-1} m_i > 0."""
-    return all(abs(m) != 1 or prev * m > 0 for prev, m in zip(entries, entries[1:]))
 
 
 class TestMC:
@@ -235,23 +228,21 @@ class TestMC:
 
 class TestClassSequences:
     def test_matches_brute_force(self):
-        # each catalog class, each budget, each filter: of the brute-force
-        # members of the class or its mirror that pass the filter, those
-        # of the class itself, every one once; negating every entry
-        # mirrors, so they and their negations are all of them
+        # each catalog class, each budget: of the brute-force members of
+        # the class or its mirror that pass the filter, those of the class
+        # itself, every one once; negating every entry mirrors, so they
+        # and their negations are all of them
         candidates = list(signed_sequences(8))
         for rec in CAT:
-            members = [s for s in candidates if in_class(s, rec)]
-            for strict, keep in ((False, simple_by_definition), (True, slide_normal_by_definition)):
-                kept = [s for s in members if keep(s)]
-                for budget in range(1, 9):
-                    got = list(_class_sequences(rec.fraction, budget, strict))
-                    expected = {s for s in kept if sum(map(abs, s)) <= budget}
-                    mirrors = {tuple(-m for m in s) for s in got}
-                    assert len(got) == len(set(got)), (rec.name, budget, strict)
-                    assert set(got) <= expected and set(got) | mirrors == expected, (rec.name, budget, strict)
-                    own = {s for s in expected if fraction_equivalent(cf_eval(s), rec.fraction)}
-                    assert set(got) == own, (rec.name, budget, strict)
+            kept = [s for s in candidates if in_class(s, rec) and simple_by_definition(s)]
+            for budget in range(1, 9):
+                got = list(_class_sequences(rec.fraction, budget))
+                expected = {s for s in kept if sum(map(abs, s)) <= budget}
+                mirrors = {tuple(-m for m in s) for s in got}
+                assert len(got) == len(set(got)), (rec.name, budget)
+                assert set(got) <= expected and set(got) | mirrors == expected, (rec.name, budget)
+                own = {s for s in expected if fraction_equivalent(cf_eval(s), rec.fraction)}
+                assert set(got) == own, (rec.name, budget)
 
     def test_continuant_is_at_most_fibonacci(self):
         # the pruning rests on |p| <= F_{s+1} for sum |m_i| = s
@@ -268,14 +259,12 @@ class TestClassSequences:
         for f in knot_classes(PRUNE_ORACLE_CROSSINGS):
             n = sum(cf_expand_positive(f))
             for budget in range(n, n + 4):
-                for strict in (False, True):
-                    expected = list(class_sequences_by_generators(f, budget, strict, prune=False))
-                    assert list(_class_sequences(f, budget, strict)) == expected, (f, budget, strict)
+                expected = list(class_sequences_by_generators(f, budget, prune=False))
+                assert list(_class_sequences(f, budget)) == expected, (f, budget)
 
     @pytest.mark.parametrize("budget", [0, -1, -3])
     def test_empty_budget_yields_nothing(self, budget):
-        for strict in (False, True):
-            assert list(_class_sequences(CAT.get("3_1").fraction, budget, strict)) == []
+        assert list(_class_sequences(CAT.get("3_1").fraction, budget)) == []
 
 
 class TestChebyshevDegree:
@@ -372,22 +361,16 @@ class TestEnumeration:
     def test_equals_the_generator_chain_on_every_class(self):
         # the same diagrams in the same order as a canonical TrigonalDiagram
         # per sequence of the nested-generator pass, for every class up to
-        # 10 crossings at budgets N..N+3 under both filters
+        # 10 crossings at budgets N..N+3
         for f in knot_classes(10):
             rec = record_for_fraction(f)
             for budget in range(rec.crossing_number, rec.crossing_number + 4):
-                for strict in (False, True):
-                    expected = simple_diagrams_by_generators(rec, budget, strict)
-                    assert enumerate_simple_diagrams(rec, budget, strict) == expected, (f, budget, strict)
+                expected = simple_diagrams_by_generators(rec, budget)
+                assert enumerate_simple_diagrams(rec, budget) == expected, (f, budget)
 
     def test_budget_below_crossing_number_rejected(self):
         with pytest.raises(ValueError):
             enumerate_simple_diagrams(CAT.get("6_2"), budget=5)
-
-    def test_strict_mode_is_superset_on_6_2(self):
-        loose = enumerate_simple_diagrams(CAT.get("6_2"), budget=7, strict=True)
-        default = enumerate_simple_diagrams(CAT.get("6_2"), budget=7)
-        assert {d.entries for d in default} <= {d.entries for d in loose}
 
 
 class TestCanonical:

@@ -134,25 +134,20 @@ def raises_move_error(move, *args):
     return False
 
 
-def explore_by_its_own_search(w, depth=None):
+def explore_by_its_own_search(w):
     """The reduction search that computes every move of every word it
     reaches, on both images, and shares nothing between calls."""
     start = canonical_by_its_own_key(w.runs)
-    n = sum(start)
     parents = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        capped = depth is not None and (n - sum(cur)) // 3 >= depth
         for img_idx, img in enumerate(word_images(cur)):
             for move, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
-                ident = move[0] == "ident"
-                if capped and not ident:
-                    continue
                 key = canonical_by_its_own_key(tgt)
                 if key not in parents:
                     parents[key] = (cur, move)
-                    if ident:
+                    if move[0] == "ident":
                         queue.appendleft(key)
                     else:
                         queue.append(key)
@@ -385,13 +380,12 @@ class TestReductionSearch:
         assert lo == bound
 
     def test_trace_replays(self):
-        for depth in (None, 1):
-            for src in all_words(9):
-                trace = reduction_search(W(src), depth)
-                assert trace.replay().runs == canonical_runs(trace.base.runs), (src, depth)
-                assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), (src, depth)
-                # every path to a word costs the crossings it has lost
-                assert trace.cost == sum(trace.source.runs) - sum(trace.base.runs), (src, depth)
+        for src in all_words(9):
+            trace = reduction_search(W(src))
+            assert trace.replay().runs == canonical_runs(trace.base.runs), src
+            assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), src
+            # every path to a word costs the crossings it has lost
+            assert trace.cost == sum(trace.source.runs) - sum(trace.base.runs), src
 
     def test_sharper_route_on_8_13_fourth_row(self):
         # the published cell stops at deg D(0,3)+6 (b >= 10); the boundary
@@ -401,26 +395,20 @@ class TestReductionSearch:
         assert trace.cost == 3
         assert b_lower_bound(W((2, 1, 2, 4)))[0] == 11
 
-    def test_depth_cap(self):
-        trace = reduction_search(W((2, 1, 2, 2)), depth=1)
-        assert trace.cost <= 3
-
     def test_equals_a_search_of_its_own_on_every_word(self, monkeypatch):
         # every field of every trace, on every normalized word up to
-        # REDUCTION_ORACLE_CROSSINGS crossings at depths 0, 1, 2 and None:
-        # once from an empty graph, depth-capped searches first, then again
-        # in reverse order on the graph the first pass filled
+        # REDUCTION_ORACLE_CROSSINGS crossings: once from an empty graph,
+        # then again in reverse order on the graph the first pass filled
         words = normalized_words(REDUCTION_ORACLE_CROSSINGS)
-        cases = [(runs, depth) for depth in (0, 1, 2, None) for runs in words]
         with monkeypatch.context() as m:
             m.setattr(planereduce, "_explore", explore_by_its_own_search)
             m.setattr(planereduce, "_base", planereduce._base.__wrapped__)
-            expected = {case: reduction_search(W(case[0]), case[1])._asdict() for case in cases}
+            expected = {runs: reduction_search(W(runs))._asdict() for runs in words}
         planereduce._SUCCESSORS.clear()
         planereduce._base.cache_clear()
-        for order in (cases, cases[::-1]):
-            for runs, depth in order:
-                assert reduction_search(W(runs), depth)._asdict() == expected[runs, depth], (runs, depth)
+        for order in (words, words[::-1]):
+            for runs in order:
+                assert reduction_search(W(runs))._asdict() == expected[runs], runs
         # each word's entry keeps the first move to each target, in the
         # order the rewrites give them
         for runs, moves in planereduce._SUCCESSORS.items():
@@ -449,8 +437,8 @@ def counted(runs):
     computed.append(runs)
     return successors(runs)
 
-def recorded(w, depth=None):
-    parents = explore(w, depth)
+def recorded(w):
+    parents = explore(w)
     explored.update(parents)
     return parents
 
@@ -565,7 +553,7 @@ class TestVerdicts:
             assert len(calls) == len(rep.diagrams) == len(rep.traces)
 
     def test_no_simple_diagram_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(planereduce, "enumerate_simple_diagrams", lambda k, budget=None, strict=False: [])
+        monkeypatch.setattr(planereduce, "enumerate_simple_diagrams", lambda k, budget=None: [])
         with pytest.raises(SearchExhausted, match="6_2"):
             degree_verdict(CAT.get("6_2"))
 
