@@ -4,7 +4,9 @@ A two-bridge link is classified by its Schubert fraction alpha/beta with
 alpha >= 0 and gcd(alpha, beta) = 1.  Two fractions denote isotopic links
 iff the alphas agree and beta' = beta^(+-1) (mod alpha); allowing in
 addition beta' = -beta^(+-1) identifies a knot with its mirror image.
-alpha is odd for a knot and even for a two-component link.
+alpha is odd for a knot and even for a two-component link.  Class
+identity is `class_residues`, these residues, and their least element,
+`SchubertFraction.key`, which also names the class.
 
 Continued fractions [m_1, ..., m_k] = m_1 + 1/(m_2 + 1/(... + 1/m_k)) are
 evaluated through the 2x2 integer matrix recurrence, so zero and +-1
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 from functools import cache
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class DegenerateFractionError(ValueError):
@@ -59,6 +61,13 @@ class SchubertFraction(NamedTuple):
     @property
     def is_link(self) -> bool:
         return self.alpha % 2 == 0
+
+    @property
+    def key(self) -> "SchubertFraction":
+        """The class's name: alpha over the least of +-beta^(+-1) mod alpha; f itself for alpha <= 1."""
+        if self.alpha <= 1:
+            return self
+        return SchubertFraction(self.alpha, min(class_residues(self, include_mirror=True)))
 
 
 def parse_fraction(text: str) -> SchubertFraction:
@@ -157,42 +166,36 @@ def _knot_record(name: str, f: SchubertFraction) -> KnotRecord:
 
 
 class Catalog:
-    """The two-bridge knots with eight or fewer crossings, by name and
-    fraction; the expected-result columns of knots.csv are not read here."""
+    """The two-bridge knots with eight or fewer crossings, by name and by
+    class key; the expected-result columns of knots.csv are not read here."""
 
-    def __init__(self, records: Sequence[KnotRecord]):
+    def __init__(self, records: Iterable[KnotRecord]):
         self.records = list(records)
         self._by_name = {r.name: r for r in self.records}
+        self.by_key: dict[SchubertFraction, KnotRecord] = {}
+        for r in self.records:
+            first = self.by_key.setdefault(r.fraction.key, r)
+            if first is not r:
+                raise ValueError(f"catalog rows {first.name} and {r.name} name one class {r.fraction.key}")
 
     @classmethod
     def load(cls) -> "Catalog":
         from importlib import resources  # only where a table is read: Python 3.12's imports inspect
 
         text = resources.files("lexiknot.data").joinpath("knots.csv").read_text()
-        records = [
+        return cls(
             _knot_record(row["name"], SchubertFraction.make(int(row["alpha"]), int(row["beta"])))
             for row in csv.DictReader(text.splitlines())
-        ]
-        return cls(records)
+        )
 
     def __iter__(self) -> Iterator[KnotRecord]:
         return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def get(self, name: str) -> KnotRecord:
         return self._by_name[name]
 
     def names(self) -> list[str]:
         return [r.name for r in self.records]
-
-    def lookup(self, f: SchubertFraction) -> Optional[KnotRecord]:
-        """Find the record equivalent to f, mirror images included."""
-        for rec in self.records:
-            if fraction_equivalent(rec.fraction, f, include_mirror=True):
-                return rec
-        return None
 
 
 @cache
@@ -201,14 +204,14 @@ def default_catalog() -> Catalog:
 
 
 def catalog_lookup(f: SchubertFraction) -> Optional[KnotRecord]:
-    return default_catalog().lookup(f)
+    return default_catalog().by_key.get(f.key)
 
 
 def record_for_fraction(f: SchubertFraction) -> KnotRecord:
-    """Catalog record for f, or one named by the fraction for an
-    off-catalog knot."""
+    """Catalog record for f, or, for an off-catalog knot, one named by
+    its class key, so that every fraction of a class gets one record."""
     if f.is_link:
         raise DegenerateFractionError(f"{f} has even numerator: a two-component link")
     if f.alpha <= 1:
         raise DegenerateFractionError(f"{f} is the unknot")
-    return catalog_lookup(f) or _knot_record(str(f), f)
+    return catalog_lookup(f) or _knot_record(str(f.key), f.key)

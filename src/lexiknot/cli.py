@@ -13,13 +13,6 @@ from .planereduce import PlaneWord, reduction_search
 from .report import build_table, diff_expected, emit, load_expected
 
 
-def _record_for(fraction):
-    try:
-        return record_for_fraction(fraction)
-    except DegenerateFractionError as exc:
-        raise SystemExit(str(exc))
-
-
 def _usage_error(command: str, message: str) -> int:
     """One line in argparse's error format, exit 2, for an argument that
     only fails once it meets the knot or the file system."""
@@ -55,6 +48,15 @@ _word_arg = _expecting(PlaneWord.parse, "a comma-separated word of nonnegative i
 _fraction_arg = _expecting(parse_fraction, "A/B (or A) with integers A and B, not both 0")
 
 
+def _knot_arg(text: str):
+    """A --fraction's knot record; a link or the unknot is named as typed."""
+    f = _fraction_arg(text)
+    try:
+        return record_for_fraction(f)
+    except DegenerateFractionError as exc:
+        raise argparse.ArgumentTypeError(text.strip() + str(exc).removeprefix(str(f))) from None
+
+
 def _knot_names(text: str) -> list[str]:
     names = text.split(",")
     unknown = [n for n in names if n not in default_catalog().names()]
@@ -67,10 +69,9 @@ def _knot_names(text: str) -> list[str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    rec = _record_for(args.fraction)
     try:
-        diagrams = enumerate_simple_diagrams(rec, budget=args.budget)
-    except ValueError as exc:  # the budget is out of range for this knot
+        diagrams = enumerate_simple_diagrams(args.knot, budget=args.budget)
+    except ValueError as exc:  # the knot or the budget is out of range
         return _usage_error("enumerate", str(exc))
     except SearchExhausted as exc:
         raise SystemExit(str(exc))
@@ -85,9 +86,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     if args.cap is not None and args.cap < 0:
         return _usage_error("mc", f"argument --cap: must be at least 0, got {args.cap}")
-    rec = _record_for(args.fraction)
     try:
-        m = m_C(rec, cap=args.cap)
+        m = m_C(args.knot, cap=args.cap)
+    except ValueError as exc:  # the knot is out of range
+        return _usage_error("mc", str(exc))
     except SearchExhausted as exc:
         raise SystemExit(str(exc))
     print(m)
@@ -142,13 +144,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
     }
     if args.z:
         try:
-            d, rec = verify_embedding(curve.x, curve.y, args.z)
+            d, _ = verify_embedding(curve.x, curve.y, args.z)
         except EmbeddingError as exc:
             print(f"EmbeddingError: {exc}", file=sys.stderr)
             return 2
+        f = d.fraction()
         out["diagram"] = d.text()
-        out["fraction"] = str(d.fraction())
-        out["knot"] = rec.name if rec else None
+        out["fraction"] = str(f)
+        out["knot"] = record_for_fraction(f).name if f.alpha > 1 else None  # an off-catalog knot by its key
     if args.svg:
         svg = render_svg(curve)
         try:
@@ -162,7 +165,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     else:
         print(f"bidegree (3,{curve.bidegree[1]}), {out['crossings']} crossings, word {word}")
         if "knot" in out:
-            print(f"diagram {out['diagram']} = {out['fraction']} -> {out['knot']}")
+            print(f"diagram {out['diagram']} = {out['fraction']} -> {out['knot'] or 'unknot'}")
     return 0
 
 
@@ -199,13 +202,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="simple diagrams of a knot within a crossing budget")
-    p.add_argument("--fraction", required=True, type=_fraction_arg, help="Schubert fraction A/B")
+    p.add_argument("--fraction", dest="knot", metavar="A/B", required=True, type=_knot_arg, help="Schubert fraction")
     p.add_argument("--budget", type=int, default=None, help="crossing budget (default: m_C)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("mc", help="minimal length of a +-1 diagram")
-    p.add_argument("--fraction", required=True, type=_fraction_arg)
+    p.add_argument("--fraction", dest="knot", metavar="A/B", required=True, type=_knot_arg)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_mc)
 

@@ -96,6 +96,8 @@ class _PairLevels:
 
 _PAIR_LEVELS = _PairLevels()
 
+MAX_CROSSINGS = 16  # the searches' range in N and budget; m_C's levels grow ~1.6x per length
+
 
 def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
     """Minimal length of a +-1 continued fraction hitting k's class (mirror included).
@@ -107,8 +109,11 @@ def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
     one record of them serves every call and is extended only as far as
     a call asks: the pairs first reached at length L are the continuant
     pairs of the +-1 sequences of length L with no shorter one, and m_C
-    is the first L <= cap at which one of them lies in the class.
+    is the first L <= cap at which one of them lies in the class.  A knot
+    beyond MAX_CROSSINGS raises ValueError before any level is built.
     """
+    if k.crossing_number > MAX_CROSSINGS:
+        raise ValueError(f"{k.name} has {k.crossing_number} crossings: knots beyond {MAX_CROSSINGS} are out of range")
     if cap is None:
         cap = default_cap(k.crossing_number)
     alpha = k.fraction.alpha
@@ -214,8 +219,8 @@ def enumerate_simple_diagrams(k: KnotRecord, budget: Optional[int] = None) -> li
         budget = m_C(k)
     if budget < k.crossing_number:
         raise ValueError(f"budget {budget} below crossing number {k.crossing_number}")
-    if budget > 16:
-        raise ValueError("budgets beyond 16 crossings are out of range")
+    if budget > MAX_CROSSINGS:
+        raise ValueError(f"budgets beyond {MAX_CROSSINGS} crossings are out of range")
     found = {_canonical_entries(e) for e in _class_sequences(k.fraction, budget)}
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 

@@ -1,14 +1,18 @@
+import importlib.util
 import random
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiknot.arith import (
+    Catalog,
     DegenerateFractionError,
     SchubertFraction,
+    _knot_record,
     catalog_lookup,
     cf_eval,
     cf_eval_pair,
@@ -16,12 +20,28 @@ from lexiknot.arith import (
     default_catalog,
     fraction_equivalent,
     parse_fraction,
+    record_for_fraction,
 )
 from lexiknot.report import load_expected
 
 
 def frac(a, b):
     return SchubertFraction.make(a, b)
+
+
+def knotmath():
+    """The benchmark's own two-bridge arithmetic, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "knotmath.py"
+    spec = importlib.util.spec_from_file_location("knotmath", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def four_fractions(f):
+    """beta, beta^-1, -beta and -beta^-1 over alpha: the fractions of f's class, mirror included."""
+    inv = pow(f.beta, -1, f.alpha)
+    return [frac(f.alpha, b) for b in (f.beta, inv, -f.beta, -inv)]
 
 
 class TestCfEval:
@@ -165,8 +185,20 @@ class TestCatalog:
     def test_links_not_found(self):
         assert catalog_lookup(frac(4, 1)) is None
 
+    def test_every_knot_is_found_from_all_four_of_its_fractions(self):
+        for rec in default_catalog():
+            for g in four_fractions(rec.fraction):
+                assert catalog_lookup(g) is rec, (rec.name, g)
+                assert record_for_fraction(g) is rec, (rec.name, g)
+
+    def test_two_rows_of_one_class_are_rejected(self):
+        # 4 = 2^-1 (mod 7): 7/2 and 7/4 are one knot, which a scan would
+        # have found at its first row only
+        with pytest.raises(ValueError, match="rows a and b name one class 7/2"):
+            Catalog([_knot_record("a", frac(7, 2)), _knot_record("b", frac(7, 4))])
+
     def test_has_26_knots(self):
-        assert len(default_catalog()) == 26
+        assert len(default_catalog().records) == 26
 
     def test_crossing_number_matches_normal_form(self):
         # computed from the fraction, it is the published N column
@@ -179,3 +211,32 @@ class TestCatalog:
     def test_parse_fraction(self):
         assert parse_fraction("11/3") == frac(11, 3)
         assert parse_fraction("7") == frac(7, 1)
+
+
+class TestClassKey:
+    def test_equals_the_benchmark_class_key_below_400(self):
+        class_key = knotmath().class_key
+        for alpha in range(1, 400):
+            for beta in range(alpha):
+                if gcd(alpha, beta) == 1:
+                    assert frac(alpha, beta).key == SchubertFraction(alpha, class_key(alpha, beta)), (alpha, beta)
+
+    def test_fractions_share_a_key_exactly_when_they_are_one_class(self):
+        same_class = knotmath().same_class
+        for alpha in range(1, 60):
+            fractions = [(alpha, b) for b in range(alpha) if gcd(alpha, b) == 1]
+            for f in fractions:
+                for g in fractions:
+                    assert (frac(*f).key == frac(*g).key) == same_class(f, g), (f, g)
+
+    def test_degenerate_fractions_are_their_own_key(self):
+        for f in (frac(1, 0), frac(0, 1)):
+            assert f.key == f
+
+    @pytest.mark.parametrize("fractions, name", [(((39, 25), (39, 14)), "39/14"), (((39, 16), (39, 22)), "39/16")])
+    def test_an_off_catalog_class_has_one_record(self, fractions, name):
+        records = {record_for_fraction(frac(*f)) for f in fractions}
+        assert [r.name for r in records] == [name]
+        for f in fractions:
+            for g in four_fractions(frac(*f)):
+                assert record_for_fraction(g) in records

@@ -46,8 +46,8 @@ def test_curve_with_height(capsys):
 
 def test_curve_off_catalog_knot_reports_its_fraction(capsys):
     # on (T3,T11), this over-choice (earlier parameter over, per crossing
-    # in x-order) gives 37/8, a two-bridge knot beyond the catalog, which
-    # the knot name alone does not tell from the unknot
+    # in x-order) gives 37/8, a two-bridge knot beyond the catalog, named
+    # by its class key, 37/8 itself
     from lexiknot.curvelab import PlaneCurve, chebyshev, curve_crossings, height_polynomial
 
     cs = curve_crossings(PlaneCurve(chebyshev(3), chebyshev(11)))
@@ -56,9 +56,19 @@ def test_curve_off_catalog_knot_reports_its_fraction(capsys):
     argv = ["curve", "--x", "cheb:3", "--y", "cheb:11", "--z", "coeffs:" + ",".join(map(str, z.coeffs))]
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["diagram"], payload["fraction"], payload["knot"]) == ("-1,-1,-1,1,1,1,1,1,1,1", "37/8", None)
+    assert (payload["diagram"], payload["fraction"], payload["knot"]) == ("-1,-1,-1,1,1,1,1,1,1,1", "37/8", "37/8")
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "diagram -1,-1,-1,1,1,1,1,1,1,1 = 37/8 -> None"
+    assert capsys.readouterr().out.splitlines()[-1] == "diagram -1,-1,-1,1,1,1,1,1,1,1 = 37/8 -> 37/8"
+
+
+def test_curve_unknot_is_null_in_json_and_named_in_text(capsys):
+    # on (T3,T4), z = -t puts the earlier parameter over at every crossing: D(1,-1,1) = 1/0
+    argv = ["curve", "--x", "cheb:3", "--y", "cheb:4", "--z", "coeffs:0,-1"]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["fraction"], payload["knot"]) == ("1/0", None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "diagram 1,-1,1 = 1/0 -> unknot"
 
 
 def test_curve_rational_coeffs(capsys):
@@ -153,6 +163,40 @@ def test_table_malformed_diff_file_is_read_before_the_table(monkeypatch, tmp_pat
 def test_unknown_fraction_errors():
     with pytest.raises(SystemExit):
         main(["mc", "--fraction", "4/1"])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/1", "1/1 is the unknot"),
+        ("3/3", "3/3 is the unknot"),
+        ("1", "1 is the unknot"),
+        ("3/0", "3/0 is the unknot"),
+        ("4/2", "4/2 has even numerator: a two-component link"),
+    ],
+)
+@pytest.mark.parametrize("command", ["mc", "enumerate"])
+def test_link_or_unknot_fraction_is_a_usage_error_quoting_it_as_typed(command, text, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--fraction", text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"lexiknot {command}: error: argument --fraction: {message}"
+
+
+@pytest.mark.parametrize("command", ["mc", "enumerate"])
+def test_knot_beyond_sixteen_crossings_is_a_usage_error_before_any_level_is_built(command, capsys):
+    # 17/1 has 17 crossings; its m_C of 24 would grow the shared levels
+    # to some 240,000 pairs before the budget guard could refuse it
+    from lexiknot import enumeration
+
+    built = len(enumeration._PAIR_LEVELS.indexes)
+    assert main([command, "--fraction", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot {command}: error: 17/1 has 17 crossings: knots beyond 16 are out of range\n"
+    assert len(enumeration._PAIR_LEVELS.indexes) == built
 
 
 @pytest.mark.parametrize(

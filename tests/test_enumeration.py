@@ -10,6 +10,7 @@ import pytest
 
 from lexiknot.arith import (
     SchubertFraction,
+    _knot_record,
     cf_eval,
     cf_eval_pair,
     cf_expand_positive,
@@ -43,8 +44,8 @@ PRUNE_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_PRUNE_ORACLE_CROSSINGS", "
 
 def knot_classes(max_crossings):
     """One fraction of each two-bridge knot with at most max_crossings
-    crossings, a knot and its mirror image as one: alpha odd, beta the
-    least residue of the class and its mirror."""
+    crossings, a knot and its mirror image as one: alpha odd, and the
+    fraction its own class key."""
     fib = [0, 1]
     while len(fib) <= max_crossings + 1:
         fib.append(fib[-1] + fib[-2])
@@ -52,7 +53,7 @@ def knot_classes(max_crossings):
     for alpha in range(3, fib[max_crossings + 1] + 1, 2):  # a continuant of sum n is at most F_{n+1}
         for beta in range(1, alpha):
             f = SchubertFraction.make(alpha, beta)
-            if gcd(alpha, beta) == 1 and beta == min(class_residues(f, include_mirror=True)):
+            if gcd(alpha, beta) == 1 and f.key == f:
                 if sum(cf_expand_positive(f)) <= max_crossings:
                     out.append(f)
     return out
@@ -166,10 +167,11 @@ class TestMC:
 
     def test_equals_a_search_of_its_own_on_every_class(self):
         # every class up to MC_ORACLE_CROSSINGS crossings, as beta, beta^-1
-        # and -beta; one cap short of m_C finds nothing
+        # and -beta, each its own record (record_for_fraction would give
+        # all three the key's); one cap short of m_C finds nothing
         for f in knot_classes(MC_ORACLE_CROSSINGS):
             for g in class_images(f):
-                rec = record_for_fraction(g)
+                rec = _knot_record(str(g), g)
                 expected = m_C_by_its_own_search(rec)
                 if expected is None:
                     with pytest.raises(SearchExhausted):
@@ -406,3 +408,15 @@ class TestOffCatalog:
         rec = CAT.get("3_1")
         with pytest.raises(ValueError):
             enumerate_simple_diagrams(rec, budget=17)
+
+    def test_knot_beyond_the_range_is_refused_before_any_level_is_built(self):
+        # 17/1 has 17 crossings, so every budget is beyond 16; its m_C of 24
+        # would grow the shared levels to some 240,000 pairs
+        from lexiknot import enumeration
+
+        rec = record_for_fraction(SchubertFraction.make(17, 1))
+        built = len(enumeration._PAIR_LEVELS.indexes)
+        for search in (m_C, enumerate_simple_diagrams):
+            with pytest.raises(ValueError, match="17/1 has 17 crossings: knots beyond 16 are out of range"):
+                search(rec)
+        assert len(enumeration._PAIR_LEVELS.indexes) == built
