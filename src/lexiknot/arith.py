@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 from functools import cache
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class DegenerateFractionError(ValueError):
@@ -203,10 +203,6 @@ def default_catalog() -> Catalog:
     return Catalog.load()
 
 
-def catalog_lookup(f: SchubertFraction) -> Optional[KnotRecord]:
-    return default_catalog().by_key.get(f.key)
-
-
 def record_for_fraction(f: SchubertFraction) -> KnotRecord:
     """Catalog record for f, or, for an off-catalog knot, one named by
     its class key, so that every fraction of a class gets one record."""
@@ -214,4 +210,4 @@ def record_for_fraction(f: SchubertFraction) -> KnotRecord:
         raise DegenerateFractionError(f"{f} has even numerator: a two-component link")
     if f.alpha <= 1:
         raise DegenerateFractionError(f"{f} is the unknot")
-    return catalog_lookup(f) or _knot_record(str(f.key), f.key)
+    return default_catalog().by_key.get(f.key) or _knot_record(str(f.key), f.key)

@@ -8,7 +8,7 @@ import os
 import sys
 
 from .arith import DegenerateFractionError, default_catalog, parse_fraction, record_for_fraction
-from .enumeration import SearchExhausted, diagram_summary, enumerate_simple_diagrams, m_C
+from .enumeration import diagram_summary, enumerate_simple_diagrams, m_C
 from .planereduce import PlaneWord, reduction_search
 from .report import build_table, diff_expected, emit, load_expected
 
@@ -73,8 +73,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         diagrams = enumerate_simple_diagrams(args.knot, budget=args.budget)
     except ValueError as exc:  # the knot or the budget is out of range
         return _usage_error("enumerate", str(exc))
-    except SearchExhausted as exc:
-        raise SystemExit(str(exc))
     if args.json:
         print(json.dumps([diagram_summary(d) for d in diagrams], indent=2))
     else:
@@ -84,14 +82,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    if args.cap is not None and args.cap < 0:
-        return _usage_error("mc", f"argument --cap: must be at least 0, got {args.cap}")
     try:
-        m = m_C(args.knot, cap=args.cap)
+        m = m_C(args.knot)
     except ValueError as exc:  # the knot is out of range
         return _usage_error("mc", str(exc))
-    except SearchExhausted as exc:
-        raise SystemExit(str(exc))
     print(m)
     return 0
 
@@ -144,14 +138,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     }
     if args.z:
         try:
-            d, _ = verify_embedding(curve.x, curve.y, args.z)
+            d, rec = verify_embedding(curve.x, curve.y, args.z)
         except EmbeddingError as exc:
             print(f"EmbeddingError: {exc}", file=sys.stderr)
             return 2
-        f = d.fraction()
         out["diagram"] = d.text()
-        out["fraction"] = str(f)
-        out["knot"] = record_for_fraction(f).name if f.alpha > 1 else None  # an off-catalog knot by its key
+        out["fraction"] = str(d.fraction())
+        out["knot"] = rec.name if rec else None
     if args.svg:
         svg = render_svg(curve)
         try:
@@ -209,7 +202,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("mc", help="minimal length of a +-1 diagram")
     p.add_argument("--fraction", dest="knot", metavar="A/B", required=True, type=_knot_arg)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("reduce", help="reduce a plane word and bound its degree")

@@ -23,10 +23,11 @@ product equals the crossing sign with both strands turned to run
 towards +x, the over/under sign times the tangent determinant's sign
 times x'(t) x'(s); the tests check it against that definition.)  The
 diagram's entries are the twist senses summed over the regions of the
-curve's word.  The knot is named by the class of the diagram's
-fraction, checked against the determinant, the integer |det| of a Fox
-coloring minor computed by fraction-free elimination.  No floating
-point decides anything.
+curve's word.  The knot is the record of the diagram's fraction, named
+as everywhere else by `record_for_fraction` (None for the unknot), and
+that fraction is checked against the determinant, the integer |det| of
+a Fox coloring minor computed by fraction-free elimination.  No
+floating point decides anything.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..arith import KnotRecord
-from ..diagram import TrigonalDiagram, identify_knot
+from ..arith import KnotRecord, record_for_fraction
+from ..diagram import TrigonalDiagram
 from .curves import CrossingSet, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
 from .poly import Polynomial, _sign, _value, signs_at_roots
 
@@ -238,9 +239,10 @@ def verify_embedding(
     The xy-projection must be nodal and z must separate every crossing,
     which is checked exactly.  The plane curve is the one its caller
     built, if that is still alive, so its crossings are not computed
-    again.  The knot is named by the class of the diagram's fraction
-    (`identify_knot`); None when the catalog has no such class, as for
-    the unknot.  The fraction's numerator must equal the knot
+    again.  The knot is the record of the diagram's fraction
+    (`record_for_fraction`): its catalog row, or off the catalog a
+    record named by its class key; None only for the unknot, alpha = 1.
+    The fraction's numerator must equal the knot
     determinant, an integer Fox coloring minor of the curve's own Gauss
     structure that assumes nothing about how the closure arc through
     infinity sits relative to the folds; EmbeddingError when they
@@ -253,7 +255,7 @@ def verify_embedding(
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z)
     d = TrigonalDiagram(_signed_entries(curve, _hands(cs, overs)))
-    alpha, det = d.fraction().alpha, _determinant(cs, overs)
-    if alpha != det:
-        raise EmbeddingError(f"the diagram {d} has fraction numerator {alpha}, but the knot determinant is {det}")
-    return d, identify_knot(d)
+    f, det = d.fraction(), _determinant(cs, overs)
+    if f.alpha != det:
+        raise EmbeddingError(f"the diagram {d} has fraction numerator {f.alpha}, but the knot determinant is {det}")
+    return d, None if f.alpha == 1 else record_for_fraction(f)

@@ -8,9 +8,9 @@ twist is positive, for even i it is negative).  The continued fraction
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .arith import KnotRecord, SchubertFraction, catalog_lookup, cf_eval
+from .arith import SchubertFraction, cf_eval
 from .frozen import Frozen
 
 
@@ -71,8 +71,3 @@ def crossing_number(d: TrigonalDiagram) -> int:
     if islets(d):
         raise IsletError(f"{d} has islets; the formula sum|m_i| - s does not apply")
     return d.sum_abs - d.sign_changes
-
-
-def identify_knot(d: TrigonalDiagram) -> Optional[KnotRecord]:
-    """Catalog record of the diagram's fraction class (mirror inclusive)."""
-    return catalog_lookup(d.fraction())

@@ -99,7 +99,7 @@ _PAIR_LEVELS = _PairLevels()
 MAX_CROSSINGS = 16  # the searches' range in N and budget; m_C's levels grow ~1.6x per length
 
 
-def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
+def m_C(k: KnotRecord) -> int:
     """Minimal length of a +-1 continued fraction hitting k's class (mirror included).
 
     A shortest path over continuant pairs: a sequence starts at a pair
@@ -109,13 +109,14 @@ def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
     one record of them serves every call and is extended only as far as
     a call asks: the pairs first reached at length L are the continuant
     pairs of the +-1 sequences of length L with no shorter one, and m_C
-    is the first L <= cap at which one of them lies in the class.  A knot
-    beyond MAX_CROSSINGS raises ValueError before any level is built.
+    is the first L at which one of them lies in the class.  It never
+    exceeds default_cap(N), the loop's bound, so SearchExhausted would
+    mean that bound is wrong.  A knot beyond MAX_CROSSINGS raises
+    ValueError before any level is built.
     """
     if k.crossing_number > MAX_CROSSINGS:
         raise ValueError(f"{k.name} has {k.crossing_number} crossings: knots beyond {MAX_CROSSINGS} are out of range")
-    if cap is None:
-        cap = default_cap(k.crossing_number)
+    cap = default_cap(k.crossing_number)
     alpha = k.fraction.alpha
     residues = class_residues(k.fraction, include_mirror=True)
     for length in range(1, cap + 1):
@@ -125,8 +126,9 @@ def m_C(k: KnotRecord, cap: Optional[int] = None) -> int:
 
 
 def default_cap(n: int) -> int:
-    # ceil(3N/2) - 2 covers every catalog knot (the bound needs the ceiling
-    # to hold for the trefoil, where m_C = 3).
+    # the largest m_C over the two-bridge knots of N crossings, for every
+    # 3 <= N <= MAX_CROSSINGS (checked in CI); the ceiling is needed at
+    # the trefoil, where m_C = 3
     return max(n, ceil(3 * n / 2) - 2)
 
 

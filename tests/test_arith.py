@@ -13,7 +13,6 @@ from lexiknot.arith import (
     DegenerateFractionError,
     SchubertFraction,
     _knot_record,
-    catalog_lookup,
     cf_eval,
     cf_eval_pair,
     cf_expand_positive,
@@ -175,20 +174,20 @@ def test_reversal_equivalence_random_bulk():
 
 class TestCatalog:
     def test_lookup_by_inverse(self):
-        rec = catalog_lookup(frac(17, 7))
-        assert rec is not None and rec.name == "7_5"
+        assert record_for_fraction(frac(17, 7)).name == "7_5"
 
     def test_lookup_direct(self):
-        rec = catalog_lookup(frac(31, 12))
-        assert rec is not None and rec.name == "8_14"
+        assert record_for_fraction(frac(31, 12)).name == "8_14"
 
     def test_links_not_found(self):
-        assert catalog_lookup(frac(4, 1)) is None
+        assert default_catalog().by_key.get(frac(4, 1).key) is None
+        with pytest.raises(DegenerateFractionError, match="two-component link"):
+            record_for_fraction(frac(4, 1))
 
     def test_every_knot_is_found_from_all_four_of_its_fractions(self):
         for rec in default_catalog():
             for g in four_fractions(rec.fraction):
-                assert catalog_lookup(g) is rec, (rec.name, g)
+                assert default_catalog().by_key[g.key] is rec, (rec.name, g)
                 assert record_for_fraction(g) is rec, (rec.name, g)
 
     def test_two_rows_of_one_class_are_rejected(self):

@@ -228,14 +228,6 @@ def test_enumerate_budget_out_of_range_is_a_usage_error(budget, message, capsys)
     assert captured.err == f"lexiknot enumerate: error: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [["mc", "--fraction", "5/2", "--cap", "-1"]])
-def test_negative_cap_is_a_usage_error(argv, capsys):
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"lexiknot {argv[0]}: error: argument {argv[3]}: must be at least 0, got -1\n"
-
-
 def test_table_missing_diff_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert main(["table", "--knots", "3_1", "--diff", str(missing)]) == 2
@@ -260,13 +252,6 @@ def test_curve_unwritable_svg_is_a_usage_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"lexiknot curve: error: argument --svg: cannot write {path}: ")
         assert captured.err.count("\n") == 1
-
-
-def test_mc_exhausted_cap_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mc", "--fraction", "29/8", "--cap", "6"])
-    assert exc.value.code == "no +-1 representation of 8_13 with length <= 6"
-    assert capsys.readouterr().out == ""
 
 
 def test_reduce_explores_once(monkeypatch, capsys):

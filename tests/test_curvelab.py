@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lexiknot.arith import SchubertFraction, default_catalog, fraction_equivalent
+from lexiknot.arith import SchubertFraction, default_catalog, fraction_equivalent, record_for_fraction
 from lexiknot.curvelab import (
     HeightError,
     NonNodalError,
@@ -812,6 +812,17 @@ class TestDiagramClass:
         assert rec.name == name
         assert fraction_equivalent(d.fraction(), default_catalog().get(name).fraction, include_mirror=True)
 
+    def test_an_off_catalog_knot_is_named_by_its_class_key(self):
+        # on (T3,T11), this over-choice (earlier parameter over, per crossing
+        # in x-order) gives 37/8, a two-bridge knot beyond the catalog
+        c = PlaneCurve(T3, chebyshev(11))
+        cs = curve_crossings(c)
+        z, _ = height_polynomial(cs, [ch == "1" for ch in "1000110110"])
+        d, rec = verify_embedding(c.x, c.y, z)
+        assert d.fraction() == SchubertFraction(37, 8)
+        assert rec.name == "37/8" and rec.fraction == d.fraction().key
+        assert rec not in default_catalog()
+
     def test_class_names_random_over_choices(self, monkeypatch):
         # 40 over-choices each of (T3,T7) and (T3,T8): the knot is named by
         # the class of the diagram, where a determinant lookup met several
@@ -829,10 +840,12 @@ class TestDiagramClass:
             for _ in range(40):
                 z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
                 d, rec = verify_embedding(c.x, c.y, z)
-                if rec is None:
-                    assert d.fraction().alpha == 1, (b, d)
+                f = d.fraction()
+                if f.alpha == 1:
+                    assert rec is None, (b, d)
                 else:
-                    assert fraction_equivalent(d.fraction(), rec.fraction, include_mirror=True), (b, d, rec.name)
+                    assert rec == record_for_fraction(f), (b, d)
+                    assert fraction_equivalent(f, rec.fraction, include_mirror=True), (b, d, rec.name)
                     named.add(rec.name)
             assert computed == [], f"(T3,T{b}): verify_embedding computed the crossings again"
         assert {"6_3", "7_7"} <= named

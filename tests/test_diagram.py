@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiknot.arith import cf_eval, cf_expand_positive, fraction_equivalent
-from lexiknot.diagram import (
-    IsletError,
-    TrigonalDiagram,
-    crossing_number,
-    identify_knot,
-    islets,
+from lexiknot.arith import (
+    DegenerateFractionError,
+    cf_eval,
+    cf_expand_positive,
+    default_catalog,
+    fraction_equivalent,
+    record_for_fraction,
 )
+from lexiknot.diagram import IsletError, TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import _class_sequences
 
 D = TrigonalDiagram
@@ -117,15 +118,16 @@ class TestSimpleCandidate:
 
 class TestIdentify:
     def test_6_2(self):
-        rec = identify_knot(D([2, 1, 3]))
-        assert rec is not None and rec.name == "6_2"
+        assert record_for_fraction(D([2, 1, 3]).fraction()).name == "6_2"
 
     def test_7_1(self):
-        rec = identify_knot(D([7]))
-        assert rec is not None and rec.name == "7_1"
+        assert record_for_fraction(D([7]).fraction()).name == "7_1"
 
     def test_link_is_none(self):
-        assert identify_knot(D([1, 1])) is None
+        f = D([1, 1]).fraction()
+        assert default_catalog().by_key.get(f.key) is None
+        with pytest.raises(DegenerateFractionError, match="two-component link"):
+            record_for_fraction(f)
 
     def test_text(self):
         d = D([2, 1, -3])

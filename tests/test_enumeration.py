@@ -22,7 +22,6 @@ from lexiknot.arith import (
 from lexiknot.diagram import TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import (
     DegreeTriple,
-    SearchExhausted,
     _canonical_entries,
     _class_sequences,
     _simple_step,
@@ -64,16 +63,14 @@ def class_images(f):
     return (f, SchubertFraction.make(f.alpha, pow(f.beta, -1, f.alpha)), SchubertFraction.make(f.alpha, -f.beta))
 
 
-def m_C_by_its_own_search(k, cap=None):
+def m_C_by_its_own_search(k):
     """m_C by a breadth-first pass from +-(1, +-1) that builds its levels
-    afresh on every call and shares nothing."""
-    if cap is None:
-        cap = default_cap(k.crossing_number)
+    afresh on every call and shares nothing; None past default_cap."""
     alpha = k.fraction.alpha
     residues = class_residues(k.fraction, include_mirror=True)
     level = {(1, 1), (1, -1)}
     seen = set(level)
-    for length in range(1, cap + 1):
+    for length in range(1, default_cap(k.crossing_number) + 1):
         if any(p == alpha and q % alpha in residues for p, q in level):
             return length
         longer = ((m * p + q, p) for p, q in level for m in (1, -1))
@@ -157,29 +154,17 @@ class TestMC:
         assert m_C(CAT.get("4_1")) == 4
         assert m_C(CAT.get("7_7")) == 7
 
-    def test_not_found_within_cap(self):
-        # also once m_C(8_12) = 10 has built the levels past the cap
-        rec = CAT.get("8_12")
-        assert m_C(rec) == 10
-        for cap in (6, 9):
-            with pytest.raises(SearchExhausted):
-                m_C(rec, cap=cap)
-
     def test_equals_a_search_of_its_own_on_every_class(self):
         # every class up to MC_ORACLE_CROSSINGS crossings, as beta, beta^-1
         # and -beta, each its own record (record_for_fraction would give
-        # all three the key's); one cap short of m_C finds nothing
+        # all three the key's); neither search is exhausted within
+        # default_cap
         for f in knot_classes(MC_ORACLE_CROSSINGS):
             for g in class_images(f):
                 rec = _knot_record(str(g), g)
                 expected = m_C_by_its_own_search(rec)
-                if expected is None:
-                    with pytest.raises(SearchExhausted):
-                        m_C(rec)
-                    continue
+                assert expected is not None, g
                 assert m_C(rec) == expected, g
-                with pytest.raises(SearchExhausted):
-                    m_C(rec, cap=expected - 1)
 
     def test_levels_are_built_on_demand_in_any_order(self):
         # a fresh interpreter builds no level at import; asked deepest
@@ -214,18 +199,6 @@ class TestMC:
             m = m_C(rec)
             assert any(in_class(s, rec) for s in itertools.product((1, -1), repeat=m))
             assert not any(in_class(s, rec) for s in itertools.product((1, -1), repeat=m - 1))
-
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_empty_cap_exhausts(self, cap):
-        with pytest.raises(SearchExhausted):
-            m_C(CAT.get("3_1"), cap=cap)
-
-    def test_large_cap_stops_at_m(self):
-        # the search runs from the +-(1, +-1) end and stops at the first
-        # length that reaches the class, however far the cap lies
-        for name in ("3_1", "8_12"):
-            rec = CAT.get(name)
-            assert m_C(rec, cap=500) == m_C(rec)
 
 
 class TestClassSequences:
