@@ -8,12 +8,11 @@ Both come from the knot's fraction, not from testing candidates.  m_C is
 a shortest path over continuant pairs; the breadth-first levels are the
 same for every knot, so one record of them per process serves every call
 and grows only as deep as a call asks.  The simple diagrams come from one
-generator that expands the fraction into the integer sequences of its
-class, starting from the integers q = beta^(+-1) (mod alpha) within the
-Fibonacci bound, which it applies to the next two continuants of each
-prefix.  The mirror image of a sequence is its negation, which the
-conditions below treat alike, so the mirror class is left to
-`_canonical_entries`.  It keeps only islet-free sequences that survive
+generator that expands alpha/beta alone, starting from the integers
+q = beta (mod alpha) within the Fibonacci bound, which it applies to the
+next two continuants of each prefix; the rest of the class and its mirror
+are reversals and negations of these, left to `_canonical_entries`.  It
+keeps only islet-free sequences that survive
 the boundary conditions that slide isotopies remove, one rule
 (`_simple_step`):
 
@@ -158,10 +157,12 @@ def _simple_step(prev: int, m: int, first: bool, last: bool) -> bool:
 
 def _class_sequences(f: SchubertFraction, budget: int) -> list[tuple[int, ...]]:
     """Every nonzero sequence with sum |m_i| <= budget whose continued
-    fraction lies in f's class and that passes the simple-diagram rule,
-    each once.  The mirror class holds exactly the negations of these,
-    and the rule is invariant under negating every entry, so it is not
-    expanded.
+    fraction is alpha/beta itself and that passes the simple-diagram
+    rule, each once.  Reversing [m_1..m_k] takes beta to (-1)^(k+1)
+    beta^-1 and negating it takes beta to -beta, and the rule treats all
+    four images alike, so these are the class and its mirror up to
+    reversal and negation; a palindromic class (beta^2 = +-1) still
+    yields both a sequence and its image, for `_canonical_entries`.
 
     If the tail has continuant pair (p', q'), (m, *tail) has (m p' + q', p'):
     the tails of the sequences with pair +-(p, q) have pair +-(q, p - m q).
@@ -198,10 +199,9 @@ def _class_sequences(f: SchubertFraction, budget: int) -> list[tuple[int, ...]]:
 
     # a tail of budget - 1 has |q| <= F_budget; continuants are coprime and
     # p = alpha > 0 fixes the sign, so each sequence has exactly one q
-    alpha, bound = f.alpha, fib[budget]
-    for r in sorted(class_residues(f)):
-        for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
-            expand(alpha, q, budget, 0, False)
+    alpha, beta, bound = f.alpha, f.beta, fib[budget]
+    for q in range(beta - (beta + bound) // alpha * alpha, bound + 1, alpha):
+        expand(alpha, q, budget, 0, False)
     return out
 
 

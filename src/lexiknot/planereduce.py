@@ -15,9 +15,9 @@ three crossings; a nodal curve of bidegree (3, d) realizing the left
 word exists iff one of bidegree (3, d-3) realizes the right word, so
 every R step is worth exactly 3 in the y-degree, in both directions.
 A boundary variant (2, a, y) -> (0, a-1, y) applies the same reduction
-across the left turning point of the cubic; it is what the degree
-accounting of the results table exercises on words without interior
-single-crossing runs.
+across a turning point of the cubic, (y, a, 2) -> (y, a-1, 0) at the
+right end; it is what the degree accounting of the results table
+exercises on words without interior single-crossing runs.
 
 Cost-free identifications between realizable words: reversal (a
 parameter sign change preserves degrees) and a small curated list of
@@ -53,7 +53,7 @@ from .enumeration import (
 from .frozen import Frozen
 
 Runs = tuple[int, ...]
-Move = tuple[str, int, int]  # (kind, image index, position)
+Move = tuple[str, int]  # (kind, position)
 
 
 class MoveError(ValueError):
@@ -109,12 +109,6 @@ def normalize_runs(runs: Runs) -> Runs:
     return tuple(out) if any(out) else ()
 
 
-def word_images(runs: Runs) -> list[Runs]:
-    """The degree-preserving images of a word: itself and its reversal."""
-    runs = normalize_runs(runs)
-    return [runs, runs[::-1]]
-
-
 def canonical_runs(runs: Runs) -> Runs:
     runs = normalize_runs(runs)
     return min(runs, runs[::-1])  # the two images have one length
@@ -151,19 +145,24 @@ def project(d: TrigonalDiagram) -> PlaneWord:
 # moves
 
 
-def _moves(runs: Runs) -> dict[tuple[str, int], Runs]:
+def _moves(runs: Runs) -> dict[Move, Runs]:
     """The moves of the degree arithmetic on a word, keyed by kind and
     position, to their targets before normalization, in the order the
     searches take them: the curated identities ("ident", indexed into
     the sorted partner list), R at each window i where runs i, i+1, i+2
     read (>=1, 1, >=1), (.., a, 1, b, ..) -> (.., a-1, b-1, ..), and the
-    boundary R ("Rb" at 0), (2, a, y) -> (0, a-1, y) for a >= 1."""
+    boundary R, (2, a, ..) -> (0, a-1, ..) at 0 and (.., a, 2) ->
+    (.., a-1, 0) at len - 1, for a >= 1.  A reversal has the reversed R
+    windows and the same identity classes; only the boundary R is
+    one-sided, so it alone is listed at both ends."""
     out = {("ident", pos): tgt for pos, tgt in enumerate(_PARTNERS.get(runs, ()))}
     for i in range(len(runs) - 2):
         if runs[i] >= 1 and runs[i + 1] == 1 and runs[i + 2] >= 1:
             out["R", i] = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
     if len(runs) >= 2 and runs[0] == 2 and runs[1] >= 1:
         out["Rb", 0] = (0, runs[1] - 1) + runs[2:]
+    if len(runs) >= 2 and runs[-1] == 2 and runs[-2] >= 1:
+        out["Rb", len(runs) - 1] = runs[:-2] + (runs[-2] - 1, 0)
     return out
 
 
@@ -209,13 +208,9 @@ _IDENTITIES: list[set[Runs]] = [
 ]
 
 
-# each image of a curated word -> its partners, sorted as replay indexes them
-# (the groups share no image)
-_PARTNERS: dict[Runs, tuple[Runs, ...]] = {
-    runs: tuple(sorted(images - {runs}))
-    for images in ({img for g in group for img in word_images(g)} for group in _IDENTITIES)
-    for runs in images
-}
+# each curated word, all of them canonical -> its partners, sorted as replay
+# indexes them (the groups share no word)
+_PARTNERS: dict[Runs, tuple[Runs, ...]] = {runs: tuple(sorted(g - {runs})) for g in _IDENTITIES for runs in g}
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,8 @@ def _base(runs: Runs) -> tuple[int, str, Optional[int], int]:
 
 class ReductionTrace(NamedTuple):
     """A replayable chain of moves from a word down to its base, and the
-    constructive upper bound read off the same search."""
+    constructive upper bound read off the same search.  Each step is a
+    `_moves` key, (kind, position), read on the canonical word it leaves."""
 
     source: PlaneWord
     steps: tuple[Move, ...]
@@ -332,8 +328,8 @@ class ReductionTrace(NamedTuple):
 
     def replay(self) -> PlaneWord:
         w = canonical_runs(self.source.runs)
-        for kind, img_idx, pos in self.steps:
-            w = canonical_runs(_move_target(w[::-1] if img_idx else w, kind, pos))
+        for kind, pos in self.steps:
+            w = canonical_runs(_move_target(w, kind, pos))
         return PlaneWord(w)
 
 
@@ -343,14 +339,13 @@ _SUCCESSORS: dict[Runs, tuple[tuple[Move, Runs], ...]] = {}
 
 def _successors(runs: Runs) -> tuple[tuple[Move, Runs], ...]:
     """The moves of the degree arithmetic from a canonical word, those of
-    `_moves` on image 0 (the word) and then on image 1 (its reversal),
-    with their canonical targets.  Only the first move to a target is
-    kept, the only one that can record it: an identity and an R step
-    never share one, since R removes three crossings."""
+    `_moves` on the word alone (they cover its reversal's), with their
+    canonical targets.  Only the first move to a target is kept, the
+    only one that can record it: an identity and an R step never share
+    one, since R removes three crossings."""
     out: dict[Runs, Move] = {}
-    for img_idx, img in enumerate((runs, runs[::-1])):
-        for (kind, pos), tgt in _moves(img).items():
-            out.setdefault(canonical_runs(tgt), (kind, img_idx, pos))
+    for move, tgt in _moves(runs).items():
+        out.setdefault(canonical_runs(tgt), move)
     return tuple((move, tgt) for tgt, move in out.items())
 
 

@@ -37,6 +37,13 @@ def test_reduce_json(capsys):
     assert payload["base"] == [1] and payload["cost"] == 6 and payload["b_lower"] == 8
 
 
+def test_reduce_json_steps_are_kind_and_position(capsys):
+    # the boundary R at the left end of the canonical word (2,1,2,4)
+    assert main(["reduce", "--word", "2,1,2,4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["steps"] == [["Rb", 0]] and payload["base"] == [2, 4]
+
+
 def test_curve_with_height(capsys):
     assert main(["curve", "--x", "cheb:3", "--y", "cheb:4", "--z", "cheb:5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

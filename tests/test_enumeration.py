@@ -21,6 +21,7 @@ from lexiknot.arith import (
 )
 from lexiknot.diagram import TrigonalDiagram, crossing_number, islets
 from lexiknot.enumeration import (
+    MAX_CROSSINGS,
     DegreeTriple,
     _canonical_entries,
     _class_sequences,
@@ -35,8 +36,8 @@ from lexiknot.enumeration import (
 CAT = default_catalog()
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the crossing numbers the m_C oracle and the prune differential reach;
-# CI runs them with 12 and 11
+# the crossing numbers the m_C oracle and the prune and residue differentials
+# reach; CI runs them with 12 and 11
 MC_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_MC_ORACLE_CROSSINGS", "10"))
 PRUNE_ORACLE_CROSSINGS = int(os.environ.get("LEXIKNOT_PRUNE_ORACLE_CROSSINGS", "9"))
 
@@ -79,10 +80,11 @@ def m_C_by_its_own_search(k):
     return None
 
 
-def class_sequences_by_generators(f, budget, prune=True):
+def class_sequences_by_generators(f, budget, residues, prune=True):
     """The class generator as a chain of nested generators, each level
-    rebuilding its tails as (m,) + tail; without ``prune``, with the
-    Fibonacci bound on the next continuant only, not on the one after it."""
+    rebuilding its tails as (m,) + tail, from each of ``residues`` in
+    turn; without ``prune``, with the Fibonacci bound on the next
+    continuant only, not on the one after it."""
     if budget <= 0:
         return
     fib = [0, 1]
@@ -100,19 +102,26 @@ def class_sequences_by_generators(f, budget, prune=True):
                     yield from ((m,) + tail for tail in expand(q, p - m * q, left - a, m, prev == 0))
 
     alpha, bound = f.alpha, fib[budget]
-    for r in sorted(class_residues(f)):
+    for r in residues:
         for q in range(r - (r + bound) // alpha * alpha, bound + 1, alpha):
             yield from expand(alpha, q, budget, 0, False)
 
 
+def canonical_by_its_own_key(e):
+    """The least of a sequence's reversal and mirror images, a positive
+    leading entry first."""
+    images = [e, e[::-1]]
+    images += [tuple(-m for m in x) for x in images]
+    return min(images, key=lambda x: (0 if x[0] > 0 else 1, x))
+
+
 def simple_diagrams_by_generators(rec, budget):
     """enumerate_simple_diagrams as a canonical TrigonalDiagram per
-    sequence of the generator chain, each canonicalized by its own key."""
+    sequence of the generator chain from both residues beta and beta^-1,
+    each canonicalized by its own key."""
     found = set()
-    for e in class_sequences_by_generators(rec.fraction, budget):
-        images = [e, e[::-1]]
-        images += [tuple(-m for m in x) for x in images]
-        found.add(TrigonalDiagram(min(images, key=lambda x: (0 if x[0] > 0 else 1, x))).entries)
+    for e in class_sequences_by_generators(rec.fraction, budget, sorted(class_residues(rec.fraction))):
+        found.add(TrigonalDiagram(canonical_by_its_own_key(e)).entries)
     return [TrigonalDiagram(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
@@ -204,20 +213,20 @@ class TestMC:
 class TestClassSequences:
     def test_matches_brute_force(self):
         # each catalog class, each budget: of the brute-force members of
-        # the class or its mirror that pass the filter, those of the class
-        # itself, every one once; negating every entry mirrors, so they
-        # and their negations are all of them
+        # the class or its mirror, at both residues and their negations,
+        # that pass the filter, those of value alpha/beta itself, every
+        # one once; their reversals and negations are all of them, so
+        # the two give one canonical set
         candidates = list(signed_sequences(8))
         for rec in CAT:
             kept = [s for s in candidates if in_class(s, rec) and simple_by_definition(s)]
             for budget in range(1, 9):
                 got = list(_class_sequences(rec.fraction, budget))
                 expected = {s for s in kept if sum(map(abs, s)) <= budget}
-                mirrors = {tuple(-m for m in s) for s in got}
                 assert len(got) == len(set(got)), (rec.name, budget)
-                assert set(got) <= expected and set(got) | mirrors == expected, (rec.name, budget)
-                own = {s for s in expected if fraction_equivalent(cf_eval(s), rec.fraction)}
-                assert set(got) == own, (rec.name, budget)
+                assert set(got) == {s for s in expected if cf_eval(s) == rec.fraction}, (rec.name, budget)
+                canonical = {canonical_by_its_own_key(s) for s in got}
+                assert canonical == {canonical_by_its_own_key(s) for s in expected}, (rec.name, budget)
 
     def test_continuant_is_at_most_fibonacci(self):
         # the pruning rests on |p| <= F_{s+1} for sum |m_i| = s
@@ -234,8 +243,20 @@ class TestClassSequences:
         for f in knot_classes(PRUNE_ORACLE_CROSSINGS):
             n = sum(cf_expand_positive(f))
             for budget in range(n, n + 4):
-                expected = list(class_sequences_by_generators(f, budget, prune=False))
+                expected = list(class_sequences_by_generators(f, budget, (f.beta,), prune=False))
                 assert list(_class_sequences(f, budget)) == expected, (f, budget)
+
+    def test_beta_alone_gives_the_canonical_set_of_both_residues(self):
+        # for every class up to PRUNE_ORACLE_CROSSINGS crossings at
+        # budgets N..min(N+3, 16): the sequences of beta alone and those
+        # of beta and beta^-1 give one set of canonical images
+        for f in knot_classes(PRUNE_ORACLE_CROSSINGS):
+            n = sum(cf_expand_positive(f))
+            residues = sorted(class_residues(f))
+            for budget in range(n, min(n + 3, MAX_CROSSINGS) + 1):
+                got = {canonical_by_its_own_key(s) for s in _class_sequences(f, budget)}
+                expected = {canonical_by_its_own_key(s) for s in class_sequences_by_generators(f, budget, residues)}
+                assert got == expected, (f, budget)
 
     @pytest.mark.parametrize("budget", [0, -1, -3])
     def test_empty_budget_yields_nothing(self, budget):

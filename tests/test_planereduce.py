@@ -27,7 +27,6 @@ from lexiknot.planereduce import (
     normalize_runs,
     project,
     reduction_search,
-    word_images,
 )
 
 import wordclass
@@ -63,8 +62,28 @@ def normalized_words(max_crossings):
     return words + [runs + (0,) for runs in words if runs]
 
 
+def images_by_their_own_reversal(runs):
+    """A word, normalized, and its reversal."""
+    runs = normalize_runs(runs)
+    return [runs, runs[::-1]]
+
+
 def canonical_by_its_own_key(runs):
-    return min(word_images(runs), key=lambda r: (len(r), r))
+    return min(images_by_their_own_reversal(runs), key=lambda r: (len(r), r))
+
+
+# the canonical key of each curated word -> every image of its identity group
+IDENTITY_IMAGES = {
+    canonical_by_its_own_key(g): {i for h in group for i in images_by_their_own_reversal(h)}
+    for group in planereduce._IDENTITIES
+    for g in group
+}
+
+
+def partners_by_their_own_key(img):
+    """The curated partners of one image: the other images of the identity
+    group that holds its class, sorted."""
+    return sorted(IDENTITY_IMAGES.get(canonical_by_its_own_key(img), {img}) - {img})
 
 
 def r_pattern(runs, i):
@@ -73,8 +92,14 @@ def r_pattern(runs, i):
 
 
 def boundary_pattern(runs):
-    """Whether the boundary R applies: the word starts (2, >=1)."""
+    """Whether the boundary R applies at the left end: the word starts (2, >=1)."""
     return len(runs) >= 2 and runs[0] == 2 and runs[1] >= 1
+
+
+def boundary_pattern_at(runs, i):
+    """Whether the boundary R applies at index i: the left end at 0, the
+    right end, the left end of the reversal, at len - 1."""
+    return (i == 0 and boundary_pattern(runs)) or (i == len(runs) - 1 and boundary_pattern(runs[::-1]))
 
 
 def reduced(runs, kind, pos):
@@ -84,9 +109,10 @@ def reduced(runs, kind, pos):
 
 def reduction_moves_by_their_own_rewrites(img_idx, img):
     """The moves of the degree arithmetic on one image, found by the
-    pattern checks and normalized: the identities, then R, then the
-    boundary R."""
-    for pos, tgt in enumerate(planereduce._PARTNERS.get(img, ())):
+    pattern checks and normalized, each labelled with the image: the
+    identities, then R, then the boundary R at the left end; the other
+    image gives the right end's."""
+    for pos, tgt in enumerate(partners_by_their_own_key(img)):
         yield ("ident", img_idx, pos), tgt
     for i in range(len(img) - 2):
         if r_pattern(img, i):
@@ -136,13 +162,14 @@ def raises_move_error(move, *args):
 
 def explore_by_its_own_search(w):
     """The reduction search that computes every move of every word it
-    reaches, on both images, and shares nothing between calls."""
+    reaches, on both images, with identities of its own, and shares
+    nothing between calls; its moves are (kind, image, position)."""
     start = canonical_by_its_own_key(w.runs)
     parents = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for img_idx, img in enumerate(word_images(cur)):
+        for img_idx, img in enumerate(images_by_their_own_reversal(cur)):
             for move, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
                 key = canonical_by_its_own_key(tgt)
                 if key not in parents:
@@ -319,10 +346,13 @@ class TestWordMovesAgainstLetters:
                 if r_pattern(runs, i):
                     tgt = runs[:i] + (runs[i] - 1, runs[i + 2] - 1) + runs[i + 3 :]
                     assert reduced(runs, "R", i) == normalize_runs_by_loop(tgt), (runs, i)
-            assert raises_move_error(reduced, runs, "Rb", 0) != boundary_pattern(runs), runs
+                assert raises_move_error(reduced, runs, "Rb", i) != boundary_pattern_at(runs, i), (runs, i)
             if boundary_pattern(runs):
                 tgt = (0, runs[1] - 1) + runs[2:]
                 assert reduced(runs, "Rb", 0) == normalize_runs_by_loop(tgt), runs
+            if boundary_pattern(runs[::-1]):
+                tgt = runs[:-2] + (runs[-2] - 1, 0)
+                assert reduced(runs, "Rb", len(runs) - 1) == normalize_runs_by_loop(tgt), runs
 
 
 # every Degree-column cell of the published table whose accounting the
@@ -383,7 +413,7 @@ class TestReductionSearch:
         for src in all_words(9):
             trace = reduction_search(W(src))
             assert trace.replay().runs == canonical_runs(trace.base.runs), src
-            assert trace.cost == 3 * sum(1 for k, _, _ in trace.steps if k in ("R", "Rb")), src
+            assert trace.cost == 3 * sum(1 for k, _ in trace.steps if k in ("R", "Rb")), src
             # every path to a word costs the crossings it has lost
             assert trace.cost == sum(trace.source.runs) - sum(trace.base.runs), src
 
@@ -396,42 +426,56 @@ class TestReductionSearch:
         assert b_lower_bound(W((2, 1, 2, 4)))[0] == 11
 
     def test_equals_a_search_of_its_own_on_every_word(self, monkeypatch):
-        # every field of every trace, on every normalized word up to
-        # REDUCTION_ORACLE_CROSSINGS crossings: once from an empty graph,
-        # then again in reverse order on the graph the first pass filled
+        # every field of every trace but its steps, on every normalized
+        # word up to REDUCTION_ORACLE_CROSSINGS crossings: once from an
+        # empty graph, then again in reverse order on the graph the first
+        # pass filled; the oracle reads both images, so the steps differ
+        # in their labels and are checked by replay and by their cost
         words = normalized_words(REDUCTION_ORACLE_CROSSINGS)
         with monkeypatch.context() as m:
             m.setattr(planereduce, "_explore", explore_by_its_own_search)
             m.setattr(planereduce, "_base", planereduce._base.__wrapped__)
             expected = {runs: reduction_search(W(runs))._asdict() for runs in words}
+        for want in expected.values():
+            del want["steps"]
         planereduce._SUCCESSORS.clear()
         planereduce._base.cache_clear()
         for order in (words, words[::-1]):
             for runs in order:
-                assert reduction_search(W(runs))._asdict() == expected[runs], runs
-        # each word's entry keeps the first move to each target, in the
-        # order the rewrites give them
+                trace = reduction_search(W(runs))
+                got = trace._asdict()
+                del got["steps"]
+                assert got == expected[runs], runs
+                assert trace.replay() == trace.base, runs
+                assert trace.cost == 3 * sum(1 for k, _ in trace.steps if k in ("R", "Rb")), runs
+        # each word's entry reaches the targets of both images' rewrites
+        # but the word itself, in the order they first give them, each by
+        # a move that rewrites the word to it
         for runs, moves in planereduce._SUCCESSORS.items():
             first: dict = {}
-            for img_idx, img in enumerate(word_images(runs)):
-                for move, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
-                    first.setdefault(canonical_by_its_own_key(tgt), move)
-            assert moves == tuple((move, tgt) for tgt, move in first.items()), runs
+            for img_idx, img in enumerate(images_by_their_own_reversal(runs)):
+                for _, tgt in reduction_moves_by_their_own_rewrites(img_idx, img):
+                    first.setdefault(canonical_by_its_own_key(tgt))
+            first.pop(runs, None)
+            assert [tgt for _, tgt in moves] == list(first), runs
+            for (kind, pos), tgt in moves:
+                assert canonical_by_its_own_key(reduced(runs, kind, pos)) == tgt, (runs, kind, pos)
 
     def test_one_reduction_graph_per_process(self):
         # a fresh interpreter holds no successor and no base fact after its
         # imports; one table pass computes each word's moves once, for
-        # exactly the words its searches explore
+        # exactly the words its searches explore, with one `_moves` call
+        # each, and expands 49 class sequences for its 47 diagrams
         code = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import lexiknot.cli, lexiknot.curvelab
-from lexiknot import planereduce as p
+from lexiknot import enumeration as e, planereduce as p
 from lexiknot.report import build_table
 
 at_import = [len(p._SUCCESSORS), p._base.cache_info().currsize]
-computed, explored = [], set()
-successors, explore = p._successors, p._explore
+computed, explored, moves, sequences = [], set(), [], []
+successors, explore, read_moves, class_sequences = p._successors, p._explore, p._moves, e._class_sequences
 
 def counted(runs):
     computed.append(runs)
@@ -442,17 +486,30 @@ def recorded(w):
     explored.update(parents)
     return parents
 
-p._successors, p._explore = counted, recorded
-build_table()
+def moves_read(runs):
+    moves.append(runs)
+    return read_moves(runs)
+
+def expanded(f, budget):
+    out = class_sequences(f, budget)
+    sequences.extend(out)
+    return out
+
+p._successors, p._explore, p._moves, e._class_sequences = counted, recorded, moves_read, expanded
+table = build_table()
 facts = p._base.cache_info()
-print(json.dumps([at_import, computed, sorted(p._SUCCESSORS), sorted(explored), [facts.currsize, facts.misses]]))
+diagrams = sum(len(v.diagrams) for v in table)
+print(json.dumps([at_import, computed, sorted(p._SUCCESSORS), sorted(explored), [facts.currsize, facts.misses],
+                  moves, len(sequences), diagrams]))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-        at_import, computed, graph, explored, facts = json.loads(out)
+        at_import, computed, graph, explored, facts, moves, sequences, diagrams = json.loads(out)
         assert at_import == [0, 0]
         assert len(computed) == len({tuple(r) for r in computed}) == 73
         assert sorted(computed) == graph == explored
         assert facts == [73, 73]
+        assert moves == computed
+        assert (sequences, diagrams) == (49, 47)
 
     def test_trace_bound_is_the_lower_bound(self):
         words = all_words(9)

@@ -8,7 +8,7 @@ package makes no braid exchange and no slide.  Not collected by pytest.
 from collections import deque
 
 from lexiknot import planereduce
-from lexiknot.planereduce import PlaneWord, canonical_runs, letters_to_runs, normalize_runs, word_images
+from lexiknot.planereduce import PlaneWord, canonical_runs, letters_to_runs, normalize_runs
 
 
 def runs_to_letters(runs):
@@ -50,9 +50,11 @@ def boundary_slides_by_letters(runs):
 
 def neighbors(w):
     """Words one crossing-preserving move away from w: normalization,
-    reversal, the curated identities, braid exchanges and boundary slides."""
+    reversal, the curated identities (of whichever image is canonical),
+    braid exchanges and boundary slides."""
     out = set()
-    for img in word_images(w.runs):
+    runs = normalize_runs(w.runs)
+    for img in (runs, runs[::-1]):
         out.add(img)
         out.update(braid_rewrites_by_letters(img), planereduce._PARTNERS.get(img, ()), boundary_slides_by_letters(img))
     out.discard(w.runs)
