@@ -1,7 +1,6 @@
 """Exact computation on trigonal polynomial curves."""
 
 from .curves import (
-    CrossingSet,
     NonNodalError,
     NotTrigonalError,
     PlaneCurve,

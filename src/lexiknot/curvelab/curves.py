@@ -52,7 +52,9 @@ at the roots of x' are read in Q(sqrt(Delta)).
 
 A `PlaneCurve` is one object per value, and its crossings are a cached
 property of it: they are computed once, however many callers ask for
-them through `curve_crossings` while the curve is alive.
+them through `curve_crossings` while the curve is alive.  They are a
+tuple of `Crossing` records in x-order, one per double point, each
+carrying the ranks of its two parameters among all of them.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class PlaneCurve(Frozen):
         return (3, self.y.degree)
 
     @cached_property
-    def crossings(self) -> "CrossingSet":
+    def crossings(self) -> tuple["Crossing", ...]:
         """The curve's double points (`curve_crossings`), computed once."""
         return _crossings(self)
 
@@ -150,38 +152,18 @@ class PlaneCurve(Frozen):
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
     rational bounds on its parameters t < s; its letter, BOTTOM or TOP;
-    and its turn, +1 when the strand of t is above that of s just left
-    of the crossing and -1 when it is below.  The turn times the
-    over/under sign is the crossing's twist sense."""
+    its turn, +1 when the strand of t is above that of s just left of
+    the crossing and -1 when it is below; and its ranks, the positions
+    of t and of s among the curve's 2n crossing parameters in increasing
+    order.  The turn times the over/under sign is the crossing's twist
+    sense."""
 
     u: RootInterval
     t: tuple[Fraction, Fraction]
     s: tuple[Fraction, Fraction]
     letter: int
     turn: int
-
-
-class CrossingSet(Frozen):
-    """A curve's crossings sorted by x; per crossing, the positions of its
-    two parameters in the global t-order; and the parameters' rational
-    bounds in that order.  Immutable, equal when all three are; its
-    length is the number of crossings.  It holds no reference to its
-    curve, which caches it."""
-
-    __slots__ = ("crossings", "param_order", "param_bounds")
-
-    def __init__(
-        self,
-        crossings: tuple[Crossing, ...],
-        param_order: tuple[tuple[int, int], ...],
-        param_bounds: tuple[tuple[Fraction, Fraction], ...],
-    ):
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "param_order", param_order)
-        object.__setattr__(self, "param_bounds", param_bounds)
-
-    def __len__(self) -> int:
-        return len(self.crossings)
+    ranks: tuple[int, int]
 
 
 def _pair_reduction(q: Polynomial, v: Polynomial):
@@ -254,16 +236,16 @@ def _disc_box(disc: Polynomial) -> tuple[int, int]:
     return (c1 - q) // (-2 * c2), -((-c1 - q) // (-2 * c2))
 
 
-def curve_crossings(curve: PlaneCurve) -> CrossingSet:
-    """All double points, certified simple and sorted by x.
+def curve_crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
+    """All double points, certified simple, as a tuple sorted by x.
 
     They are computed once per curve, on the first call, and cached as
-    `curve.crossings`; every later call returns that same set.
+    `curve.crossings`; every later call returns that same tuple.
     """
     return curve.crossings
 
 
-def _crossings(curve: PlaneCurve) -> CrossingSet:
+def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     """The computation behind `PlaneCurve.crossings`.
 
     W is isolated once, and only on the integer box around the roots of
@@ -285,10 +267,10 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     when x'(s) has that sign and on _B otherwise.  The fold data are
     found before the loop: a crossing at a fold point raises there, so
     the loop never halves towards a root of x'.  One sort of the
-    parameters gives their ranks, which are `param_order` and, on a
-    branch two crossings share, their x-order.  The letters and the
-    turns are then read off the bottom-to-top order of the branches in
-    x-order (`_letters`).
+    parameters gives their ranks, which each `Crossing` carries and
+    which, on a branch two crossings share, give their x-order.  The
+    letters and the turns are then read off the bottom-to-top order of
+    the branches in x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), a cusp or a third branch meeting
@@ -346,14 +328,9 @@ def _crossings(curve: PlaneCurve) -> CrossingSet:
     order = sorted(range(len(kept)), key=cmp_to_key(left_of))
     letters = _letters(left.order, right.order, [branches[i] for i in order])
     ivs = [_intervals(el, e) for e in enc]
-    crossings = tuple(
-        Crossing(u=kept[i], t=ivs[i][0], s=ivs[i][1], letter=letter, turn=turn)
+    return tuple(
+        Crossing(u=kept[i], t=ivs[i][0], s=ivs[i][1], letter=letter, turn=turn, ranks=(rank[2 * i], rank[2 * i + 1]))
         for i, (letter, turn) in zip(order, letters)
-    )
-    return CrossingSet(
-        crossings=crossings,
-        param_order=tuple((rank[2 * i], rank[2 * i + 1]) for i in order),
-        param_bounds=tuple(ivs[k // 2][k % 2] for k in flat),
     )
 
 
@@ -503,7 +480,7 @@ def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
     return near[0] - far[0], near[1] - far[1]
 
 
-def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> PlaneWord:
+def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None) -> PlaneWord:
     """Run-length word of the curve's diagram.
 
     The presentation is normalized through the vertical-flip freedom: a
@@ -511,17 +488,17 @@ def word_from_curve(curve: PlaneCurve, cs: Optional[CrossingSet] = None) -> Plan
     pair's side, and the trailing marker is set when the last crossing
     is on the right fold pair's side.  So boundary zeros appear exactly
     when a turning point sits on the same side as its nearest crossing.
-    A ``cs`` other than the curve's own crossing set is a ValueError.
+    A ``cs`` other than the curve's own crossings tuple is a ValueError.
     """
     # The word is read off the crossings the curve caches; ``cs`` stays
     # only because the benchmark's worker (perfbench/worker.py) passes it.
     if cs is None:
         cs = curve.crossings
     elif cs is not curve.crossings:
-        raise ValueError("the crossing set is not the curve's own")
+        raise ValueError("the crossings are not the curve's own")
     left, right = (f.side for f in curve._folds)
-    letters = [TOP if c.letter == left else BOTTOM for c in cs.crossings]
-    return PlaneWord(letters_to_runs(letters, bool(cs.crossings) and cs.crossings[-1].letter == right))
+    letters = [TOP if c.letter == left else BOTTOM for c in cs]
+    return PlaneWord(letters_to_runs(letters, bool(cs) and cs[-1].letter == right))
 
 
 def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> PlaneCurve:
@@ -535,9 +512,8 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
     if line.gcd(shifted).degree >= 1:
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
     el = curve._eliminator
-    cs = curve_crossings(curve)
     crossing_x = _pair_reduction(curve.x, el.v)[1]
-    if 0 in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in cs.crossings]):
+    if 0 in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in curve_crossings(curve)]):
         raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
 

@@ -5,9 +5,11 @@ height polynomial with one prescribed sign per crossing parameter is
 built from linear factors between consecutive parameter intervals, each
 at the dyadic rational of least denominator in the gap, which keeps the
 coefficients small; its degree is the number of sign changes in the
-Gauss sequence.  All sign checks are exact: by construction the roots
-lie strictly between the parameter intervals, so evaluating at a
-rational endpoint decides each sign, on integers.
+Gauss sequence, which, like the determinant's arcs, is placed by each
+`Crossing`'s ranks, the positions of its parameters t < s in the
+curve's parameter order.  All sign checks are exact: by construction
+the roots lie strictly between the parameter intervals, so evaluating
+at a rational endpoint decides each sign, on integers.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
 object per value), so its crossings are computed once.  It reads the
@@ -37,7 +39,7 @@ from typing import Optional, Sequence
 
 from ..arith import KnotRecord, record_for_fraction
 from ..diagram import TrigonalDiagram
-from .curves import CrossingSet, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
+from .curves import Crossing, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
 from .poly import Polynomial, _sign, _value, signs_at_roots
 
 
@@ -49,43 +51,47 @@ class EmbeddingError(ValueError):
     """The z-coordinate fails to separate some crossing."""
 
 
-def alternating_overpasses(cs: CrossingSet) -> list[bool]:
+def alternating_overpasses(cs: Sequence[Crossing]) -> list[bool]:
     """Overpass choices whose Gauss sequence alternates along the curve.
 
     Returns, per crossing, whether the earlier parameter is the
-    overpass.  Fails if the parameter interleaving is incompatible with
-    a strictly alternating sequence.
+    overpass, read off the parity of its rank.  Fails if the parameter
+    interleaving is incompatible with a strictly alternating sequence.
     """
-    if any(a % 2 == b % 2 for a, b in cs.param_order):
+    if any(a % 2 == b % 2 for a, b in (c.ranks for c in cs)):
         raise HeightError("parameter interleaving admits no alternating Gauss sequence")
-    return [a % 2 == 0 for a, _ in cs.param_order]
+    return [c.ranks[0] % 2 == 0 for c in cs]
 
 
-def gauss_sequence(cs: CrossingSet, over_at: Sequence[bool]) -> list[int]:
-    """Signs +-1 at the 2m crossing parameters in parameter order."""
-    signs = [0] * (2 * len(cs.crossings))
-    for i, (first, second) in enumerate(cs.param_order):
-        s = 1 if over_at[i] else -1
-        signs[first] = s
-        signs[second] = -s
+def gauss_sequence(cs: Sequence[Crossing], over_at: Sequence[bool]) -> list[int]:
+    """Signs +-1 at the 2n crossing parameters in parameter order, placed
+    at the crossings' ranks; HeightError unless there is one overpass
+    choice per crossing."""
+    if len(over_at) != len(cs):
+        raise HeightError("one overpass choice per crossing required")
+    signs = [0] * (2 * len(cs))
+    for c, over in zip(cs, over_at):
+        s = 1 if over else -1
+        signs[c.ranks[0]], signs[c.ranks[1]] = s, -s
     return signs
 
 
-def height_polynomial(cs: CrossingSet, over_at: Sequence[bool]) -> tuple[Polynomial, int]:
+def height_polynomial(cs: Sequence[Crossing], over_at: Sequence[bool]) -> tuple[Polynomial, int]:
     """Polynomial with the prescribed sign at every crossing parameter.
 
     Built as +-prod(t - r_j) with one root in the gap of each consecutive
     parameter pair where the sign changes, at the dyadic rational of
     least denominator there (`_simplest_dyadic`); the degree equals
-    the sign-change count.  Verified a posteriori, exactly.  Without
-    crossings any height will do: the constant 1, with no sign change.
+    the sign-change count.  The parameters' intervals are disjoint, so
+    sorting them puts them in parameter order.  Verified a posteriori,
+    exactly.  Without crossings any height will do: the constant 1,
+    with no sign change.  HeightError unless there is one overpass
+    choice per crossing (`gauss_sequence`).
     """
-    if len(over_at) != len(cs.crossings):
-        raise HeightError("one overpass choice per crossing required")
-    if not cs.crossings:
-        return Polynomial.const(1), 0
     signs = gauss_sequence(cs, over_at)
-    bounds = cs.param_bounds
+    if not cs:
+        return Polynomial.const(1), 0
+    bounds = sorted(iv for c in cs for iv in (c.t, c.s))
     roots: list[Fraction] = []
     for k in range(len(signs) - 1):
         if signs[k] != signs[k + 1]:
@@ -133,7 +139,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial) -> list[int]:
     cs = curve.crossings
     Zh, _ = _pair_reduction(z, curve._eliminator.v)
     out = []
-    for c, s in zip(cs.crossings, signs_at_roots(Zh, [c.u for c in cs.crossings])):
+    for c, s in zip(cs, signs_at_roots(Zh, [c.u for c in cs])):
         if s == 0:
             raise EmbeddingError(
                 f"z does not separate the crossing near u in "
@@ -155,9 +161,9 @@ def crossing_handedness(curve: PlaneCurve, z: Polynomial) -> list[int]:
     return _hands(curve.crossings, crossing_signs(curve, z))
 
 
-def _hands(cs: CrossingSet, overs: Sequence[int]) -> list[int]:
+def _hands(cs: Sequence[Crossing], overs: Sequence[int]) -> list[int]:
     """Handedness from the crossing signs and the crossings' turns."""
-    return [over * c.turn for over, c in zip(overs, cs.crossings)]
+    return [over * c.turn for over, c in zip(overs, cs)]
 
 
 def _signed_entries(curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
@@ -181,19 +187,20 @@ def _signed_entries(curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
     return entries
 
 
-def _determinant(cs: CrossingSet, overs: Sequence[int]) -> int:
+def _determinant(cs: Sequence[Crossing], overs: Sequence[int]) -> int:
     """Knot determinant: |det| of a minor of the Fox coloring matrix.
 
     The diagram is the curve's own Gauss structure, closed through
     infinity (which adds no crossing on the sphere), so no
     normal-position assumption enters.  An arc runs from one underpass
-    to the next in parameter order; crossing i contributes the row
-    2 over_arc - under_in - under_out.  Any (n-1)-minor of this n x n
-    integer matrix has the determinant as its absolute value.
+    to the next in parameter order, the order of the crossings' ranks;
+    crossing i contributes the row 2 over_arc - under_in - under_out.
+    Any (n-1)-minor of this n x n integer matrix has the determinant as
+    its absolute value.
     """
-    n = len(cs.crossings)
-    # parameter positions of each crossing's overpass and underpass
-    visits = [p if o > 0 else p[::-1] for p, o in zip(cs.param_order, overs)]
+    n = len(cs)
+    # parameter ranks of each crossing's overpass and underpass
+    visits = [c.ranks if o > 0 else c.ranks[::-1] for c, o in zip(cs, overs)]
     unders = {u for _, u in visits}
     # arc of the segment leaving each parameter position; the last
     # segment runs through infinity back into arc 0
@@ -251,7 +258,7 @@ def verify_embedding(
     """
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
-    if not cs.crossings:
+    if not cs:
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z)
     d = TrigonalDiagram(_signed_entries(curve, _hands(cs, overs)))

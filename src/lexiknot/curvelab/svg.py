@@ -40,7 +40,7 @@ def render_svg(curve: PlaneCurve) -> str:
         for i, p in enumerate(pts)
     )
     marks = []
-    for c in curve_crossings(curve).crossings:
+    for c in curve_crossings(curve):
         # place the marker from the crossing parameters
         t_mid = float((c.t[0] + c.t[1]) / 2)
         px, py = to_px((float(curve.x(round(t_mid, 6))), float(curve.y(round(t_mid, 6)))))

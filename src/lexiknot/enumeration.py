@@ -229,13 +229,13 @@ def enumerate_simple_diagrams(k: KnotRecord, budget: Optional[int] = None) -> li
 
 # The published results list one simple diagram of 8_13 (29/8) with ten
 # crossings, one above its minimal +-1 length; every other row fits in m_C.
-_BUDGET_FLOOR = {(29, 8): 10}
+# Keyed by class key, so that every fraction of 8_13 gets the floor.
+_BUDGET_FLOOR = {SchubertFraction(29, 8): 10}
 
 
 def table_budget(k: KnotRecord, m: int) -> int:
     """Crossing budget that reproduces the published simple-diagram sets, given m = m_C(k)."""
-    key = (k.fraction.alpha, k.fraction.beta)
-    return max(m, _BUDGET_FLOOR.get(key, 0))
+    return max(m, _BUDGET_FLOOR.get(k.fraction.key, 0))
 
 
 def diagram_summary(d: TrigonalDiagram) -> dict:

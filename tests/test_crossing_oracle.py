@@ -162,8 +162,12 @@ def test_crossing_sets_equal_the_fraction_oracle(name):
     crossings, param_order, param_bounds = oracle_crossings(curve)
     assert len(cs) == count
     # the oracle lists its crossings in increasing x
-    assert [((c.u.lo, c.u.hi), c.t, c.s) for c in cs.crossings] == crossings
-    assert cs.param_order == param_order
+    assert [((c.u.lo, c.u.hi), c.t, c.s) for c in cs] == crossings
+    assert tuple(c.ranks for c in cs) == param_order
     # each crossing lists its parameters t < s, so every pair increases
-    assert all(a < b for a, b in cs.param_order)
-    assert cs.param_bounds == param_bounds
+    assert all(a < b for a, b in (c.ranks for c in cs))
+    # the bounds placed at their ranks are the oracle's, in parameter order
+    bounds = [None] * (2 * len(cs))
+    for c in cs:
+        bounds[c.ranks[0]], bounds[c.ranks[1]] = c.t, c.s
+    assert tuple(bounds) == param_bounds

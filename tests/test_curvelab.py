@@ -138,10 +138,16 @@ class TestCrossings:
 
     def test_parameters_ordered(self):
         cs = curve_crossings(PlaneCurve(T3, chebyshev(5)))
-        bounds = cs.param_bounds
+        # the ranks permute 0..2n-1, t's below s's, and place the
+        # parameter intervals in increasing, disjoint order
+        assert sorted(r for c in cs for r in c.ranks) == list(range(2 * len(cs)))
+        bounds = [None] * (2 * len(cs))
+        for c in cs:
+            assert c.ranks[0] < c.ranks[1]
+            bounds[c.ranks[0]], bounds[c.ranks[1]] = c.t, c.s
         for a, b in zip(bounds, bounds[1:]):
             assert a[1] < b[0]
-        for c in cs.crossings:
+        for c in cs:
             assert c.t[1] < c.s[0]
 
     def test_multiple_root_of_w_is_a_tangency(self):
@@ -355,7 +361,7 @@ def third_strand_letters(curve, cs):
     S = Fraction(-curve.x.cs[2], curve.x.cs[3])
     h = curve.y.compose(Polynomial([S, -1])) - _pair_reduction(curve.y, curve._eliminator.v)[1]
     letters = []
-    for sg in signs_at_roots(h, [c.u for c in cs.crossings]):
+    for sg in signs_at_roots(h, [c.u for c in cs]):
         assert sg != 0, "the third strand passes through a crossing"
         letters.append(BOTTOM if sg > 0 else TOP)
     return letters
@@ -371,7 +377,7 @@ def tangent_turns(curve, cs):
     A_x, B_x = _pair_reduction(curve.x.derivative(), v)
     N, dx = A_y * B_x - B_y * A_x, curve.x.derivative()
     turns = []
-    for c, sn in zip(cs.crossings, signs_at_roots(N, [c.u for c in cs.crossings])):
+    for c, sn in zip(cs, signs_at_roots(N, [c.u for c in cs])):
         assert sn != 0, "the tangents are parallel at a crossing"
         directions = dx(sum(c.t) / 2) * dx(sum(c.s) / 2)
         turns.append(sn if directions > 0 else -sn)
@@ -392,7 +398,7 @@ def x_ascends(curve, cs):
             lo, hi = min(ends) + c, max(ends) + c
         return lo, hi
 
-    for a, b in zip((c.u for c in cs.crossings), (c.u for c in cs.crossings[1:])):
+    for a, b in zip((c.u for c in cs), (c.u for c in cs[1:])):
         for _ in range(64):
             (alo, ahi), (blo, bhi) = enclosure(a), enclosure(b)
             if ahi < blo or bhi < alo:
@@ -449,10 +455,10 @@ class TestWords:
                 assert "branch" not in str(exc), (curve.x, curve.y, exc)
                 raised += 1
                 continue
-            if not cs.crossings:
+            if not cs:
                 continue
-            assert [c.letter for c in cs.crossings] == third_strand_letters(curve, cs), (curve.x, curve.y)
-            assert [c.turn for c in cs.crossings] == tangent_turns(curve, cs), (curve.x, curve.y)
+            assert [c.letter for c in cs] == third_strand_letters(curve, cs), (curve.x, curve.y)
+            assert [c.turn for c in cs] == tangent_turns(curve, cs), (curve.x, curve.y)
             assert x_ascends(curve, cs), (curve.x, curve.y)
             checked += 1
         assert raised > 0
@@ -543,7 +549,7 @@ class TestHeights:
         for b in (7, 10, 20):
             cs = curve_crossings(PlaneCurve(T3, chebyshev(b)))
             z, changes = height_polynomial(cs, alternating_overpasses(cs))
-            bounds = cs.param_bounds
+            bounds = sorted(iv for c in cs for iv in (c.t, c.s))
             assert changes == z.degree == len(bounds) - 1
             for k in range(len(bounds) - 1):
                 root = _simplest_dyadic(bounds[k][1], bounds[k + 1][0])
@@ -646,7 +652,7 @@ class TestEmbedding:
             N = A_y * B_x - B_y * A_x
             expected = [
                 -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t) != backwards(x.s) else 1)
-                for x in cs.crossings
+                for x in cs
             ]
             assert crossing_handedness(c, z) == expected
 
@@ -673,7 +679,7 @@ class TestEmbedding:
         refine, calls = RootInterval.refine, []
         monkeypatch.setattr(RootInterval, "refine", lambda r: calls.append(r) or refine(r))
         signs = crossing_signs(c, z)
-        assert calls and {r.poly for r in calls} == {cs.crossings[0].u.poly}
+        assert calls and {r.poly for r in calls} == {cs[0].u.poly}
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
     def test_one_eliminator_per_embedding(self, monkeypatch):
@@ -712,7 +718,7 @@ class TestEmbedding:
         monkeypatch.setattr(height_module, "signs_at_roots", lambda h, roots: passes.append(h) or signs_at_roots(h, roots))
         rng = random.Random(2)
         for _ in range(3):
-            z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+            z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs])
             crossing_handedness(c, z)
         assert passes.count(N) == 0 and len(passes) == 3
 
@@ -751,7 +757,7 @@ class TestDeterminant:
         for c in (PlaneCurve(T3, chebyshev(7)), witness):
             cs = curve_crossings(c)
             for _ in range(20):
-                overs = [rng.choice((1, -1)) for _ in cs.crossings]
+                overs = [rng.choice((1, -1)) for _ in cs]
                 flipped = [-o for o in overs]
                 assert height_module._determinant(cs, flipped) == height_module._determinant(cs, overs)
 
@@ -838,7 +844,7 @@ class TestDiagramClass:
             cs = curve_crossings(c)
             computed.clear()
             for _ in range(40):
-                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs])
                 d, rec = verify_embedding(c.x, c.y, z)
                 f = d.fraction()
                 if f.alpha == 1:
@@ -859,7 +865,7 @@ class TestDiagramClass:
         cs = curve_crossings(c)
         assert word_from_curve(c, cs).runs == (0, 1, 1)
         dx = c.x.derivative()
-        for x in cs.crossings:
+        for x in cs:
             for lo, hi in (x.t, x.s):
                 assert not lo <= -1 <= hi and not lo <= 1 <= hi
                 assert (dx(lo) > 0) == (dx(hi) > 0)
@@ -928,7 +934,7 @@ class TestDiagramClass:
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             for _ in range(40):
-                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs.crossings])
+                z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs])
                 overs = crossing_signs(c, z)
                 d = TrigonalDiagram(height_module._signed_entries(c, height_module._hands(cs, overs)))
                 assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
@@ -999,8 +1005,15 @@ class TestEmbeddingErrors:
             verify_embedding(c.x, c.y, z)
 
     def test_wrong_overpass_count_rejected(self):
-        from lexiknot.curvelab import HeightError
+        from lexiknot.curvelab import HeightError, gauss_sequence
 
+        # three crossings: too few choices and too many both raise, in
+        # the Gauss sequence as in the height built on it
         cs = curve_crossings(PlaneCurve(T3, chebyshev(4)))
-        with pytest.raises(HeightError):
-            height_polynomial(cs, [True, True])
+        for over_at in ([True, True], [True] * 5):
+            with pytest.raises(HeightError, match="one overpass choice per crossing"):
+                gauss_sequence(cs, over_at)
+            with pytest.raises(HeightError, match="one overpass choice per crossing"):
+                height_polynomial(cs, over_at)
+        assert [c.ranks for c in cs] == [(0, 3), (1, 4), (2, 5)]
+        assert gauss_sequence(cs, [True, False, True]) == [1, -1, 1, -1, 1, -1]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from lexiknot import enumeration, planereduce
-from lexiknot.arith import default_catalog, parse_fraction, record_for_fraction
+from lexiknot.arith import SchubertFraction, _knot_record, default_catalog, parse_fraction, record_for_fraction
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.enumeration import SearchExhausted
 from lexiknot.planereduce import (
@@ -595,6 +595,16 @@ class TestVerdicts:
         for name in ("3_1", "5_2", "7_6", "8_12"):
             rep = degree_verdict(CAT.get(name))
             assert rep.b_lower <= rep.b_upper
+
+    @pytest.mark.parametrize("name", [r.name for r in CAT])
+    def test_every_fraction_of_a_catalog_class_gives_one_verdict(self, name):
+        # beta, its inverse and their negatives name one knot up to mirror,
+        # which has the same degree, so every field but the record agrees
+        alpha, beta = CAT.get(name).fraction
+        inv = pow(beta, -1, alpha)
+        fractions = [SchubertFraction.make(alpha, b) for b in (beta, inv, -beta, -inv)]
+        verdicts = [degree_verdict(_knot_record(str(f), f))._replace(knot=None) for f in fractions]
+        assert all(v == verdicts[0] for v in verdicts), [str(f) for f in fractions]
 
     def test_one_m_C_search_per_verdict(self, monkeypatch):
         calls = count_calls(monkeypatch, "m_C", enumeration, planereduce)

@@ -9,7 +9,7 @@ import pytest
 
 from lexiknot.arith import KnotRecord, SchubertFraction, default_catalog
 from lexiknot.curvelab import NotTrigonalError, PlaneCurve, Polynomial, chebyshev, curve_crossings
-from lexiknot.curvelab.curves import Crossing, CrossingSet
+from lexiknot.curvelab.curves import Crossing
 from lexiknot.curvelab.poly import RootInterval
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.enumeration import DegreeTriple
@@ -26,13 +26,8 @@ T3 = chebyshev(3)
 
 
 def _crossing():
-    c = curve_crossings(PlaneCurve(T3, chebyshev(4))).crossings[0]
-    return Crossing(u=c.u, t=c.t, s=c.s, letter=c.letter, turn=c.turn)
-
-
-def _crossing_set():
-    cs = curve_crossings(PlaneCurve(T3, chebyshev(4)))
-    return CrossingSet(crossings=cs.crossings, param_order=cs.param_order, param_bounds=cs.param_bounds)
+    c = curve_crossings(PlaneCurve(T3, chebyshev(4)))[0]
+    return Crossing(u=c.u, t=c.t, s=c.s, letter=c.letter, turn=c.turn, ranks=c.ranks)
 
 
 # (build, field): build() returns an instance with the same value each call,
@@ -49,7 +44,6 @@ FROZEN = {
     "RootInterval": (lambda: RootInterval(Polynomial([-1, 4]), 0, 1, 2, -1), "a"),
     "PlaneCurve": (lambda: PlaneCurve(T3, chebyshev(4)), "y"),
     "Crossing": (_crossing, "letter"),
-    "CrossingSet": (_crossing_set, "crossings"),
     "DegreeVerdict": (lambda: degree_verdict(default_catalog().get("6_2")), "b_upper"),
 }
 
