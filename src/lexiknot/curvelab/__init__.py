@@ -7,7 +7,6 @@ from .curves import (
     add_triple_point,
     curve_crossings,
     perturb,
-    perturb_auto,
     word_from_curve,
 )
 from .height import (

@@ -524,33 +524,3 @@ def perturb(curve: PlaneCurve, eps: Fraction) -> PlaneCurve:
         raise ValueError("eps must be nonzero")
     return PlaneCurve(curve.x.shift(Fraction(eps)), curve.y)
 
-
-def perturb_auto(
-    curve: PlaneCurve,
-    positive: bool = True,
-    start: Fraction = Fraction(1, 16),
-    expect_nodes: Optional[int] = None,
-) -> tuple[PlaneCurve, Fraction]:
-    """Perturb with automatically chosen eps.
-
-    Halves eps from ``start`` until the crossing count hits the expected
-    node count and the extracted word agrees twice in a row.
-    """
-    eps = Fraction(start) if positive else -Fraction(start)
-    last_word = None
-    for _ in range(24):
-        cand = perturb(curve, eps)
-        try:
-            cs = curve_crossings(cand)
-            if expect_nodes is not None and len(cs) != expect_nodes:
-                raise NonNodalError("wrong node count")
-            word = word_from_curve(cand)
-        except NonNodalError:
-            eps /= 2
-            last_word = None
-            continue
-        if last_word is not None and word.runs == last_word:
-            return cand, eps
-        last_word = word.runs
-        eps /= 2
-    raise NonNodalError("perturbation did not stabilize")

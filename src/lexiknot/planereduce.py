@@ -175,30 +175,6 @@ def _move_target(runs: Runs, kind: str, pos: int) -> Runs:
     return tgt
 
 
-def inverse_R(w: PlaneWord, split: tuple[int, int], branch: str) -> PlaneWord:
-    """Insert three crossings: the two ways a resolved triple point splits.
-
-    ``split = (i, m)`` divides run i into m + n.  Branch A produces
-    (u, m+1, 1, n+1, v), branch B produces (u, m, 1, 1, 1, n, v); the
-    crossing count rises by exactly 3 either way, and R at the
-    insertion point takes both branches to the same word, the original
-    with the split run reopened into the adjacent pair (m, n).
-    """
-    i, m = split
-    runs = w.runs
-    if not (0 <= i < len(runs)):
-        raise MoveError(f"run index {i} out of range for {w}")
-    if not (0 <= m <= runs[i]):
-        raise MoveError(f"cannot take {m} crossings out of run {runs[i]}")
-    n = runs[i] - m
-    u, v = runs[:i], runs[i + 1 :]
-    if branch == "A":
-        return PlaneWord(u + (m + 1, 1, n + 1) + v)
-    if branch == "B":
-        return PlaneWord(u + (m, 1, 1, 1, n) + v)
-    raise MoveError(f"unknown branch {branch!r}")
-
-
 # whole-word identities between realizable words of equal degree
 _IDENTITIES: list[set[Runs]] = [
     {(2, 2), (1, 1, 1, 1)},

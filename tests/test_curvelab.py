@@ -26,7 +26,6 @@ from lexiknot.curvelab import (
     height_polynomial,
     isolate_real_roots,
     perturb,
-    perturb_auto,
     signs_at_roots,
     verify_embedding,
     word_from_curve,
@@ -41,7 +40,7 @@ from lexiknot.curvelab.poly import (
     signs_at_quadratic_roots,
 )
 from lexiknot.diagram import TrigonalDiagram
-from lexiknot.planereduce import PlaneWord, project
+from lexiknot.planereduce import PlaneWord, degree_verdict, project
 from wordclass import same_word_class
 
 T3 = chebyshev(3)
@@ -515,12 +514,6 @@ class TestPerturb:
         w2 = word_from_curve(perturb(base, Fraction(-1, 10**6)))
         assert w1.runs == w2.runs
 
-    def test_perturb_auto(self):
-        base = q7()
-        curve, eps = perturb_auto(base, positive=False, expect_nodes=6)
-        assert eps < 0
-        assert len(curve_crossings(curve)) == 6
-
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
             perturb(q7(), Fraction(0))
@@ -616,6 +609,31 @@ class TestEmbedding:
         d, rec = verify_embedding(curve.x, curve.y, height)
         assert rec is not None and rec.name == "6_2"
         assert (curve.x.degree, curve.y.degree, height.degree) == (3, 7, 11)
+
+    def test_8_6_at_3_10_14_below_the_published_row(self):
+        # two triple points, each perturbed by 2^-12, lift a (3,4) curve
+        # of word (1,2) to a (3,10) curve that carries 8_6 with a height
+        # of degree 14, lexicographically below the published (3,11,13)
+        y4 = [(1995377, 2097152), (70805, 65536), (-96677, 16384), (-1715, 1024), (2401, 512)]
+        c4 = PlaneCurve(T3, Polynomial([Fraction(n, d) for n, d in y4]))
+        c7 = perturb(add_triple_point(c4, Fraction(9, 16), Fraction(3, 4)), Fraction(1, 4096))
+        c10 = perturb(add_triple_point(c7, Fraction(15, 16), Fraction(-1, 8)), Fraction(1, 4096))
+        assert [(c.bidegree, word_from_curve(c).runs) for c in (c4, c7, c10)] == [
+            ((3, 4), (1, 2)),
+            ((3, 7), (1, 2, 1, 1, 1)),
+            ((3, 10), (1, 2, 1, 1, 1, 1, 1, 1)),
+        ]
+        cs = curve_crossings(c10)
+        assert len(cs) == 9
+        # earlier parameter over, per crossing in x-order
+        z, _ = height_polynomial(cs, [bit == "1" for bit in "010111001"])
+        assert z.degree == 14
+        d, rec = verify_embedding(c10.x, c10.y, z)
+        assert d == TrigonalDiagram((-1, -2, -1, -1, 1, 1, 1, 1))
+        assert rec.fraction == SchubertFraction(23, 7) and rec.name == "8_6"
+        published = degree_verdict(rec)
+        assert (published.b_upper, published.c_upper) == (11, 13)
+        assert (3, 10, 14) < (3, published.b_upper, published.c_upper)
 
     def test_6_2_witness_signs_each_crossing_once(self, monkeypatch):
         # one z sign per crossing: the turns come with the crossings

@@ -130,14 +130,6 @@ def _typed_uses(tree: ast.Module, classes: set, returns: dict) -> set:
     return uses
 
 
-# public names that no command or pipeline runs yet, with the work that
-# will; a name leaves once it gains a use, so the list only shrinks
-UNUSED_ALLOWED = {
-    "inverse_R": "undoes an R step, to build a table row's curve from its base's (ROADMAP item 7)",
-    "perturb_auto": "resolves the triple point of an undone R step into a nodal curve (ROADMAP items 7 and 14)",
-}
-
-
 def test_every_public_name_is_used():
     # a public function, class or method must be referred to by the
     # package or the benchmark, not only by tests, and the imports of an
@@ -175,12 +167,10 @@ def test_every_public_name_is_used():
         attrs += _referenced_names(tree, bare=False)
         typed |= _typed_uses(tree, classes, returns)
     shared = {name for name, cs in owners.items() if len(cs) > 1}
-    unused = sorted(name for name in defined - UNUSED_ALLOWED.keys() - owners.keys() if not refs[name])
+    unused = sorted(name for name in defined - owners.keys() if not refs[name])
     unused += sorted(f"{min(cs)}.{name}" for name, cs in owners.items() if name not in shared and not attrs[name])
     unused += sorted(f"{c}.{name}" for name in shared for c in owners[name] if (c, name) not in typed)
     assert not unused, unused
-    stale = sorted(name for name in UNUSED_ALLOWED if refs[name] or name not in defined)
-    assert not stale, f"allowed as unused but used or gone: {stale}"
 
 
 def test_only_the_report_reads_the_published_columns():

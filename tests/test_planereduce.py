@@ -22,7 +22,6 @@ from lexiknot.planereduce import (
     canonical_runs,
     constructive_upper,
     degree_verdict,
-    inverse_R,
     letters_to_runs,
     normalize_runs,
     project,
@@ -226,6 +225,8 @@ class TestApplyR:
         assert reduced((2, 1, 3), "R", 0) == (1, 2)
         assert reduced((3, 1, 3), "R", 0) == (2, 2)
         assert reduced((1, 1, 1, 1), "R", 0) == (1,)
+        assert reduced((2, 3, 1, 3, 3), "R", 1) == (2, 2, 2, 3)
+        assert reduced((2, 2, 1, 1, 1, 2, 3), "R", 2) == (2, 2, 2, 3)
 
     def test_removes_three_crossings(self):
         rng = random.Random(5)
@@ -252,31 +253,6 @@ class TestApplyR:
         assert reduced((2, 1, 3), "Rb", 0) == (3,)
         with pytest.raises(MoveError, match=r"no Rb move at position 0 of \(3,2\)"):
             reduced((3, 2), "Rb", 0)
-
-
-class TestInverseR:
-    def test_trefoil_splits(self):
-        assert inverse_R(W((3,)), (0, 1), "A").runs == (2, 1, 3)
-        assert inverse_R(W((3,)), (0, 1), "B").runs == (1, 1, 1, 1, 2)
-
-    def test_adds_three_crossings(self):
-        for branch in "AB":
-            out = inverse_R(W((2, 4, 3)), (1, 2), branch)
-            assert sum(out.runs) == 12
-
-    def test_r_after_insert_merges_the_split_run(self):
-        # R at the insertion point reopens the split run into the
-        # adjacent pair (m, n); both branches agree there
-        w = W((2, 4, 3))
-        a = reduced(inverse_R(w, (1, 2), "A").runs, "R", 1)
-        b = reduced(inverse_R(w, (1, 2), "B").runs, "R", 2)
-        assert a == b == (2, 2, 2, 3)
-
-    def test_invalid_split(self):
-        with pytest.raises(MoveError):
-            inverse_R(W((3,)), (0, 4), "A")
-        with pytest.raises(MoveError):
-            inverse_R(W((3,)), (0, 1), "C")
 
 
 class TestNeighbors:
