@@ -82,11 +82,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    try:
-        m = m_C(args.knot)
-    except ValueError as exc:  # the knot is out of range
-        return _usage_error("mc", str(exc))
-    print(m)
+    print(m_C(args.knot))
     return 0
 
 

@@ -5,14 +5,13 @@ e_i = +-1; the knot then has a Chebyshev diagram C(3, b) with b = m_C + 1
 and a parametrization (T_3, T_b, C) with deg C + b = 3N.
 
 Both come from the knot's fraction, not from testing candidates.  m_C is
-a shortest path over continuant pairs; the breadth-first levels are the
-same for every knot, so one record of them per process serves every call
-and grows only as deep as a call asks.  The simple diagrams come from one
-generator that expands alpha/beta alone, starting from the integers
-q = beta (mod alpha) within the Fibonacci bound, which it applies to the
-next two continuants of each prefix; the rest of the class and its mirror
-are reversals and negations of these, left to `_canonical_entries`.  It
-keeps only islet-free sequences that survive
+read off the Euclid quotients of each residue of the class, one pass
+each, with no state and no limit on the knot.  The simple diagrams come
+from one generator that expands alpha/beta alone, starting from the
+integers q = beta (mod alpha) within the Fibonacci bound, which it
+applies to the next two continuants of each prefix; the rest of the
+class and its mirror are reversals and negations of these, left to
+`_canonical_entries`.  It keeps only islet-free sequences that survive
 the boundary conditions that slide isotopies remove, one rule
 (`_simple_step`):
 
@@ -31,7 +30,7 @@ as soon as it breaks one and never builds a sequence it would drop.
 
 from __future__ import annotations
 
-from math import ceil, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .arith import KnotRecord, SchubertFraction, class_residues
@@ -59,83 +58,48 @@ class DegreeTriple(NamedTuple("DegreeTriple", [("a", int), ("b", int), ("c", int
         return f"({self.a},{self.b},{self.c})"
 
 
-class _PairLevels:
-    """The breadth-first levels of the +-1 continuant pairs, shared by
-    every m_C call and built only as deep as one has asked.
-
-    Level L holds the pairs +-(p, q), each kept as the one that is
-    > (0, 0), that a +-1 sequence of length L reaches and no shorter one
-    does; ``index(L)`` maps each p > 0 of level L to the residues q mod p
-    of its pairs.  The last level's pairs and every pair reached so far
-    are kept to extend the record by one more level.
-    """
-
-    def __init__(self):
-        self.indexes: list[dict[int, set[int]]] = []
-        self.last: set[tuple[int, int]] = set()
-        self.seen: set[tuple[int, int]] = set()
-
-    def index(self, length: int) -> dict[int, set[int]]:
-        while len(self.indexes) < length:
-            if self.indexes:
-                # prepending m to a tail with pair (p, q) gives (m p + q, p)
-                longer = ((m * p + q, p) for p, q in self.last for m in (1, -1))
-                level = {pq if pq > (0, 0) else (-pq[0], -pq[1]) for pq in longer} - self.seen
-            else:
-                level = {(1, 1), (1, -1)}  # +-(m, 1) for the one-entry sequences (m)
-            index: dict[int, set[int]] = {}
-            for p, q in level:
-                if p:
-                    index.setdefault(p, set()).add(q % p)
-            self.indexes.append(index)
-            self.last = level
-            self.seen |= level
-        return self.indexes[length - 1]
-
-
-_PAIR_LEVELS = _PairLevels()
-
-MAX_CROSSINGS = 16  # the searches' range in N and budget; m_C's levels grow ~1.6x per length
+MAX_CROSSINGS = 16  # the largest enumeration budget, the range its tests and CI check
 
 
 def m_C(k: KnotRecord) -> int:
     """Minimal length of a +-1 continued fraction hitting k's class (mirror included).
 
-    A shortest path over continuant pairs: a sequence starts at a pair
-    (alpha, q) of the class, each entry m = +-1 steps +-(p, q) to
-    +-(q, p - m q), and the last entry is one pair +-(1, +-1).  The
-    breadth-first levels from that end are the same for every knot, so
-    one record of them serves every call and is extended only as far as
-    a call asks: the pairs first reached at length L are the continuant
-    pairs of the +-1 sequences of length L with no shorter one, and m_C
-    is the first L at which one of them lies in the class.  It never
-    exceeds default_cap(N), the loop's bound, so SearchExhausted would
-    mean that bound is wrong.  A knot beyond MAX_CROSSINGS raises
-    ValueError before any level is built.
+    For a residue r of the class, with r/alpha = [0; a_1, ..., a_n] by
+    Euclid's quotients, the shortest +-1 sequence with continued fraction
+    alpha/q for some q = r (mod alpha) has length
+    sum_{i<n} floor((3 a_i + o_i) / 2) + floor((3 a_n - 1 + o_n) / 2),
+    where o_1 = 0 and o_{i+1} = o_i XOR (a_i is even); m_C is the least
+    of these over the residues of the class and of its mirror.
+
+    A +-1 sequence is a path in the Farey graph in which every three
+    consecutive vertices form a triangle.  Around the i-th convergent it
+    crosses a fan of a_i triangles, two triangles for every three steps,
+    and o_i records whether it enters that fan with the pivot behind it
+    or in front.  The class's freedom in q mod alpha lets the path start
+    on any edge at 0.  Each residue costs one pass of Euclid's
+    algorithm, so no crossing number is out of range.
     """
-    if k.crossing_number > MAX_CROSSINGS:
-        raise ValueError(f"{k.name} has {k.crossing_number} crossings: knots beyond {MAX_CROSSINGS} are out of range")
-    cap = default_cap(k.crossing_number)
-    alpha = k.fraction.alpha
-    residues = class_residues(k.fraction, include_mirror=True)
-    for length in range(1, cap + 1):
-        if not residues.isdisjoint(_PAIR_LEVELS.index(length).get(alpha, ())):
-            return length
-    raise SearchExhausted(f"no +-1 representation of {k.name} with length <= {cap}")
+    return min(_pm1_length(k.fraction.alpha, r) for r in class_residues(k.fraction, include_mirror=True))
 
 
-def default_cap(n: int) -> int:
-    # the largest m_C over the two-bridge knots of N crossings, for every
-    # 3 <= N <= MAX_CROSSINGS (checked in CI); the ceiling is needed at
-    # the trefoil, where m_C = 3
-    return max(n, ceil(3 * n / 2) - 2)
+def _pm1_length(alpha: int, r: int) -> int:
+    """Length of the shortest +-1 sequence of a fraction alpha/q, q = r (mod alpha), 0 < r < alpha."""
+    length, phase, a, b = 0, 0, alpha, r
+    while b:
+        q, a, b = a // b, b, a % b
+        length += (3 * q + phase - (b == 0)) // 2
+        phase ^= q % 2 == 0
+    return length
 
 
 def chebyshev_degree(k: KnotRecord, m: int) -> DegreeTriple:
-    """Upper bound (3, b, 3N - b) from the Chebyshev diagram C(3, b), given m = m_C(k)."""
+    """Upper bound (3, b, 3N - b) from the Chebyshev diagram C(3, b), b = m + 1, given m = m_C(k).
+
+    b is never a multiple of 3: mod 2 the continuant alpha of a +-1
+    sequence of length m is that of all ones, F_{m+1}, and F_{m+1} is odd,
+    as alpha is for a knot, exactly when 3 does not divide m + 1.
+    """
     b = m + 1
-    while gcd(3, b) != 1:
-        b += 1
     return DegreeTriple(3, b, 3 * k.crossing_number - b)
 
 

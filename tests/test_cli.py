@@ -192,18 +192,17 @@ def test_link_or_unknot_fraction_is_a_usage_error_quoting_it_as_typed(command, t
     assert captured.err.splitlines()[-1] == f"lexiknot {command}: error: argument --fraction: {message}"
 
 
-@pytest.mark.parametrize("command", ["mc", "enumerate"])
-def test_knot_beyond_sixteen_crossings_is_a_usage_error_before_any_level_is_built(command, capsys):
-    # 17/1 has 17 crossings; its m_C of 24 would grow the shared levels
-    # to some 240,000 pairs before the budget guard could refuse it
-    from lexiknot import enumeration
+def test_mc_answers_a_knot_beyond_sixteen_crossings(capsys):
+    assert main(["mc", "--fraction", "17"]) == 0
+    assert capsys.readouterr() == ("24\n", "")
 
-    built = len(enumeration._PAIR_LEVELS.indexes)
-    assert main([command, "--fraction", "17"]) == 2
+
+def test_enumerate_refuses_a_knot_beyond_sixteen_crossings_by_its_budget(capsys):
+    # 17/1 has 17 crossings; its default budget is its m_C of 24
+    assert main(["enumerate", "--fraction", "17"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"lexiknot {command}: error: 17/1 has 17 crossings: knots beyond 16 are out of range\n"
-    assert len(enumeration._PAIR_LEVELS.indexes) == built
+    assert captured.err == "lexiknot enumerate: error: budgets beyond 16 crossings are out of range\n"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,6 @@
 import itertools
-import json
 import os
-import subprocess
-import sys
-from math import gcd
-from pathlib import Path
+from math import ceil, gcd
 
 import pytest
 
@@ -27,14 +23,12 @@ from lexiknot.enumeration import (
     _class_sequences,
     _simple_step,
     chebyshev_degree,
-    default_cap,
     enumerate_simple_diagrams,
     m_C,
     table_budget,
 )
 
 CAT = default_catalog()
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the crossing numbers the m_C oracle and the prune and residue differentials
 # reach; CI runs them with 12 and 11
@@ -64,9 +58,17 @@ def class_images(f):
     return (f, SchubertFraction.make(f.alpha, pow(f.beta, -1, f.alpha)), SchubertFraction.make(f.alpha, -f.beta))
 
 
+def default_cap(n):
+    """The largest m_C over the two-bridge knots of n crossings, for every
+    3 <= n <= 20 (checked in CI); the ceiling is needed at the trefoil,
+    where m_C = 3."""
+    return max(n, ceil(3 * n / 2) - 2)
+
+
 def m_C_by_its_own_search(k):
-    """m_C by a breadth-first pass from +-(1, +-1) that builds its levels
-    afresh on every call and shares nothing; None past default_cap."""
+    """m_C by a breadth-first pass over continuant pairs from +-(1, +-1),
+    the shortest +-1 sequence by search, not by formula; None past
+    default_cap."""
     alpha = k.fraction.alpha
     residues = class_residues(k.fraction, include_mirror=True)
     level = {(1, 1), (1, -1)}
@@ -175,22 +177,12 @@ class TestMC:
                 assert expected is not None, g
                 assert m_C(rec) == expected, g
 
-    def test_levels_are_built_on_demand_in_any_order(self):
-        # a fresh interpreter builds no level at import; asked deepest
-        # first, later calls read levels built for a longer search
-        fractions = sorted(knot_classes(9), key=lambda f: f.alpha, reverse=True)
-        code = (
-            f"import json, sys; sys.path.insert(0, {str(SRC)!r}); import lexiknot.cli; "
-            "from lexiknot import enumeration as e; from lexiknot.arith import SchubertFraction, record_for_fraction; "
-            "built = len(e._PAIR_LEVELS.indexes); "
-            "print(json.dumps([built, [e.m_C(record_for_fraction(SchubertFraction.make(a, b))) "
-            "for a, b in json.loads(sys.argv[1])]]))"
-        )
-        pairs = json.dumps([[f.alpha, f.beta] for f in fractions])
-        out = subprocess.run([sys.executable, "-c", code, pairs], capture_output=True, text=True, check=True).stdout
-        built, answers = json.loads(out)
-        assert built == 0
-        assert answers == [m_C_by_its_own_search(record_for_fraction(f)) for f in fractions]
+    @pytest.mark.parametrize("alpha, beta, expected", [(17, 1, 24), (75025, 28657, 24)])
+    def test_equals_a_search_of_its_own_past_sixteen_crossings(self, alpha, beta, expected):
+        # T(2,17) and F_25/F_24, 17 and 24 crossings: no crossing number
+        # is out of m_C's range
+        rec = record_for_fraction(SchubertFraction.make(alpha, beta))
+        assert m_C(rec) == m_C_by_its_own_search(rec) == expected
 
     def test_fibonacci_growth_bound(self):
         # no +-1 word of length m can reach alpha beyond the Fibonacci range
@@ -273,6 +265,21 @@ class TestChebyshevDegree:
         for rec in CAT:
             t = chebyshev_degree(rec, m_C(rec))
             assert t.b % 3 != 0
+
+    def test_torus_knots(self):
+        # T(2, 2k+1) has the Chebyshev curve (3, 3k+1, 3k+2)
+        for k in range(1, 11):
+            rec = record_for_fraction(SchubertFraction.make(2 * k + 1, 1))
+            assert chebyshev_degree(rec, m_C(rec)) == (3, 3 * k + 1, 3 * k + 2), rec.name
+
+    def test_fibonacci_fractions(self):
+        # F_b/F_{b-1}, the all-ones sequence of length b - 1, has b - 1
+        # crossings and the Chebyshev curve (3, b, 2b - 3); F_b is odd, a
+        # knot, exactly when 3 does not divide b
+        for b in range(4, 33):
+            if b % 3:
+                rec = record_for_fraction(cf_eval((1,) * (b - 1)))
+                assert chebyshev_degree(rec, m_C(rec)) == (3, b, 2 * b - 3), rec.name
 
     def test_degree_triple_validation(self):
         with pytest.raises(ValueError):
@@ -403,14 +410,10 @@ class TestOffCatalog:
         with pytest.raises(ValueError):
             enumerate_simple_diagrams(rec, budget=17)
 
-    def test_knot_beyond_the_range_is_refused_before_any_level_is_built(self):
-        # 17/1 has 17 crossings, so every budget is beyond 16; its m_C of 24
-        # would grow the shared levels to some 240,000 pairs
-        from lexiknot import enumeration
-
+    def test_knot_beyond_the_range_is_refused_by_the_budget(self):
+        # 17/1 has 17 crossings, so its default budget, m_C = 24, and every
+        # budget it admits are beyond 16
         rec = record_for_fraction(SchubertFraction.make(17, 1))
-        built = len(enumeration._PAIR_LEVELS.indexes)
-        for search in (m_C, enumerate_simple_diagrams):
-            with pytest.raises(ValueError, match="17/1 has 17 crossings: knots beyond 16 are out of range"):
-                search(rec)
-        assert len(enumeration._PAIR_LEVELS.indexes) == built
+        for budget in (None, 17):
+            with pytest.raises(ValueError, match="budgets beyond 16 crossings are out of range"):
+                enumerate_simple_diagrams(rec, budget)
