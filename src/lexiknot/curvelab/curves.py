@@ -62,11 +62,12 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import groupby
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from ..frozen import Frozen
-from ..planereduce import PlaneWord, letters_to_runs
+from ..planereduce import PlaneWord
 from .poly import (
     Polynomial,
     RootInterval,
@@ -483,12 +484,15 @@ def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
 def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None) -> PlaneWord:
     """Run-length word of the curve's diagram.
 
-    The presentation is normalized through the vertical-flip freedom: a
-    crossing's letter is read as TOP exactly when it is on the left fold
-    pair's side, and the trailing marker is set when the last crossing
-    is on the right fold pair's side.  So boundary zeros appear exactly
-    when a turning point sits on the same side as its nearest crossing.
-    A ``cs`` other than the curve's own crossings tuple is a ValueError.
+    The runs are the lengths of the maximal blocks of crossings with one
+    letter, in x-order.  The word starts with a 0 when the first
+    crossing's letter is the left fold's side, and ends with a 0 when
+    the last crossing's letter is the right fold's side: a boundary zero
+    marks a turning point on the side of its nearest crossing.  Reading
+    the letters against the folds' sides makes the word invariant under
+    the vertical flip, which swaps both.  A curve with no crossings has
+    the word ().  A ``cs`` other than the curve's own crossings tuple is
+    a ValueError.
     """
     # The word is read off the crossings the curve caches; ``cs`` stays
     # only because the benchmark's worker (perfbench/worker.py) passes it.
@@ -496,9 +500,11 @@ def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None
         cs = curve.crossings
     elif cs is not curve.crossings:
         raise ValueError("the crossings are not the curve's own")
+    if not cs:
+        return PlaneWord(())
     left, right = (f.side for f in curve._folds)
-    letters = [TOP if c.letter == left else BOTTOM for c in cs]
-    return PlaneWord(letters_to_runs(letters, bool(cs) and cs[-1].letter == right))
+    runs = [len(tuple(block)) for _, block in groupby(c.letter for c in cs)]
+    return PlaneWord([0] * (cs[0].letter == left) + runs + [0] * (cs[-1].letter == right))
 
 
 def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> PlaneCurve:

@@ -38,7 +38,7 @@ from .diagram import TrigonalDiagram, crossing_number
 
 
 class SearchExhausted(RuntimeError):
-    """A bounded search found nothing within its cap."""
+    """A bounded search found nothing."""
 
 
 class DegreeTriple(NamedTuple("DegreeTriple", [("a", int), ("b", int), ("c", int)])):

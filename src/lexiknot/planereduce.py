@@ -114,28 +114,6 @@ def canonical_runs(runs: Runs) -> Runs:
     return min(runs, runs[::-1])  # the two images have one length
 
 
-def letters_to_runs(letters: Sequence[int], trail0: bool) -> Runs:
-    """Run word of a crossing-position sequence.
-
-    The leading zero is structural (present exactly when the first
-    crossing sits in the even position); the trailing marker is the
-    extra bit a word carries beyond its letters.
-    """
-    runs: list[int] = []
-    prev = None
-    for p in letters:
-        if p == prev:
-            runs[-1] += 1
-        else:
-            if not runs and p == 1:
-                runs.append(0)
-            runs.append(1)
-            prev = p
-    if trail0:
-        runs.append(0)
-    return normalize_runs(tuple(runs))
-
-
 def project(d: TrigonalDiagram) -> PlaneWord:
     """Unsigned projection |D|: the absolute values of the entries."""
     return PlaneWord(tuple(abs(m) for m in d.entries))

@@ -138,8 +138,8 @@ def load_expected(path: str) -> dict[str, dict[str, int]]:
             rows = list(reader)
         except csv.Error as exc:
             raise ValueError(f"cannot parse {path}: {exc}") from exc
-    if "name" not in (reader.fieldnames or ()):
-        raise ValueError(f"{path}: no name column")
+        if "name" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: no name column")
     expected = {}
     for row in rows:
         if row["name"] in expected:

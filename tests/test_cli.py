@@ -140,6 +140,16 @@ def test_table_malformed_diff_file_is_a_usage_error(text, problem, tmp_path, cap
     assert err == f"lexiknot table: error: argument --diff: {path}: row 3_1, {problem}\n"
 
 
+def test_table_empty_diff_file_is_a_usage_error(tmp_path, capsys):
+    # an empty file has no header, and it is found missing while the file is open
+    path = tmp_path / "knots.csv"
+    path.write_text("")
+    assert main(["table", "--knots", "3_1", "--diff", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexiknot table: error: argument --diff: {path}: no name column\n"
+
+
 def test_table_diff_file_listing_a_knot_twice_is_a_usage_error(tmp_path, capsys):
     # a wrong 3_1 row followed by the true one: neither row may be dropped
     path = tmp_path / "knots.csv"

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import json
 import math
 import os
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,12 +43,14 @@ from lexiknot.curvelab.poly import (
 )
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, degree_verdict, project
-from wordclass import same_word_class
+from wordclass import letters_to_runs_by_groupby, same_word_class
 
 T3 = chebyshev(3)
 QUINTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 4, 0, -4, 0, 1]))
 QUARTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([-2, -2, -2, 0, 1]))
 NO_CROSSINGS = PlaneCurve(T3, Polynomial([2, 2, 2, 0, -1]))
+# crossing counts and words of the benchmark's curves, recorded by it
+CURVES_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "curves.json"
 
 
 def q7(x0=Fraction(-3, 4)):
@@ -441,9 +445,10 @@ class TestWords:
 
     def test_branch_order_letters_equal_the_third_strand_signs(self):
         # the branch-order letters and turns against the exact signs that
-        # define them, and the x-order read off the shared branches against
-        # exact x enclosures; the two consistency checks of the branch
-        # order never fire
+        # define them, the x-order read off the shared branches against
+        # exact x enclosures, and the word against the oracle's encoding of
+        # the third-strand letters read against the fold sides; the two
+        # consistency checks of the branch order never fire
         checked = raised = 0
         for curve in letter_oracle_family():
             if checked == LETTER_ORACLE_CURVES + LETTER_ORACLE_MAX_B - 1:
@@ -456,11 +461,31 @@ class TestWords:
                 continue
             if not cs:
                 continue
-            assert [c.letter for c in cs] == third_strand_letters(curve, cs), (curve.x, curve.y)
+            letters = third_strand_letters(curve, cs)
+            assert [c.letter for c in cs] == letters, (curve.x, curve.y)
+            left, right = (f.side for f in curve._folds)
+            relative = [int(p == left) for p in letters]
+            assert word_from_curve(curve).runs == letters_to_runs_by_groupby(relative, letters[-1] == right), (curve.x, curve.y)
             assert [c.turn for c in cs] == tangent_turns(curve, cs), (curve.x, curve.y)
             assert x_ascends(curve, cs), (curve.x, curve.y)
             checked += 1
         assert raised > 0
+
+    def test_reference_words(self):
+        # the stored crossing count and word of every benchmark curve: the
+        # pool over x = t^3 - 3t with each curve's y -> -y mirror, and the
+        # Chebyshev curves (T3,Tb)
+        ref = json.loads(CURVES_REFERENCE.read_text())
+        x = Polynomial([0, -3, 0, 1])
+        cases = [(T3, chebyshev(int(b)), entry) for b, entry in ref["chebyshev"].items()]
+        for entry in ref["pool"]:
+            y = Polynomial(entry["y"])
+            cases += [(x, y, entry), (x, -y, entry)]
+        assert len(cases) == 812
+        for cx, cy, entry in cases:
+            curve = PlaneCurve(cx, cy)
+            got = (len(curve_crossings(curve)), list(word_from_curve(curve).runs))
+            assert got == (entry["crossings"], entry["word"]), (cx, cy)
 
     def test_trefoil_class(self):
         c = PlaneCurve(T3, chebyshev(4))
@@ -596,10 +621,25 @@ class TestEmbedding:
         assert (c.x.degree, c.y.degree, height.degree) == (3, 5, 7)
 
     def test_harmonic_heights(self):
-        _, rec = verify_embedding(T3, chebyshev(4), chebyshev(5))
-        assert rec.name == "3_1"
-        _, rec = verify_embedding(T3, chebyshev(5), chebyshev(7))
-        assert rec.name == "4_1"
+        # H(3,b,c) = (T3,Tb,Tc) carries its row's knot at the row's exact
+        # lexicographic degree
+        for b, c, name in ((4, 5, "3_1"), (5, 7, "4_1"), (7, 8, "5_1"), (7, 11, "6_3"), (10, 11, "7_1"), (8, 13, "7_7"), (11, 13, "8_3")):
+            _, rec = verify_embedding(T3, chebyshev(b), chebyshev(c))
+            assert rec.name == name
+            v = degree_verdict(rec)
+            assert (v.status, v.b_lower, v.b_upper, v.c_lower, v.c_upper) == ("exact", b, b, c, c), name
+
+    def test_harmonic_families(self):
+        # H(3, 3k+1, 3k+2) is T(2, 2k+1), and H(3, b, 2b - 3) is F_b/F_{b-1}
+        # up to mirror for 3 not dividing b, both to b = 32
+        fib = [0, 1]
+        while len(fib) <= 32:
+            fib.append(fib[-1] + fib[-2])
+        torus = [(3 * k + 1, 3 * k + 2, (2 * k + 1, 1)) for k in range(1, 11)]
+        fibonacci = [(b, 2 * b - 3, (fib[b], fib[b - 1])) for b in range(4, 33) if b % 3]
+        for b, c, (alpha, beta) in torus + fibonacci:
+            _, rec = verify_embedding(T3, chebyshev(b), chebyshev(c))
+            assert fraction_equivalent(rec.fraction, SchubertFraction.make(alpha, beta), include_mirror=True), (b, c)
 
     def test_6_2_witness(self):
         base = q7(Fraction(-1, 2))

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import deque
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,6 @@ from lexiknot.planereduce import (
     canonical_runs,
     constructive_upper,
     degree_verdict,
-    letters_to_runs,
     normalize_runs,
     project,
     reduction_search,
@@ -142,13 +141,6 @@ def normalize_runs_by_loop(runs):
     if runs == (0,):
         return ()
     return runs
-
-
-def letters_to_runs_by_groupby(letters, trail0):
-    """The run word of a crossing-position sequence: a leading zero when
-    the first crossing sits in the even position, and the trailing marker."""
-    lead = [0] if letters and letters[0] == 1 else []
-    return normalize_runs_by_loop(lead + [len(list(g)) for _, g in groupby(letters)] + [0] * trail0)
 
 
 def raises_move_error(move, *args):
@@ -299,21 +291,15 @@ class TestNeighbors:
 
 class TestWordMovesAgainstLetters:
     # the run-word primitives against forms of their own: normalization
-    # against a loop, letters_to_runs against a groupby, and the moves of
-    # the degree arithmetic against their patterns on every normalized
-    # word up to REDUCTION_ORACLE_CROSSINGS crossings
+    # against a loop, and the moves of the degree arithmetic against
+    # their patterns on every normalized word up to
+    # REDUCTION_ORACLE_CROSSINGS crossings
 
     def test_normalize_equals_the_loop(self):
         tuples = [t for length in range(8) for t in product(range(4), repeat=length)]
         assert len(tuples) == 21845
         for runs in tuples:
             assert normalize_runs(runs) == normalize_runs_by_loop(runs), runs
-
-    def test_letters_to_runs_equals_its_oracle(self):
-        for length in range(11):
-            for letters in product((0, 1), repeat=length):
-                for trail0 in (False, True):
-                    assert letters_to_runs(letters, trail0) == letters_to_runs_by_groupby(letters, trail0)
 
     def test_reductions_raise_exactly_where_the_pattern_is_absent(self):
         for runs in normalized_words(REDUCTION_ORACLE_CROSSINGS):

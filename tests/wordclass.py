@@ -1,14 +1,23 @@
 """The word-class matcher, a test oracle: it compares curve words with
 diagram words up to reversal, the curated identities of the degree
 arithmetic, braid exchanges aba -> bab and boundary slides, written on
-crossing-position letters.  Only the identities feed a bound, so the
-package makes no braid exchange and no slide.  Not collected by pytest.
+crossing-position letters with an encoding of its own.  Only the
+identities feed a bound, so the package makes no braid exchange and no
+slide.  Not collected by pytest.
 """
 
 from collections import deque
+from itertools import groupby
 
 from lexiknot import planereduce
-from lexiknot.planereduce import PlaneWord, canonical_runs, letters_to_runs, normalize_runs
+from lexiknot.planereduce import PlaneWord, canonical_runs, normalize_runs
+
+
+def letters_to_runs_by_groupby(letters, trail0):
+    """The run word of a crossing-position sequence: a leading zero when
+    the first crossing sits in the even position, and the trailing marker."""
+    lead = [0] if letters and letters[0] == 1 else []
+    return normalize_runs(tuple(lead + [len(list(g)) for _, g in groupby(letters)] + [0] * trail0))
 
 
 def runs_to_letters(runs):
@@ -29,7 +38,7 @@ def braid_rewrites_by_letters(runs):
         a, b, c = letters[j : j + 3]
         if a == c != b:
             new = letters[:j] + (b, a, b) + letters[j + 3 :]
-            out.add(letters_to_runs(new, trail0 ^ (new[-1] != letters[-1])))
+            out.add(letters_to_runs_by_groupby(new, trail0 ^ (new[-1] != letters[-1])))
     return out
 
 
@@ -41,8 +50,8 @@ def boundary_slides_by_letters(runs):
         return set()
     trail0 = runs[-1] == 0
     out = {
-        letters_to_runs((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
-        letters_to_runs(letters[:-1] + (1 - letters[-1],), trail0),
+        letters_to_runs_by_groupby((letters[0],) + tuple(1 - p for p in letters[1:]), trail0),
+        letters_to_runs_by_groupby(letters[:-1] + (1 - letters[-1],), trail0),
     }
     out.discard(normalize_runs(runs))
     return out
