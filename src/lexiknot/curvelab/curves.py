@@ -29,8 +29,9 @@ an isolating interval (a/d, b/d) of u, t < s are enclosed over
 den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
 reduced radicand at this module's scale 2^32.  Enclosures of
 different crossings are compared after rescaling to the lcm of their
-d, so every comparison is exact, and the rational intervals a
-`Crossing` reports are built once, after the loop.  The loop also
+denominators, so every comparison is exact, and a `Crossing` keeps the
+loop's last enclosures over their denominator: no rational is built
+for a parameter.  The loop also
 halves until x' has one sign on each parameter enclosure, which puts
 each parameter on one of the three branches that the folds c1 < c2
 cut the parameter line into.  No x is enclosed: x is strictly
@@ -152,16 +153,18 @@ class PlaneCurve(Frozen):
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
-    rational bounds on its parameters t < s; its letter, BOTTOM or TOP;
-    its turn, +1 when the strand of t is above that of s just left of
-    the crossing and -1 when it is below; and its ranks, the positions
-    of t and of s among the curve's 2n crossing parameters in increasing
-    order.  The turn times the over/under sign is the crossing's twist
-    sense."""
+    integer bounds (lo, hi) on its parameters t < s, both over the
+    positive den, so lo / den <= t <= hi / den; its letter, BOTTOM or
+    TOP; its turn, +1 when the strand of t is above that of s just left
+    of the crossing and -1 when it is below; and its ranks, the
+    positions of t and of s among the curve's 2n crossing parameters in
+    increasing order.  The turn times the over/under sign is the
+    crossing's twist sense."""
 
     u: RootInterval
-    t: tuple[Fraction, Fraction]
-    s: tuple[Fraction, Fraction]
+    t: tuple[int, int]
+    s: tuple[int, int]
+    den: int
     letter: int
     turn: int
     ranks: tuple[int, int]
@@ -328,9 +331,8 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
 
     order = sorted(range(len(kept)), key=cmp_to_key(left_of))
     letters = _letters(left.order, right.order, [branches[i] for i in order])
-    ivs = [_intervals(el, e) for e in enc]
     return tuple(
-        Crossing(u=kept[i], t=ivs[i][0], s=ivs[i][1], letter=letter, turn=turn, ranks=(rank[2 * i], rank[2 * i + 1]))
+        Crossing(kept[i], *enc[i], letter, turn, (rank[2 * i], rank[2 * i + 1]))
         for i, (letter, turn) in zip(order, letters)
     )
 
@@ -338,12 +340,11 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
 def _branches(el: _Eliminator, e) -> Optional[tuple[int, int]]:
     """The branches of one crossing's parameters t < s, from the sign of
     x' on their integer enclosures; None while x' may vanish on one."""
-    d, t, s = e
-    den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
+    t, s, den = e
     dx = el.dx.cs
     out = []
     for (lo, hi), outer in zip((t, s), (_A, _C)):
-        vlo, vhi = _enclose(dx, lo, hi, den_p)
+        vlo, vhi = _enclose(dx, lo, hi, den)
         if vlo <= 0 <= vhi:
             return None
         out.append(outer if (vlo > 0) == (dx[-1] > 0) else _B)
@@ -376,10 +377,10 @@ def _letters(
     return letters
 
 
-def _enclosures(el: _Eliminator, r: RootInterval, D: tuple[int, int]) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(d, t, s): the crossing isolated by r = (a/d, b/d), with the
-    integer enclosures of its parameters t < s over den_D d^2 2^33, from
-    u and the positive enclosure D of d^2 D(u) over r, the pair
+def _enclosures(el: _Eliminator, r: RootInterval, D: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """(t, s, den): the crossing isolated by r = (a/d, b/d), with the
+    integer enclosures of its parameters t < s over den = den_D d^2 2^33,
+    from u and the positive enclosure D of d^2 D(u) over r, the pair
     discriminant being a quadratic cleared as D / den_D."""
     a, b, d = r.a, r.b, r.d
     den = el.disc.den
@@ -388,27 +389,20 @@ def _enclosures(el: _Eliminator, r: RootInterval, D: tuple[int, int]) -> tuple[i
     shi = _sqrt_bounds(D[1], scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
     ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
-    return d, (ua - shi, ub - slo), (ua + slo, ub + shi)
+    return (ua - shi, ub - slo), (ua + slo, ub + shi), scale << (_SQRT_BITS + 1)
 
 
 def _rescaled(enc) -> list[tuple[int, int]]:
     """The flat t, s intervals of all crossings as integers over one
-    denominator: each crossing's are rescaled from its d to the lcm of
-    all the d, so comparing them compares the rationals exactly."""
-    common = lcm(*[e[0] for e in enc])
+    denominator: each crossing's are rescaled from its den to the lcm of
+    all of them, so comparing them compares the rationals exactly."""
+    common = lcm(*[e[2] for e in enc])
     params = []
-    for d, t, s in enc:
-        f = (common // d) ** 2
+    for t, s, den in enc:
+        f = common // den
         params.append((t[0] * f, t[1] * f))
         params.append((s[0] * f, s[1] * f))
     return params
-
-
-def _intervals(el: _Eliminator, e) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The rational t- and s-intervals of one crossing's enclosures."""
-    d, t, s = e
-    den_p = (el.disc.den * d * d) << (_SQRT_BITS + 1)
-    return (Fraction(t[0], den_p), Fraction(t[1], den_p)), (Fraction(s[0], den_p), Fraction(s[1], den_p))
 
 
 def _overlapping(ivs: Sequence[tuple[int, int]]) -> set[int]:

@@ -5,11 +5,16 @@ height polynomial with one prescribed sign per crossing parameter is
 built from linear factors between consecutive parameter intervals, each
 at the dyadic rational of least denominator in the gap, which keeps the
 coefficients small; its degree is the number of sign changes in the
-Gauss sequence, which, like the determinant's arcs, is placed by each
-`Crossing`'s ranks, the positions of its parameters t < s in the
-curve's parameter order.  All sign checks are exact: by construction
-the roots lie strictly between the parameter intervals, so evaluating
-at a rational endpoint decides each sign, on integers.
+Gauss sequence.  Like the determinant's arcs, the Gauss sequence and
+the parameter intervals are placed by each `Crossing`'s ranks, the
+positions of its parameters t < s in the curve's parameter order, so
+nothing is sorted.  The height is built on integers: each gap's dyadic
+n / 2^j is read off the integer ends of its two intervals, each over
+its crossing's den, and the height is the integer product of the
+factors 2^j t - n over the product of the 2^j.  All sign checks are
+exact: by construction the roots lie strictly between the parameter
+intervals, so evaluating at an interval's integer ends over its den
+decides each sign.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
 object per value), so its crossings are computed once.  It reads the
@@ -34,13 +39,12 @@ floating point decides anything.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..arith import KnotRecord, record_for_fraction
 from ..diagram import TrigonalDiagram
 from .curves import Crossing, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
-from .poly import Polynomial, _sign, _value, signs_at_roots
+from .poly import Polynomial, _product, _sign, _value, signs_at_roots
 
 
 class HeightError(ValueError):
@@ -82,48 +86,58 @@ def height_polynomial(cs: Sequence[Crossing], over_at: Sequence[bool]) -> tuple[
     Built as +-prod(t - r_j) with one root in the gap of each consecutive
     parameter pair where the sign changes, at the dyadic rational of
     least denominator there (`_simplest_dyadic`); the degree equals
-    the sign-change count.  The parameters' intervals are disjoint, so
-    sorting them puts them in parameter order.  Verified a posteriori,
-    exactly.  Without crossings any height will do: the constant 1,
-    with no sign change.  HeightError unless there is one overpass
-    choice per crossing (`gauss_sequence`).
+    the sign-change count.  Each crossing's ranks put its two parameter
+    intervals in parameter order, so nothing is sorted, and the product
+    of the factors 2^j t - n is taken on integers.  Every factor is
+    negative below its root, so the sign at the first parameter fixes
+    the overall sign.  Verified a posteriori, exactly, at both ends of
+    every parameter interval.  Without crossings any height will do:
+    the constant 1, with no sign change.  HeightError unless there is
+    one overpass choice per crossing (`gauss_sequence`).
     """
     signs = gauss_sequence(cs, over_at)
     if not cs:
         return Polynomial.const(1), 0
-    bounds = sorted(iv for c in cs for iv in (c.t, c.s))
-    roots: list[Fraction] = []
-    for k in range(len(signs) - 1):
-        if signs[k] != signs[k + 1]:
-            roots.append(_simplest_dyadic(bounds[k][1], bounds[k + 1][0]))
-    c = Polynomial.from_roots(roots)
-    if _sign_on_interval(c, bounds[0]) != signs[0]:
-        c = -c
-    for k, g in enumerate(signs):
-        if _sign_on_interval(c, bounds[k]) != g:
+    ivs = [None] * len(signs)  # (lo, hi, den) in parameter order
+    for c in cs:
+        ivs[c.ranks[0]], ivs[c.ranks[1]] = (*c.t, c.den), (*c.s, c.den)
+    roots = [
+        _simplest_dyadic(a[1], a[2], b[0], b[2])
+        for a, b, sa, sb in zip(ivs, ivs[1:], signs, signs[1:])
+        if sa != sb
+    ]
+    zs, den = [-signs[0] if len(roots) % 2 else signs[0]], 1
+    for n, e in roots:
+        zs = _product(zs, (-n, e))
+        den *= e
+    z = Polynomial.from_integers(zs, den)
+    for k, (g, iv) in enumerate(zip(signs, ivs)):
+        if _sign_on_interval(z, *iv) != g:
             raise HeightError(f"sign verification failed at parameter {k}")
-    return c, len(roots)
+    return z, len(roots)
 
 
-def _simplest_dyadic(lo: Fraction, hi: Fraction) -> Fraction:
-    """The dyadic rational strictly between lo < hi with the least
-    denominator; of several integers, the one nearest 0."""
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -_simplest_dyadic(-hi, -lo)
+def _simplest_dyadic(a: int, p: int, b: int, q: int) -> tuple[int, int]:
+    """(n, 2^j): the dyadic rational strictly between a / p < b / q, for
+    p, q > 0, with the least denominator; of several integers, the one
+    nearest 0.  n / 2^j is in lowest terms."""
+    if a < 0 < b:
+        return 0, 1
+    if b <= 0:
+        n, d = _simplest_dyadic(-b, q, -a, p)
+        return -n, d
     d = 1
     while True:
-        n = lo.numerator * d // lo.denominator + 1  # the least n with n / d > lo
-        if n * hi.denominator < hi.numerator * d:
-            return Fraction(n, d)
+        n = a * d // p + 1  # the least n with n / d > a / p
+        if n * q < b * d:
+            return n, d
         d *= 2
 
 
-def _sign_on_interval(p: Polynomial, iv: tuple[Fraction, Fraction]) -> int:
-    """The sign of p at both ends of iv, read from integers: the sign of
-    p(n / d) is that of d^deg p * den * p(n / d) for d > 0."""
-    s_lo, s_hi = (_sign(_value(p.cs, e.numerator, e.denominator)) for e in iv)
+def _sign_on_interval(p: Polynomial, lo: int, hi: int, den: int) -> int:
+    """The sign of p at both ends of [lo / den, hi / den], den > 0, read
+    from integers: the sign of p(n / den) is that of _value(p.cs, n, den)."""
+    s_lo, s_hi = _sign(_value(p.cs, lo, den)), _sign(_value(p.cs, hi, den))
     if s_lo != s_hi or s_lo == 0:
         raise HeightError("height polynomial has a root inside a parameter interval")
     return s_lo

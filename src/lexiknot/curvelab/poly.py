@@ -92,13 +92,6 @@ class Polynomial(Frozen):
         return cls([c])
 
     @classmethod
-    def from_roots(cls, roots: Sequence[Rat]) -> "Polynomial":
-        p = cls.const(1)
-        for r in roots:
-            p = p * cls([-_frac(r), 1])
-        return p
-
-    @classmethod
     def parse(cls, text: str) -> "Polynomial":
         """Comma-separated rationals, ascending: '0,-3,0,1' is t^3 - 3t; an
         empty token is an error, and the empty text is zero."""

@@ -42,7 +42,7 @@ def render_svg(curve: PlaneCurve) -> str:
     marks = []
     for c in curve_crossings(curve):
         # place the marker from the crossing parameters
-        t_mid = float((c.t[0] + c.t[1]) / 2)
+        t_mid = (c.t[0] + c.t[1]) / (2 * c.den)
         px, py = to_px((float(curve.x(round(t_mid, 6))), float(curve.y(round(t_mid, 6)))))
         letter = "s1" if c.letter == BOTTOM else "s2"
         marks.append(

@@ -127,16 +127,16 @@ def emit(rows: Sequence[DegreeVerdict], fmt: str = "md") -> str:
 def load_expected(path: str) -> dict[str, dict[str, int]]:
     """The integer columns of a knots.csv-format file, by knot name.
 
-    A file that cannot be read as CSV or has no name column raises
+    A file that cannot be read as UTF-8 CSV or has no name column raises
     ValueError naming it; so does a row that lacks a column or holds a
     non-integer cell there, naming the file, the row and the column, and
     a knot listed twice, naming the file and the knot.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             rows = list(reader)
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot parse {path}: {exc}") from exc
         if "name" not in (reader.fieldnames or ()):
             raise ValueError(f"{path}: no name column")

@@ -150,6 +150,20 @@ def test_table_empty_diff_file_is_a_usage_error(tmp_path, capsys):
     assert captured.err == f"lexiknot table: error: argument --diff: {path}: no name column\n"
 
 
+def test_table_diff_file_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys):
+    # byte 0xff starts no UTF-8 sequence; the decoding error surfaces
+    # while the rows are read, and must name the file like a CSV error
+    path = tmp_path / "knots.csv"
+    path.write_bytes(b"name,alpha\n\xff,3\n")
+    assert main(["table", "--knots", "3_1", "--diff", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"lexiknot table: error: argument --diff: cannot parse {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n"
+    )
+
+
 def test_table_diff_file_listing_a_knot_twice_is_a_usage_error(tmp_path, capsys):
     # a wrong 3_1 row followed by the true one: neither row may be dropped
     path = tmp_path / "knots.csv"

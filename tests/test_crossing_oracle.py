@@ -9,8 +9,9 @@ clash loop starts from those intervals.  That loop halves every
 crossing whose parameter interval meets another's, or whose parameter
 intervals have not yet both had an interval enclosure of x' without 0.
 It uses interval Horner on rational coefficients, square-root bounds
-on the reduced radicand, and a pairwise overlap test.  Both must return the same rationals, not merely
-containing ones.
+on the reduced radicand, and a pairwise overlap test.  Both must return
+the same rationals, not merely containing ones; a `Crossing`'s integer
+enclosures are read over its den for that (`heightref.intervals`).
 
 The x-order is checked apart from that schedule: the oracle refines
 copies of the u-intervals until interval Horner enclosures of the
@@ -24,6 +25,7 @@ import pytest
 
 from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
 from lexiknot.curvelab.poly import _squarefree_isolation
+from heightref import intervals
 
 T3 = chebyshev(3)
 
@@ -162,12 +164,12 @@ def test_crossing_sets_equal_the_fraction_oracle(name):
     crossings, param_order, param_bounds = oracle_crossings(curve)
     assert len(cs) == count
     # the oracle lists its crossings in increasing x
-    assert [((c.u.lo, c.u.hi), c.t, c.s) for c in cs] == crossings
+    assert [((c.u.lo, c.u.hi), *intervals(c)) for c in cs] == crossings
     assert tuple(c.ranks for c in cs) == param_order
     # each crossing lists its parameters t < s, so every pair increases
     assert all(a < b for a, b in (c.ranks for c in cs))
     # the bounds placed at their ranks are the oracle's, in parameter order
     bounds = [None] * (2 * len(cs))
     for c in cs:
-        bounds[c.ranks[0]], bounds[c.ranks[1]] = c.t, c.s
+        bounds[c.ranks[0]], bounds[c.ranks[1]] = intervals(c)
     assert tuple(bounds) == param_bounds

@@ -43,6 +43,7 @@ from lexiknot.curvelab.poly import (
 )
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, degree_verdict, project
+from heightref import intervals, reference_height, simplest_dyadic
 from wordclass import letters_to_runs_by_groupby, same_word_class
 
 T3 = chebyshev(3)
@@ -51,10 +52,22 @@ QUARTIC = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([-2, -2, -2, 0, 1]))
 NO_CROSSINGS = PlaneCurve(T3, Polynomial([2, 2, 2, 0, -1]))
 # crossing counts and words of the benchmark's curves, recorded by it
 CURVES_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "curves.json"
+# the five witnesses of the benchmark's embed workload
+EMBED_REFERENCE = CURVES_REFERENCE.with_name("embed.json")
 
 
 def q7(x0=Fraction(-3, 4)):
     return add_triple_point(PlaneCurve(T3, chebyshev(4)), x0, Fraction(1))
+
+
+def chain_8_6():
+    """The (3,4), (3,7) and (3,10) curves of the 8_6 witness: each step
+    adds a triple point to the last curve and perturbs it by 2^-12."""
+    y4 = [(1995377, 2097152), (70805, 65536), (-96677, 16384), (-1715, 1024), (2401, 512)]
+    c4 = PlaneCurve(T3, Polynomial([Fraction(n, d) for n, d in y4]))
+    c7 = perturb(add_triple_point(c4, Fraction(9, 16), Fraction(3, 4)), Fraction(1, 4096))
+    c10 = perturb(add_triple_point(c7, Fraction(15, 16), Fraction(-1, 8)), Fraction(1, 4096))
+    return c4, c7, c10
 
 
 def unshared(x, y):
@@ -147,11 +160,11 @@ class TestCrossings:
         bounds = [None] * (2 * len(cs))
         for c in cs:
             assert c.ranks[0] < c.ranks[1]
-            bounds[c.ranks[0]], bounds[c.ranks[1]] = c.t, c.s
+            bounds[c.ranks[0]], bounds[c.ranks[1]] = intervals(c)
         for a, b in zip(bounds, bounds[1:]):
             assert a[1] < b[0]
         for c in cs:
-            assert c.t[1] < c.s[0]
+            assert c.t[1] < c.s[0] and c.den > 0
 
     def test_multiple_root_of_w_is_a_tangency(self):
         x = Polynomial([0, -3, 0, 1])
@@ -382,7 +395,7 @@ def tangent_turns(curve, cs):
     turns = []
     for c, sn in zip(cs, signs_at_roots(N, [c.u for c in cs])):
         assert sn != 0, "the tangents are parallel at a crossing"
-        directions = dx(sum(c.t) / 2) * dx(sum(c.s) / 2)
+        directions = dx(Fraction(sum(c.t), 2 * c.den)) * dx(Fraction(sum(c.s), 2 * c.den))
         turns.append(sn if directions > 0 else -sn)
     return turns
 
@@ -567,31 +580,59 @@ class TestHeights:
         for b in (7, 10, 20):
             cs = curve_crossings(PlaneCurve(T3, chebyshev(b)))
             z, changes = height_polynomial(cs, alternating_overpasses(cs))
-            bounds = sorted(iv for c in cs for iv in (c.t, c.s))
+            bounds = sorted(iv for c in cs for iv in intervals(c))
             assert changes == z.degree == len(bounds) - 1
             for k in range(len(bounds) - 1):
-                root = _simplest_dyadic(bounds[k][1], bounds[k + 1][0])
+                root = simplest_dyadic(bounds[k][1], bounds[k + 1][0])
                 assert bounds[k][1] < root < bounds[k + 1][0] and z(root) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.fractions(min_value=-4, max_value=4, max_denominator=10**9),
         st.fractions(min_value=Fraction(1, 10**9), max_value=3, max_denominator=10**9),
+        st.integers(1, 1000),
+        st.integers(1, 1000),
     )
-    @example(Fraction(-1, 2), Fraction(2))  # 0 and 1 inside: the one nearest 0
-    @example(Fraction(1, 2), Fraction(1, 2))  # ends on dyadics, which are excluded
-    @example(Fraction(-3, 2), Fraction(1, 2))  # (-3/2, -1): a negative gap
-    def test_simplest_dyadic(self, lo, width):
+    @example(Fraction(-1, 2), Fraction(2), 1, 1)  # 0 and 1 inside: the one nearest 0
+    @example(Fraction(1, 2), Fraction(1, 2), 6, 1)  # ends on dyadics, which are excluded
+    @example(Fraction(-3, 2), Fraction(1, 2), 1, 4)  # (-3/2, -1): a negative gap
+    def test_simplest_dyadic(self, lo, width, k, m):
+        # the ends come over unreduced denominators, as a crossing's do
         hi = lo + width
-        r = _simplest_dyadic(lo, hi)
-        d = r.denominator
-        assert lo < r < hi and d & (d - 1) == 0
+        n, d = _simplest_dyadic(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
+        r = Fraction(n, d)
+        assert lo < r < hi and d & (d - 1) == 0 and (d == 1 or n % 2)
         if d > 1:
             # the least multiple of 2/d above lo is not below hi
             assert (math.floor(lo * d / 2) + 1) * 2 >= hi * d
         else:
             # of several integers inside, the one nearest 0
             assert r == 0 or (r - 1 <= lo if r > 0 else r + 1 >= hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6),
+        st.integers(1, 64),
+        st.integers(1, 64),
+    )
+    @example(Fraction(-1, 2), Fraction(2), 1, 1)
+    @example(Fraction(0), Fraction(1), 3, 5)  # both ends integers: the open gap holds 1/2
+    @example(Fraction(-3), Fraction(1, 1024), 7, 1)
+    def test_simplest_dyadic_equals_a_fraction_search(self, lo, width, k, m):
+        # for each 2^j in turn, every multiple of 2^-j in the closed hull
+        # of the gap is tried; the first 2^j with one inside wins, and of
+        # several integers the one nearest 0
+        hi = lo + width
+        d = 1
+        while True:
+            inside = [Fraction(n, d) for n in range(math.floor(lo * d), math.ceil(hi * d) + 1) if lo < Fraction(n, d) < hi]
+            if inside:
+                break
+            d *= 2
+        expected = min(inside, key=abs)
+        n, e = _simplest_dyadic(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
+        assert (n, e) == (expected.numerator, expected.denominator)
 
     def test_single_sign_change_when_overs_lead(self):
         # on (T3,T4) the earlier parameters fill the first half of the
@@ -654,10 +695,7 @@ class TestEmbedding:
         # two triple points, each perturbed by 2^-12, lift a (3,4) curve
         # of word (1,2) to a (3,10) curve that carries 8_6 with a height
         # of degree 14, lexicographically below the published (3,11,13)
-        y4 = [(1995377, 2097152), (70805, 65536), (-96677, 16384), (-1715, 1024), (2401, 512)]
-        c4 = PlaneCurve(T3, Polynomial([Fraction(n, d) for n, d in y4]))
-        c7 = perturb(add_triple_point(c4, Fraction(9, 16), Fraction(3, 4)), Fraction(1, 4096))
-        c10 = perturb(add_triple_point(c7, Fraction(15, 16), Fraction(-1, 8)), Fraction(1, 4096))
+        c4, c7, c10 = chain_8_6()
         assert [(c.bidegree, word_from_curve(c).runs) for c in (c4, c7, c10)] == [
             ((3, 4), (1, 2)),
             ((3, 7), (1, 2, 1, 1, 1)),
@@ -696,8 +734,8 @@ class TestEmbedding:
         # det(T_over, T_under) read directly: -sign(A_z) * sign(slope_num),
         # with both tangents turned to run towards +x: x = T3 runs backwards
         # exactly on the middle branch |t| < 1/2
-        def backwards(iv):
-            return abs(iv[0] + iv[1]) < 1
+        def backwards(iv, den):
+            return abs(iv[0] + iv[1]) < den
 
         for b in (4, 5, 7):
             c = PlaneCurve(T3, chebyshev(b))
@@ -709,7 +747,7 @@ class TestEmbedding:
             A_x, B_x = _pair_reduction(c.x.derivative(), v)
             N = A_y * B_x - B_y * A_x
             expected = [
-                -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t) != backwards(x.s) else 1)
+                -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t, x.den) != backwards(x.s, x.den) else 1)
                 for x in cs
             ]
             assert crossing_handedness(c, z) == expected
@@ -791,12 +829,75 @@ class TestEmbedding:
             p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 8))] + [1])
             if rng.random() < 0.2:  # a root at an end
                 p = p * Polynomial([-rng.choice(ends), 1])
+            den = math.lcm(*(e.denominator for e in ends)) * rng.randint(1, 3)
+            lo, hi = (e.numerator * (den // e.denominator) for e in ends)
             signs = {sign_by_fractions(p, e) for e in ends}
             if len(signs) == 1 and 0 not in signs:
-                assert height_module._sign_on_interval(p, tuple(ends)) == signs.pop()
+                assert height_module._sign_on_interval(p, lo, hi, den) == signs.pop()
             else:
                 with pytest.raises(HeightError):
-                    height_module._sign_on_interval(p, tuple(ends))
+                    height_module._sign_on_interval(p, lo, hi, den)
+
+
+def assert_height_is_the_reference(cs, over_at):
+    z, degree = height_polynomial(cs, over_at)
+    ref, ref_degree = reference_height(cs, over_at)
+    assert (z.cs, z.den, z.degree, degree) == (ref.cs, ref.den, ref.degree, ref_degree)
+
+
+def seeded_over_choices(cs, seed, count=5):
+    """The alternating choice where the interleaving admits one, then
+    ``count`` seeded random choices."""
+    rng = random.Random(seed)
+    try:
+        choices = [alternating_overpasses(cs)]
+    except HeightError:
+        choices = []
+    return choices + [[rng.random() < 0.5 for _ in cs] for _ in range(count)]
+
+
+class TestHeightsAgainstFractions:
+    """`height_polynomial`, built on integers in rank order, against the
+    Fraction construction of `heightref`: sorted rational intervals,
+    a Fraction dyadic search and one Fraction factor per root.  Both
+    must give the same normalized z and degree."""
+
+    @pytest.mark.parametrize("b", [b for b in range(2, 33) if b % 3])
+    def test_chebyshev_curves(self, b):
+        cs = curve_crossings(PlaneCurve(T3, chebyshev(b)))
+        assert len(cs) == b - 1
+        choices = seeded_over_choices(cs, b)
+        assert len(choices) == 6
+        for over_at in choices:
+            assert_height_is_the_reference(cs, over_at)
+
+    def test_benchmark_curves(self):
+        ref = json.loads(CURVES_REFERENCE.read_text())
+        x = Polynomial([0, -3, 0, 1])
+        curves = [PlaneCurve(T3, chebyshev(int(b))) for b in ref["chebyshev"]]
+        curves += [PlaneCurve(x, Polynomial(entry["y"])) for entry in ref["pool"] if entry["crossings"]]
+        assert len(curves) == 275
+        for k, curve in enumerate(curves):
+            cs = curve_crossings(curve)
+            assert cs
+            for over_at in seeded_over_choices(cs, k, count=2):
+                assert_height_is_the_reference(cs, over_at)
+
+    def test_embed_witnesses(self):
+        witnesses = json.loads(EMBED_REFERENCE.read_text())
+        assert len(witnesses) == 5
+        for w in witnesses:
+            curve = PlaneCurve(Polynomial([Fraction(c) for c in w["x"]]), Polynomial([Fraction(c) for c in w["y"]]))
+            cs = curve_crossings(curve)
+            assert_height_is_the_reference(cs, alternating_overpasses(cs))
+            assert height_polynomial(cs, alternating_overpasses(cs))[1] == w["degrees"][2]
+
+    def test_8_6_chain(self):
+        for k, curve in enumerate(chain_8_6()):
+            cs = curve_crossings(curve)
+            for over_at in seeded_over_choices(cs, k):
+                assert_height_is_the_reference(cs, over_at)
+        assert_height_is_the_reference(cs, [bit == "1" for bit in "010111001"])
 
 
 class TestDeterminant:
@@ -924,7 +1025,7 @@ class TestDiagramClass:
         assert word_from_curve(c, cs).runs == (0, 1, 1)
         dx = c.x.derivative()
         for x in cs:
-            for lo, hi in (x.t, x.s):
+            for lo, hi in intervals(x):
                 assert not lo <= -1 <= hi and not lo <= 1 <= hi
                 assert (dx(lo) > 0) == (dx(hi) > 0)
         for overs in itertools.product((False, True), repeat=2):

@@ -22,6 +22,7 @@ from lexiknot.curvelab.poly import (
     signs_at_quadratic_roots,
     signs_at_roots,
 )
+from heightref import from_roots
 
 sympy = pytest.importorskip("sympy")
 t, s = sympy.symbols("t s")
@@ -184,13 +185,13 @@ def test_isolation_of_random_polynomials_agrees_with_sympy(coeffs, box):
     "W, box",
     [
         # roots on grid points: the grid meets a root, so it cannot certify
-        (Polynomial.from_roots([Fraction(k, 8) for k in (1, 2, 3)] + [3, 4, 5, 6]), (0, 1)),
-        (Polynomial.from_roots([-1, 0, 1]) * Polynomial([1, 0, 1]) * Polynomial([2, 0, 1]), None),
+        (from_roots([Fraction(k, 8) for k in (1, 2, 3)] + [3, 4, 5, 6]), (0, 1)),
+        (from_roots([-1, 0, 1]) * Polynomial([1, 0, 1]) * Polynomial([2, 0, 1]), None),
         # clustered roots: a cell of the grid holds several
-        (Polynomial.from_roots([Fraction(k, 1000) for k in (1, 2, 3)] + [2, 3, 4, 5]), (0, 1)),
-        (Polynomial.from_roots([Fraction(k, 1000) for k in range(-3, 4)] + [2, 3]), None),
+        (from_roots([Fraction(k, 1000) for k in (1, 2, 3)] + [2, 3, 4, 5]), (0, 1)),
+        (from_roots([Fraction(k, 1000) for k in range(-3, 4)] + [2, 3]), None),
         # too many roots for the cost rule at first: Wilkinson-15 and T25
-        (Polynomial.from_roots(range(1, 16)), None),
+        (from_roots(range(1, 16)), None),
         (chebyshev(25), None),
     ],
 )
@@ -261,8 +262,8 @@ def test_certificate_falls_back_on_a_factor_shared_only_modulo_the_prime():
 
 
 def test_a_shared_factor_gives_zero():
-    W = Polynomial.from_roots([5]) * Polynomial([-2, 0, 1])
-    h = Polynomial.from_roots([-3]) * Polynomial([-2, 0, 1])
+    W = from_roots([5]) * Polynomial([-2, 0, 1])
+    h = from_roots([-3]) * Polynomial([-2, 0, 1])
     signs, expected, gcds = _signs_and_gcds(h, W)
     assert signs == expected == [0, 0, 1]
     assert gcds == 1

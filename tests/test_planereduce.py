@@ -289,7 +289,7 @@ class TestNeighbors:
                 assert len({canonical_runs(args[0]) for args in calls}) <= 1, (runs, nb.runs)
 
 
-class TestWordMovesAgainstLetters:
+class TestRunWordPrimitives:
     # the run-word primitives against forms of their own: normalization
     # against a loop, and the moves of the degree arithmetic against
     # their patterns on every normalized word up to

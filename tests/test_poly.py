@@ -15,6 +15,7 @@ from lexiknot.curvelab.poly import (
     sign_at_root,
     signs_at_roots,
 )
+from heightref import from_roots
 
 P = Polynomial
 
@@ -65,7 +66,7 @@ class TestArithmetic:
 
 class TestRoots:
     def test_isolation_counts(self):
-        p = P.from_roots([-2, Fraction(1, 3), 5])
+        p = from_roots([-2, Fraction(1, 3), 5])
         roots = isolate_real_roots(p)
         assert len(roots) == 3
         for r, expect in zip(roots, (-2, Fraction(1, 3), 5)):
@@ -75,7 +76,7 @@ class TestRoots:
         assert isolate_real_roots(P([1, 0, 1])) == []
 
     def test_multiple_roots_isolated_once(self):
-        p = P.from_roots([1, 1, 2])
+        p = from_roots([1, 1, 2])
         assert len(isolate_real_roots(p)) == 2
 
     def test_isolating_polynomial_is_squarefree(self):
@@ -93,12 +94,12 @@ class TestRoots:
 
         monkeypatch.setattr(P, "gcd", forbidden)
         assert len(isolate_real_roots(chebyshev(7))) == 7
-        assert len(isolate_real_roots(P.from_roots([1, 1, 2, 2, 2, -3]))) == 3
+        assert len(isolate_real_roots(from_roots([1, 1, 2, 2, 2, -3]))) == 3
 
     def test_isolation_on_a_box(self):
         # only the roots in the box, and a root at an end is moved inside
         # by widening that end; the squarefree part is still the whole one
-        p = P.from_roots([-5, 1, 1, Fraction(5, 2), 3, 7])
+        p = from_roots([-5, 1, 1, Fraction(5, 2), 3, 7])
         sf, roots = _squarefree_isolation(p, (1, 3))
         assert sf.degree == 5
         assert len(roots) == 3
@@ -110,12 +111,12 @@ class TestRoots:
     def test_count_roots(self):
         # isolation counts the roots, and signs of t - c at them count
         # those above c
-        roots = isolate_real_roots(P.from_roots([-1, 0, 1]))
+        roots = isolate_real_roots(from_roots([-1, 0, 1]))
         assert len(roots) == 3
         assert signs_at_roots(P([Fraction(-1, 2), 1]), roots) == [-1, -1, 1]
 
     def test_sign_at_root(self):
-        p = P.from_roots([2])  # root t = 2
+        p = from_roots([2])  # root t = 2
         root = isolate_real_roots(P([-4, 0, 1]))[1]  # sqrt(4)... root 2 of t^2-4
         h = P([-1, 1])  # t - 1, positive at 2
         assert sign_at_root(h, root) == 1
@@ -141,7 +142,7 @@ class TestRoots:
     def test_signs_at_roots_certify_each_pair_once(self, monkeypatch):
         import lexiknot.curvelab.poly as poly
 
-        W = P.from_roots([-3, 1, 2]) * P([-2, 0, 1])  # roots -3, -sqrt 2, 1, sqrt 2, 2
+        W = from_roots([-3, 1, 2]) * P([-2, 0, 1])  # roots -3, -sqrt 2, 1, sqrt 2, 2
         roots = isolate_real_roots(W)
         other = isolate_real_roots(P([-5, 0, 1]))  # +-sqrt 5, a second W
         certified, gcds = [], []
@@ -149,7 +150,7 @@ class TestRoots:
         monkeypatch.setattr(poly, "_coprime_mod_prime", lambda f, g: certified.append(g) or coprime(f, g))
         monkeypatch.setattr(P, "gcd", lambda a, b: gcds.append(b) or gcd(a, b))
         cases = (
-            (P.from_roots([2, 5]) * P([-2, 0, 1]), [1, 0, -1, 0, 0]),  # zero at +-sqrt 2 and 2
+            (from_roots([2, 5]) * P([-2, 0, 1]), [1, 0, -1, 0, 0]),  # zero at +-sqrt 2 and 2
             (P([Fraction(1, 2), 1]), [-1, -1, 1, 1, 1]),
             (P([0]), [0] * 5),
         )
@@ -171,10 +172,10 @@ class TestRoots:
     def test_a_root_where_h_vanishes_asks_no_sign_at_it(self, monkeypatch):
         import lexiknot.curvelab.poly as poly
 
-        roots = isolate_real_roots(P.from_roots([-3, 1, 2]) * P([-2, 0, 1]))  # -3, -sqrt 2, 1, sqrt 2, 2
+        roots = isolate_real_roots(from_roots([-3, 1, 2]) * P([-2, 0, 1]))  # -3, -sqrt 2, 1, sqrt 2, 2
         asked, sign = [], poly.sign_at_root
         monkeypatch.setattr(poly, "sign_at_root", lambda h, r: asked.append(r) or sign(h, r))
-        assert signs_at_roots(P.from_roots([1]) * P([-2, 0, 1]), roots) == [-1, 0, 0, 0, 1]
+        assert signs_at_roots(from_roots([1]) * P([-2, 0, 1]), roots) == [-1, 0, 0, 0, 1]
         assert asked == [roots[0], roots[4]]
 
     def test_sign_at_root_raises_where_h_vanishes(self):
@@ -185,7 +186,7 @@ class TestRoots:
         with pytest.raises(ValueError, match="zero polynomial"):
             sign_at_root(P([]), roots[0])
 
-    @pytest.mark.parametrize("p, bisection", [(P.from_roots(range(1, 16)), 57), (chebyshev(25), 35)])
+    @pytest.mark.parametrize("p, bisection", [(from_roots(range(1, 16)), 57), (chebyshev(25), 35)])
     def test_sign_grid_costs_no_extra_chain_evaluation(self, p, bisection, monkeypatch):
         # Wilkinson-15 and T25 on their Cauchy boxes hold too many roots
         # for the grid's cost rule at first, and then some grid tries fail:
