@@ -11,10 +11,12 @@ positions of its parameters t < s in the curve's parameter order, so
 nothing is sorted.  The height is built on integers: each gap's dyadic
 n / 2^j is read off the integer ends of its two intervals, each over
 its crossing's den, and the height is the integer product of the
-factors 2^j t - n over the product of the 2^j.  All sign checks are
-exact: by construction the roots lie strictly between the parameter
-intervals, so evaluating at an interval's integer ends over its den
-decides each sign.
+factors 2^j t - n over the product of the 2^j.  The roots are the
+height's certificate, and it is never evaluated: integer comparisons
+show that consecutive intervals are strictly ordered and that each root
+lies strictly inside its gap, so no root meets an interval, and the
+height's sign on each interval is its leading sign times (-1) to the
+number of roots above it, the prescribed sign by construction.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
 object per value), so its crossings are computed once.  It reads the
@@ -44,7 +46,7 @@ from typing import Optional, Sequence
 from ..arith import KnotRecord, record_for_fraction
 from ..diagram import TrigonalDiagram
 from .curves import Crossing, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
-from .poly import Polynomial, _product, _sign, _value, signs_at_roots
+from .poly import Polynomial, _product, signs_at_roots
 
 
 class HeightError(ValueError):
@@ -90,10 +92,14 @@ def height_polynomial(cs: Sequence[Crossing], over_at: Sequence[bool]) -> tuple[
     intervals in parameter order, so nothing is sorted, and the product
     of the factors 2^j t - n is taken on integers.  Every factor is
     negative below its root, so the sign at the first parameter fixes
-    the overall sign.  Verified a posteriori, exactly, at both ends of
-    every parameter interval.  Without crossings any height will do:
-    the constant 1, with no sign change.  HeightError unless there is
-    one overpass choice per crossing (`gauss_sequence`).
+    the overall sign.  Certified, not evaluated: HeightError unless
+    every interval ends strictly below the next one begins and every
+    root lies strictly inside its gap, all compared on integers.  Then
+    no root meets an interval (each contains its parameter, so
+    lo <= hi), and the sign on each is the prescribed one.  Without
+    crossings any height will do: the constant 1, with no sign change.
+    HeightError unless there is one overpass choice per crossing
+    (`gauss_sequence`).
     """
     signs = gauss_sequence(cs, over_at)
     if not cs:
@@ -101,26 +107,27 @@ def height_polynomial(cs: Sequence[Crossing], over_at: Sequence[bool]) -> tuple[
     ivs = [None] * len(signs)  # (lo, hi, den) in parameter order
     for c in cs:
         ivs[c.ranks[0]], ivs[c.ranks[1]] = (*c.t, c.den), (*c.s, c.den)
-    roots = [
-        _simplest_dyadic(a[1], a[2], b[0], b[2])
-        for a, b, sa, sb in zip(ivs, ivs[1:], signs, signs[1:])
-        if sa != sb
-    ]
-    zs, den = [-signs[0] if len(roots) % 2 else signs[0]], 1
-    for n, e in roots:
-        zs = _product(zs, (-n, e))
-        den *= e
-    z = Polynomial.from_integers(zs, den)
-    for k, (g, iv) in enumerate(zip(signs, ivs)):
-        if _sign_on_interval(z, *iv) != g:
-            raise HeightError(f"sign verification failed at parameter {k}")
-    return z, len(roots)
+    gaps = list(zip(ivs, ivs[1:]))
+    for k, (a, b) in enumerate(gaps):
+        if a[1] * b[2] >= b[0] * a[2]:
+            raise HeightError(f"parameter intervals {k} and {k + 1} are not strictly ordered")
+    degree = sum(sa != sb for sa, sb in zip(signs, signs[1:]))
+    zs, den = [-signs[0] if degree % 2 else signs[0]], 1
+    for k, (a, b) in enumerate(gaps):
+        if signs[k] != signs[k + 1]:
+            n, e = _simplest_dyadic(a[1], a[2], b[0], b[2])
+            if not (a[1] * e < n * a[2] and n * b[2] < b[0] * e):
+                raise HeightError(f"the root {n}/{e} is not strictly between parameter intervals {k} and {k + 1}")
+            zs = _product(zs, (-n, e))
+            den *= e
+    return Polynomial.from_integers(zs, den), degree
 
 
 def _simplest_dyadic(a: int, p: int, b: int, q: int) -> tuple[int, int]:
     """(n, 2^j): the dyadic rational strictly between a / p < b / q, for
     p, q > 0, with the least denominator; of several integers, the one
-    nearest 0.  n / 2^j is in lowest terms."""
+    nearest 0.  n / 2^j is in lowest terms.  The caller has checked
+    a / p < b / q: without it the search never ends."""
     if a < 0 < b:
         return 0, 1
     if b <= 0:
@@ -132,15 +139,6 @@ def _simplest_dyadic(a: int, p: int, b: int, q: int) -> tuple[int, int]:
         if n * q < b * d:
             return n, d
         d *= 2
-
-
-def _sign_on_interval(p: Polynomial, lo: int, hi: int, den: int) -> int:
-    """The sign of p at both ends of [lo / den, hi / den], den > 0, read
-    from integers: the sign of p(n / den) is that of _value(p.cs, n, den)."""
-    s_lo, s_hi = _sign(_value(p.cs, lo, den)), _sign(_value(p.cs, hi, den))
-    if s_lo != s_hi or s_lo == 0:
-        raise HeightError("height polynomial has a root inside a parameter interval")
-    return s_lo
 
 
 def crossing_signs(curve: PlaneCurve, z: Polynomial) -> list[int]:

@@ -634,6 +634,44 @@ class TestHeights:
         n, e = _simplest_dyadic(lo.numerator * k, lo.denominator * k, hi.numerator * m, hi.denominator * m)
         assert (n, e) == (expected.numerator, expected.denominator)
 
+    def test_overlapping_enclosures_raise(self, monkeypatch):
+        # widen the rank-1 interval of (T3,T4) past the rank-2 one: the
+        # ordering check raises before any root is searched for, since
+        # the search for a dyadic in an empty gap never ends
+        cs = curve_crossings(PlaneCurve(T3, chebyshev(4)))
+        at = {r: (i, j) for i, c in enumerate(cs) for j, r in enumerate(c.ranks)}
+        (i1, j1), (i2, j2) = at[1], at[2]
+        c1, c2 = cs[i1], cs[i2]
+        lo1, hi2 = (c1.t, c1.s)[j1][0], (c2.t, c2.s)[j2][1]
+        cs = list(cs)
+        cs[i1] = c1._replace(**{"ts"[j1]: (lo1, hi2 * c1.den // c2.den + 1)})
+
+        def checked(a, p, b, q):
+            assert a * q < b * p, "a search in an empty gap"
+            return _simplest_dyadic(a, p, b, q)
+
+        monkeypatch.setattr(height_module, "_simplest_dyadic", checked)
+        with pytest.raises(HeightError, match="parameter intervals 1 and 2 are not strictly ordered"):
+            height_polynomial(cs, alternating_overpasses(cs))
+
+    @pytest.mark.parametrize(
+        "misplaced",
+        [
+            lambda a, p, b, q: (a, p),  # the left interval's upper end
+            lambda a, p, b, q: (2 * a - 1, 2 * p),  # inside the left interval
+            lambda a, p, b, q: (b, q),  # the right interval's lower end
+            lambda a, p, b, q: (2 * b + 1, 2 * q),  # inside the right interval
+        ],
+        ids=["left-end", "left-inside", "right-end", "right-inside"],
+    )
+    def test_a_root_on_an_interval_raises(self, monkeypatch, misplaced):
+        # the certificate compares each root with the two intervals it
+        # separates, so a root moved onto one of them is caught
+        cs = curve_crossings(PlaneCurve(T3, chebyshev(7)))
+        monkeypatch.setattr(height_module, "_simplest_dyadic", misplaced)
+        with pytest.raises(HeightError, match="is not strictly between parameter intervals 0 and 1"):
+            height_polynomial(cs, alternating_overpasses(cs))
+
     def test_single_sign_change_when_overs_lead(self):
         # on (T3,T4) the earlier parameters fill the first half of the
         # parameter order, so over-at-earlier puts every overpass first:
@@ -817,26 +855,6 @@ class TestEmbedding:
             z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs])
             crossing_handedness(c, z)
         assert passes.count(N) == 0 and len(passes) == 3
-
-    def test_sign_on_interval_matches_fraction_evaluation(self):
-        def sign_by_fractions(p, e):
-            value = sum(c * e**i for i, c in enumerate(p.coeffs))
-            return (value > 0) - (value < 0)
-
-        rng = random.Random(1)
-        for _ in range(400):
-            ends = sorted(Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 8)) for _ in range(2))
-            p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 8))] + [1])
-            if rng.random() < 0.2:  # a root at an end
-                p = p * Polynomial([-rng.choice(ends), 1])
-            den = math.lcm(*(e.denominator for e in ends)) * rng.randint(1, 3)
-            lo, hi = (e.numerator * (den // e.denominator) for e in ends)
-            signs = {sign_by_fractions(p, e) for e in ends}
-            if len(signs) == 1 and 0 not in signs:
-                assert height_module._sign_on_interval(p, lo, hi, den) == signs.pop()
-            else:
-                with pytest.raises(HeightError):
-                    height_module._sign_on_interval(p, lo, hi, den)
 
 
 def assert_height_is_the_reference(cs, over_at):
