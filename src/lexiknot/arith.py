@@ -124,14 +124,11 @@ def class_residues(f: SchubertFraction, include_mirror: bool = False) -> set[int
     """The residues beta' mod alpha with alpha/beta' equivalent to f, for alpha >= 1.
 
     They are beta and beta^-1 (mod alpha); with ``include_mirror`` also
-    -beta and -beta^-1, which name the mirror image.
+    -beta and -beta^-1, which name the mirror image.  ValueError when
+    gcd(alpha, beta) > 1, as in a raw SchubertFraction(6, 4).
     """
     a = f.alpha
-    out = {f.beta % a}
-    try:
-        out.add(pow(f.beta, -1, a))
-    except ValueError:  # beta and alpha share a factor: no inverse
-        pass
+    out = {f.beta % a, pow(f.beta, -1, a)}
     if include_mirror:
         out |= {-r % a for r in out}
     return out

@@ -51,11 +51,10 @@ reduced modulo the quadratic x' by Horner in Z[t]/(x'), which composes
 nothing and divides nothing, and the signs of the degree-one remainders
 at the roots of x' are read in Q(sqrt(Delta)).
 
-A `PlaneCurve` is one object per value, and its crossings are a cached
-property of it: they are computed once, however many callers ask for
-them through `curve_crossings` while the curve is alive.  They are a
-tuple of `Crossing` records in x-order, one per double point, each
-carrying the ranks of its two parameters among all of them.
+A `PlaneCurve` is one object per value and caches only its folds and
+its crossings, each computed once while the curve is alive.  The
+crossings are a tuple of `Crossing` records in x-order, one per double
+point, each carrying the ranks of its two parameters among all of them.
 """
 
 from __future__ import annotations
@@ -101,12 +100,11 @@ class PlaneCurve(Frozen):
     """The plane curve (x, y), x a cubic with two real folds and deg y >= 2.
 
     One object per value: while a curve with these coordinates is alive,
-    `PlaneCurve(x, y)` returns it, so what is derived from the curve (its
-    folds, its symmetric-coordinate data, its crossings) is computed once
-    and cached in the instance dict.  Nothing cached refers back to the
-    curve, so reference counting frees it, and its registry entry, as
-    soon as its last holder drops it.  Immutable and equal when x and y
-    are.
+    `PlaneCurve(x, y)` returns it, so its folds and its crossings are
+    computed once and cached in the instance dict.  Nothing cached
+    refers back to the curve, so reference counting frees it, and its
+    registry entry, as soon as its last holder drops it.  Immutable and
+    equal when x and y are.
     """
 
     _live: "weakref.WeakValueDictionary[tuple[Polynomial, Polynomial], PlaneCurve]" = weakref.WeakValueDictionary()
@@ -145,11 +143,6 @@ class PlaneCurve(Frozen):
         """The left and the right fold (`_fold_sides`), found once."""
         return _fold_sides(self)
 
-    @cached_property
-    def _eliminator(self) -> "_Eliminator":
-        """The curve's symmetric-coordinate data, built once."""
-        return _Eliminator(self)
-
 
 class Crossing(NamedTuple):
     """One double point: u, an isolated root of the symmetric polynomial;
@@ -170,20 +163,20 @@ class Crossing(NamedTuple):
     ranks: tuple[int, int]
 
 
-def _pair_reduction(q: Polynomial, v: Polynomial):
-    """a_k, b_k with z^k = a_k z + b_k modulo z^2 - u z + v(u).
+def _pair_reduction(q: Polynomial, x: Polynomial):
+    """a_k, b_k with z^k = a_k z + b_k modulo z^2 - u z + v(u), v from x.
 
     Returns (A, B) for q itself: q(z) = A(u) z + B(u), coefficients
     exact rationals.  On a crossing pair t, s this reads
     q(t) - q(s) = (t - s) A(u), and for two polynomials f, g
     f(t) g(s) - f(s) g(t) = (t - s) (A_f B_g - B_f A_g).
 
-    Horner on integers: with q = cs / den of degree n and v = V / delta,
-    (A z + B) z + c reduces to (u A + B) z + (c - v A), and after j
-    steps delta^j (A, B) are integer lists: after n steps, A and B over
-    den delta^n.
+    Horner on integers: v = V / delta with V = (p1, p2, p3), delta = p3
+    for the cubic x = p / den.  With q = cs / den of degree n, (A z + B) z
+    + c reduces to (u A + B) z + (c - v A), and after j steps delta^j
+    (A, B) are integer lists: after n steps, A and B over den delta^n.
     """
-    V, delta = v.cs, v.den
+    V, delta = x.cs[1:], x.cs[3]
     cs, den = q.cs, q.den
     A, B, dp = [], cs[-1:], 1
     for c in reversed(cs[:-1]):
@@ -196,17 +189,9 @@ def _pair_reduction(q: Polynomial, v: Polynomial):
     return Polynomial.from_integers(A, den * dp), Polynomial.from_integers(B, den * dp)
 
 
-class _Eliminator:
-    """Shared symmetric-coordinate data for one curve; the pair
-    discriminant u^2 - 4 v(u) is -(4/p3) x'(u/2), from x's integers."""
-
-    def __init__(self, curve: PlaneCurve):
-        p = curve.x.cs
-        # v(u) = (p3 u^2 + p2 u + p1)/p3, where x's denominator cancels
-        self.v = Polynomial.from_integers(p[1:], p[3])
-        self.W = _pair_reduction(curve.y, self.v)[0]  # vanishes exactly at crossings
-        self.dx = curve.x.derivative()  # its sign puts a parameter on a branch
-        self.disc = Polynomial.from_integers((-4 * p[1], -4 * p[2], -3 * p[3]), p[3])
+def _pair_discriminant(x: Polynomial) -> Polynomial:
+    """u^2 - 4 v(u) = -(4/p3) x'(u/2), from the cubic x's integers."""
+    return Polynomial.from_integers((-4 * x.cs[1], -4 * x.cs[2], -3 * x.cs[3]), x.cs[3])
 
 
 _MAX_CLASH_ROUNDS = 64  # rounds of interval halving to separate crossings
@@ -252,7 +237,8 @@ def curve_crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
 def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     """The computation behind `PlaneCurve.crossings`.
 
-    W is isolated once, and only on the integer box around the roots of
+    W, the pair discriminant and x' are built here, once per curve.  W
+    is isolated once, and only on the integer box around the roots of
     the pair discriminant (`_disc_box`): a real root of W outside it is
     a solitary point and is never isolated, and the few solitary roots
     inside it are dropped by the discriminant's sign.  The remainder
@@ -270,8 +256,9 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
     when x'(s) has that sign and on _B otherwise.  The fold data are
     found before the loop: a crossing at a fold point raises there, so
-    the loop never halves towards a root of x'.  One sort of the
-    parameters gives their ranks, which each `Crossing` carries and
+    the loop never halves towards a root of x'.  Each round sorts the
+    parameters once (`_overlapping`), and the order of the round that
+    finds no clash gives their ranks, which each `Crossing` carries and
     which, on a branch two crossings share, give their x-order.  The
     letters and the turns are then read off the bottom-to-top order of
     the branches in x-order (`_letters`).
@@ -281,46 +268,47 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     a fold, crossing parameters that could not be separated (a triple
     point stalls there), or a branch order that no nodal curve has.
     """
-    el = curve._eliminator
-    W = el.W
+    W = _pair_reduction(curve.y, curve.x)[0]
     if W.is_zero():
         raise NonNodalError("symmetric system degenerates; y is a function of x")
-    squarefree, roots = _squarefree_isolation(W, _disc_box(el.disc))
+    disc = _pair_discriminant(curve.x)
+    squarefree, roots = _squarefree_isolation(W, _disc_box(disc))
     if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
     left, right = curve._folds  # raises on a cusp, so each halving below ends
+    D, den_D = disc.cs, disc.den
+    dx = curve.x.derivative().cs  # its sign puts a parameter on a branch
     kept: list[RootInterval] = []
     enc = []
     for r in roots:
-        while (e := _enclose(el.disc.cs, r.a, r.b, r.d))[0] <= 0 <= e[1]:
+        while (e := _enclose(D, r.a, r.b, r.d))[0] <= 0 <= e[1]:
             r = r.refine()
         if e[0] > 0:
             kept.append(r)
-            enc.append(_enclosures(el, r, e))
+            enc.append(_enclosures(den_D, r, e))
 
     # refine until the parameter intervals are pairwise disjoint and every
     # parameter is on a branch; a branch, once decided on an enclosure of
     # the parameter, stays
-    branches = [_branches(el, e) for e in enc]
+    branches = [_branches(dx, e) for e in enc]
     for _ in range(_MAX_CLASH_ROUNDS):
-        params = _rescaled(enc)
-        clash = {k // 2 for k in _overlapping(params)}
+        flat, hit = _overlapping(_rescaled(enc))
+        clash = {k // 2 for k in hit}
         clash.update(i for i, b in enumerate(branches) if b is None)
         if not clash:
             break
         for i in clash:
             kept[i] = r = kept[i].refine()
-            enc[i] = _enclosures(el, r, _enclose(el.disc.cs, r.a, r.b, r.d))
+            enc[i] = _enclosures(den_D, r, _enclose(D, r.a, r.b, r.d))
             if branches[i] is None:
-                branches[i] = _branches(el, enc[i])
+                branches[i] = _branches(dx, enc[i])
     else:
         r = kept[min(clash)]
         message = f"crossing parameters near u in ({float(r.lo):.4f}, {float(r.hi):.4f}) could not be separated"
         raise NonNodalError(f"non-nodal configuration: {message} — a triple point?")
 
-    flat = sorted(range(len(params)), key=lambda k: params[k][0])
-    rank = sorted(range(len(flat)), key=flat.__getitem__)  # rank[k]: the position of k in flat
+    rank = {k: position for position, k in enumerate(flat)}
     up = curve.x.cs[-1] > 0
     rises = (up, not up, up)  # whether x rises with t on _A, _B, _C
 
@@ -337,11 +325,11 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     )
 
 
-def _branches(el: _Eliminator, e) -> Optional[tuple[int, int]]:
+def _branches(dx: Sequence[int], e) -> Optional[tuple[int, int]]:
     """The branches of one crossing's parameters t < s, from the sign of
-    x' on their integer enclosures; None while x' may vanish on one."""
+    x', of integer coefficients dx, on their enclosures; None while x'
+    may vanish on one."""
     t, s, den = e
-    dx = el.dx.cs
     out = []
     for (lo, hi), outer in zip((t, s), (_A, _C)):
         vlo, vhi = _enclose(dx, lo, hi, den)
@@ -377,18 +365,17 @@ def _letters(
     return letters
 
 
-def _enclosures(el: _Eliminator, r: RootInterval, D: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int], int]:
+def _enclosures(den_D: int, r: RootInterval, D: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int], int]:
     """(t, s, den): the crossing isolated by r = (a/d, b/d), with the
     integer enclosures of its parameters t < s over den = den_D d^2 2^33,
     from u and the positive enclosure D of d^2 D(u) over r, the pair
-    discriminant being a quadratic cleared as D / den_D."""
+    discriminant being the quadratic D(u) / den_D."""
     a, b, d = r.a, r.b, r.d
-    den = el.disc.den
-    scale = den * d * d
+    scale = den_D * d * d
     slo = _sqrt_bounds(D[0], scale)[0]
     shi = _sqrt_bounds(D[1], scale)[1]
     # u's ends over den_D d^2 2^32; halving puts t and s over one more 2
-    ua, ub = (a * den * d) << _SQRT_BITS, (b * den * d) << _SQRT_BITS
+    ua, ub = (a * den_D * d) << _SQRT_BITS, (b * den_D * d) << _SQRT_BITS
     return (ua - shi, ub - slo), (ua + slo, ub + shi), scale << (_SQRT_BITS + 1)
 
 
@@ -405,16 +392,18 @@ def _rescaled(enc) -> list[tuple[int, int]]:
     return params
 
 
-def _overlapping(ivs: Sequence[tuple[int, int]]) -> set[int]:
-    """Indices of the closed intervals that meet another one."""
+def _overlapping(ivs: Sequence[tuple[int, int]]) -> tuple[list[int], set[int]]:
+    """The indices of the closed intervals by their lower ends, from one
+    sort, and the indices of those that meet another one."""
+    order = sorted(range(len(ivs)), key=lambda i: ivs[i][0])
     hit: set[int] = set()
     reach = -1  # the interval with the largest upper end so far
-    for b in sorted(range(len(ivs)), key=lambda i: ivs[i][0]):
+    for b in order:
         if reach >= 0 and ivs[b][0] <= ivs[reach][1]:
             hit.update((reach, b))
         if reach < 0 or ivs[b][1] > ivs[reach][1]:
             reach = b
-    return hit
+    return order, hit
 
 
 class _Fold(NamedTuple):
@@ -442,7 +431,7 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
     NonNodalError when the third strand meets a fold point, or y'
     vanishes there (a cusp).
     """
-    dx, y = curve._eliminator.dx, curve.y
+    dx, y = curve.x.derivative(), curve.y
     h = Polynomial.from_integers(_fold_height_remainder(curve.x, y))
     folds = []
     for side, slope, pair, third in zip(
@@ -511,8 +500,7 @@ def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> Plane
     shifted = curve.y + Polynomial.const(yshift)
     if line.gcd(shifted).degree >= 1:
         raise NonNodalError(f"a strand over x = {x0} has zero shifted height")
-    el = curve._eliminator
-    crossing_x = _pair_reduction(curve.x, el.v)[1]
+    crossing_x = _pair_reduction(curve.x, curve.x)[1]
     if 0 in signs_at_roots(crossing_x - Polynomial.const(x0), [c.u for c in curve_crossings(curve)]):
         raise NonNodalError(f"x = {x0} passes through a crossing")
     return PlaneCurve(curve.x, line * shifted)
@@ -522,5 +510,5 @@ def perturb(curve: PlaneCurve, eps: Fraction) -> PlaneCurve:
     """Reparametrize the x-coordinate by t -> t + eps, keeping y."""
     if eps == 0:
         raise ValueError("eps must be nonzero")
-    return PlaneCurve(curve.x.shift(Fraction(eps)), curve.y)
+    return PlaneCurve(curve.x.compose(Polynomial([Fraction(eps), 1])), curve.y)
 

@@ -149,7 +149,7 @@ def crossing_signs(curve: PlaneCurve, z: Polynomial) -> list[int]:
     sign is read off -Zh at the isolated symmetric coordinate.
     """
     cs = curve.crossings
-    Zh, _ = _pair_reduction(z, curve._eliminator.v)
+    Zh, _ = _pair_reduction(z, curve.x)
     out = []
     for c, s in zip(cs, signs_at_roots(Zh, [c.u for c in cs])):
         if s == 0:

@@ -152,10 +152,6 @@ class Polynomial(Frozen):
     def derivative(self) -> "Polynomial":
         return Polynomial.from_integers([k * c for k, c in enumerate(self.cs)][1:], self.den)
 
-    def shift(self, eps: Rat) -> "Polynomial":
-        """p(t + eps), exactly."""
-        return self.compose(Polynomial([eps, 1]))
-
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """p(inner), by homogeneous Horner on integers: with p = cs/den of
         degree n and inner = g/e, den e^n p(inner) = sum c_i g^i e^(n-i)."""

@@ -16,6 +16,7 @@ from lexiknot.arith import (
     cf_eval,
     cf_eval_pair,
     cf_expand_positive,
+    class_residues,
     default_catalog,
     fraction_equivalent,
     parse_fraction,
@@ -231,6 +232,14 @@ class TestClassKey:
     def test_degenerate_fractions_are_their_own_key(self):
         for f in (frac(1, 0), frac(0, 1)):
             assert f.key == f
+
+    def test_a_raw_non_coprime_fraction_has_no_class(self):
+        # 4 has no inverse mod 6: the residues of 6/4, and the key chosen
+        # from them, are refused rather than read off beta alone
+        f = SchubertFraction(6, 4)
+        for residues in (lambda: class_residues(f), lambda: class_residues(f, include_mirror=True), lambda: f.key):
+            with pytest.raises(ValueError, match="not invertible"):
+                residues()
 
     @pytest.mark.parametrize("fractions, name", [(((39, 25), (39, 14)), "39/14"), (((39, 16), (39, 22)), "39/16")])
     def test_an_off_catalog_class_has_one_record(self, fractions, name):

@@ -24,6 +24,7 @@ from math import floor, isqrt
 import pytest
 
 from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
+from lexiknot.curvelab.curves import _pair_reduction
 from lexiknot.curvelab.poly import _squarefree_isolation
 from heightref import intervals
 
@@ -66,19 +67,19 @@ def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return elo, ehi
 
 
-def disc_sign(el, r):
+def disc_sign(disc, r):
     """The sign of the pair discriminant at r's root, where it is nonzero,
     and the interval it was decided on: r is halved until the interval
     Horner enclosure of the discriminant excludes 0."""
     while True:
-        lo, hi = interval_horner(el.disc, r.lo, r.hi)
+        lo, hi = interval_horner(disc, r.lo, r.hi)
         if lo > 0 or hi < 0:
             return (lo > 0) - (hi < 0), r
         r = r.refine()
 
 
-def enclosures(el, r):
-    dlo, dhi = interval_horner(el.disc, r.lo, r.hi)
+def enclosures(disc, r):
+    dlo, dhi = interval_horner(disc, r.lo, r.hi)
     slo = sqrt_bounds(max(dlo, Fraction(0)))[0]
     shi = sqrt_bounds(dhi)[1]
     t_iv = ((r.lo - shi) / 2, (r.hi - slo) / 2)
@@ -112,10 +113,12 @@ def overlapping(ivs) -> set[int]:
 
 
 def oracle_crossings(curve: PlaneCurve):
-    el = curve._eliminator
-    roots = _squarefree_isolation(el.W, disc_box(el.disc))[1]
-    kept = [r for sg, r in (disc_sign(el, r) for r in roots) if sg > 0]
-    enc = [enclosures(el, r) for r in kept]
+    # the pair discriminant u^2 - 4 v(u), v(u) = (p3 u^2 + p2 u + p1) / p3
+    _, p1, p2, p3 = curve.x.coeffs
+    disc = Polynomial([-4 * p1 / p3, -4 * p2 / p3, -3])
+    roots = _squarefree_isolation(_pair_reduction(curve.y, curve.x)[0], disc_box(disc))[1]
+    kept = [r for sg, r in (disc_sign(disc, r) for r in roots) if sg > 0]
+    enc = [enclosures(disc, r) for r in kept]
     dx = curve.x.derivative()
     undecided = set(range(len(kept)))  # crossings with x' not yet of one sign on both enclosures
     for _ in range(64):
@@ -125,7 +128,7 @@ def oracle_crossings(curve: PlaneCurve):
             break
         for i in clash:
             kept[i] = kept[i].refine()
-            enc[i] = enclosures(el, kept[i])
+            enc[i] = enclosures(disc, kept[i])
     else:
         raise AssertionError("the oracle could not separate the crossings")
     order = x_order(curve, kept)

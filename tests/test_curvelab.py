@@ -33,7 +33,7 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import BOTTOM, TOP, _disc_box, _Eliminator, _fold_height_remainder, _pair_reduction
+from lexiknot.curvelab.curves import BOTTOM, TOP, _disc_box, _fold_height_remainder, _pair_discriminant, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import (
     _remainder_mod_quadratic,
@@ -189,7 +189,7 @@ class TestCrossings:
         # no gcd and no sign at a root: the discriminant's sign comes off
         # each root's own enclosure
         assert gcds == [] and signs == []
-        assert chains.count(c._eliminator.W) == 1
+        assert chains.count(_pair_reduction(c.y, c.x)[0]) == 1
 
     def test_crossings_leave_no_reference_cycle(self, monkeypatch):
         # the isolation bisects from a work list, not a self-recursive
@@ -256,16 +256,16 @@ class TestCrossings:
         monkeypatch.setattr(curves_module, "_squarefree_isolation", counted)
         c = unshared(Polynomial([0, -2, 0, 1]), Polynomial([0, -1, 1, 2, -3, 1]) * Polynomial.const(3))
         cs = curve_crossings(c)
-        assert isolated == [(c._eliminator.W, 3)]
-        assert len(isolate_real_roots(c._eliminator.W)) == 4
+        W = _pair_reduction(c.y, c.x)[0]
+        assert isolated == [(W, 3)]
+        assert len(isolate_real_roots(W)) == 4
         assert len(cs) == 2 and word_from_curve(c, cs).runs == (0, 2)
 
     def test_root_of_w_at_a_box_end_is_still_isolated(self):
         # W = u (4 - u^2) vanishes at the discriminant's roots +-2, the box
         # ends, and both are isolated: a cusp at each fold
         c = PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial([0, 0, -2, 0, 1]))
-        el = c._eliminator
-        roots = _squarefree_isolation(el.W, _disc_box(el.disc))[1]
+        roots = _squarefree_isolation(_pair_reduction(c.y, c.x)[0], _disc_box(_pair_discriminant(c.x)))[1]
         assert len(roots) == 3 and all(r.lo < u < r.hi for r, u in zip(roots, (-2, 0, 2)))
         with pytest.raises(NonNodalError, match="cusp: y' vanishes at a fold"):
             curve_crossings(c)
@@ -275,9 +275,9 @@ class TestCrossings:
         # at twice each fold, +-2 sqrt(2/3), inside the box [-2, 2], where
         # the discriminant 8 - 3u^2 vanishes too; the fold data name the cusp
         c = PlaneCurve(Polynomial([0, -2, 0, 1]), Polynomial([0, -2, -1, 1, Fraction(3, 4)]))
-        el = c._eliminator
-        assert el.W == Polynomial([0, 2, 0, Fraction(-3, 4)]) and el.disc == Polynomial([8, 0, -3])
-        assert _disc_box(el.disc) == (-2, 2) and len(_squarefree_isolation(el.W, (-2, 2))[1]) == 3
+        W, disc = _pair_reduction(c.y, c.x)[0], _pair_discriminant(c.x)
+        assert W == Polynomial([0, 2, 0, Fraction(-3, 4)]) and disc == Polynomial([8, 0, -3])
+        assert _disc_box(disc) == (-2, 2) and len(_squarefree_isolation(W, (-2, 2))[1]) == 3
         with pytest.raises(NonNodalError, match="cusp: y' vanishes at a fold"):
             curve_crossings(c)
 
@@ -289,12 +289,11 @@ class TestCrossings:
             degree = rng.randint(4, 8)
             y = Polynomial([rng.randint(-3, 3) for _ in range(degree)] + [rng.choice((-1, 1))])
             c = PlaneCurve(rng.choice(xs), y)
-            el = c._eliminator
             try:
                 count = len(curve_crossings(c))
             except NonNodalError:
                 continue
-            signs = signs_at_roots(el.disc, isolate_real_roots(el.W))
+            signs = signs_at_roots(_pair_discriminant(c.x), isolate_real_roots(_pair_reduction(c.y, c.x)[0]))
             assert count == signs.count(1), (c.x, y)
             checked += 1
             solitary += signs.count(-1)
@@ -315,9 +314,9 @@ class TestCrossings:
             except NotTrigonalError:
                 continue
         for c in curves:
-            el, dx = c._eliminator, c.x.derivative()
-            assert el.disc == dx.compose(Polynomial([0, Fraction(1, 2)])) * Polynomial.const(-4 / c.x.coeffs[3]), c.x
-            w = _remainder_mod_quadratic(el.W.primitive, (0, 2, 1), dx.primitive)
+            dx = c.x.derivative()
+            assert _pair_discriminant(c.x) == dx.compose(Polynomial([0, Fraction(1, 2)])) * Polynomial.const(-4 / c.x.coeffs[3]), c.x
+            w = _remainder_mod_quadratic(_pair_reduction(c.y, c.x)[0].primitive, (0, 2, 1), dx.primitive)
             slope = _remainder_mod_quadratic(c.y.derivative().primitive, (0, 1, 1), dx.primitive)
             assert w[0] * slope[1] == w[1] * slope[0], (c.x, c.y)
             assert [(a > 0) - (a < 0) for a in w] == [(a > 0) - (a < 0) for a in slope], (c.x, c.y)
@@ -375,7 +374,7 @@ def third_strand_letters(curve, cs):
     u, of the third strand's height y(S - u) minus the crossing height, S
     the sum of x's roots; BOTTOM when the third strand is above."""
     S = Fraction(-curve.x.cs[2], curve.x.cs[3])
-    h = curve.y.compose(Polynomial([S, -1])) - _pair_reduction(curve.y, curve._eliminator.v)[1]
+    h = curve.y.compose(Polynomial([S, -1])) - _pair_reduction(curve.y, curve.x)[1]
     letters = []
     for sg in signs_at_roots(h, [c.u for c in cs]):
         assert sg != 0, "the third strand passes through a crossing"
@@ -388,9 +387,8 @@ def tangent_turns(curve, cs):
     det(T_t, T_s) = (s - t) N(u), N = A_y' B_x' - B_y' A_x', and with both
     strands run towards +x the strand of t comes from above exactly when
     that determinant is positive; x' is read at the parameter midpoints."""
-    v = curve._eliminator.v
-    A_y, B_y = _pair_reduction(curve.y.derivative(), v)
-    A_x, B_x = _pair_reduction(curve.x.derivative(), v)
+    A_y, B_y = _pair_reduction(curve.y.derivative(), curve.x)
+    A_x, B_x = _pair_reduction(curve.x.derivative(), curve.x)
     N, dx = A_y * B_x - B_y * A_x, curve.x.derivative()
     turns = []
     for c, sn in zip(cs, signs_at_roots(N, [c.u for c in cs])):
@@ -405,7 +403,7 @@ def x_ascends(curve, cs):
     decided exactly: both u-intervals are halved until their interval
     Horner enclosures of the crossing x(u) are disjoint.  Fails the test
     if they do not separate in 64 rounds."""
-    x = _pair_reduction(curve.x, curve._eliminator.v)[1].coeffs
+    x = _pair_reduction(curve.x, curve.x)[1].coeffs
 
     def enclosure(r):
         lo = hi = Fraction(0)
@@ -779,10 +777,9 @@ class TestEmbedding:
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             z, _ = height_polynomial(cs, alternating_overpasses(cs))
-            v = _Eliminator(c).v
-            A_z, _ = _pair_reduction(z, v)
-            A_y, B_y = _pair_reduction(c.y.derivative(), v)
-            A_x, B_x = _pair_reduction(c.x.derivative(), v)
+            A_z, _ = _pair_reduction(z, c.x)
+            A_y, B_y = _pair_reduction(c.y.derivative(), c.x)
+            A_x, B_x = _pair_reduction(c.x.derivative(), c.x)
             N = A_y * B_x - B_y * A_x
             expected = [
                 -sign_at_root(A_z, x.u) * sign_at_root(N, x.u) * (-1 if backwards(x.t, x.den) != backwards(x.s, x.den) else 1)
@@ -816,20 +813,14 @@ class TestEmbedding:
         assert calls and {r.poly for r in calls} == {cs[0].u.poly}
         assert signs == [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, -1, -1, 1]
 
-    def test_one_eliminator_per_embedding(self, monkeypatch):
+    def test_one_crossing_computation_per_embedding(self, monkeypatch):
         import lexiknot.curvelab.curves as curves_module
 
-        built = []
-
-        class Counted(_Eliminator):
-            def __init__(self, curve):
-                built.append(curve)
-                super().__init__(curve)
-
-        monkeypatch.setattr(curves_module, "_Eliminator", Counted)
+        body, built = curves_module._crossings, []
+        monkeypatch.setattr(curves_module, "_crossings", lambda curve: built.append(curve) or body(curve))
         c = unshared(T3, chebyshev(5) * Polynomial.const(2))
         cs = curve_crossings(c)
-        assert len(built) == 1
+        assert built == [c]
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
         built.clear()
         # the caller's curve, with its crossings, is reused
@@ -844,9 +835,8 @@ class TestEmbedding:
         # each height takes one sign pass, that of z, and N is never signed
         c = unshared(T3, chebyshev(7) * Polynomial.const(2))
         cs = curve_crossings(c)
-        v = c._eliminator.v
-        A_y, B_y = _pair_reduction(c.y.derivative(), v)
-        A_x, B_x = _pair_reduction(c.x.derivative(), v)
+        A_y, B_y = _pair_reduction(c.y.derivative(), c.x)
+        A_x, B_x = _pair_reduction(c.x.derivative(), c.x)
         N = A_y * B_x - B_y * A_x
         passes = []
         monkeypatch.setattr(height_module, "signs_at_roots", lambda h, roots: passes.append(h) or signs_at_roots(h, roots))

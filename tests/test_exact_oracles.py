@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexiknot.curvelab import poly as poly_module
-from lexiknot.curvelab.curves import PlaneCurve, _disc_box, _pair_reduction
+from lexiknot.curvelab.curves import _disc_box, _pair_discriminant, _pair_reduction
 from lexiknot.curvelab.height import _bareiss_det
 from lexiknot.curvelab.poly import (
     Polynomial,
@@ -164,9 +164,9 @@ def test_grid_isolation_of_t3_tb_agrees_with_sympy():
     # with fewer chain evaluations than bisection alone needs: past the
     # two box-end counts, k roots take k - 1 midpoint evaluations by
     # bisection, and far fewer here
+    T3 = chebyshev(3)
     for b in range(2, 33):
-        el = PlaneCurve(chebyshev(3), chebyshev(b))._eliminator
-        roots, evaluations = _checked_isolation(el.W, _disc_box(el.disc))
+        roots, evaluations = _checked_isolation(_pair_reduction(chebyshev(b), T3)[0], _disc_box(_pair_discriminant(T3)))
         assert len(roots) == (0 if b % 3 == 0 else b - 1)
         if len(roots) >= 6:
             assert evaluations - 2 < len(roots) - 1, (b, evaluations)
@@ -336,11 +336,10 @@ def test_pair_reductions_hold_modulo_the_crossing_condition(x_coeffs, q_coeffs):
     # q'(t) x'(s) - q'(s) x'(t) = (t - s) N(t + s)
     x, q = Polynomial(x_coeffs), Polynomial(q_coeffs)
     assume(x.degree == 3 and x.coeffs[2] ** 2 > 3 * x.coeffs[1] * x.coeffs[3] and q.degree >= 2)
-    v = PlaneCurve(x, q)._eliminator.v
-    A_q, _ = _pair_reduction(q, v)
+    A_q, _ = _pair_reduction(q, x)
     dq, dx = q.derivative(), x.derivative()
-    A_y, B_y = _pair_reduction(dq, v)
-    A_x, B_x = _pair_reduction(dx, v)
+    A_y, B_y = _pair_reduction(dq, x)
+    A_x, B_x = _pair_reduction(dx, x)
     N = A_y * B_x - B_y * A_x
     C = sympy.cancel((_at(x, t) - _at(x, s)) / (t - s))
     for expr in (

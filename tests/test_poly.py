@@ -52,9 +52,9 @@ class TestArithmetic:
         g = P([-1, 1]) * P([5, 3])
         assert f.gcd(g).coeffs == P([-1, 1]).coeffs
 
-    def test_shift(self):
+    def test_compose_with_a_shift(self):
         p = P([0, 0, 1])  # t^2
-        assert p.shift(3).coeffs == (9, 6, 1)
+        assert p.compose(P([3, 1])).coeffs == (9, 6, 1)
 
     def test_parse(self):
         assert P.parse("0,-3,0,1").coeffs == (0, -3, 0, 1)
@@ -274,7 +274,7 @@ def test_integer_polynomial_matches_a_fraction_reference(a, b, c, k):
         (p * P.const(c), ref(x * c for x in ra)),
         (p.derivative(), ref(i * x for i, x in enumerate(ra))[1:] if ra else ()),
         (p.compose(q), ref_compose(ra, rb)),
-        (p.shift(c), ref_compose(ra, (c, Fraction(1)))),
+        (p.compose(P([c, 1])), ref_compose(ra, (c, Fraction(1)))),
     ]
     if ra or rb:
         results.append((p.gcd(q), ref_gcd(ra, rb)))
