@@ -54,7 +54,11 @@ at the roots of x' are read in Q(sqrt(Delta)).
 A `PlaneCurve` is one object per value and caches only its folds and
 its crossings, each computed once while the curve is alive.  The
 crossings are a tuple of `Crossing` records in x-order, one per double
-point, each carrying the ranks of its two parameters among all of them.
+point, each carrying the branches of its two parameters and their ranks
+among all of them.  The ranks are checked to be the order by branch and
+then by x along each branch, backwards where x falls, so the ranks that
+place the Gauss sequence and the branches that the knot determinant's
+walk reads (`height._determinant`) are one structure.
 """
 
 from __future__ import annotations
@@ -149,10 +153,10 @@ class Crossing(NamedTuple):
     integer bounds (lo, hi) on its parameters t < s, both over the
     positive den, so lo / den <= t <= hi / den; its letter, BOTTOM or
     TOP; its turn, +1 when the strand of t is above that of s just left
-    of the crossing and -1 when it is below; and its ranks, the
-    positions of t and of s among the curve's 2n crossing parameters in
-    increasing order.  The turn times the over/under sign is the
-    crossing's twist sense."""
+    of the crossing and -1 when it is below; its ranks, the positions of
+    t and of s among the curve's 2n crossing parameters in increasing
+    order; and its branches, those of t and of s (_A, _B or _C).  The
+    turn times the over/under sign is the crossing's twist sense."""
 
     u: RootInterval
     t: tuple[int, int]
@@ -161,6 +165,7 @@ class Crossing(NamedTuple):
     letter: int
     turn: int
     ranks: tuple[int, int]
+    branches: tuple[int, int]
 
 
 def _pair_reduction(q: Polynomial, x: Polynomial):
@@ -260,13 +265,16 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     parameters once (`_overlapping`), and the order of the round that
     finds no clash gives their ranks, which each `Crossing` carries and
     which, on a branch two crossings share, give their x-order.  The
-    letters and the turns are then read off the bottom-to-top order of
-    the branches in x-order (`_letters`).
+    ranks must then be the order by branch and, along each branch, by
+    x-index, which runs backwards where x falls: an O(n) check of
+    consecutive parameters.  The letters and the turns are read off the
+    bottom-to-top order of the branches in x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
     symmetric polynomial, real or not), a cusp or a third branch meeting
     a fold, crossing parameters that could not be separated (a triple
-    point stalls there), or a branch order that no nodal curve has.
+    point stalls there), ranks that are not the order by branch and x,
+    or a branch order that no nodal curve has.
     """
     W = _pair_reduction(curve.y, curve.x)[0]
     if W.is_zero():
@@ -318,9 +326,16 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
         return -1 if before == rises[b] else 1
 
     order = sorted(range(len(kept)), key=cmp_to_key(left_of))
+    at = {i: position for position, i in enumerate(order)}
+    steps = []  # (branch, x-index) of each parameter in rank order, the index negated where x falls
+    for k in flat:
+        b = branches[k // 2][k % 2]
+        steps.append((b, at[k // 2] if rises[b] else -at[k // 2]))
+    if any(p >= q for p, q in zip(steps, steps[1:])):
+        raise NonNodalError("the parameter order is not the order by branch and then by x along each branch")
     letters = _letters(left.order, right.order, [branches[i] for i in order])
     return tuple(
-        Crossing(kept[i], *enc[i], letter, turn, (rank[2 * i], rank[2 * i + 1]))
+        Crossing(kept[i], *enc[i], letter, turn, (rank[2 * i], rank[2 * i + 1]), branches[i])
         for i, (letter, turn) in zip(order, letters)
     )
 

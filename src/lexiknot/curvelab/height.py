@@ -5,18 +5,18 @@ height polynomial with one prescribed sign per crossing parameter is
 built from linear factors between consecutive parameter intervals, each
 at the dyadic rational of least denominator in the gap, which keeps the
 coefficients small; its degree is the number of sign changes in the
-Gauss sequence.  Like the determinant's arcs, the Gauss sequence and
-the parameter intervals are placed by each `Crossing`'s ranks, the
-positions of its parameters t < s in the curve's parameter order, so
-nothing is sorted.  The height is built on integers: each gap's dyadic
-n / 2^j is read off the integer ends of its two intervals, each over
-its crossing's den, and the height is the integer product of the
-factors 2^j t - n over the product of the 2^j.  The roots are the
-height's certificate, and it is never evaluated: integer comparisons
-show that consecutive intervals are strictly ordered and that each root
-lies strictly inside its gap, so no root meets an interval, and the
-height's sign on each interval is its leading sign times (-1) to the
-number of roots above it, the prescribed sign by construction.
+Gauss sequence.  The Gauss sequence and the parameter intervals are
+placed by each `Crossing`'s ranks, the positions of its parameters
+t < s in the curve's parameter order, so nothing is sorted.  The
+height is built on integers: each gap's dyadic n / 2^j is read off the
+integer ends of its two intervals, each over its crossing's den, and
+the height is the integer product of the factors 2^j t - n over the
+product of the 2^j.  The roots are the height's certificate, and it is
+never evaluated: integer comparisons show that consecutive intervals
+are strictly ordered and that each root lies strictly inside its gap,
+so no root meets an interval, and the height's sign on each interval
+is its leading sign times (-1) to the number of roots above it, the
+prescribed sign by construction.
 
 Verification works on the caller's curve object (`PlaneCurve` keeps one
 object per value), so its crossings are computed once.  It reads the
@@ -34,13 +34,17 @@ times x'(t) x'(s); the tests check it against that definition.)  The
 diagram's entries are the twist senses summed over the regions of the
 curve's word.  The knot is the record of the diagram's fraction, named
 as everywhere else by `record_for_fraction` (None for the unknot), and
-that fraction is checked against the determinant, the integer |det| of
-a Fox coloring minor computed by fraction-free elimination.  No
-floating point decides anything.
+that fraction is checked against the knot determinant, found by
+carrying Fox colours along the curve's three branches in x-order, one
+step per crossing.  That walk reads each crossing's branches and
+over/under sign and x's leading sign, but no letter, turn or fold
+order, so it checks what the fraction is read from.  No floating point
+decides anything.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional, Sequence
 
 from ..arith import KnotRecord, record_for_fraction
@@ -199,55 +203,31 @@ def _signed_entries(curve: PlaneCurve, hands: Sequence[int]) -> list[int]:
     return entries
 
 
-def _determinant(cs: Sequence[Crossing], overs: Sequence[int]) -> int:
-    """Knot determinant: |det| of a minor of the Fox coloring matrix.
+def _determinant(curve: PlaneCurve, overs: Sequence[int]) -> int:
+    """Knot determinant, by Fox colours carried along the curve's three
+    branches in x-order.
 
-    The diagram is the curve's own Gauss structure, closed through
-    infinity (which adds no crossing on the sphere), so no
-    normal-position assumption enters.  An arc runs from one underpass
-    to the next in parameter order, the order of the crossings' ranks;
-    crossing i contributes the row 2 over_arc - under_in - under_out.
-    Any (n-1)-minor of this n x n integer matrix has the determinant as
-    its absolute value.
+    Between the folds the curve is a 3-strand braid along x, one strand
+    per branch, and the closure arc through infinity joins the third
+    branches of the two folds, the branches that leave the band.  The
+    left fold is the local minimum of x: it joins _B and _C when x's
+    lead is positive, and _A and _B otherwise.  Just right of it, its
+    joined pair has colour 1 and the third branch colour 0.  At each
+    crossing, in x-order, the under branch takes 2 over - under, the
+    over branch being t's where ``overs`` is +1.  A colouring closes
+    when, at the right fold, the joined pair agrees and the third branch
+    is back at 0.  Colourings are linear in the two starting colours and
+    the constant ones always close, so the determinant is the gcd of
+    the two closing defects.  Only the branches and the sign of x's lead
+    are read: no letter, turn or fold order.
     """
-    n = len(cs)
-    # parameter ranks of each crossing's overpass and underpass
-    visits = [c.ranks if o > 0 else c.ranks[::-1] for c, o in zip(cs, overs)]
-    unders = {u for _, u in visits}
-    # arc of the segment leaving each parameter position; the last
-    # segment runs through infinity back into arc 0
-    arc_after, arc = [], 0
-    for k in range(2 * n):
-        arc += k in unders
-        arc_after.append(arc % n)
-    rows = []
-    for o, u in visits:
-        row = [0] * n
-        row[arc_after[o]] += 2
-        row[arc_after[u - 1]] -= 1  # index -1 is the segment through infinity
-        row[arc_after[u]] -= 1
-        rows.append(row[1:])
-    return abs(_bareiss_det(rows[1:]))
-
-
-def _bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination
-    (Bareiss 1968): every division is exact, entries stay minors."""
-    a = [list(row) for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    up = curve.x.cs[3] > 0
+    colour = [0, 1, 1] if up else [1, 1, 0]
+    for c, over in zip(curve.crossings, overs):
+        o, u = c.branches if over > 0 else c.branches[::-1]
+        colour[u] = 2 * colour[o] - colour[u]
+    third, p, q = colour[::-1] if up else colour  # the right fold joins p and q
+    return gcd(p - q, third)
 
 
 def verify_embedding(
@@ -261,12 +241,11 @@ def verify_embedding(
     again.  The knot is the record of the diagram's fraction
     (`record_for_fraction`): its catalog row, or off the catalog a
     record named by its class key; None only for the unknot, alpha = 1.
-    The fraction's numerator must equal the knot
-    determinant, an integer Fox coloring minor of the curve's own Gauss
-    structure that assumes nothing about how the closure arc through
-    infinity sits relative to the folds; EmbeddingError when they
-    differ.  A curve without crossings is the unknot, which has no
-    trigonal diagram: that raises EmbeddingError too.
+    The fraction's numerator must equal the knot determinant, read by
+    Fox colours along the curve's branches (`_determinant`), which read
+    no letter or turn; EmbeddingError when they differ.  A curve
+    without crossings is the unknot, which has no trigonal diagram:
+    that raises EmbeddingError too.
     """
     curve = PlaneCurve(x, y)
     cs = curve_crossings(curve)
@@ -274,7 +253,7 @@ def verify_embedding(
         raise EmbeddingError("the curve has no crossings: it is the unknot, which has no trigonal diagram")
     overs = crossing_signs(curve, z)
     d = TrigonalDiagram(_signed_entries(curve, _hands(cs, overs)))
-    f, det = d.fraction(), _determinant(cs, overs)
+    f, det = d.fraction(), _determinant(curve, overs)
     if f.alpha != det:
         raise EmbeddingError(f"the diagram {d} has fraction numerator {f.alpha}, but the knot determinant is {det}")
     return d, None if f.alpha == 1 else record_for_fraction(f)

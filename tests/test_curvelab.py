@@ -43,6 +43,7 @@ from lexiknot.curvelab.poly import (
 )
 from lexiknot.diagram import TrigonalDiagram
 from lexiknot.planereduce import PlaneWord, degree_verdict, project
+from foxref import fox_determinant
 from heightref import intervals, reference_height, simplest_dyadic
 from wordclass import letters_to_runs_by_groupby, same_word_class
 
@@ -453,6 +454,27 @@ class TestWords:
             _letters(start, end, [(_A, _C)])
         with pytest.raises(NonNodalError, match="right fold"):
             _letters(start, end, [(_A, _B)])
+
+    def test_ranks_off_the_branch_order_raise(self, monkeypatch):
+        # the ranks must be the order by branch and x-index: the clash-free
+        # round's first and last parameters lie on different branches, and
+        # swapping them puts a later branch first
+        import lexiknot.curvelab.curves as curves_module
+
+        cs = curve_crossings(PlaneCurve(T3, chebyshev(7)))
+        branch_at = {r: b for c in cs for r, b in zip(c.ranks, c.branches)}
+        assert branch_at[0] != branch_at[2 * len(cs) - 1]
+        overlapping = curves_module._overlapping
+
+        def swapped(ivs):
+            order, hit = overlapping(ivs)
+            if not hit:
+                order[0], order[-1] = order[-1], order[0]
+            return order, hit
+
+        monkeypatch.setattr(curves_module, "_overlapping", swapped)
+        with pytest.raises(NonNodalError, match="not the order by branch"):
+            curve_crossings(unshared(T3, chebyshev(7) * Polynomial.const(2)))
 
     def test_branch_order_letters_equal_the_third_strand_signs(self):
         # the branch-order letters and turns against the exact signs that
@@ -909,13 +931,43 @@ class TestHeightsAgainstFractions:
 
 
 class TestDeterminant:
+    def test_branch_walk_equals_the_fox_matrix(self):
+        # the walk against the rank-based Fox matrix of `foxref`: every
+        # over-choice of (T3,Tb) and of its x-mirror (-T3,Tb), the seeded
+        # choices of the height sets, and every over-choice of the 8_6
+        # chain's (3,10) curve; a crossing's t is over where its choice is True
+        def agree(curve, choices):
+            cs = curve_crossings(curve)
+            for over_at in choices:
+                overs = [1 if o else -1 for o in over_at]
+                assert height_module._determinant(curve, overs) == fox_determinant(cs, overs), (curve.y, over_at)
+
+        for b in (4, 5, 7, 8):
+            for x in (T3, -T3):
+                agree(PlaneCurve(x, chebyshev(b)), itertools.product((False, True), repeat=b - 1))
+        for b in range(2, 33):
+            if b % 3:
+                c = PlaneCurve(T3, chebyshev(b))
+                agree(c, seeded_over_choices(curve_crossings(c), b))
+        ref = json.loads(CURVES_REFERENCE.read_text())
+        pool = [PlaneCurve(Polynomial([0, -3, 0, 1]), Polynomial(e["y"])) for e in ref["pool"] if e["crossings"]]
+        for k, c in enumerate(pool):
+            agree(c, seeded_over_choices(curve_crossings(c), k, count=2))
+        for w in json.loads(EMBED_REFERENCE.read_text()):
+            c = PlaneCurve(Polynomial([Fraction(v) for v in w["x"]]), Polynomial([Fraction(v) for v in w["y"]]))
+            agree(c, seeded_over_choices(curve_crossings(c), 0))
+        *_, c10 = chain_8_6()
+        agree(c10, itertools.product((False, True), repeat=9))
+        overs = [1 if bit == "1" else -1 for bit in "010111001"]
+        assert height_module._determinant(c10, overs) == fox_determinant(curve_crossings(c10), overs) == 23
+
     def test_chebyshev_alternating_is_fibonacci(self):
         # (T3, Tb) with alternating heights is the two-bridge knot F_b / F_{b-1}
         for b, fib in ((2, 1), (4, 3), (5, 5), (7, 13), (8, 21)):
             c = PlaneCurve(T3, chebyshev(b))
             cs = curve_crossings(c)
             z, _ = height_polynomial(cs, alternating_overpasses(cs))
-            assert height_module._determinant(cs, crossing_signs(c, z)) == fib
+            assert height_module._determinant(c, crossing_signs(c, z)) == fib
 
     def test_flipping_every_overpass_keeps_the_determinant(self):
         # the mirror image has the same determinant
@@ -926,7 +978,7 @@ class TestDeterminant:
             for _ in range(20):
                 overs = [rng.choice((1, -1)) for _ in cs]
                 flipped = [-o for o in overs]
-                assert height_module._determinant(cs, flipped) == height_module._determinant(cs, overs)
+                assert height_module._determinant(c, flipped) == height_module._determinant(c, overs)
 
 
 # the (T3,P7) and (T3,P10) curves that bases.csv cites for the words (5)
@@ -1078,7 +1130,7 @@ class TestDiagramClass:
                 z, _ = height_polynomial(cs, list(overs))
                 d, _ = verify_embedding(c.x, c.y, z)
                 f = d.fraction()
-                assert f.alpha == height_module._determinant(cs, crossing_signs(c, z)), (c.y, overs, d)
+                assert f.alpha == height_module._determinant(c, crossing_signs(c, z)), (c.y, overs, d)
                 reversed_d, _ = verify_embedding(reversed_c.x, reversed_c.y, z.compose(neg_t))
                 assert fraction_equivalent(reversed_d.fraction(), f), (c.y, overs, d, reversed_d)
                 mirrored_d, _ = verify_embedding(mirrored_c.x, mirrored_c.y, z)
@@ -1104,7 +1156,7 @@ class TestDiagramClass:
                 z, _ = height_polynomial(cs, [rng.random() < 0.5 for _ in cs])
                 overs = crossing_signs(c, z)
                 d = TrigonalDiagram(height_module._signed_entries(c, height_module._hands(cs, overs)))
-                assert d.fraction().alpha == height_module._determinant(cs, overs), (b, d)
+                assert d.fraction().alpha == height_module._determinant(c, overs), (b, d)
 
     def test_boundary_zeros_at_both_ends_are_entries(self):
         # the word (0,1,1,1,0): three crossings, a first letter of 1 (the
@@ -1117,7 +1169,7 @@ class TestDiagramClass:
             z, _ = height_polynomial(cs, list(overs))
             d, rec = verify_embedding(c.x, c.y, z)
             assert len(d) == 5 and d.entries[0] == d.entries[-1] == 0, (overs, d)
-            det = height_module._determinant(cs, crossing_signs(c, z))
+            det = height_module._determinant(c, crossing_signs(c, z))
             assert d.fraction().alpha == det == 1 and rec is None, (overs, d)
 
 
@@ -1167,7 +1219,7 @@ class TestEmbeddingErrors:
         cs = curve_crossings(c)
         z, _ = height_polynomial(cs, alternating_overpasses(cs))
         assert verify_embedding(c.x, c.y, z)[1].name == "4_1"
-        monkeypatch.setattr(height_module, "_determinant", lambda cs, overs: 7)
+        monkeypatch.setattr(height_module, "_determinant", lambda curve, overs: 7)
         with pytest.raises(EmbeddingError, match="numerator 5, but the knot determinant is 7"):
             verify_embedding(c.x, c.y, z)
 

