@@ -39,26 +39,28 @@ monotone in t on each branch, and any two crossings share a branch, so
 their x-order is their parameters' order there, reversed where x falls.
 A triple point stalls the loop, since its crossings share parameters.
 
-The letters and the turns need no further sign.  Over the band
-between the folds the curve is a 3-strand braid along x (Orevkov's view
-of a trigonal curve), so a crossing's letter is which two of the three
+The letters and the turns need no further sign.  Over the band between
+the folds the curve is a 3-strand braid along x (Orevkov's view of a
+trigonal curve), so a crossing's letter is which two of the three
 y-ordered branches it swaps, and its turn is which of its two strands
 comes from above.  The order is known just right of the left fold, and
-each crossing, in x-order, swaps two adjacent branches.  The fold data
-are exact and refinement-free.  The fold height minus the third
-strand's, y(t) - y(S - 2t) with S the sum of x's roots, and y' are
-reduced modulo the quadratic x' by Horner in Z[t]/(x'), which composes
-nothing and divides nothing, and the signs of the degree-one remainders
-at the roots of x' are read in Q(sqrt(Delta)).
+each crossing, in x-order, swaps two adjacent branches, so the word's
+runs are the blocks of crossings that swap one pair of branches
+(`word_from_curve`).  The fold data are exact and refinement-free.  The
+fold height minus the third strand's, y(t) - y(S - 2t) with S the sum of
+x's roots, and y' are reduced modulo the quadratic x' by Horner in
+Z[t]/(x'), which composes nothing and divides nothing, and the signs of
+the degree-one remainders at the roots of x' are read in Q(sqrt(Delta)).
 
-A `PlaneCurve` is one object per value and caches only its folds and
-its crossings, each computed once while the curve is alive.  The
-crossings are a tuple of `Crossing` records in x-order, one per double
-point, each carrying the branches of its two parameters and their ranks
-among all of them.  The ranks are checked to be the order by branch and
-then by x along each branch, backwards where x falls, so the ranks that
-place the Gauss sequence and the branches that the knot determinant's
-walk reads (`height._determinant`) are one structure.
+A `PlaneCurve` is one object per value and caches only its crossings,
+computed once while the curve is alive; the fold data are read once,
+inside that computation.  The crossings are a tuple of `Crossing`
+records in x-order, one per double point, each carrying the branches of
+its two parameters and their ranks among all of them.  The ranks are
+checked to be the order by branch and then by x along each branch,
+backwards where x falls, so the ranks that place the Gauss sequence and
+the branches that the word and the knot determinant's walk read
+(`height._determinant`) are one structure.
 """
 
 from __future__ import annotations
@@ -104,8 +106,8 @@ class PlaneCurve(Frozen):
     """The plane curve (x, y), x a cubic with two real folds and deg y >= 2.
 
     One object per value: while a curve with these coordinates is alive,
-    `PlaneCurve(x, y)` returns it, so its folds and its crossings are
-    computed once and cached in the instance dict.  Nothing cached
+    `PlaneCurve(x, y)` returns it, so its crossings are computed once
+    and cached in the instance dict.  Nothing cached
     refers back to the curve, so reference counting frees it, and its
     registry entry, as soon as its last holder drops it.  Immutable and
     equal when x and y are.
@@ -141,11 +143,6 @@ class PlaneCurve(Frozen):
     def crossings(self) -> tuple["Crossing", ...]:
         """The curve's double points (`curve_crossings`), computed once."""
         return _crossings(self)
-
-    @cached_property
-    def _folds(self) -> tuple["_Fold", "_Fold"]:
-        """The left and the right fold (`_fold_sides`), found once."""
-        return _fold_sides(self)
 
 
 class Crossing(NamedTuple):
@@ -242,26 +239,26 @@ def curve_crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
 def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     """The computation behind `PlaneCurve.crossings`.
 
-    W, the pair discriminant and x' are built here, once per curve.  W
-    is isolated once, and only on the integer box around the roots of
-    the pair discriminant (`_disc_box`): a real root of W outside it is
-    a solitary point and is never isolated, and the few solitary roots
+    W, the pair discriminant and x' are built here, once per curve.  W is
+    isolated once, and only on the integer box around the roots of the
+    pair discriminant (`_disc_box`): a real root of W outside it is a
+    solitary point and is never isolated, and the few solitary roots
     inside it are dropped by the discriminant's sign.  The remainder
     chain is that of the whole of W, so it also gives the tangency test.
-    The fold data are read next, and raise on a cusp, the only place
-    where the discriminant vanishes at a root of W.  Each root is then
+    The fold data are read next, and only here (`_fold_sides`): they
+    raise on a cusp, the only place where the discriminant vanishes at a
+    root of W, and on a crossing at a fold point, so no halving below
+    runs towards a root of the discriminant or of x'.  Each root is
     halved until the discriminant's enclosure excludes 0, and carried
     from there to the clash loop with that enclosure, which the square
     roots of t and s start from, so no halving is repeated.  Each round
     of that loop halves the u-interval of every crossing whose parameter
-    interval meets another, or on one of whose parameter intervals x'
-    may vanish, and encloses only those again.
+    interval meets another, or on one of whose parameter intervals x' may
+    vanish, and encloses only those again.
 
     So each parameter is put on one branch, once: t < s puts t on _A
     when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
-    when x'(s) has that sign and on _B otherwise.  The fold data are
-    found before the loop: a crossing at a fold point raises there, so
-    the loop never halves towards a root of x'.  Each round sorts the
+    when x'(s) has that sign and on _B otherwise.  Each round sorts the
     parameters once (`_overlapping`), and the order of the round that
     finds no clash gives their ranks, which each `Crossing` carries and
     which, on a branch two crossings share, give their x-order.  The
@@ -284,7 +281,7 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
-    left, right = curve._folds  # raises on a cusp, so each halving below ends
+    left, right = _fold_sides(curve)  # raises on a cusp, so each halving below ends
     D, den_D = disc.cs, disc.den
     dx = curve.x.derivative().cs  # its sign puts a parameter on a branch
     kept: list[RootInterval] = []
@@ -333,7 +330,7 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
         steps.append((b, at[k // 2] if rises[b] else -at[k // 2]))
     if any(p >= q for p, q in zip(steps, steps[1:])):
         raise NonNodalError("the parameter order is not the order by branch and then by x along each branch")
-    letters = _letters(left.order, right.order, [branches[i] for i in order])
+    letters = _letters(left, right, [branches[i] for i in order])
     return tuple(
         Crossing(kept[i], *enc[i], letter, turn, (rank[2 * i], rank[2 * i + 1]), branches[i])
         for i, (letter, turn) in zip(order, letters)
@@ -421,17 +418,16 @@ def _overlapping(ivs: Sequence[tuple[int, int]]) -> tuple[list[int], set[int]]:
     return order, hit
 
 
-class _Fold(NamedTuple):
-    """One fold: the position (BOTTOM or TOP) of its merging pair against
-    the third strand, and the bottom-to-top order of the three branches
-    beside it, inside the band."""
-
-    side: int
-    order: tuple[int, int, int]
+def _fold_pairs(x: Polynomial) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The branch pairs, in increasing order, that the left and the right
+    fold join.  The left fold is x's local minimum: c2, where _B and _C
+    merge, when x's lead is positive, and c1, where _A and _B merge, else."""
+    return ((_B, _C), (_A, _B)) if x.cs[3] > 0 else ((_A, _B), (_B, _C))
 
 
-def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
-    """The left and the right fold, exactly and without refinement.
+def _fold_sides(curve: PlaneCurve) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The bottom-to-top branch orders just right of the left fold and
+    just left of the right fold, exactly and without refinement.
 
     At the fold c1 the branches _A and _B merge, beside _C, and at c2 _B
     and _C merge, beside _A.  Next to a fold c, inside the band, the
@@ -440,15 +436,15 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
     minus the third strand's height, reduced modulo x' by Horner
     (`_fold_height_remainder`), is positive.  Both signs are read at the
     roots of the quadratic x' in Q(sqrt(Delta))
-    (`signs_at_quadratic_roots`).  The left fold is the local minimum of
-    x: c2 when x's lead is positive, c1 when it is negative.
+    (`signs_at_quadratic_roots`), and `_fold_pairs` says which fold is
+    the left one.
 
     NonNodalError when the third strand meets a fold point, or y'
     vanishes there (a cusp).
     """
     dx, y = curve.x.derivative(), curve.y
     h = Polynomial.from_integers(_fold_height_remainder(curve.x, y))
-    folds = []
+    orders = {}
     for side, slope, pair, third in zip(
         signs_at_quadratic_roots(h, dx), signs_at_quadratic_roots(y.derivative(), dx), ((_A, _B), (_B, _C)), (_C, _A)
     ):
@@ -457,13 +453,9 @@ def _fold_sides(curve: PlaneCurve) -> tuple[_Fold, _Fold]:
         if slope == 0:
             raise NonNodalError("cusp: y' vanishes at a fold")
         lo, hi = pair if slope > 0 else pair[::-1]
-        if side > 0:
-            folds.append(_Fold(TOP, (third, lo, hi)))
-        else:
-            folds.append(_Fold(BOTTOM, (lo, hi, third)))
-    if curve.x.cs[3] > 0:
-        return folds[1], folds[0]
-    return folds[0], folds[1]
+        orders[pair] = (third, lo, hi) if side > 0 else (lo, hi, third)
+    left, right = _fold_pairs(curve.x)
+    return orders[left], orders[right]
 
 
 def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
@@ -480,17 +472,18 @@ def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
 
 
 def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None) -> PlaneWord:
-    """Run-length word of the curve's diagram.
+    """Run-length word of the curve's diagram, off its crossings' branches.
 
-    The runs are the lengths of the maximal blocks of crossings with one
-    letter, in x-order.  The word starts with a 0 when the first
-    crossing's letter is the left fold's side, and ends with a 0 when
-    the last crossing's letter is the right fold's side: a boundary zero
-    marks a turning point on the side of its nearest crossing.  Reading
-    the letters against the folds' sides makes the word invariant under
-    the vertical flip, which swaps both.  A curve with no crossings has
-    the word ().  A ``cs`` other than the curve's own crossings tuple is
-    a ValueError.
+    The runs are the lengths of the maximal blocks of crossings, in
+    x-order, that swap one pair of branches: a swap leaves that pair in
+    the same two y-positions, so such a block is one letter.  The word
+    starts with a 0 when the first crossing swaps the pair that the left
+    fold joins (`_fold_pairs`), and ends with a 0 when the last crossing
+    swaps the pair that the right fold joins: a boundary zero marks a
+    turning point on the side of its nearest crossing.  No letter is
+    read, so the word is invariant under the vertical flip, which keeps
+    every branch.  A curve with no crossings has the word ().  A ``cs``
+    other than the curve's own crossings tuple is a ValueError.
     """
     # The word is read off the crossings the curve caches; ``cs`` stays
     # only because the benchmark's worker (perfbench/worker.py) passes it.
@@ -500,9 +493,9 @@ def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None
         raise ValueError("the crossings are not the curve's own")
     if not cs:
         return PlaneWord(())
-    left, right = (f.side for f in curve._folds)
-    runs = [len(tuple(block)) for _, block in groupby(c.letter for c in cs)]
-    return PlaneWord([0] * (cs[0].letter == left) + runs + [0] * (cs[-1].letter == right))
+    left, right = _fold_pairs(curve.x)
+    runs = [len(tuple(block)) for _, block in groupby(c.branches for c in cs)]
+    return PlaneWord([0] * (cs[0].branches == left) + runs + [0] * (cs[-1].branches == right))
 
 
 def add_triple_point(curve: PlaneCurve, x0: Fraction, yshift: Fraction) -> PlaneCurve:

@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 from ..arith import KnotRecord, record_for_fraction
 from ..diagram import TrigonalDiagram
-from .curves import Crossing, PlaneCurve, _pair_reduction, curve_crossings, word_from_curve
+from .curves import Crossing, PlaneCurve, _fold_pairs, _pair_reduction, curve_crossings, word_from_curve
 from .poly import Polynomial, _product, signs_at_roots
 
 
@@ -209,25 +209,23 @@ def _determinant(curve: PlaneCurve, overs: Sequence[int]) -> int:
 
     Between the folds the curve is a 3-strand braid along x, one strand
     per branch, and the closure arc through infinity joins the third
-    branches of the two folds, the branches that leave the band.  The
-    left fold is the local minimum of x: it joins _B and _C when x's
-    lead is positive, and _A and _B otherwise.  Just right of it, its
-    joined pair has colour 1 and the third branch colour 0.  At each
-    crossing, in x-order, the under branch takes 2 over - under, the
-    over branch being t's where ``overs`` is +1.  A colouring closes
-    when, at the right fold, the joined pair agrees and the third branch
-    is back at 0.  Colourings are linear in the two starting colours and
-    the constant ones always close, so the determinant is the gcd of
-    the two closing defects.  Only the branches and the sign of x's lead
-    are read: no letter, turn or fold order.
+    branches of the two folds, the branches that leave the band.  Just
+    right of the left fold, its joined pair (`_fold_pairs`) has colour 1
+    and the third branch colour 0.  At each crossing, in x-order, the
+    under branch takes 2 over - under, the over branch being t's where
+    ``overs`` is +1.  A colouring closes when, at the right fold, the
+    joined pair agrees and the third branch is back at 0.  Colourings
+    are linear in the two starting colours and the constant ones always
+    close, so the determinant is the gcd of the two closing defects.
+    Only the branches and the sign of x's lead are read: no letter, turn
+    or fold order.
     """
-    up = curve.x.cs[3] > 0
-    colour = [0, 1, 1] if up else [1, 1, 0]
+    left, (p, q) = _fold_pairs(curve.x)
+    colour = [int(b in left) for b in range(3)]
     for c, over in zip(curve.crossings, overs):
         o, u = c.branches if over > 0 else c.branches[::-1]
         colour[u] = 2 * colour[o] - colour[u]
-    third, p, q = colour[::-1] if up else colour  # the right fold joins p and q
-    return gcd(p - q, third)
+    return gcd(colour[p] - colour[q], colour[3 - p - q])  # 3 - p - q: the branch beside the right fold's pair
 
 
 def verify_embedding(

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ..frozen import Frozen
 
@@ -408,7 +409,7 @@ def _squarefree_isolation(
     return poly, out
 
 
-_MAX_REFINE = 256  # bisections of an isolating interval before a sign gives up
+_MAX_REFINE = 256  # bisections of an isolating interval before a sign asks whether h vanishes
 _PRIME = (1 << 61) - 1  # the Mersenne prime of the coprimality certificate
 
 
@@ -447,7 +448,8 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     b/d) with midpoint m, h keeps the sign of h(m) when |h(m)| > max |h'|
     (b - a) / 2d, read on integers as |v| > max(-lo, hi) (b - a) with v =
     (2d)^n h(m) and [lo, hi] the enclosure of (2d)^(n-1) h'.  At a root
-    of h the test never passes, so a zero raises instead of a sign.
+    of h the test never passes, so at _MAX_REFINE halvings the zero test
+    of `signs_at_roots` runs once: a zero raises, and a nonzero h halves on.
     """
     cs = h.primitive
     if not cs:
@@ -455,14 +457,15 @@ def sign_at_root(h: Polynomial, root: RootInterval) -> int:
     if len(cs) == 1:
         return _sign(cs[0])
     slope = [k * cs[k] for k in range(1, len(cs))]
-    for _ in range(_MAX_REFINE):
+    for halvings in count(1):
         a, b, d = 2 * root.a, 2 * root.b, 2 * root.d
         v = _value(cs, root.a + root.b, d)
         lo, hi = _enclose(slope, a, b, d)
         if abs(v) > max(-lo, hi) * (root.b - root.a):
             return _sign(v)
+        if halvings == _MAX_REFINE and _zero_test(h, root.poly)(root):
+            raise RuntimeError("sign refinement did not converge: h and the root's polynomial vanish at the root")
         root = root.refine()
-    raise RuntimeError("sign refinement did not converge: does h vanish at the root?")
 
 
 def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
@@ -533,8 +536,12 @@ def signs_at_roots(h: Polynomial, roots: Sequence[RootInterval]) -> list[int]:
         raise ValueError("the roots of one polynomial are needed")
     if h.is_zero() or not roots:
         return [0] * len(roots)
-    W = roots[0].poly
+    vanishes = _zero_test(h, roots[0].poly)
+    return [0 if vanishes(r) else sign_at_root(h, r) for r in roots]
+
+
+def _zero_test(h: Polynomial, W: Polynomial) -> Callable[[RootInterval], bool]:
+    """Whether h vanishes at the root of the squarefree W that an interval
+    isolates: where the gcd g of h and W changes sign across it."""
     g = () if _coprime_mod_prime(h.primitive, W.primitive) else h.gcd(W).primitive
-    return [
-        0 if len(g) > 1 and _value(g, r.a, r.d) * _value(g, r.b, r.d) < 0 else sign_at_root(h, r) for r in roots
-    ]
+    return lambda r: len(g) > 1 and _value(g, r.a, r.d) * _value(g, r.b, r.d) < 0

@@ -228,8 +228,8 @@ def _two_run_exact(runs: Runs) -> Optional[int]:
 
     Applies to normalized words of one or two positive runs without
     boundary zeros whose alternating diagram is a knot (odd
-    continued-fraction numerator); those are the words with a known
-    exact realization.
+    continued-fraction numerator) other than the unknot (numerator 1,
+    the word (1,)); those are the words with a known exact realization.
     """
     if not runs or 0 in runs or len(runs) > 2:
         return None
@@ -237,7 +237,7 @@ def _two_run_exact(runs: Runs) -> Optional[int]:
         alpha = runs[0]
     else:
         alpha = runs[0] * runs[1] + 1
-    if alpha % 2 == 0:
+    if alpha % 2 == 0 or alpha == 1:
         return None
     n = sum(runs)
     return (3 * n - 1) // 2

@@ -100,8 +100,8 @@ class TestCrossings:
         assert isolated == []
 
     def test_word_rejects_another_curves_crossings(self):
-        # (T3,T5)'s four crossings read against (T3,T4)'s folds would give
-        # (0,1,1,1,1), the word of neither curve
+        # a word is read off the curve's own crossings: (T3,T5)'s four are
+        # refused for (T3,T4), not read as a word of either curve
         a, b = PlaneCurve(T3, chebyshev(4)), PlaneCurve(T3, chebyshev(5))
         with pytest.raises(ValueError, match="not the curve's own"):
             word_from_curve(a, curve_crossings(b))
@@ -383,6 +383,20 @@ def third_strand_letters(curve, cs):
     return letters
 
 
+def composed_fold_sides(curve):
+    """The left and the right fold's sides by their definition: TOP when
+    the fold pair is above the third strand, where y(t) - y(S - 2t) > 0,
+    that difference composed here and its signs read at the roots of x';
+    the left fold is x's local minimum, the larger root when x's lead is
+    positive."""
+    x = curve.x
+    h = curve.y - curve.y.compose(Polynomial([Fraction(-x.cs[2], x.cs[3]), -2]))
+    signs = signs_at_quadratic_roots(h, x.derivative())
+    assert 0 not in signs, "the third strand meets a fold point"
+    sides = [TOP if sg > 0 else BOTTOM for sg in signs]
+    return sides[::-1] if x.cs[3] > 0 else sides
+
+
 def tangent_turns(curve, cs):
     """The turns by the tangent determinant: with T = (x', y') and t < s,
     det(T_t, T_s) = (s - t) N(u), N = A_y' B_x' - B_y' A_x', and with both
@@ -480,8 +494,9 @@ class TestWords:
         # the branch-order letters and turns against the exact signs that
         # define them, the x-order read off the shared branches against
         # exact x enclosures, and the word against the oracle's encoding of
-        # the third-strand letters read against the fold sides; the two
-        # consistency checks of the branch order never fire
+        # the third-strand letters read against the fold sides of the
+        # composed fold height; the two consistency checks of the branch
+        # order never fire
         checked = raised = 0
         for curve in letter_oracle_family():
             if checked == LETTER_ORACLE_CURVES + LETTER_ORACLE_MAX_B - 1:
@@ -496,7 +511,7 @@ class TestWords:
                 continue
             letters = third_strand_letters(curve, cs)
             assert [c.letter for c in cs] == letters, (curve.x, curve.y)
-            left, right = (f.side for f in curve._folds)
+            left, right = composed_fold_sides(curve)
             relative = [int(p == left) for p in letters]
             assert word_from_curve(curve).runs == letters_to_runs_by_groupby(relative, letters[-1] == right), (curve.x, curve.y)
             assert [c.turn for c in cs] == tangent_turns(curve, cs), (curve.x, curve.y)
@@ -507,7 +522,8 @@ class TestWords:
     def test_reference_words(self):
         # the stored crossing count and word of every benchmark curve: the
         # pool over x = t^3 - 3t with each curve's y -> -y mirror, and the
-        # Chebyshev curves (T3,Tb)
+        # Chebyshev curves (T3,Tb); each also reparametrized by t -> -t,
+        # which gives x a negative lead and keeps the image and the word
         ref = json.loads(CURVES_REFERENCE.read_text())
         x = Polynomial([0, -3, 0, 1])
         cases = [(T3, chebyshev(int(b)), entry) for b, entry in ref["chebyshev"].items()]
@@ -515,10 +531,11 @@ class TestWords:
             y = Polynomial(entry["y"])
             cases += [(x, y, entry), (x, -y, entry)]
         assert len(cases) == 812
+        reverse = Polynomial([0, -1])
         for cx, cy, entry in cases:
-            curve = PlaneCurve(cx, cy)
-            got = (len(curve_crossings(curve)), list(word_from_curve(curve).runs))
-            assert got == (entry["crossings"], entry["word"]), (cx, cy)
+            for curve in (PlaneCurve(cx, cy), PlaneCurve(cx.compose(reverse), cy.compose(reverse))):
+                got = (len(curve_crossings(curve)), list(word_from_curve(curve).runs))
+                assert got == (entry["crossings"], entry["word"]), (curve.x, curve.y)
 
     def test_trefoil_class(self):
         c = PlaneCurve(T3, chebyshev(4))

@@ -494,6 +494,17 @@ class TestLowerBounds:
             if entry.b_exact is not None:
                 assert sum(entry.runs) <= entry.b_exact - 1
 
+    def test_two_run_exact_degree_is_never_below_the_crossing_rule(self):
+        # (1,) is the unknot: its exact degree 2 is the crossing rule's and
+        # its base row's, never the formula's 1
+        words = [(n,) for n in range(1, 25)] + [(a, n - a) for n in range(2, 25) for a in range(1, n)]
+        for runs in words:
+            exact = planereduce._two_run_exact(runs)
+            assert exact is None or exact >= planereduce._crossing_rule(sum(runs)), runs
+        assert planereduce._two_run_exact((1,)) is None
+        lower, _, exact, _ = planereduce._base((1,))
+        assert (lower, exact) == (2, 2)
+
     def test_base_rows_hold_only_facts_the_code_cannot_derive(self):
         # a row is a realization (b_exact) or a cited bound above what the
         # crossing rule and the one/two-run exact degree give on their own

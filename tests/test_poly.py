@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -183,6 +183,11 @@ class TestRoots:
         for h in (P([-2, 0, 1]), P([-4, 0, 2]) * P([3, 1])):
             with pytest.raises(RuntimeError, match="vanish at the root"):
                 sign_at_root(h, roots[1])
+        # and only there: t - floor(sqrt(2) 2^k) / 2^k is nonzero at sqrt(2),
+        # and at k = 260 the mean value test needs more halvings than the cap
+        for bits in (200, 260):
+            h = P([-Fraction(isqrt(2 << 2 * bits), 1 << bits), 1])
+            assert signs_at_roots(h, roots) == [sign_at_root(h, r) for r in roots] == [-1, 1]
         with pytest.raises(ValueError, match="zero polynomial"):
             sign_at_root(P([]), roots[0])
 
