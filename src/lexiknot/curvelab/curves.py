@@ -20,24 +20,25 @@ isolating interval that excludes 0, or a sign at a fold.
 This layer runs on integers.  The pair reduction is Horner on the
 polynomials' integer coefficients.  Each root of W carries one isolating
 interval through the curve's questions.  It is halved until the
-enclosure of the pair discriminant -(4/p3) x'(u/2) excludes 0, and the
-clash loop starts from there.  That discriminant vanishes only at twice
-a fold c, where W is a positive multiple of y'(c), and the fold data,
-read first, raise on a cusp, so no sign at a root is asked.  The clash
-loop separates the crossings' parameters over integer enclosures: for
-an isolating interval (a/d, b/d) of u, t < s are enclosed over
+enclosure of the pair discriminant -(4/p3) x'(u/2) excludes 0 and then,
+for a crossing, until that of E(u) = p3 x'(S - u) does, S the sum of
+x's roots.  W is y'(c) at a root 2c of the first, c a fold, and
+y(c) - y(S - 2c) over 3c - S at a root S - c of the second, so the fold
+data, W's signs there read in Q(sqrt(Delta)), raise first where a
+halving would not end, and no sign at a root is asked.  E's sign puts
+the crossing's parameters on the branches _A, _B, _C that the folds
+c1 < c2 cut the parameter line into (`_crossings`).  The clash loop
+then only separates the parameters over integer enclosures: for an
+isolating interval (a/d, b/d) of u, t < s are enclosed over
 den_D d^2 2^33, with sqrt of the discriminant bounded by isqrt on the
-reduced radicand at this module's scale 2^32.  Enclosures of
-different crossings are compared after rescaling to the lcm of their
+reduced radicand at this module's scale 2^32.  Enclosures of different
+crossings are compared after rescaling to the lcm of their
 denominators, so every comparison is exact, and a `Crossing` keeps the
 loop's last enclosures over their denominator: no rational is built
-for a parameter.  The loop also
-halves until x' has one sign on each parameter enclosure, which puts
-each parameter on one of the three branches that the folds c1 < c2
-cut the parameter line into.  No x is enclosed: x is strictly
-monotone in t on each branch, and any two crossings share a branch, so
-their x-order is their parameters' order there, reversed where x falls.
-A triple point stalls the loop, since its crossings share parameters.
+for a parameter.  No x is enclosed: x is strictly monotone in t on each
+branch, and any two crossings share a branch, so their x-order is their
+parameters' order there, reversed where x falls.  A triple point stalls
+the loop, since its crossings share parameters.
 
 The letters and the turns need no further sign.  Over the band between
 the folds the curve is a 3-strand braid along x (Orevkov's view of a
@@ -46,11 +47,7 @@ y-ordered branches it swaps, and its turn is which of its two strands
 comes from above.  The order is known just right of the left fold, and
 each crossing, in x-order, swaps two adjacent branches, so the word's
 runs are the blocks of crossings that swap one pair of branches
-(`word_from_curve`).  The fold data are exact and refinement-free.  The
-fold height minus the third strand's, y(t) - y(S - 2t) with S the sum of
-x's roots, and y' are reduced modulo the quadratic x' by Horner in
-Z[t]/(x'), which composes nothing and divides nothing, and the signs of
-the degree-one remainders at the roots of x' are read in Q(sqrt(Delta)).
+(`word_from_curve`).
 
 A `PlaneCurve` is one object per value and caches only its crossings,
 computed once while the curve is alive; the fold data are read once,
@@ -79,7 +76,6 @@ from .poly import (
     RootInterval,
     _enclose,
     _product,
-    _remainder_mod_quadratic,
     _squarefree_isolation,
     isolate_real_roots,
     signs_at_quadratic_roots,
@@ -196,6 +192,14 @@ def _pair_discriminant(x: Polynomial) -> Polynomial:
     return Polynomial.from_integers((-4 * x.cs[1], -4 * x.cs[2], -3 * x.cs[3]), x.cs[3])
 
 
+def _third_strand_quadratic(x: Polynomial) -> Polynomial:
+    """E(u) = 3 p3^2 u^2 + 4 p2 p3 u + p2^2 + p1 p3 = p3 x'(S - u) den, S the
+    sum of the roots of x = p / den: its roots S - c2 < S - c1 are the u of
+    the pairs (c, S - 2c) of a fold c and the third strand, its vertex c1 + c2."""
+    _, p1, p2, p3 = x.cs
+    return Polynomial.from_integers((p2 * p2 + p1 * p3, 4 * p2 * p3, 3 * p3 * p3))
+
+
 _MAX_CLASH_ROUNDS = 64  # rounds of interval halving to separate crossings
 _SQRT_BITS = 32  # square roots are bounded to 2^-32 of the radicand's reduced denominator
 
@@ -239,32 +243,33 @@ def curve_crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
 def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     """The computation behind `PlaneCurve.crossings`.
 
-    W, the pair discriminant and x' are built here, once per curve.  W is
+    W, the pair discriminant and E are built here, once per curve.  W is
     isolated once, and only on the integer box around the roots of the
     pair discriminant (`_disc_box`): a real root of W outside it is a
     solitary point and is never isolated, and the few solitary roots
     inside it are dropped by the discriminant's sign.  The remainder
     chain is that of the whole of W, so it also gives the tangency test.
     The fold data are read next, and only here (`_fold_sides`): they
-    raise on a cusp, the only place where the discriminant vanishes at a
-    root of W, and on a crossing at a fold point, so no halving below
-    runs towards a root of the discriminant or of x'.  Each root is
-    halved until the discriminant's enclosure excludes 0, and carried
-    from there to the clash loop with that enclosure, which the square
+    raise on a cusp and on a third strand through a fold point, the only
+    places where the discriminant or E vanishes at a root of W, so each
+    halving below ends.  Each root is halved until the discriminant's
+    enclosure excludes 0 and, for a crossing, until E's does.  On a pair
+    t < s the third root of x(z) = x(t) is S - u, so t is on _A exactly
+    when u < S - c1 and s on _C exactly when u > S - c2, the roots of E:
+    the pair is (_A, _C) where E < 0, and where E > 0, (_A, _B) left of
+    E's vertex c1 + c2 and (_B, _C) right of it.  The root goes on to
+    the clash loop with the discriminant's enclosure, which the square
     roots of t and s start from, so no halving is repeated.  Each round
     of that loop halves the u-interval of every crossing whose parameter
-    interval meets another, or on one of whose parameter intervals x' may
-    vanish, and encloses only those again.
+    interval meets another, and encloses only those again.
 
-    So each parameter is put on one branch, once: t < s puts t on _A
-    when x'(t) has the sign of x's lead and on _B otherwise, and s on _C
-    when x'(s) has that sign and on _B otherwise.  Each round sorts the
-    parameters once (`_overlapping`), and the order of the round that
-    finds no clash gives their ranks, which each `Crossing` carries and
-    which, on a branch two crossings share, give their x-order.  The
-    ranks must then be the order by branch and, along each branch, by
-    x-index, which runs backwards where x falls: an O(n) check of
-    consecutive parameters.  The letters and the turns are read off the
+    Each round sorts the parameters once (`_overlapping`), and the order
+    of the round that finds no clash gives their ranks, which each
+    `Crossing` carries and which, on a branch two crossings share, give
+    their x-order.  The ranks must then be the order by branch and,
+    along each branch, by x-index, which runs backwards where x falls:
+    an O(n) check of consecutive parameters that compares two
+    independent readings.  The letters and the turns are read off the
     bottom-to-top order of the branches in x-order (`_letters`).
 
     Raises NonNodalError for tangencies (multiple roots of the
@@ -281,33 +286,31 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
     if squarefree.degree < W.degree:
         raise NonNodalError("tangency: the symmetric polynomial has a multiple root")
 
-    left, right = _fold_sides(curve)  # raises on a cusp, so each halving below ends
+    left, right = _fold_sides(curve.x, W)  # raises where a halving below would not end
     D, den_D = disc.cs, disc.den
-    dx = curve.x.derivative().cs  # its sign puts a parameter on a branch
+    E = _third_strand_quadratic(curve.x).cs
     kept: list[RootInterval] = []
-    enc = []
+    enc, branches = [], []
     for r in roots:
         while (e := _enclose(D, r.a, r.b, r.d))[0] <= 0 <= e[1]:
             r = r.refine()
         if e[0] > 0:
+            while (f := _enclose(E, r.a, r.b, r.d))[0] <= 0 <= f[1]:
+                r = r.refine()
             kept.append(r)
-            enc.append(_enclosures(den_D, r, e))
+            enc.append(_enclosures(den_D, r, _enclose(D, r.a, r.b, r.d)))
+            left_of_vertex = 2 * E[2] * r.a + E[1] * r.d < 0  # E'(u) < 0
+            branches.append((_A, _C) if f[1] < 0 else (_A, _B) if left_of_vertex else (_B, _C))
 
-    # refine until the parameter intervals are pairwise disjoint and every
-    # parameter is on a branch; a branch, once decided on an enclosure of
-    # the parameter, stays
-    branches = [_branches(dx, e) for e in enc]
+    # refine until the parameter intervals are pairwise disjoint
     for _ in range(_MAX_CLASH_ROUNDS):
         flat, hit = _overlapping(_rescaled(enc))
         clash = {k // 2 for k in hit}
-        clash.update(i for i, b in enumerate(branches) if b is None)
         if not clash:
             break
         for i in clash:
             kept[i] = r = kept[i].refine()
             enc[i] = _enclosures(den_D, r, _enclose(D, r.a, r.b, r.d))
-            if branches[i] is None:
-                branches[i] = _branches(dx, enc[i])
     else:
         r = kept[min(clash)]
         message = f"crossing parameters near u in ({float(r.lo):.4f}, {float(r.hi):.4f}) could not be separated"
@@ -335,20 +338,6 @@ def _crossings(curve: PlaneCurve) -> tuple[Crossing, ...]:
         Crossing(kept[i], *enc[i], letter, turn, (rank[2 * i], rank[2 * i + 1]), branches[i])
         for i, (letter, turn) in zip(order, letters)
     )
-
-
-def _branches(dx: Sequence[int], e) -> Optional[tuple[int, int]]:
-    """The branches of one crossing's parameters t < s, from the sign of
-    x', of integer coefficients dx, on their enclosures; None while x'
-    may vanish on one."""
-    t, s, den = e
-    out = []
-    for (lo, hi), outer in zip((t, s), (_A, _C)):
-        vlo, vhi = _enclose(dx, lo, hi, den)
-        if vlo <= 0 <= vhi:
-            return None
-        out.append(outer if (vlo > 0) == (dx[-1] > 0) else _B)
-    return out[0], out[1]
 
 
 def _letters(
@@ -425,50 +414,37 @@ def _fold_pairs(x: Polynomial) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((_B, _C), (_A, _B)) if x.cs[3] > 0 else ((_A, _B), (_B, _C))
 
 
-def _fold_sides(curve: PlaneCurve) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+def _fold_sides(x: Polynomial, W: Polynomial) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The bottom-to-top branch orders just right of the left fold and
-    just left of the right fold, exactly and without refinement.
+    just left of the right fold, off x and W, without refinement.
 
     At the fold c1 the branches _A and _B merge, beside _C, and at c2 _B
     and _C merge, beside _A.  Next to a fold c, inside the band, the
-    pair's branch of larger parameter is on top exactly when y'(c) > 0,
-    and the pair is above the third strand exactly when the fold height
-    minus the third strand's height, reduced modulo x' by Horner
-    (`_fold_height_remainder`), is positive.  Both signs are read at the
-    roots of the quadratic x' in Q(sqrt(Delta))
-    (`signs_at_quadratic_roots`), and `_fold_pairs` says which fold is
-    the left one.
+    pair's branch of larger parameter is on top exactly when
+    y'(c) = W(2c) > 0, (c, c) being a pair with u = 2c, and the pair is
+    above the third strand exactly when y(c) - y(S - 2c) =
+    (3c - S) W(S - c) > 0, (c, S - 2c) being a pair with u = S - c;
+    3c - S is negative at c1 and positive at c2.  So both are W's signs
+    at the roots of a quadratic, 2 c1 < 2 c2 of the pair discriminant and
+    S - c2 < S - c1 of E (`_third_strand_quadratic`), read in
+    Q(sqrt(Delta)) (`signs_at_quadratic_roots`); `_fold_pairs` says
+    which fold is the left one.
 
     NonNodalError when the third strand meets a fold point, or y'
     vanishes there (a cusp).
     """
-    dx, y = curve.x.derivative(), curve.y
-    h = Polynomial.from_integers(_fold_height_remainder(curve.x, y))
+    slopes = signs_at_quadratic_roots(W, _pair_discriminant(x))
+    far, near = signs_at_quadratic_roots(W, _third_strand_quadratic(x))
     orders = {}
-    for side, slope, pair, third in zip(
-        signs_at_quadratic_roots(h, dx), signs_at_quadratic_roots(y.derivative(), dx), ((_A, _B), (_B, _C)), (_C, _A)
-    ):
+    for side, slope, pair, third in zip((-near, far), slopes, ((_A, _B), (_B, _C)), (_C, _A)):
         if side == 0:
             raise NonNodalError("fold pair meets the third strand")
         if slope == 0:
             raise NonNodalError("cusp: y' vanishes at a fold")
         lo, hi = pair if slope > 0 else pair[::-1]
         orders[pair] = (third, lo, hi) if side > 0 else (lo, hi, third)
-    left, right = _fold_pairs(curve.x)
+    left, right = _fold_pairs(x)
     return orders[left], orders[right]
-
-
-def _fold_height_remainder(x: Polynomial, y: Polynomial) -> tuple[int, int]:
-    """(r0, r1) with r0 + r1 t a positive multiple of y(t) - y(S - 2t)
-    modulo x', S the sum of x's roots, with no composition: at a fold c,
-    S - 2c is the third root of x(z) = x(c).  Horner in Z[t]/(x') reads
-    y at t and at S - 2t = (-p2 - 2 p3 t) / p3, both over the one
-    denominator |p3|, so the two remainders share their multiplier."""
-    p, cs, dx = x.cs, y.primitive, x.derivative().primitive
-    e = abs(p[3])
-    near = _remainder_mod_quadratic(cs, (0, e, e), dx)
-    far = _remainder_mod_quadratic(cs, (-p[2] if p[3] > 0 else p[2], -2 * e, e), dx)
-    return near[0] - far[0], near[1] - far[1]
 
 
 def word_from_curve(curve: PlaneCurve, cs: Optional[tuple[Crossing, ...]] = None) -> PlaneWord:

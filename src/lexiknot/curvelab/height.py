@@ -76,9 +76,12 @@ def alternating_overpasses(cs: Sequence[Crossing]) -> list[bool]:
 def gauss_sequence(cs: Sequence[Crossing], over_at: Sequence[bool]) -> list[int]:
     """Signs +-1 at the 2n crossing parameters in parameter order, placed
     at the crossings' ranks; HeightError unless there is one overpass
-    choice per crossing."""
+    choice per crossing and each is a bool, so that a crossing sign +-1
+    is not read as a choice."""
     if len(over_at) != len(cs):
         raise HeightError("one overpass choice per crossing required")
+    if not all(isinstance(over, bool) for over in over_at):
+        raise HeightError("an overpass choice is True or False, not a crossing sign")
     signs = [0] * (2 * len(cs))
     for c, over in zip(cs, over_at):
         s = 1 if over else -1
@@ -102,8 +105,8 @@ def height_polynomial(cs: Sequence[Crossing], over_at: Sequence[bool]) -> tuple[
     no root meets an interval (each contains its parameter, so
     lo <= hi), and the sign on each is the prescribed one.  Without
     crossings any height will do: the constant 1, with no sign change.
-    HeightError unless there is one overpass choice per crossing
-    (`gauss_sequence`).
+    HeightError unless there is one overpass choice, a bool, per
+    crossing (`gauss_sequence`).
     """
     signs = gauss_sequence(cs, over_at)
     if not cs:

@@ -487,7 +487,7 @@ def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
     disc = B * B - 4 * A * C
     if disc <= 0:
         raise ValueError("the quadratic needs two distinct real roots")
-    r0, r1 = _remainder_mod_quadratic(h.primitive, (0, 1, 1), q.primitive)
+    r0, r1 = _remainder_mod_quadratic(h.primitive, q.primitive)
     X, sa = 2 * A * r0 - B * r1, _sign(A)
 
     def sign_with(Y: int) -> int:  # the sign of (X + Y sqrt(Delta)) / 2A
@@ -501,24 +501,20 @@ def signs_at_quadratic_roots(h: Polynomial, q: Polynomial) -> tuple[int, int]:
     return sign_with(-sa * r1), sign_with(sa * r1)
 
 
-def _remainder_mod_quadratic(cs: Sequence[int], z: tuple[int, int, int], q: Sequence[int]) -> tuple[int, int]:
-    """(r0, r1) with M cs(z) = r0 + r1 t modulo q for an integer M > 0.
+def _remainder_mod_quadratic(cs: Sequence[int], q: Sequence[int]) -> tuple[int, int]:
+    """(r0, r1) with M cs = r0 + r1 t modulo q for an integer M > 0.
 
-    q = (C, B, A) are a quadratic's integer coefficients, and z = (z0,
-    z1, e) stands for (z0 + z1 t) / e with e > 0.  Horner in Z[t]/(q),
-    with q's lead A made positive: for R = r0 + r1 t and Z = z0 + z1 t,
-    A R Z = (A r0 z0 - C r1 z1) + (A (r0 z1 + r1 z0) - B r1 z1) t modulo
-    q, so a step R -> A R Z + c M over M -> A e M takes a handful of
-    products, and M = (A e)^(deg + 1) for every z of one e.
+    q = (C, B, A) are a quadratic's integer coefficients.  Horner in
+    Z[t]/(q), with q's lead A made positive: for R = r0 + r1 t,
+    A R t = -C r1 + (A r0 - B r1) t modulo q, so a step R -> A R t + c M
+    over M -> A M takes a handful of products, and M = A^(deg + 1).
     """
     C, B, A = q if q[2] > 0 else [-c for c in q]
-    z0, z1, e = z
     r0 = r1 = 0
     m = 1
     for c in reversed(cs):
-        m *= A * e
-        p = r1 * z1
-        r0, r1 = A * r0 * z0 - C * p + c * m, A * (r0 * z1 + r1 * z0) - B * p
+        m *= A
+        r0, r1 = c * m - C * r1, A * r0 - B * r1
     return r0, r1
 
 

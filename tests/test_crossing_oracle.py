@@ -4,10 +4,10 @@ The oracle is the Fraction form of `curve_crossings`' schedule: W is
 isolated on the integer box [floor r1, ceil r2] around the roots of the
 pair discriminant, derived here on its own from the Fraction
 coefficients; each root is refined until an interval Horner enclosure
-of the pair discriminant excludes 0, which decides its sign, and the
-clash loop starts from those intervals.  That loop halves every
-crossing whose parameter interval meets another's, or whose parameter
-intervals have not yet both had an interval enclosure of x' without 0.
+of the pair discriminant excludes 0, which decides its sign, and a
+crossing's further until the enclosure of x'(S - u), S the sum of x's
+roots, excludes 0; the clash loop starts from those intervals.  That
+loop halves every crossing whose parameter interval meets another's.
 It uses interval Horner on rational coefficients, square-root bounds
 on the reduced radicand, and a pairwise overlap test.  Both must return
 the same rationals, not merely containing ones; a `Crossing`'s integer
@@ -16,15 +16,19 @@ enclosures are read over its den for that (`heightref.intervals`).
 The x-order is checked apart from that schedule: the oracle refines
 copies of the u-intervals until interval Horner enclosures of the
 crossing x(u) are disjoint, and the crossings must come in increasing x.
+So are the branches: copies of each crossing's u-interval are refined
+until x' has one sign on both parameter enclosures.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 from math import floor, isqrt
 
 import pytest
 
-from lexiknot.curvelab import PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
-from lexiknot.curvelab.curves import _pair_reduction
+from lexiknot.curvelab import NonNodalError, PlaneCurve, Polynomial, add_triple_point, chebyshev, curve_crossings, perturb
+from lexiknot.curvelab.curves import _A, _B, _C, _pair_reduction
 from lexiknot.curvelab.poly import _squarefree_isolation
 from heightref import intervals
 
@@ -67,15 +71,21 @@ def interval_horner(p: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return elo, ehi
 
 
-def disc_sign(disc, r):
-    """The sign of the pair discriminant at r's root, where it is nonzero,
-    and the interval it was decided on: r is halved until the interval
-    Horner enclosure of the discriminant excludes 0."""
+def nonzero_sign(p, r):
+    """The sign of p at r's root, where it is nonzero, and the interval it
+    was decided on: r is halved until the interval Horner enclosure of p
+    excludes 0."""
     while True:
-        lo, hi = interval_horner(disc, r.lo, r.hi)
+        lo, hi = interval_horner(p, r.lo, r.hi)
         if lo > 0 or hi < 0:
             return (lo > 0) - (hi < 0), r
         r = r.refine()
+
+
+def pair_discriminant(curve: PlaneCurve) -> Polynomial:
+    """u^2 - 4 v(u), v(u) = (p3 u^2 + p2 u + p1) / p3."""
+    _, p1, p2, p3 = curve.x.coeffs
+    return Polynomial([-4 * p1 / p3, -4 * p2 / p3, -3])
 
 
 def enclosures(disc, r):
@@ -113,17 +123,14 @@ def overlapping(ivs) -> set[int]:
 
 
 def oracle_crossings(curve: PlaneCurve):
-    # the pair discriminant u^2 - 4 v(u), v(u) = (p3 u^2 + p2 u + p1) / p3
-    _, p1, p2, p3 = curve.x.coeffs
-    disc = Polynomial([-4 * p1 / p3, -4 * p2 / p3, -3])
+    disc = pair_discriminant(curve)
+    _, _, p2, p3 = curve.x.coeffs
+    third = curve.x.derivative().compose(Polynomial([-p2 / p3, -1]))  # x'(S - u)
     roots = _squarefree_isolation(_pair_reduction(curve.y, curve.x)[0], disc_box(disc))[1]
-    kept = [r for sg, r in (disc_sign(disc, r) for r in roots) if sg > 0]
+    kept = [nonzero_sign(third, r)[1] for sg, r in (nonzero_sign(disc, r) for r in roots) if sg > 0]
     enc = [enclosures(disc, r) for r in kept]
-    dx = curve.x.derivative()
-    undecided = set(range(len(kept)))  # crossings with x' not yet of one sign on both enclosures
     for _ in range(64):
-        undecided -= {i for i in undecided if all(0 < a or b < 0 for a, b in (interval_horner(dx, *iv) for iv in enc[i]))}
-        clash = {k // 2 for k in overlapping([iv for e in enc for iv in e])} | undecided
+        clash = {k // 2 for k in overlapping([iv for e in enc for iv in e])}
         if not clash:
             break
         for i in clash:
@@ -140,6 +147,22 @@ def oracle_crossings(curve: PlaneCurve):
         tuple((rank[2 * i], rank[2 * i + 1]) for i in order),
         tuple(bounds[k] for k in flat),
     )
+
+
+def oracle_branches(curve: PlaneCurve, u) -> tuple[int, int]:
+    """The branches of the parameters t < s of the crossing isolated by u:
+    a copy of u is halved until the interval Horner enclosure of x' on
+    both parameter enclosures excludes 0.  x' has the sign of x's lead on
+    _A, left of the folds, and on _C, right of them, and the other on _B."""
+    disc, dx = pair_discriminant(curve), curve.x.derivative()
+    up = curve.x.coeffs[3] > 0
+    for _ in range(64):
+        signs = [interval_horner(dx, *iv) for iv in enclosures(disc, u)]
+        if all(lo > 0 or hi < 0 for lo, hi in signs):
+            (t_lo, _), (s_lo, _) = signs
+            return _A if (t_lo > 0) == up else _B, _C if (s_lo > 0) == up else _B
+        u = u.refine()
+    raise AssertionError("x' kept a zero on a parameter enclosure")
 
 
 def q7(x0: Fraction) -> PlaneCurve:
@@ -176,3 +199,35 @@ def test_crossing_sets_equal_the_fraction_oracle(name):
     for c in cs:
         bounds[c.ranks[0]], bounds[c.ranks[1]] = intervals(c)
     assert tuple(bounds) == param_bounds
+
+
+def branch_oracle_family():
+    """The curves above, each also reparametrized by t -> -t, which gives
+    x a negative lead, and 100 seeded curves: x is T3 or T3 + t^2/4, of
+    either sign, and y a Chebyshev polynomial of degree 4 to 14 moved by
+    a cubic with coefficients in eighths; the ones that are not nodal are
+    skipped."""
+    reverse = Polynomial([0, -1])
+    for curve, _ in CURVES.values():
+        yield curve
+        yield PlaneCurve(curve.x.compose(reverse), curve.y.compose(reverse))
+    rng = random.Random(58)
+    skew = T3 + Polynomial([0, 0, Fraction(1, 4)])
+    xs = (T3, -T3, skew, -skew)
+    for _ in range(100):
+        y = chebyshev(rng.randint(4, 14)) + Polynomial([Fraction(rng.randint(-3, 3), 8) for _ in range(4)])
+        yield PlaneCurve(rng.choice(xs), y)
+
+
+def test_branches_equal_the_sign_of_x_prime():
+    # the branches are read off E(u) = p3 x'(S - u) on u alone; the oracle
+    # reads them off x' on the parameters, on both sides of each fold
+    pairs = Counter()
+    for curve in branch_oracle_family():
+        try:
+            cs = curve_crossings(curve)
+        except NonNodalError:
+            continue
+        assert [c.branches for c in cs] == [oracle_branches(curve, c.u) for c in cs], (curve.x, curve.y)
+        pairs.update(c.branches for c in cs)
+    assert sum(pairs.values()) > 500 and len(pairs) == 3

@@ -33,7 +33,7 @@ from lexiknot.curvelab import (
     word_from_curve,
 )
 from lexiknot.curvelab import height as height_module
-from lexiknot.curvelab.curves import BOTTOM, TOP, _disc_box, _fold_height_remainder, _pair_discriminant, _pair_reduction
+from lexiknot.curvelab.curves import BOTTOM, TOP, _A, _B, _C, _disc_box, _fold_sides, _pair_discriminant, _pair_reduction
 from lexiknot.curvelab.height import _simplest_dyadic
 from lexiknot.curvelab.poly import (
     _remainder_mod_quadratic,
@@ -109,7 +109,7 @@ class TestCrossings:
         assert word_from_curve(b, curve_crossings(b)).runs == (1, 1, 1, 1)
 
     def test_t3_t26_composes_nothing_and_halves_the_chain_evaluations(self, monkeypatch):
-        # the fold sides reduce y(t) and y(S - 2t) modulo x' by Horner, and
+        # the fold sides are W's signs at the roots of two quadratics, and
         # the sign grid certifies W's roots: bisection alone evaluated the
         # Sturm chain 27 times on (T3,T26)
         import lexiknot.curvelab.poly as poly_module
@@ -226,7 +226,7 @@ class TestCrossings:
         assert len(curve_crossings(again)) == 19 and computed == [again]
 
     def test_each_root_is_refined_once(self, monkeypatch):
-        # the disc sign and the clash loop carry one interval per root;
+        # the disc sign, the branches and the clash loop carry one interval per root;
         # restarting each sign from the isolating interval took 345 and 564
         # halvings on (T3,T20) and (T3,T26), with a letter sign per root
         from lexiknot.curvelab.poly import RootInterval
@@ -317,8 +317,8 @@ class TestCrossings:
         for c in curves:
             dx = c.x.derivative()
             assert _pair_discriminant(c.x) == dx.compose(Polynomial([0, Fraction(1, 2)])) * Polynomial.const(-4 / c.x.coeffs[3]), c.x
-            w = _remainder_mod_quadratic(_pair_reduction(c.y, c.x)[0].primitive, (0, 2, 1), dx.primitive)
-            slope = _remainder_mod_quadratic(c.y.derivative().primitive, (0, 1, 1), dx.primitive)
+            w = _remainder_mod_quadratic(_pair_reduction(c.y, c.x)[0].compose(Polynomial([0, 2])).primitive, dx.primitive)
+            slope = _remainder_mod_quadratic(c.y.derivative().primitive, dx.primitive)
             assert w[0] * slope[1] == w[1] * slope[0], (c.x, c.y)
             assert [(a > 0) - (a < 0) for a in w] == [(a > 0) - (a < 0) for a in slope], (c.x, c.y)
 
@@ -347,16 +347,33 @@ fold_rational = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6
 )
 @example([0, 0, 1], T3, False)
 @example([0, 4, 0, -4, 0, 1], Polynomial([0, -3, 0, 1]), True)
-def test_fold_height_remainder_matches_the_composition(y_coeffs, x, flip):
-    # Horner modulo x' gives the signs at both folds of y(t) - y(S - 2t),
-    # S the sum of x's roots, that the composed polynomial has there; x of
-    # both lead signs, rational coefficients, and y of any degree
+@example([0, -3, 0, 4], T3, False)  # y = x: W = 0, and y(c) = y(S - 2c) at both folds
+@example([0, 1, 1], Polynomial([0, -3, 0, 1]), False)  # y(1) = y(-2): the third strand meets the fold c2 = 1
+@example([0, -2, -1, 1, Fraction(3, 4)], Polynomial([0, -2, 0, 1]), False)  # y' = (t + 1) x': two cusps
+def test_fold_sides_equal_the_composed_fold_height_and_y_prime(y_coeffs, x, flip):
+    # W's signs at the roots of the pair discriminant and of E give the
+    # orders that the signs at the folds of the composed y(t) - y(S - 2t),
+    # S the sum of x's roots, and of y' give; NonNodalError where either
+    # vanishes, naming the first zero, the side before the slope and c1
+    # before c2.  x of both lead signs, rational coefficients, and y of any
+    # degree
     x = -x if flip else x
     assume(x.degree == 3 and x.cs[2] ** 2 > 3 * x.cs[1] * x.cs[3])
     y, dx = Polynomial(y_coeffs), x.derivative()
     h = y - y.compose(Polynomial([Fraction(-x.cs[2], x.cs[3]), -2]))
-    remainder = Polynomial.from_integers(_fold_height_remainder(x, y))
-    assert signs_at_quadratic_roots(remainder, dx) == signs_at_quadratic_roots(h, dx)
+    sides, slopes = signs_at_quadratic_roots(h, dx), signs_at_quadratic_roots(y.derivative(), dx)
+    W = _pair_reduction(y, x)[0]
+    zeros = [k for k, sg in enumerate((sides[0], slopes[0], sides[1], slopes[1])) if sg == 0]
+    if zeros:
+        with pytest.raises(NonNodalError, match=("fold pair meets the third strand", "cusp: y' vanishes")[zeros[0] % 2]):
+            _fold_sides(x, W)
+        return
+    orders = []  # at c1, whose pair is (_A, _B), and at c2, whose pair is (_B, _C)
+    for side, slope, pair, third in zip(sides, slopes, ((_A, _B), (_B, _C)), (_C, _A)):
+        lo, hi = pair if slope > 0 else pair[::-1]
+        orders.append((third, lo, hi) if side > 0 else (lo, hi, third))
+    # the left fold is x's local minimum, c2 when x's lead is positive
+    assert _fold_sides(x, W) == (tuple(orders[::-1]) if x.cs[3] > 0 else tuple(orders))
 
 
 # the size of the letter oracle's family; CI runs it with 3000 and 32
@@ -455,7 +472,7 @@ def letter_oracle_family():
 
 class TestWords:
     def test_branch_order_checks_raise(self):
-        from lexiknot.curvelab.curves import _A, _B, _C, _letters
+        from lexiknot.curvelab.curves import _letters
 
         # from A < B < C bottom to top, swapping A and B at the bottom and
         # then A and C at the top ends at B < C < A; both times t's branch,
@@ -1253,3 +1270,22 @@ class TestEmbeddingErrors:
                 height_polynomial(cs, over_at)
         assert [c.ranks for c in cs] == [(0, 3), (1, 4), (2, 5)]
         assert gauss_sequence(cs, [True, False, True]) == [1, -1, 1, -1, 1, -1]
+
+    def test_a_crossing_sign_is_no_overpass_choice(self):
+        from lexiknot.curvelab import HeightError, gauss_sequence
+
+        # crossing_signs reads +-1, and -1 is truthy: read as choices, the
+        # signs of the alternating height on (T3,T7) made every crossing
+        # an overpass of its earlier parameter, a height of degree 3 that
+        # verifies as the unknot
+        c = PlaneCurve(T3, chebyshev(7))
+        cs = curve_crossings(c)
+        z, degree = height_polynomial(cs, alternating_overpasses(cs))
+        signs = crossing_signs(c, z)
+        for over_at in (signs, [0, 1, 0, 1, 0, 1], [True] * 5 + [1]):
+            with pytest.raises(HeightError, match="True or False, not a crossing sign"):
+                gauss_sequence(cs, over_at)
+            with pytest.raises(HeightError, match="True or False, not a crossing sign"):
+                height_polynomial(cs, over_at)
+        assert height_polynomial(cs, [sg > 0 for sg in signs]) == (z, degree) and degree == 11
+        assert verify_embedding(c.x, c.y, z)[1].name == "6_3"
